@@ -1,5 +1,5 @@
-"""And-inverter graphs: AIGER parsing/serialization, structural
-simplification, simulation and cone-of-influence analysis.
+"""And-inverter graphs: AIGER parsing/serialization, simulation and
+cone-of-influence analysis.
 
 Node references use the AIGER literal convention: ``raw = 2*index +
 complement``, with raw 0 = constant false and raw 1 = constant true.
@@ -7,7 +7,7 @@ complement``, with raw 0 = constant false and raw 1 = constant true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
@@ -229,7 +229,7 @@ def _parse_ascii(data, pos, m, i, l, o, a, b, c) -> Aig:
     if not bads and outputs:
         bads = outputs
         bads_from_outputs = True
-    _check_unique_defs(m, inputs, latches, ands)
+    _check_defs(inputs, latches, ands, outputs + bads + constraints)
     return Aig(m, inputs, latches, ands, bads, constraints,
                bads_from_outputs, data[pos:])
 
@@ -290,20 +290,21 @@ def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
                bads_from_outputs, data[pos:])
 
 
-def _check_unique_defs(m, inputs, latches, ands) -> None:
-    seen: Set[int] = set()
-    for v in inputs:
-        if v in seen:
+def _check_defs(inputs, latches, ands, refs) -> None:
+    """Each variable is defined once, and every non-constant variable that a
+    latch, gate or property reads is defined: an ASCII header may declare
+    variables the body never defines."""
+    defined: Set[int] = {0}
+    for v in [*inputs, *(lt.var for lt in latches), *(g.var for g in ands)]:
+        if v in defined:
             raise AigerError("duplicate definition of variable %d" % v)
-        seen.add(v)
-    for lt in latches:
-        if lt.var in seen:
-            raise AigerError("duplicate definition of variable %d" % lt.var)
-        seen.add(lt.var)
+        defined.add(v)
+    reads = [lt.next for lt in latches] + list(refs)
     for g in ands:
-        if g.var in seen:
-            raise AigerError("duplicate definition of variable %d" % g.var)
-        seen.add(g.var)
+        reads += (g.rhs0, g.rhs1)
+    for ref in reads:
+        if ref >> 1 not in defined:
+            raise AigerError("reference to undefined variable %d" % (ref >> 1))
 
 
 # ---------------------------------------------------------------------------
@@ -437,58 +438,6 @@ def _latch_line(lt: Latch, binary: bool = False) -> bytes:
     if lt.init == 1:
         return head + b"%d 1\n" % lt.next
     return head + b"%d\n" % lt.next
-
-
-# ---------------------------------------------------------------------------
-# Structural simplification
-
-
-def simplify(aig: Aig) -> Aig:
-    """Constant propagation plus structural hashing; semantics preserved."""
-    mapping: Dict[int, int] = {0: 0, 1: 1}  # old ref -> new ref
-    for v in aig.inputs:
-        mapping[2 * v] = 2 * v
-        mapping[2 * v + 1] = 2 * v + 1
-    for lt in aig.latches:
-        mapping[2 * lt.var] = 2 * lt.var
-        mapping[2 * lt.var + 1] = 2 * lt.var + 1
-
-    strash: Dict[Tuple[int, int], int] = {}
-    new_ands: List[AndGate] = []
-    next_var = max([0] + aig.inputs + [lt.var for lt in aig.latches])
-
-    for g in sorted(aig.ands, key=lambda g: g.var):
-        a, b = mapping[g.rhs0], mapping[g.rhs1]
-        if a < b:
-            a, b = b, a
-        if b == FALSE_REF or a == ref_neg(b):
-            res = FALSE_REF
-        elif b == TRUE_REF:
-            res = a
-        elif a == b:
-            res = a
-        else:
-            key = (a, b)
-            res = strash.get(key, -1)
-            if res < 0:
-                next_var += 1
-                res = 2 * next_var
-                strash[key] = res
-                new_ands.append(AndGate(next_var, a, b))
-        mapping[2 * g.var] = res
-        mapping[2 * g.var + 1] = ref_neg(res)
-
-    latches = [Latch(lt.var, mapping[lt.next], lt.init) for lt in aig.latches]
-    return Aig(
-        next_var,
-        list(aig.inputs),
-        latches,
-        new_ands,
-        [mapping[r] for r in aig.bads],
-        [mapping[r] for r in aig.constraints],
-        aig.bads_from_outputs,
-        aig.trailer,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Exit codes follow the hardware model-checking competition convention:
 10 = unsafe (counterexample found), 20 = safe (proof found), 0 = unknown,
-2 = usage or input error.  Stdout carries the matching verdict block
-("0"/"1", the property line "b<i>", and for unsafe the witness body).
+2 = usage or input error; 1 = a `--verify` check rejected the verdict
+(reason on stderr, nothing on stdout).  Otherwise stdout carries the
+matching verdict block ("0"/"1", the property line "b<i>", and for unsafe
+the witness body).
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from typing import List, Optional
 
 from .aiger import AigerError, parse_aiger
 from .certify import format_certificate, format_witness
-from .orchestrator import (EngineConfig, build_transys, run_config,
-                           run_portfolio, verify_verdict)
+from .orchestrator import (EngineConfig, run_config, run_portfolio,
+                           verify_verdict)
+from .transys import encode
 from .verdicts import InvariantCert, Verdict
 
 EXIT_UNSAFE = 10
 EXIT_SAFE = 20
 EXIT_UNKNOWN = 0
 EXIT_USAGE = 2
+EXIT_VERIFY_FAILED = 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the inductive invariant here when safe")
     p.add_argument("--verify", action="store_true",
                    help="independently re-verify the verdict before reporting")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
     return p
 
 
@@ -83,12 +86,12 @@ def _strategy(args: argparse.Namespace) -> str:
 def _single_config(args: argparse.Namespace) -> EngineConfig:
     if args.engine == "ic3":
         return EngineConfig("ic3", strategy=_strategy(args), inn=args.inn,
-                            abs_cst=args.abs_cst, seed=args.seed)
+                            abs_cst=args.abs_cst)
     if args.engine == "bmc":
         return EngineConfig("bmc", bmc_step=args.bmc_step,
-                            bmc_max=args.bmc_max, seed=args.seed)
+                            bmc_max=args.bmc_max)
     return EngineConfig("kind", kind_max=args.kind_max,
-                        simple_path=args.simple_path, seed=args.seed)
+                        simple_path=args.simple_path)
 
 
 def _report(verdict: Verdict, bad_index: int, args: argparse.Namespace,
@@ -119,9 +122,8 @@ def _write_certificate(verdict: Verdict, args: argparse.Namespace) -> None:
               "not a clause invariant", file=sys.stderr)
         return
     aig = getattr(args, "_aig")
-    ts = build_transys(aig, args.bad_index, simplify=False)
     try:
-        text = format_certificate(cert, ts)
+        text = format_certificate(cert, encode(aig, bad_index=args.bad_index))
     except ValueError as exc:
         print("certificate not written: %s" % exc, file=sys.stderr)
         return
@@ -170,7 +172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not ok:
             print("verification of %s verdict failed: %s"
                   % (verdict.status, reason), file=sys.stderr)
-            return 1
+            return EXIT_VERIFY_FAILED
     return _report(verdict, args.bad_index, args)
 
 

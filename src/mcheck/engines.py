@@ -29,6 +29,25 @@ def _sync_vars(s: Solver, un: Unroller) -> None:
         s.new_vars(un.num_vars - s.num_vars)
 
 
+def _grow(s: Solver, un: Unroller, depth: int, with_init: bool,
+          simple_path: bool = False) -> None:
+    """Unroll to `depth` on the incremental solver: new frames, constraint
+    units, init units at frame 0 and, with `simple_path`, state-difference
+    clauses for each new frame."""
+    while un.depth < depth:
+        new = un.add_frame()
+        _sync_vars(s, un)
+        for cl in new:
+            s.add_clause(cl)
+        for cl in un.constraint_units(un.depth):
+            s.add_clause(cl)
+        if with_init and un.depth == 0:
+            for cl in un.init_units():
+                s.add_clause(cl)
+        if simple_path and un.depth >= 1:
+            _add_simple_path(s, un, un.depth)
+
+
 def _extract_trace(s: Solver, un: Unroller, ts: TranSys, depth: int) -> WitnessTrace:
     init_bits: List[Optional[int]] = []
     for lv in ts.latch_vars[: ts.num_real_latches]:
@@ -59,26 +78,13 @@ def bmc(
     stats = UnrollStats()
     un = Unroller(ts)
     s = Solver()
-
-    def grow_to(depth: int) -> None:
-        while un.depth < depth:
-            new = un.add_frame()
-            _sync_vars(s, un)
-            for cl in new:
-                s.add_clause(cl)
-            for cl in un.constraint_units(un.depth):
-                s.add_clause(cl)
-            if un.depth == 0:
-                for cl in un.init_units():
-                    s.add_clause(cl)
-
     lo = 0
     while lo <= max_depth:
         if cancel is not None and cancel():
             stats.solver = s.stats
             return unknown("cancelled", stats=stats)
         hi = min(lo + step - 1, max_depth)
-        grow_to(hi)
+        _grow(s, un, hi, True)
         sel = s.new_var()
         un.num_vars = max(un.num_vars, s.num_vars)  # keep frame vars disjoint
         s.add_clause([2 * sel + 1] + [un.bad_at(d) for d in range(lo, hi + 1)])
@@ -101,9 +107,9 @@ def bmc(
     return unknown("no counterexample up to depth %d" % max_depth, stats=stats)
 
 
-def _add_simple_path(s: Solver, un: Unroller, ts: TranSys, new_frame: int) -> None:
+def _add_simple_path(s: Solver, un: Unroller, new_frame: int) -> None:
     """State-difference clauses between `new_frame` and each earlier frame."""
-    latches = ts.latch_vars[: ts.num_real_latches]
+    latches = un.ts.latch_vars[: un.ts.num_real_latches]
     if not latches:
         return
     for i in range(new_frame):
@@ -139,21 +145,6 @@ def kind(
     us = Unroller(ts)
     ss = Solver()
 
-    def grow(un: Unroller, s: Solver, with_init: bool, depth: int,
-             distinct: bool) -> None:
-        while un.depth < depth:
-            new = un.add_frame()
-            _sync_vars(s, un)
-            for cl in new:
-                s.add_clause(cl)
-            for cl in un.constraint_units(un.depth):
-                s.add_clause(cl)
-            if with_init and un.depth == 0:
-                for cl in un.init_units():
-                    s.add_clause(cl)
-            if distinct and un.depth >= 1:
-                _add_simple_path(s, un, ts, un.depth)
-
     # simple-path constraints grow quadratically; with the flag on, the
     # whole search is capped rather than silently dropping the constraints
     # (the emitted certificate must match what was solved)
@@ -162,7 +153,7 @@ def kind(
         if cancel is not None and cancel():
             break
         # base: no counterexample at depth k
-        grow(ub, sb, True, k, False)
+        _grow(sb, ub, k, True)
         stats.solver_calls += 1
         res = sb.solve(assumptions=[ub.bad_at(k)], cancel_check=cancel)
         if res is None:
@@ -175,7 +166,7 @@ def kind(
         if k == 0:
             continue
         # step: ¬bad at 0..k-1 (permanent units, monotone in k) ⊢ ¬bad at k
-        grow(us, ss, False, k, simple_path)
+        _grow(ss, us, k, False, simple_path)
         ss.add_clause((lit_neg(us.bad_at(k - 1)),))
         stats.solver_calls += 1
         res = ss.solve(assumptions=[us.bad_at(k)], cancel_check=cancel)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .aiger import WitnessTrace, eval_nodes
-from .logic import Cube, canonicalize, lit_neg, mklit, negate, subsumes
+from .logic import Cube, lit_neg, negate, subsumes
 from .satcore import Solver, SolverStats
 from .transys import TranSys, encode, extend_with_internal_signals
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
@@ -30,23 +30,22 @@ DYNAMIC = "dynamic"
 
 _ORDER = {STANDARD: 0, CTG: 1, EXCTG: 2}
 
+MAX_FRAMES = 20000
+CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
+CTG_LIMIT = 3  # CTGs blocked per candidate before joining
+EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
+
 
 @dataclass
 class Ic3Options:
     strategy: str = DYNAMIC  # standard | ctg | exctg | dynamic
     inn: bool = False
     abs_cst: bool = False
-    seed: int = 0
-    max_frames: int = 20000
-    use_domain: bool = True
     verify_mic: bool = False
     debug_check_domain: bool = False
     debug_check_frames: bool = False
     dynamic_t1: int = 1
     dynamic_t2: int = 3
-    ctg_depth: int = 1
-    ctg_limit: int = 3
-    exctg_budget: int = 200
 
 
 @dataclass
@@ -161,34 +160,13 @@ class IC3:
         out.append(2 * self.act_inf)
         return out
 
-    def _domain(self, seeds) -> Set[int]:
-        """COI closure over the dependency graph and lemma co-occurrence."""
-        dep = self.ts.dep
-        adj = self._adj
-        stack = list(seeds)
-        seen: Set[int] = set()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for w in dep.get(v, ()):
-                if w not in seen:
-                    stack.append(w)
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    stack.append(w)
-        return seen
-
-    def _query_domain(self, cube: Cube) -> Optional[Set[int]]:
-        if not self.options.use_domain:
-            return None
-        seeds = [self.ts.bad >> 1]
-        seeds.extend(l >> 1 for l in self.ts.constraints)
+    def _query_domain(self, cube: Cube) -> Set[int]:
+        roots = [self.ts.bad >> 1]
+        roots.extend(l >> 1 for l in self.ts.constraints)
         for l in cube:
-            seeds.append(l >> 1)
-            seeds.append(self.ts.next_map[l >> 1])
-        return self._domain(seeds)
+            roots.append(l >> 1)
+            roots.append(self.ts.next_map[l >> 1])
+        return self.ts.coi_vars(roots, self._adj)
 
     def _model_state_cube(self) -> Cube:
         s = self.solver
@@ -324,7 +302,7 @@ class IC3:
         if top:
             self.stats.mic_calls[strategy] = self.stats.mic_calls.get(strategy, 0) + 1
             if budget is None:
-                budget = [self.options.exctg_budget if strategy == EXCTG else 0]
+                budget = [EXCTG_BUDGET if strategy == EXCTG else 0]
         size_in = len(cube)
         bucket = self.solver.vsids.bucket_of
         order = sorted(cube, key=lambda l: (bucket(l >> 1), l >> 1))
@@ -348,7 +326,6 @@ class IC3:
                   strategy: str, budget: List[int]) -> Optional[Cube]:
         """The `down` loop: recover relative induction of a shrunk candidate,
         blocking or joining counterexamples-to-generalization."""
-        opts = self.options
         ctgs = 0
         while True:
             if not cube or self.ts.cube_intersects_init(cube):
@@ -360,8 +337,8 @@ class IC3:
             state = self._model_state_cube()
             allow_ctg = (
                 strategy in (CTG, EXCTG)
-                and rec_depth <= opts.ctg_depth
-                and ctgs < opts.ctg_limit
+                and rec_depth <= CTG_DEPTH
+                and ctgs < CTG_LIMIT
                 and level > 1
             )
             if allow_ctg:
@@ -414,7 +391,7 @@ class IC3:
             r, payload = self.solve_relative(c, lvl)
             if r is False:
                 g = self.mic(self._repair_init(payload, c), lvl, STANDARD,
-                             rec_depth=self.options.ctg_depth + 1, budget=budget)
+                             rec_depth=CTG_DEPTH + 1, budget=budget)
                 self.add_lemma(g, lvl)
             else:
                 state = self._model_state_cube()
@@ -457,7 +434,7 @@ class IC3:
         self.stats.solver_calls += 1
         s = self.solver
         assume = self._frame_assumptions(self.k) + [self.ts.bad]
-        domain = self._domain([self.ts.bad >> 1]) if self.options.use_domain else None
+        domain = self.ts.coi_vars([self.ts.bad >> 1], self._adj)
         res = s.solve(assume, domain=domain, cancel_check=self.cancel)
         if res is None:
             raise _Cancelled()
@@ -609,7 +586,7 @@ class IC3:
                     if fixpoint is not None:
                         return safe(self._invariant(fixpoint),
                                     stats=self._final_stats())
-                    if self.k > self.options.max_frames:
+                    if self.k > MAX_FRAMES:
                         return unknown("frame limit %d reached" % self.k,
                                        stats=self._final_stats())
         except _Cancelled:

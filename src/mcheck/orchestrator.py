@@ -1,6 +1,9 @@
 """Engine configuration, single-engine runs, and the parallel portfolio.
 
-The portfolio launches one thread per configuration, takes the first
+Each run builds its own transition system with `build_transys`: the Tseitin
+encoding, simplified by unit propagation and clause deduplication, which is
+cheap next to the search.  Verdict checks use the plain encoding.  The
+portfolio launches one thread per configuration, takes the first
 definitive (safe/unsafe) verdict, re-verifies it against the full model
 before reporting, and cancels the rest with a bounded grace period.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .aiger import Aig
@@ -33,7 +36,6 @@ class EngineConfig:
     bmc_max: int = 1000
     kind_max: int = 50
     simple_path: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.engine not in ("ic3", "bmc", "kind"):
@@ -56,7 +58,8 @@ class EngineConfig:
 
 
 def default_configs(workers: int) -> List[EngineConfig]:
-    """Ordered round-robin list, truncated or cyclically extended."""
+    """The first `workers` of seven distinct configurations (at least one);
+    the search is deterministic, so a repeated configuration adds nothing."""
     base = [
         EngineConfig("ic3", strategy="dynamic"),
         EngineConfig("ic3", strategy="ctg"),
@@ -66,20 +69,12 @@ def default_configs(workers: int) -> List[EngineConfig]:
         EngineConfig("bmc", bmc_step=10),
         EngineConfig("kind"),
     ]
-    out = []
-    for i in range(max(1, workers)):
-        cfg = base[i % len(base)]
-        if i >= len(base):
-            cfg = replace(cfg, seed=i // len(base))
-        out.append(cfg)
-    return out
+    return base[: max(1, workers)]
 
 
-def build_transys(aig: Aig, bad_index: int = 0, simplify: bool = True) -> TranSys:
-    ts = encode(aig, bad_index=bad_index)
-    if simplify:
-        ts = simplify_cnf(ts)
-    return ts
+def build_transys(aig: Aig, bad_index: int = 0) -> TranSys:
+    """Encoded and simplified transition system the engines search."""
+    return simplify_cnf(encode(aig, bad_index=bad_index))
 
 
 def run_config(
@@ -92,7 +87,7 @@ def run_config(
     ts = build_transys(aig, bad_index)
     if config.engine == "ic3":
         opts = Ic3Options(strategy=config.strategy, inn=config.inn,
-                          abs_cst=config.abs_cst, seed=config.seed)
+                          abs_cst=config.abs_cst)
         return ic3.check(ts, opts, cancel)
     if config.engine == "bmc":
         return engines.bmc(ts, max_depth=config.bmc_max, step=config.bmc_step,
@@ -107,8 +102,8 @@ def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, st
         assert verdict.witness is not None
         return verify_witness(aig, verdict.witness)
     if verdict.is_safe:
-        ts = build_transys(aig, bad_index, simplify=False)
-        return verify_certificate(ts, verdict.certificate)
+        return verify_certificate(encode(aig, bad_index=bad_index),
+                                  verdict.certificate)
     return True, "ok"
 
 

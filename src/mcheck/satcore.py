@@ -8,8 +8,8 @@ Literals use the shared int encoding from :mod:`mcheck.logic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 UNDEF = 2  # assigns[] sentinel
 
@@ -135,7 +135,6 @@ class Solver:
         self._domain_stamp: List[int] = []
         self._domain_gen = 0
         self._domain_full = True
-        self._persistent_domain: Optional[Set[int]] = None
         self._temp_clauses: List[Clause] = []
         self._temp_act: Optional[int] = None
         self._temp_contra = False
@@ -241,13 +240,6 @@ class Solver:
         self._temp_contra = False
 
     # -- domain -------------------------------------------------------------
-
-    def set_domain(self, vars: Iterable[int]) -> None:
-        """Restrict decisions of subsequent solves; O(1) clear via generation."""
-        self._persistent_domain = set(vars)
-
-    def clear_domain(self) -> None:
-        self._persistent_domain = None
 
     def _activate_domain(self, domain: Optional[Iterable[int]]) -> None:
         if domain is None:
@@ -483,13 +475,12 @@ class Solver:
                 assert self._temp_act is not None
                 assume.insert(0, 2 * self._temp_act)
 
-            use_domain = domain if domain is not None else self._persistent_domain
-            self._activate_domain(use_domain)
+            self._activate_domain(domain)
             result = self._search(assume, cancel_check)
 
             if (
                 self.debug_check_domain
-                and use_domain is not None
+                and domain is not None
                 and result is not None
             ):
                 self.stats.domain_checks += 1
@@ -602,11 +593,6 @@ class Solver:
         if a == UNDEF:
             return default
         return a == 1
-
-    def model_lit(self, var: int, default: bool = False) -> int:
-        """Literal of `var` true in the model (default polarity if free)."""
-        val = self.model_value(var, default)
-        return 2 * var + (0 if val else 1)
 
     def unsat_core(self) -> Tuple[int, ...]:
         return self._core

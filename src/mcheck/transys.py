@@ -9,11 +9,11 @@ constraints at the step where the bad is observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .aiger import Aig, coi as aig_coi, eval_nodes
-from .logic import TRUE_LIT, FALSE_LIT, Clause, Lit, lit_neg, lit_var, mklit
+from .aiger import Aig, coi as aig_coi
+from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
 
 
 def ref_to_lit(ref: int) -> Lit:
@@ -52,8 +52,10 @@ class TranSys:
     def prime_cube(self, lits: Sequence[Lit]) -> Tuple[Lit, ...]:
         return tuple(sorted(self.prime(l) for l in lits))
 
-    def coi_vars(self, roots: Iterable[int]) -> Set[int]:
-        """Transitive support closure of `roots` in the dependency graph."""
+    def coi_vars(self, roots: Iterable[int],
+                 adj: Dict[int, Set[int]]) -> Set[int]:
+        """Transitive closure of `roots` over the dependency graph and the
+        extra undirected edges `adj` (IC3's lemma co-occurrence)."""
         stack = list(roots)
         seen: Set[int] = set()
         dep = self.dep
@@ -63,6 +65,9 @@ class TranSys:
                 continue
             seen.add(v)
             for w in dep.get(v, ()):
+                if w not in seen:
+                    stack.append(w)
+            for w in adj.get(v, ()):
                 if w not in seen:
                     stack.append(w)
         return seen
@@ -194,15 +199,10 @@ def encode(
 # CNF simplification
 
 
-def simplify_cnf(ts: TranSys, probe: bool = True, probe_limit: int = 2000) -> TranSys:
-    """Unit propagation, satisfied-clause removal and limited failed-literal
-    probing.  Latch/input/primed/bad/constraint vars stay frozen."""
-    frozen = set(ts.latch_vars) | set(ts.input_vars) | set(ts.next_map.values())
-    frozen.add(ts.bad >> 1)
-    frozen.add(ts.bad_raw >> 1)
-    frozen.update(l >> 1 for l in ts.constraints)
-    frozen.add(0)
-
+def simplify_cnf(ts: TranSys) -> TranSys:
+    """Unit propagation to fixpoint, satisfied-clause removal and clause
+    deduplication; the input system is left unchanged.  Units are kept as
+    unit clauses, so every variable keeps its meaning."""
     clauses = [list(c) for c in ts.clauses]
     value: Dict[int, int] = {}
 
@@ -240,9 +240,6 @@ def simplify_cnf(ts: TranSys, probe: bool = True, probe_limit: int = 2000) -> Tr
             out.append(new)
         clauses = out
 
-    if probe and ts.num_vars <= probe_limit:
-        clauses = _probe(clauses, ts.num_vars, frozen, value)
-
     # re-emit: units for fixed vars, then remaining clauses (deduplicated)
     final: List[Clause] = []
     seen: Set[Tuple[int, ...]] = set()
@@ -255,71 +252,7 @@ def simplify_cnf(ts: TranSys, probe: bool = True, probe_limit: int = 2000) -> Tr
         if t not in seen:
             seen.add(t)
             final.append(t)
-
-    return TranSys(
-        num_vars=ts.num_vars,
-        latch_vars=list(ts.latch_vars),
-        input_vars=list(ts.input_vars),
-        next_map=dict(ts.next_map),
-        init_lits=ts.init_lits,
-        bad=ts.bad,
-        bad_raw=ts.bad_raw,
-        constraints=list(ts.constraints),
-        clauses=final,
-        dep=dict(ts.dep),
-        init_value=dict(ts.init_value),
-        num_real_latches=ts.num_real_latches,
-        source=ts.source,
-        bad_index=ts.bad_index,
-    )
-
-
-def _probe(clauses, num_vars, frozen, fixed) -> List[List[int]]:
-    """Failed-literal probing by plain BCP; derives units on non-frozen vars."""
-    watch: Dict[int, List[int]] = {}
-    for ci, cl in enumerate(clauses):
-        for l in cl:
-            watch.setdefault(l >> 1, []).append(ci)
-
-    def bcp(assume: Lit) -> Optional[bool]:
-        vals = {v: p for v, p in fixed.items()}
-        vals[assume >> 1] = 1 - (assume & 1)
-        queue = [assume >> 1]
-        touched = set(queue)
-        while queue:
-            v = queue.pop()
-            for ci in watch.get(v, ()):
-                unassigned = None
-                sat = False
-                count = 0
-                for l in clauses[ci]:
-                    pv = vals.get(l >> 1)
-                    if pv is None:
-                        unassigned = l
-                        count += 1
-                    elif pv == 1 - (l & 1):
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if count == 0:
-                    return False  # conflict
-                if count == 1 and unassigned is not None:
-                    vals[unassigned >> 1] = 1 - (unassigned & 1)
-                    queue.append(unassigned >> 1)
-        return True
-
-    for v in range(1, num_vars):
-        if v in frozen or v in fixed:
-            continue
-        if v not in watch:
-            continue
-        for pol in (0, 1):
-            lit = mklit(v, pol == 1)
-            if bcp(lit) is False:
-                fixed[v] = pol  # lit failed, so its negation holds
-                break
-    return clauses
+    return replace(ts, clauses=final)
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +309,16 @@ class Unroller:
         return self.lit_at(self.ts.bad, frame)
 
 
-def unroll(ts: TranSys, depth: int, include_init: bool = True) -> Unroller:
-    """Build depth+1 timed frames; constraints asserted at every frame."""
+def unroll(ts: TranSys, depth: int) -> Unroller:
+    """Build depth+1 timed frames from init; constraints asserted at every
+    frame."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     un = Unroller(ts)
     for k in range(depth + 1):
         un.add_frame()
         un.clauses.extend(un.constraint_units(k))
-    if include_init:
-        un.clauses.extend(un.init_units())
+    un.clauses.extend(un.init_units())
     return un
 
 
@@ -472,19 +405,5 @@ def extend_with_internal_signals(
         next_map[s] = primed_copy(s)
         latch_vars.append(s)
 
-    return TranSys(
-        num_vars=num_vars,
-        latch_vars=latch_vars,
-        input_vars=list(ts.input_vars),
-        next_map=next_map,
-        init_lits=ts.init_lits,
-        bad=ts.bad,
-        bad_raw=ts.bad_raw,
-        constraints=list(ts.constraints),
-        clauses=clauses,
-        dep=dep,
-        init_value=dict(ts.init_value),
-        num_real_latches=ts.num_real_latches,
-        source=ts.source,
-        bad_index=ts.bad_index,
-    )
+    return replace(ts, num_vars=num_vars, latch_vars=latch_vars,
+                   next_map=next_map, clauses=clauses, dep=dep)

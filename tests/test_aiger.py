@@ -34,6 +34,9 @@ def test_uninitialized_and_one_initialized_latches():
     "not a header\n",
     "aag 1 0 1 0 0 1\n2 9\n2\n",     # next ref out of range
     "aag 2 0 2 0 0 1\n2 2\n2 4\n2\n",  # duplicate latch definition
+    "aag 4 0 1 0 1 1\n2 8\n8\n8 4 3\n",  # gate reads undefined variable 2
+    "aag 2 0 1 0 0 1\n2 4\n2\n",    # latch next reads undefined variable 2
+    "aag 2 0 1 0 0 1\n2 2\n5\n",    # bad reads undefined variable 2
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(AigerError):

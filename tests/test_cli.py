@@ -104,6 +104,29 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_undefined_variable_is_input_error(tmp_path, capsys):
+    # the gate reads variable 2, which the header declares and nothing defines
+    path = _write(tmp_path, "undef.aag", "aag 4 0 1 0 1 1\n2 8\n8\n8 4 3\n")
+    for extra in (["--engine", "bmc"], ["--engine", "bmc", "--verify"], []):
+        rc = main([path] + extra)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "undefined variable 2" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mcheck.cli.verify_verdict",
+                        lambda aig, bad_index, verdict: (False, "forced rejection"))
+    path = _write(tmp_path, "m.aag", CNT2_AAG)
+    rc = main([path, "--engine", "bmc", "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "forced rejection" in captured.err
+
+
 def test_time_limit_single_engine(tmp_path, capsys):
     path = _write(tmp_path, "m.aag", SAFE1_AAG)
     rc = main([path, "--engine", "bmc", "--time-limit", "0.0"])

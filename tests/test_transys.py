@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -127,6 +128,26 @@ def test_simplify_preserves_reachability_verdict(rng):
             assert sat_depths and min(sat_depths) == res.depth
         else:
             assert not sat_depths
+
+
+def test_simplify_and_extension_leave_input_unchanged(rng):
+    """Derived systems share untouched fields with their input; building
+    them must not modify the input."""
+    fields = ("latch_vars", "next_map", "clauses", "dep", "init_value")
+    aigs = [counter_with_reset(16, 8)] + [random_aig(rng) for _ in range(10)]
+    extended = 0
+    for aig in aigs:
+        ts = encode(aig)
+        before = copy.deepcopy({f: getattr(ts, f) for f in fields})
+        simple = simplify_cnf(ts)
+        assert {f: getattr(ts, f) for f in fields} == before
+        mid = copy.deepcopy({f: getattr(simple, f) for f in fields})
+        ext = extend_with_internal_signals(simple, aig)
+        assert {f: getattr(simple, f) for f in fields} == mid
+        assert {f: getattr(ts, f) for f in fields} == before
+        assert ext.prev_map == {p: v for v, p in ext.next_map.items()}
+        extended += len(ext.latch_vars) > len(simple.latch_vars)
+    assert extended  # the extension ran on some model, not only the no-op path
 
 
 def test_unroll_helper_counts_frames(cnt2):
