@@ -3,6 +3,20 @@ queries: assumptions with unsat cores, temporary clauses that vanish after
 each query, a decision domain restricted per query, and a bucketed
 constant-time activity heuristic.
 
+Temporary clauses are guarded by one activation literal per solver, reused by
+every query and assumed in each once it exists.  Learnt clauses that contain
+its negation were derived from the current query's temporaries; they are
+filed and detached with them, so nothing an old query derived fires again.
+Should a query leave the activation var assigned at the root, it is retired
+and the next temporary clause allocates a fresh one.
+
+A var that a query pops from the activity heap while it is assigned or
+outside the domain leaves the heap for good, not just for that query.  It
+comes back on backtrack, when a restricted domain names it, or in one sweep
+at the next full-domain query after a restricted one; root-assigned vars
+never come back.  Per-query heap work thus follows the domain, not the
+number of vars the solver has seen.
+
 Literals use the shared int encoding from :mod:`mcheck.logic`.
 """
 
@@ -138,7 +152,7 @@ class Solver:
         self._temp_clauses: List[Clause] = []
         self._temp_act: Optional[int] = None
         self._temp_contra = False
-        self._parked: List[int] = []
+        self._popped: List[int] = []  # pop_max's parked list, never re-filed
         self._cla_inc = 1.0
 
     # -- variables ----------------------------------------------------------
@@ -194,8 +208,8 @@ class Solver:
             out.append(l)
 
         if temporary:
-            # fresh activation var per query: learned clauses conditioned on
-            # an old query's activation literal must never fire again
+            # one activation var, reused: learnt clauses that contain its
+            # negation are filed with the temporaries and go with them
             if self._temp_act is None:
                 self._temp_act = self.new_var()
             out.insert(0, 2 * self._temp_act + 1)
@@ -236,14 +250,25 @@ class Solver:
         for c in self._temp_clauses:
             self._detach(c)
         self._temp_clauses = []
-        self._temp_act = None
         self._temp_contra = False
+        if self._temp_act is not None and self.assigns[self._temp_act] != UNDEF:
+            self._temp_act = None  # refuted at the root: retire it
 
     # -- domain -------------------------------------------------------------
 
     def _activate_domain(self, domain: Optional[Iterable[int]]) -> None:
+        """Stamp the query's domain and put its unassigned vars back in the
+        heap; called at decision level 0."""
+        assigns = self.assigns
+        present = self.vsids.present
+        insert = self.vsids.insert
         if domain is None:
-            self._domain_full = True
+            if not self._domain_full:
+                # a restricted query may have dropped any var from the heap
+                self._domain_full = True
+                for v in range(len(assigns)):
+                    if not present[v] and assigns[v] == UNDEF:
+                        insert(v)
             return
         self._domain_full = False
         self._domain_gen += 1
@@ -251,6 +276,8 @@ class Solver:
         stamp = self._domain_stamp
         for v in domain:
             stamp[v] = gen
+            if not present[v] and assigns[v] == UNDEF:
+                insert(v)
 
     def in_domain(self, v: int) -> bool:
         return self._domain_full or self._domain_stamp[v] == self._domain_gen
@@ -419,7 +446,7 @@ class Solver:
     def _bump_clause(self, c: Clause) -> None:
         c.act += self._cla_inc
         if c.act > 1e20:
-            for x in self.learnts:
+            for x in self.learnts + self._temp_clauses:
                 x.act *= 1e-20
             self._cla_inc *= 1e-20
 
@@ -471,8 +498,7 @@ class Solver:
                 return False
 
             assume = list(assumptions)
-            if self._temp_clauses:
-                assert self._temp_act is not None
+            if self._temp_act is not None:
                 assume.insert(0, 2 * self._temp_act)
 
             self._activate_domain(domain)
@@ -496,14 +522,8 @@ class Solver:
             return result
         finally:
             self._cancel_until(0)
-            self._unpark()
+            self._popped.clear()
             self._clear_temporaries()
-
-    def _unpark(self) -> None:
-        # insert() is a no-op for vars re-filed by _cancel_until
-        for v in self._parked:
-            self.vsids.insert(v)
-        self._parked = []
 
     def _search(
         self,
@@ -517,28 +537,33 @@ class Solver:
         conflict_count = 0
         max_learnts = max(4000, 2 * len(self.clauses))
         temp_act_lit = None if self._temp_act is None else 2 * self._temp_act
+        temp_guard = None if temp_act_lit is None else temp_act_lit ^ 1
 
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
                 conflict_count += 1
+                if self.decision_level() == 0:
+                    # temporaries cannot conflict at the root (their guard
+                    # is assumed above it), so the clause set is unsat
+                    self.ok = False
+                    self._core = ()
+                    return False
                 if self.stats.conflicts % self.DECAY_INTERVAL == 0:
                     self.vsids.decay()
                     if cancel_check is not None and cancel_check():
                         return None
-                if self.decision_level() == 0:
-                    self._core = ()
-                    return False
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
-                    # root implication survives the query
-                    self.vlevel[learnt[0] >> 1] = 0
+                    self._enqueue(learnt[0], None)  # level 0: survives the query
                 else:
                     c = Clause(learnt, learnt=True)
-                    self.learnts.append(c)
+                    if temp_guard is not None and temp_guard in learnt:
+                        self._temp_clauses.append(c)  # leaves with the query
+                    else:
+                        self.learnts.append(c)
                     self._attach(c)
                     self._bump_clause(c)
                     self._enqueue(learnt[0], c)
@@ -575,7 +600,7 @@ class Solver:
                 self._enqueue(p, None)
                 continue
 
-            v = self.vsids.pop_max(self._decision_eligible, self._parked)
+            v = self.vsids.pop_max(self._decision_eligible, self._popped)
             if v is None:
                 self._model = list(self.assigns)
                 return True

@@ -34,12 +34,12 @@ class TranSys:
     clauses: List[Clause]
     dep: Dict[int, Tuple[int, ...]]
     init_value: Dict[int, Optional[int]]  # 3-valued node valuation at init
-    num_real_latches: int = 0
+    num_real_latches: Optional[int] = None  # None: every latch is real
     source: Optional[Aig] = None
     bad_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_real_latches == 0:
+        if self.num_real_latches is None:
             self.num_real_latches = len(self.latch_vars)
         self.prev_map = {p: v for v, p in self.next_map.items()}
 

@@ -292,18 +292,19 @@ def test_criterion_7_performance_smoke():
     bmc_ok = vb.is_unsafe and vb.stats.depth == 256 and t_bmc < 60
 
     # ablation: the dynamic strategy must not cost more than 1.2x ctg-only
-    # across a suite both solve completely
+    # across a suite both solve completely; the two strategies take turns on
+    # each system, so both sums see the same mix of host speeds
     suite = [random_aig(random.Random(40_000 + i), max_latches=10,
                         max_gates=80) for i in range(300)]
     suite += [counter_with_reset(16, 8), counter_with_reset(24, 8),
               counter_with_reset(32, 8)]
     systems = [build_transys(a) for a in suite]
-    times = {}
-    for s in (CTG, DYNAMIC):
-        t0 = time.monotonic()
-        for ts in systems:
+    times = {CTG: 0.0, DYNAMIC: 0.0}
+    for ts in systems:
+        for s in (CTG, DYNAMIC):
+            t0 = time.monotonic()
             ic3_check(ts, Ic3Options(strategy=s))
-        times[s] = time.monotonic() - t0
+            times[s] += time.monotonic() - t0
     ratio = times[DYNAMIC] / times[CTG]
     ablation_ok = ratio <= 1.2
 

@@ -4,7 +4,7 @@ import pytest
 
 from mcheck.aiger import parse_aiger
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.ic3 import (CTG, DYNAMIC, EXCTG, STANDARD, Ic3Options,
+from mcheck.ic3 import (CTG, DYNAMIC, EXCTG, IC3, STANDARD, Ic3Options,
                         select_strategy, check as ic3_check)
 from mcheck.transys import encode, extend_with_internal_signals, simplify_cnf
 
@@ -140,3 +140,15 @@ def test_deep_counterexample_found():
     assert ok, why
     # the counter's path to the sticky flag is deterministic: 16 steps
     assert len(v.witness.input_frames) - 1 >= 16
+
+
+def test_solver_vars_stay_bounded():
+    # one activation var per frame, one for F_inf and one reused for the
+    # temporaries: the solvers do not grow with the number of queries
+    engine = IC3(encode(mod_counter(6, 20, 40, enable=True)),
+                 Ic3Options(strategy=DYNAMIC))
+    assert engine.check().is_safe
+    assert engine.stats.solver_calls > 500
+    n = engine.ts.num_vars
+    assert engine.solver.num_vars <= n + engine.k + 3
+    assert engine.lift_solver.num_vars <= n + 1

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from mcheck.aiger import parse_aiger
 from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
                                  run_portfolio, verify_verdict)
 
@@ -100,3 +101,14 @@ def test_verify_verdict_rejects_foreign_witness(cnt2, unsafe1):
     v = run_config(unsafe1, EngineConfig("bmc"))
     ok, _ = verify_verdict(cnt2, 0, v)
     assert not ok
+
+
+def test_inn_verdict_on_latchless_model_verifies():
+    # gate 4 (constant true) has fanout 3 and an input-free cone, so --inn
+    # turns it into a pseudo-latch of a model that has no real latch
+    aig = parse_aiger(b"aag 5 1 0 0 4 1\n2\n10\n4 1 1\n6 4 2\n8 5 4\n10 7 4\n")
+    v = run_config(aig, EngineConfig("ic3", inn=True))
+    assert v.is_unsafe
+    assert v.witness.init_state == []
+    ok, why = verify_verdict(aig, 0, v)
+    assert ok, why

@@ -182,3 +182,120 @@ def test_bucket_vsids_matches_exact_scores(rng):
             if v is not None:
                 shadow.note_pop(v, taken=True)
     assert picks > 1000
+
+
+def test_root_conflict_makes_solver_unsat_for_good():
+    # a = b = ... : (a|b), (a|~b) force a; (~a|c), (~a|~c) then refute a
+    s = Solver()
+    s.new_vars(3)
+    for cl in ([0, 2], [0, 3], [1, 4], [1, 5]):
+        s.add_clause(cl)
+    assert s.solve() is False
+    assert s.solve([2]) is False
+    assert s.solve() is False
+
+
+def test_incremental_differential_with_temporaries(rng):
+    """Query sequences mixing permanent clauses added between queries,
+    temporaries, assumptions and covering domains, each checked by brute
+    force."""
+    def clause(nv, min_width):
+        # permanent clauses of width >= 2 leave root refutations to search
+        return [2 * rng.randrange(nv) + rng.randint(0, 1)
+                for _ in range(rng.randint(min_width, 3))]
+
+    for seq in range(400):
+        nv = rng.randint(3, 8)
+        s = Solver()
+        s.new_vars(nv)
+        perm = []
+        for q in range(25):
+            for _ in range(rng.randint(0, 3)):
+                perm.append(clause(nv, 2))
+                s.add_clause(perm[-1])
+            temps = [clause(nv, 1) for _ in range(rng.choice((0, 0, 1, 2)))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.randrange(nv) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 3))})
+            domain = range(nv) if rng.random() < 0.4 else None
+            res = s.solve(assume, domain=domain)
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+            if res:
+                model = {v: s.model_value(v, default=False) for v in range(nv)}
+                for cl in perm + temps:
+                    assert any(model[l >> 1] != bool(l & 1) for l in cl), (seq, q)
+                assert all(model[l >> 1] != bool(l & 1) for l in assume)
+            else:
+                core = s.unsat_core()
+                assert set(core) <= set(assume), (seq, q)
+                assert cnf_brute_force(nv, perm + temps, core) is None, (seq, q)
+
+
+def test_root_refuted_temporary_does_not_leak():
+    # (a|b), (a|~b) imply a at the root, so the temporary (~a) refutes the
+    # activation literal at level 0; later queries must not inherit that
+    s = Solver()
+    s.new_vars(3)
+    s.add_clause([0, 2])
+    s.add_clause([0, 3])
+    s.add_clause([1], temporary=True)
+    assert s.solve() is False
+    s.add_clause([4], temporary=True)
+    assert s.solve() is True
+    assert s.solve([0]) is True
+
+
+def test_temporary_queries_reuse_one_activation_var(rng):
+    s = Solver()
+    s.new_vars(5)
+    for _ in range(1000):
+        s.add_clause([2 * rng.randrange(5) + rng.randint(0, 1)
+                      for _ in range(2)], temporary=True)
+        s.solve()
+    assert s.num_vars <= 7
+
+
+def test_restricted_then_full_queries(rng):
+    """Restricted queries drop out-of-domain vars from the heap; a later
+    full-domain query must still assign every var.  Permanent clauses stay
+    inside one of two var blocks and share a planted model, so a domain that
+    is the queried block covers the query's cone."""
+    for seq in range(150):
+        nv = rng.randint(4, 10)
+        half = nv // 2
+        blocks = (range(half), range(half, nv))
+        planted = [rng.randint(0, 1) for _ in range(nv)]
+        s = Solver()
+        s.new_vars(nv)
+        perm = []
+        for q in range(12):
+            for _ in range(rng.randint(0, 3)):
+                block = rng.choice(blocks)
+                cl = [2 * rng.choice(block) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                perm.append(cl)
+                s.add_clause(cl)
+            block = rng.choice(blocks)
+            temps = [[2 * rng.choice(block) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 2))]
+                     for _ in range(rng.randint(0, 2))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.choice(block) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 2))})
+            restricted = rng.random() < 0.5
+            res = s.solve(assume, domain=block if restricted else None)
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+            if res:
+                # a model assigns the whole domain; a full one satisfies all
+                model = [s.model_value(v) for v in range(nv)]
+                assert None not in [model[v] for v in block], (seq, q)
+                if not restricted:
+                    assert None not in model, (seq, q)
+                    for cl in perm + temps:
+                        assert any(model[l >> 1] != bool(l & 1) for l in cl)
