@@ -77,6 +77,16 @@ class Aig:
             object.__setattr__(self, "_input_set_cache", s)
         return s
 
+    @property
+    def _ands_by_var(self) -> List[AndGate]:
+        """Gates in ascending var order, an evaluation order; computed on
+        first use, so parsing does not pay for it."""
+        s = getattr(self, "_ands_by_var_cache", None)
+        if s is None:
+            s = sorted(self.ands, key=lambda g: g.var)
+            object.__setattr__(self, "_ands_by_var_cache", s)
+        return s
+
     def structurally_equal(self, other: "Aig") -> bool:
         return (
             self.max_var == other.max_var
@@ -481,12 +491,9 @@ def eval_nodes(
     vals: Dict[int, int] = {0: 0}
     vals.update(latch_vals)
     vals.update(input_vals)
-
-    def ref_val(ref: int) -> int:
-        return vals[ref >> 1] ^ (ref & 1)
-
-    for g in sorted(aig.ands, key=lambda g: g.var):
-        vals[g.var] = ref_val(g.rhs0) & ref_val(g.rhs1)
+    for g in aig._ands_by_var:
+        a, b = g.rhs0, g.rhs1
+        vals[g.var] = (vals[a >> 1] ^ (a & 1)) & (vals[b >> 1] ^ (b & 1))
     return vals
 
 

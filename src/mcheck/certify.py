@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from .aiger import Aig, WitnessTrace, eval_nodes
 from .logic import Clause, lit_neg, lit_var, negate
 from .satcore import Solver
-from .transys import TranSys, Unroller
+from .transys import TranSys, Unroller, unroll
 from .verdicts import InvariantCert, KInductionCert
 
 
@@ -113,11 +113,10 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
 
     # (2) Inv ∧ constraints ∧ T ⇒ Inv′, next-step inputs fresh
     un = Unroller(ts)
-    un.add_frame()
-    un.add_frame()
+    frames = un.add_frame() + un.add_frame()
     s2 = Solver()
     s2.new_vars(un.num_vars)
-    for cl in un.clauses:
+    for cl in frames:
         s2.add_clause(cl)
     for cl in un.constraint_units(0):
         s2.add_clause(cl)
@@ -165,37 +164,22 @@ def _simple_path_clauses(un: Unroller, ts: TranSys, k: int) -> List[Clause]:
 
 def _verify_kinduction(ts: TranSys, k: int, simple_path: bool) -> Tuple[bool, str]:
     # base: no reachable bad at depths 0..k
-    un = Unroller(ts)
-    for _ in range(k + 1):
-        un.add_frame()
+    un, clauses = unroll(ts, k)
     sb = Solver()
     sb.new_vars(un.num_vars)
-    for cl in un.clauses:
-        sb.add_clause(cl)
-    for d in range(k + 1):
-        for cl in un.constraint_units(d):
-            sb.add_clause(cl)
-    for cl in un.init_units():
+    for cl in clauses:
         sb.add_clause(cl)
     for d in range(k + 1):
         if sb.solve(assumptions=[un.bad_at(d)]) is not False:
             return False, "base case fails at depth %d" % d
 
     # step: k+1 frames, no init, ¬bad at 0..k-1 entails ¬bad at k
-    un2 = Unroller(ts)
-    for _ in range(k + 1):
-        un2.add_frame()
-    ss = Solver()
-    extra_clauses: List[Clause] = []
+    un2, clauses = unroll(ts, k, with_init=False)
     if simple_path:
-        extra_clauses = _simple_path_clauses(un2, ts, k)
+        clauses += _simple_path_clauses(un2, ts, k)
+    ss = Solver()
     ss.new_vars(un2.num_vars)
-    for cl in un2.clauses:
-        ss.add_clause(cl)
-    for d in range(k + 1):
-        for cl in un2.constraint_units(d):
-            ss.add_clause(cl)
-    for cl in extra_clauses:
+    for cl in clauses:
         ss.add_clause(cl)
     for d in range(k):
         ss.add_clause((lit_neg(un2.bad_at(d)),))

@@ -2,7 +2,8 @@
 
 Both engines grow a single incremental solver instead of re-encoding per
 depth.  BMC checks a window of new frames per solve using a fresh selector
-variable, so "bad somewhere in frames [lo, hi]" is one query.
+variable, so "bad somewhere in frames [lo, hi]" is one query.  Witnesses
+are widened to the source AIG's latches and inputs.
 """
 
 from __future__ import annotations
@@ -52,17 +53,10 @@ def _extract_trace(s: Solver, un: Unroller, ts: TranSys, depth: int) -> WitnessT
     init_bits: List[Optional[int]] = []
     for lv in ts.latch_vars[: ts.num_real_latches]:
         val = s.model_value(un.lit_at(2 * lv, 0) >> 1)
-        if val is None:
-            iv = ts.init_value.get(lv)
-            init_bits.append(iv if iv is not None else 0)
-        else:
-            init_bits.append(int(val))
-    frames: List[List[Optional[int]]] = []
-    for t in range(depth + 1):
-        frames.append([
-            int(s.model_value(un.lit_at(2 * iv, t) >> 1, default=False))
-            for iv in ts.input_vars])
-    return WitnessTrace(ts.bad_index, init_bits, frames)
+        init_bits.append(None if val is None else int(val))
+    frames = [[int(s.model_value(un.lit_at(2 * iv, t) >> 1, default=False))
+               for iv in ts.input_vars] for t in range(depth + 1)]
+    return ts.widen_witness(init_bits, frames)
 
 
 def bmc(

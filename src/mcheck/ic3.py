@@ -109,7 +109,7 @@ class IC3:
         cancel: Optional[Callable[[], bool]] = None,
     ):
         self.options = options or Ic3Options()
-        if self.options.inn and ts.source is not None:
+        if self.options.inn:
             ts = extend_with_internal_signals(ts, ts.source)
         self.ts = ts
         self.cancel = cancel
@@ -517,20 +517,17 @@ class IC3:
         model_bits = head.state_bits or []
         cube_val = {l >> 1: 1 - (l & 1) for l in head.cube}
         for j, lv in enumerate(ts.latch_vars[: ts.num_real_latches]):
-            if lv in cube_val:
-                init_bits.append(cube_val[lv])
-            elif ts.init_value.get(lv) is not None:
-                init_bits.append(ts.init_value[lv])
-            elif j < len(model_bits) and model_bits[j] is not None:
-                init_bits.append(model_bits[j])
-            else:
-                init_bits.append(0)
-        frames: List[List[Optional[int]]] = []
+            bit = cube_val.get(lv)
+            if (bit is None and ts.init_value.get(lv) is None
+                    and j < len(model_bits)):
+                bit = model_bits[j]
+            init_bits.append(bit)
+        frames: List[List[int]] = []
         ob: Optional[_Obligation] = head
         while ob is not None:
-            frames.append(list(ob.inputs))
+            frames.append(ob.inputs)
             ob = ob.succ
-        return WitnessTrace(ts.bad_index, init_bits, frames)
+        return ts.widen_witness(init_bits, frames)
 
     def propagate(self) -> Optional[int]:
         """Push lemmas forward; returns the fixpoint level if some frame's
@@ -623,7 +620,7 @@ def check(
     refinement (start from none, add back the first one each spurious witness
     violates)."""
     options = options or Ic3Options()
-    if not options.abs_cst or ts.source is None or not ts.source.constraints:
+    if not options.abs_cst or not ts.source.constraints:
         return IC3(ts, options, cancel).check()
 
     from .certify import verify_witness
@@ -632,7 +629,8 @@ def check(
     active: List[int] = []
     refinements = 0
     while True:
-        ts_abs = encode(aig, bad_index=ts.bad_index, active_constraints=active)
+        ts_abs = encode(aig, bad_index=ts.bad_index,
+                        active_constraints=active, cone=True)
         engine = IC3(ts_abs, options, cancel)
         verdict = engine.check()
         if verdict.stats is not None:

@@ -1,11 +1,15 @@
 """Engine configuration, single-engine runs, and the parallel portfolio.
 
 Each run builds its own transition system with `build_transys`: the Tseitin
-encoding, simplified by unit propagation and clause deduplication, which is
-cheap next to the search.  Verdict checks use the plain encoding.  The
-portfolio launches one thread per configuration, takes the first
-definitive (safe/unsafe) verdict, re-verifies it against the full model
-before reporting, and cancels the rest with a bounded grace period.
+encoding restricted to the cone of influence of bad and the constraints,
+then simplified by unit propagation and clause deduplication, which is
+cheap next to the search.  The cone keeps the AIG's variable numbers, and
+the engines widen their witnesses back to the full model's latches and
+inputs.  Witnesses replay on the AIG and invariants are checked against the
+plain encoding; a k-induction record is re-solved over the same cone,
+recomputed from the AIG.  The portfolio launches one thread per
+configuration, takes the first definitive (safe/unsafe) verdict, re-verifies
+it before reporting, and cancels the rest with a bounded grace period.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import engines, ic3
 from .certify import verify_certificate, verify_witness
 from .ic3 import DYNAMIC, Ic3Options
 from .transys import TranSys, encode, simplify_cnf
-from .verdicts import Verdict, unknown
+from .verdicts import KInductionCert, Verdict, unknown
 
 GRACE_PERIOD = 2.0  # seconds a cancelled engine may take to wind down
 
@@ -59,22 +63,24 @@ class EngineConfig:
 
 def default_configs(workers: int) -> List[EngineConfig]:
     """The first `workers` of seven distinct configurations (at least one);
-    the search is deterministic, so a repeated configuration adds nothing."""
+    the search is deterministic, so a repeated configuration adds nothing.
+    BMC comes third, so the default four workers also hunt deep bugs."""
     base = [
         EngineConfig("ic3", strategy="dynamic"),
         EngineConfig("ic3", strategy="ctg"),
+        EngineConfig("bmc", bmc_step=1),
         EngineConfig("ic3", strategy="dynamic", inn=True),
         EngineConfig("ic3", strategy="dynamic", abs_cst=True),
-        EngineConfig("bmc", bmc_step=1),
-        EngineConfig("bmc", bmc_step=10),
         EngineConfig("kind"),
+        EngineConfig("bmc", bmc_step=10),
     ]
     return base[: max(1, workers)]
 
 
 def build_transys(aig: Aig, bad_index: int = 0) -> TranSys:
-    """Encoded and simplified transition system the engines search."""
-    return simplify_cnf(encode(aig, bad_index=bad_index))
+    """Encoded transition system the engines search: the cone of influence
+    of bad and the constraints, simplified."""
+    return simplify_cnf(encode(aig, bad_index=bad_index, cone=True))
 
 
 def run_config(
@@ -97,12 +103,16 @@ def run_config(
 
 
 def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, str]:
-    """Independent check of a definitive verdict against the full model."""
+    """Independent check of a definitive verdict against the model: a
+    witness replays on the AIG, an invariant is checked on the full
+    encoding, and a k-induction record over the cone it was found in (a
+    simple-path proof over the cone latches need not hold over all)."""
     if verdict.is_unsafe:
         assert verdict.witness is not None
         return verify_witness(aig, verdict.witness)
     if verdict.is_safe:
-        return verify_certificate(encode(aig, bad_index=bad_index),
+        cone = isinstance(verdict.certificate, KInductionCert)
+        return verify_certificate(encode(aig, bad_index=bad_index, cone=cone),
                                   verdict.certificate)
     return True, "ok"
 

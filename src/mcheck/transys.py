@@ -5,14 +5,22 @@ constant, asserted true by a unit clause), followed by one primed var per
 latch and any auxiliary definition vars.  The effective bad literal folds
 the invariant constraints in, so a "bad" state always satisfies the
 constraints at the step where the bad is observed.
+
+`encode(..., cone=True)` keeps only the logic that can reach bad or an
+active constraint, walked through latch next-state functions.  Variable
+numbers stay those of the full encoding, so lemmas and certificates need no
+back-map; only the lists of gates, latches, inputs and clauses shrink.
+`widen_witness` turns a trace over the cone back into one over the source
+AIG's latches and inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Container, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
-from .aiger import Aig, coi as aig_coi
+from .aiger import Aig, AndGate, Latch, WitnessTrace, coi as aig_coi
 from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
 
 
@@ -34,9 +42,9 @@ class TranSys:
     clauses: List[Clause]
     dep: Dict[int, Tuple[int, ...]]
     init_value: Dict[int, Optional[int]]  # 3-valued node valuation at init
-    num_real_latches: Optional[int] = None  # None: every latch is real
-    source: Optional[Aig] = None
+    source: Aig
     bad_index: int = 0
+    num_real_latches: Optional[int] = None  # None: every latch is real
 
     def __post_init__(self) -> None:
         if self.num_real_latches is None:
@@ -72,6 +80,25 @@ class TranSys:
                     stack.append(w)
         return seen
 
+    def widen_witness(self, init_bits: Sequence[Optional[int]],
+                      input_frames: Sequence[Sequence[int]]) -> WitnessTrace:
+        """Witness over the source AIG from bits over this system's real
+        latches and inputs.  An input outside the system is 0; a latch
+        outside it, or one left open (None), takes its reset value, or 0 if
+        it has none."""
+        own = dict(zip(self.latch_vars[: self.num_real_latches], init_bits))
+        init: List[Optional[int]] = []
+        for lt in self.source.latches:
+            bit = own.get(lt.var)
+            if bit is None:
+                bit = lt.init
+            init.append(0 if bit is None else bit)
+        pos = {v: j for j, v in enumerate(self.input_vars)}
+        cols = [pos.get(v) for v in self.source.inputs]
+        frames: List[List[Optional[int]]] = [
+            [0 if j is None else f[j] for j in cols] for f in input_frames]
+        return WitnessTrace(self.bad_index, init, frames)
+
     def cube_intersects_init(self, cube: Sequence[Lit]) -> bool:
         """Syntactic check; True is conservative (may over-report overlap)."""
         for l in cube:
@@ -80,34 +107,21 @@ class TranSys:
                 return False  # literal false at init
         return True
 
-    def dump_dimacs(self) -> str:
-        lines = ["c transition relation (vars shifted by +1)"]
-        lines.append("c latches: " + " ".join(str(v) for v in self.latch_vars))
-        lines.append("c inputs: " + " ".join(str(v) for v in self.input_vars))
-        lines.append("c primed: " + " ".join(
-            str(self.next_map[v]) for v in self.latch_vars))
-        lines.append("c bad: %d constraints: %s" % (
-            self.bad, " ".join(str(c) for c in self.constraints)))
-        lines.append("p cnf %d %d" % (self.num_vars, len(self.clauses)))
-        for cl in self.clauses:
-            lines.append(" ".join(
-                str(-(l >> 1) - 1 if l & 1 else (l >> 1) + 1) for l in cl) + " 0")
-        return "\n".join(lines) + "\n"
 
-
-def _init_valuation(aig: Aig) -> Dict[int, Optional[int]]:
+def _init_valuation(inputs: Sequence[int], latches: Sequence[Latch],
+                    ands: Sequence[AndGate]) -> Dict[int, Optional[int]]:
     """3-valued node values in the initial state (inputs unknown)."""
     vals: Dict[int, Optional[int]] = {0: 0}
-    for v in aig.inputs:
+    for v in inputs:
         vals[v] = None
-    for lt in aig.latches:
+    for lt in latches:
         vals[lt.var] = lt.init
 
     def ref_val(ref: int) -> Optional[int]:
         v = vals.get(ref >> 1)
         return None if v is None else v ^ (ref & 1)
 
-    for g in sorted(aig.ands, key=lambda g: g.var):
+    for g in ands:
         a, b = ref_val(g.rhs0), ref_val(g.rhs1)
         if a == 0 or b == 0:
             vals[g.var] = 0
@@ -122,11 +136,15 @@ def encode(
     aig: Aig,
     bad_index: int = 0,
     active_constraints: Optional[Sequence[int]] = None,
+    cone: bool = False,
 ) -> TranSys:
     """Tseitin-encode the transition relation for one bad property.
 
     `active_constraints` selects a subset of constraint indices (all by
     default); the localization-abstraction loop re-encodes with fewer.
+    With `cone`, only the logic that can reach bad or an active constraint
+    is encoded (`aiger.coi` through latches).  Variable numbers are those of
+    the full encoding either way.
     """
     if not aig.bads:
         raise ValueError("model has no bad properties")
@@ -135,11 +153,20 @@ def encode(
     if active_constraints is None:
         active_constraints = range(len(aig.constraints))
     cst_refs = [aig.constraints[i] for i in active_constraints]
+    bad_ref = aig.bads[bad_index]
+
+    ands = sorted(aig.ands, key=lambda g: g.var)
+    latches, inputs = aig.latches, aig.inputs
+    if cone:
+        keep = aig_coi(aig, [bad_ref] + cst_refs)
+        ands = [g for g in ands if g.var in keep]
+        latches = [lt for lt in latches if lt.var in keep]
+        inputs = [v for v in inputs if v in keep]
 
     clauses: List[Clause] = [(TRUE_LIT,)]
     dep: Dict[int, Tuple[int, ...]] = {}
 
-    for g in sorted(aig.ands, key=lambda g: g.var):
+    for g in ands:
         go = mklit(g.var)
         a = ref_to_lit(g.rhs0)
         b = ref_to_lit(g.rhs1)
@@ -148,14 +175,13 @@ def encode(
         clauses.append(tuple(sorted((go, lit_neg(a), lit_neg(b)))))
         dep[g.var] = (g.rhs0 >> 1, g.rhs1 >> 1)
 
-    num_vars = aig.max_var + 1
-    latch_vars = [lt.var for lt in aig.latches]
+    # primed var of the j-th AIG latch, whether or not it is encoded
+    primed = {lt.var: aig.max_var + 1 + j for j, lt in enumerate(aig.latches)}
+    num_vars = aig.max_var + 1 + len(aig.latches)
     next_map: Dict[int, int] = {}
     init_lits: List[Lit] = []
-    for lt in aig.latches:
-        p = num_vars
-        num_vars += 1
-        next_map[lt.var] = p
+    for lt in latches:
+        p = next_map[lt.var] = primed[lt.var]
         n = ref_to_lit(lt.next)
         clauses.append(tuple(sorted((mklit(p), lit_neg(n)))))
         clauses.append(tuple(sorted((mklit(p, True), n))))
@@ -163,7 +189,7 @@ def encode(
         if lt.init is not None:
             init_lits.append(mklit(lt.var, lt.init == 0))
 
-    bad_raw = ref_to_lit(aig.bads[bad_index])
+    bad_raw = ref_to_lit(bad_ref)
     cst_lits = [ref_to_lit(r) for r in cst_refs]
     if cst_lits:
         be = num_vars
@@ -177,10 +203,10 @@ def encode(
     else:
         bad = bad_raw
 
-    ts = TranSys(
+    return TranSys(
         num_vars=num_vars,
-        latch_vars=latch_vars,
-        input_vars=list(aig.inputs),
+        latch_vars=[lt.var for lt in latches],
+        input_vars=list(inputs),
         next_map=next_map,
         init_lits=tuple(sorted(init_lits)),
         bad=bad,
@@ -188,11 +214,10 @@ def encode(
         constraints=cst_lits,
         clauses=[c for c in clauses if c],
         dep=dep,
-        init_value=_init_valuation(aig),
+        init_value=_init_valuation(inputs, latches, ands),
         source=aig,
         bad_index=bad_index,
     )
-    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +288,19 @@ class Unroller:
     """Timed copies of the transition relation sharing latch boundaries.
 
     Frame k's primed latch vars double as frame k+1's current latch vars.
-    Solver var 0 stays the shared constant.
+    Solver var 0 stays the shared constant; each frame maps only the vars
+    the system uses.
     """
 
     def __init__(self, ts: TranSys):
         self.ts = ts
         self.frame_maps: List[Dict[int, int]] = []
         self.num_vars = 1
-        self.clauses: List[Clause] = []
+        used = {l >> 1 for cl in ts.clauses for l in cl}
+        used.update(ts.latch_vars, ts.input_vars, ts.next_map.values())
+        used.update(l >> 1 for l in ts.constraints + [ts.bad])
+        used.discard(0)
+        self._vars = sorted(used)
 
     @property
     def depth(self) -> int:
@@ -284,16 +314,15 @@ class Unroller:
             prev = self.frame_maps[-1]
             for lv in ts.latch_vars:
                 m[lv] = prev[ts.next_map[lv]]
-        for v in range(1, ts.num_vars):
+        n = self.num_vars
+        for v in self._vars:
             if v not in m:
-                m[v] = self.num_vars
-                self.num_vars += 1
-        new: List[Clause] = []
-        for cl in ts.clauses:
-            new.append(tuple(sorted((m[l >> 1] << 1) | (l & 1) for l in cl)))
+                m[v] = n
+                n += 1
+        self.num_vars = n
         self.frame_maps.append(m)
-        self.clauses.extend(new)
-        return new
+        return [tuple(sorted((m[l >> 1] << 1) | (l & 1) for l in cl))
+                for cl in ts.clauses]
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
         m = self.frame_maps[frame]
@@ -309,25 +338,30 @@ class Unroller:
         return self.lit_at(self.ts.bad, frame)
 
 
-def unroll(ts: TranSys, depth: int) -> Unroller:
-    """Build depth+1 timed frames from init; constraints asserted at every
-    frame."""
+def unroll(ts: TranSys, depth: int,
+           with_init: bool = True) -> Tuple[Unroller, List[Clause]]:
+    """Build depth+1 timed frames, from init with `with_init`; returns the
+    unroller and its clauses, constraints asserted at every frame."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     un = Unroller(ts)
+    clauses: List[Clause] = []
     for k in range(depth + 1):
-        un.add_frame()
-        un.clauses.extend(un.constraint_units(k))
-    un.clauses.extend(un.init_units())
-    return un
+        clauses.extend(un.add_frame())
+        clauses.extend(un.constraint_units(k))
+    if with_init:
+        clauses.extend(un.init_units())
+    return un, clauses
 
 
 # ---------------------------------------------------------------------------
 # Internal-signal extension
 
 
-def default_signal_policy(aig: Aig, cap_fraction: float = 0.10, min_fanout: int = 3):
-    """Gates with fanout >= 3 and an input-free cone, capped at 10% of gates."""
+def default_signal_policy(aig: Aig, within: Container[int],
+                          cap_fraction: float = 0.10, min_fanout: int = 3):
+    """Gates in `within` with fanout >= 3 and an input-free cone, capped at
+    10% of the gates in `within`."""
     fanout: Dict[int, int] = {}
     for g in aig.ands:
         fanout[g.rhs0 >> 1] = fanout.get(g.rhs0 >> 1, 0) + 1
@@ -335,9 +369,10 @@ def default_signal_policy(aig: Aig, cap_fraction: float = 0.10, min_fanout: int 
     for lt in aig.latches:
         fanout[lt.next >> 1] = fanout.get(lt.next >> 1, 0) + 1
     inputs = set(aig.inputs)
-    cap = max(1, int(cap_fraction * len(aig.ands)))
+    gates = [g for g in aig.ands if g.var in within]
+    cap = max(1, int(cap_fraction * len(gates)))
     chosen = []
-    for g in sorted(aig.ands, key=lambda g: -fanout.get(g.var, 0)):
+    for g in sorted(gates, key=lambda g: -fanout.get(g.var, 0)):
         if fanout.get(g.var, 0) < min_fanout:
             continue
         cone = aig_coi(aig, [2 * g.var], through_latches=False)
@@ -359,9 +394,12 @@ def extend_with_internal_signals(
     Each selected gate keeps its current-step var and gains a primed var
     constrained to the gate's next-step function (the gate cone rebuilt over
     primed latch vars).  Reachability verdicts are unchanged; the state
-    vocabulary for lemma learning grows.
+    vocabulary for lemma learning grows.  The default policy picks only
+    gates the system encodes: one outside a cone may read latches the
+    system does not have.
     """
-    signals = list((policy or default_signal_policy)(aig))
+    signals = list(policy(aig) if policy else
+                   default_signal_policy(aig, within=ts.dep))
     if not signals:
         return ts
 

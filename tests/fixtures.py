@@ -152,25 +152,29 @@ def mod_counter(nbits: int, wrap: int, bad_at: int, enable: bool = False) -> Aig
     return b.build(bads=[eq_const(bad_at)])
 
 
-def padded_mod_counter(nbits: int, wrap: int, bad_at: int, pad: int) -> Aig:
-    """mod_counter plus `pad` input-driven latches outside the bad cone, so
-    cone-of-influence restriction has something real to exclude."""
-    assert wrap <= bad_at < (1 << nbits)
+def padded_mod_counter(nbits: int, wrap: int, bad_at: int, pad: int,
+                       enable: bool = False, pad_init: Optional[int] = 0) -> Aig:
+    """mod_counter plus `pad` input-driven latches (reset to `pad_init`)
+    outside the bad cone, so cone-of-influence restriction has something
+    real to exclude.  Unlike mod_counter, bad_at < wrap is allowed: bad is
+    then first reachable at step bad_at."""
+    assert bad_at < (1 << nbits) and 0 < wrap <= (1 << nbits)
     b = AigBuilder()
+    en = b.new_input() if enable else TRUE_REF
     pins = [b.new_input() for _ in range(pad)]
     cnt = [b.new_latch(0) for _ in range(nbits)]
-    dead = [b.new_latch(0) for _ in range(pad)]
+    dead = [b.new_latch(pad_init) for _ in range(pad)]
 
     def eq_const(val: int) -> int:
         return b.conj([cnt[j] if (val >> j) & 1 else ref_neg(cnt[j])
                        for j in range(nbits)])
 
-    carry = TRUE_REF
+    carry = en
     nxt = []
     for j in range(nbits):
         nxt.append(b.XOR(cnt[j], carry))
         carry = b.AND(carry, cnt[j])
-    reset = eq_const(wrap - 1)
+    reset = b.AND(eq_const(wrap - 1), en)
     for j in range(nbits):
         b.set_next(cnt[j], b.AND(nxt[j], ref_neg(reset)))
     for d, pin in zip(dead, pins):

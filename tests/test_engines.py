@@ -1,10 +1,14 @@
 import pytest
 
+from mcheck import engines
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.engines import bmc, kind
+from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
+                                 verify_verdict)
 from mcheck.transys import encode
 
-from fixtures import counter_overflow, induction_gap, mod_counter, random_aig
+from fixtures import (counter_overflow, induction_gap, mod_counter,
+                      padded_mod_counter, random_aig)
 from oracle import bfs_check
 
 
@@ -125,3 +129,61 @@ def test_engines_cancel(cnt2):
     ts = encode(cnt2)
     assert bmc(ts, max_depth=10, cancel=lambda: True).status == "unknown"
     assert kind(ts, max_k=10, cancel=lambda: True).status == "unknown"
+
+
+# -- cone of influence --------------------------------------------------------
+
+
+def _bmc_counts(aig, monkeypatch):
+    """BMC through the engine front end; returns the verdict and the search
+    figures that must not depend on logic outside the cone."""
+    solvers = []
+
+    class Recording(engines.Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(engines, "Solver", Recording)
+    v = run_config(aig, EngineConfig("bmc"))
+    st = v.stats.solver
+    (solver,) = solvers
+    return v, (st.solves, st.conflicts, st.decisions, st.propagations,
+               solver.num_vars)
+
+
+def test_bmc_cost_does_not_depend_on_the_pad(monkeypatch):
+    v0, plain = _bmc_counts(padded_mod_counter(5, 30, 20, pad=0, enable=True),
+                            monkeypatch)
+    padded = padded_mod_counter(5, 30, 20, pad=8, enable=True)
+    v8, wide = _bmc_counts(padded, monkeypatch)
+    assert v0.is_unsafe and v8.is_unsafe
+    assert v0.stats.depth == v8.stats.depth == 20
+    assert wide == plain
+    assert plain[2] > 0  # the enable input leaves decisions to make
+
+
+@pytest.mark.parametrize("cfg", [EngineConfig("bmc"), EngineConfig("kind"),
+                                 EngineConfig("ic3")], ids=lambda c: c.name)
+@pytest.mark.parametrize("pad_init", [0, 1, None])
+def test_padded_witnesses_have_source_width(cfg, pad_init):
+    aig = padded_mod_counter(4, 12, 6, pad=3, enable=True, pad_init=pad_init)
+    assert len(build_transys(aig).latch_vars) == 4  # the pad is cut away
+    v = run_config(aig, cfg)
+    assert v.is_unsafe
+    assert len(v.witness.init_state) == len(aig.latches) == 7
+    assert all(len(f) == len(aig.inputs) == 4 for f in v.witness.input_frames)
+    if pad_init is not None:
+        assert v.witness.init_state[4:] == [pad_init] * 3
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+
+
+def test_cone_kinduction_certificate_verifies():
+    # simple-path k-induction over the cone latches proves this at k=3; over
+    # all latches the padding makes long loop-free paths, and the step fails
+    aig = padded_mod_counter(3, 4, 6, pad=2, enable=True)
+    v = run_config(aig, EngineConfig("kind", simple_path=True))
+    assert v.is_safe and v.certificate.simple_path
+    ok, why = verify_verdict(aig, 0, v)
+    assert ok, why

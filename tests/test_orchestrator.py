@@ -2,11 +2,12 @@ import time
 
 import pytest
 
-from mcheck.aiger import parse_aiger
+from mcheck.aiger import parse_aiger, ref_neg
 from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
                                  run_portfolio, verify_verdict)
+from mcheck.transys import default_signal_policy, encode
 
-from fixtures import counter_overflow, mod_counter, random_aig
+from fixtures import AigBuilder, counter_overflow, mod_counter, random_aig
 from oracle import bfs_check
 
 
@@ -33,8 +34,9 @@ def test_default_configs_shape():
     nine = default_configs(9)
     assert nine == default_configs(7)
     assert len({cfg.name for cfg in nine}) == len(nine) == 7
-    # ic3 leads the lineup
+    # ic3 leads the lineup, and the default four workers include BMC
     assert default_configs(4)[0].engine == "ic3"
+    assert any(cfg.engine == "bmc" for cfg in default_configs(4))
 
 
 def test_run_config_each_engine(cnt2, safe1):
@@ -112,3 +114,24 @@ def test_inn_verdict_on_latchless_model_verifies():
     assert v.witness.init_state == []
     ok, why = verify_verdict(aig, 0, v)
     assert ok, why
+
+
+def test_inn_ignores_gates_outside_the_cone():
+    # the gate AND(~d0, ~d1) has fanout 3 and an input-free cone, but it
+    # only feeds the latches d0..d2 that bad never reads; promoting it would
+    # need d0 and d1, which the cone system does not have
+    b = AigBuilder()
+    c0, c1 = b.new_latch(0), b.new_latch(0)
+    dead = [b.new_latch(0) for _ in range(3)]
+    b.set_next(c0, ref_neg(c0))
+    b.set_next(c1, c0)
+    gate = b.AND(ref_neg(dead[0]), ref_neg(dead[1]))
+    for d in dead:
+        b.set_next(d, gate)
+    for bad, want in ((b.AND(c0, c1), "safe"), (b.AND(c0, ref_neg(c1)), "unsafe")):
+        aig = b.build(bads=[bad])
+        assert default_signal_policy(aig, encode(aig).dep) == [gate >> 1]
+        v = run_config(aig, EngineConfig("ic3", inn=True))
+        assert v.status == want
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why

@@ -9,7 +9,7 @@ from mcheck.satcore import Solver
 from mcheck.transys import (Unroller, encode, extend_with_internal_signals,
                             simplify_cnf, unroll)
 
-from fixtures import CNT2_AAG, counter_with_reset, random_aig
+from fixtures import CNT2_AAG, counter_with_reset, padded_mod_counter, random_aig
 from oracle import bfs_check
 
 
@@ -152,16 +152,36 @@ def test_simplify_and_extension_leave_input_unchanged(rng):
 
 def test_unroll_helper_counts_frames(cnt2):
     ts = encode(cnt2)
-    un = unroll(ts, 4)
+    un, clauses = unroll(ts, 4)
     assert un.depth == 4
+    assert len(clauses) == 5 * len(ts.clauses) + len(ts.init_lits)
+    _, no_init = unroll(ts, 4, with_init=False)
+    assert len(no_init) == 5 * len(ts.clauses)
 
 
-def test_dump_dimacs_well_formed(cnt2):
-    ts = encode(cnt2)
-    text = ts.dump_dimacs()
-    header = next(ln for ln in text.splitlines() if ln.startswith("p ")).split()
-    assert header[:2] == ["p", "cnf"]
-    assert int(header[3]) == len(ts.clauses)
+def test_cone_drops_logic_that_cannot_reach_bad():
+    aig = padded_mod_counter(4, 12, 6, pad=3, enable=True, pad_init=None)
+    full = encode(aig)
+    ts = encode(aig, cone=True)
+    cnt = [lt.var for lt in aig.latches[:4]]
+    assert ts.latch_vars == cnt and ts.num_real_latches == 4
+    assert ts.input_vars == aig.inputs[:1]  # the enable input
+    assert ts.next_map == {v: full.next_map[v] for v in cnt}
+    assert ts.init_lits == full.init_lits  # the pad has no reset value
+    assert ts.num_vars == full.num_vars
+    # var numbers are the full encoding's: the kept clauses are a subset
+    assert len(ts.clauses) < len(full.clauses)
+    assert set(ts.clauses) <= set(full.clauses)
+    # an unrolled frame maps only the vars the clauses use
+    un = Unroller(ts)
+    un.add_frame()
+    used = {l >> 1 for cl in ts.clauses for l in cl}
+    assert set(un.frame_maps[0]) == used
+    assert un.num_vars == len(used)  # var 0 is shared
+    # without padding every latch and input stays; only dead gates go
+    bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
+    cut, whole = encode(bare, cone=True), encode(bare)
+    assert (cut.latch_vars, cut.input_vars) == (whole.latch_vars, whole.input_vars)
 
 
 def test_internal_signal_extension_preserves_verdicts(rng):
