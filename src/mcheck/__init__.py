@@ -14,7 +14,7 @@ from .engines import bmc, kind
 from .ic3 import IC3, Ic3Options, check as ic3_check
 from .orchestrator import (EngineConfig, PortfolioResult, build_transys,
                            default_configs, run_config, run_portfolio)
-from .transys import TranSys, encode, simplify_cnf, unroll
+from .transys import TranSys, encode, simplify_cnf
 from .verdicts import InvariantCert, KInductionCert, Verdict
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "parse_witness", "verify_certificate", "verify_witness", "bmc", "kind",
     "IC3", "Ic3Options", "ic3_check", "EngineConfig", "PortfolioResult",
     "build_transys", "default_configs", "run_config", "run_portfolio",
-    "TranSys", "encode", "simplify_cnf", "unroll", "InvariantCert",
+    "TranSys", "encode", "simplify_cnf", "InvariantCert",
     "KInductionCert", "Verdict", "__version__",
 ]

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from .aiger import Aig, WitnessTrace, eval_nodes
 from .logic import Clause, lit_neg, lit_var, negate
 from .satcore import Solver
-from .transys import TranSys, Unroller, unroll
+from .transys import TranSys, Unroller
 from .verdicts import InvariantCert, KInductionCert
 
 
@@ -112,14 +112,10 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
             return False, "initial state satisfies bad"
 
     # (2) Inv ∧ constraints ∧ T ⇒ Inv′, next-step inputs fresh
-    un = Unroller(ts)
-    frames = un.add_frame() + un.add_frame()
     s2 = Solver()
-    s2.new_vars(un.num_vars)
-    for cl in frames:
-        s2.add_clause(cl)
-    for cl in un.constraint_units(0):
-        s2.add_clause(cl)
+    un = Unroller(ts, s2, init=False)
+    un.grow(1)
+    s2.add_clause((un.held(0),))
     for c in clauses:
         s2.add_clause(tuple(un.lit_at(l, 0) for l in c))
     s2.add_clause((lit_neg(un.bad_at(0)),))
@@ -140,50 +136,23 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
     return True, "ok"
 
 
-def _simple_path_clauses(un: Unroller, ts: TranSys, k: int) -> List[Clause]:
-    """Pairwise state-difference constraints over frames 0..k."""
-    out: List[Clause] = []
-    extra = un.num_vars
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            lits = []
-            for lv in ts.latch_vars[: ts.num_real_latches]:
-                a = un.lit_at(2 * lv, i)
-                b = un.lit_at(2 * lv, j)
-                d = extra
-                extra += 1
-                # d → (a xor b)
-                out.append(tuple(sorted((2 * d + 1, a, b))))
-                out.append(tuple(sorted((2 * d + 1, a ^ 1, b ^ 1))))
-                lits.append(2 * d)
-            if lits:
-                out.append(tuple(sorted(lits)))
-    un.num_vars = extra
-    return out
-
-
 def _verify_kinduction(ts: TranSys, k: int, simple_path: bool) -> Tuple[bool, str]:
-    # base: no reachable bad at depths 0..k
-    un, clauses = unroll(ts, k)
+    # base: no counterexample of length 0..k
     sb = Solver()
-    sb.new_vars(un.num_vars)
-    for cl in clauses:
-        sb.add_clause(cl)
+    un = Unroller(ts, sb)
     for d in range(k + 1):
-        if sb.solve(assumptions=[un.bad_at(d)]) is not False:
+        un.grow(d)
+        if sb.solve(assumptions=[un.reach(d)]) is not False:
             return False, "base case fails at depth %d" % d
 
-    # step: k+1 frames, no init, ¬bad at 0..k-1 entails ¬bad at k
-    un2, clauses = unroll(ts, k, with_init=False)
-    if simple_path:
-        clauses += _simple_path_clauses(un2, ts, k)
+    # step: k+1 frames, no init, constraints at 0..k and ¬bad at 0..k-1
+    # entail ¬bad at k
     ss = Solver()
-    ss.new_vars(un2.num_vars)
-    for cl in clauses:
-        ss.add_clause(cl)
+    un = Unroller(ts, ss, init=False, simple_path=simple_path)
+    un.grow(k)
     for d in range(k):
-        ss.add_clause((lit_neg(un2.bad_at(d)),))
-    if ss.solve(assumptions=[un2.bad_at(k)]) is not False:
+        ss.add_clause((lit_neg(un.bad_at(d)),))
+    if ss.solve(assumptions=[un.reach(k)]) is not False:
         return False, "inductive step fails at k=%d" % k
     return True, "ok"
 

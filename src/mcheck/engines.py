@@ -1,9 +1,10 @@
 """Unrolling-based engines: bounded model checking and k-induction.
 
-Both engines grow a single incremental solver instead of re-encoding per
-depth.  BMC checks a window of new frames per solve using a fresh selector
-variable, so "bad somewhere in frames [lo, hi]" is one query.  Witnesses
-are widened to the source AIG's latches and inputs.
+Both engines grow `transys.Unroller` frames on a single incremental solver
+instead of re-encoding per depth.  BMC checks a window of new frames per
+solve using a fresh selector variable, so "a counterexample of some length
+in [lo, hi]" is one query.  Witnesses are widened to the source AIG's
+latches and inputs.
 """
 
 from __future__ import annotations
@@ -23,30 +24,6 @@ class UnrollStats:
     depth: int = 0
     solver_calls: int = 0
     solver: Optional[SolverStats] = None
-
-
-def _sync_vars(s: Solver, un: Unroller) -> None:
-    if s.num_vars < un.num_vars:
-        s.new_vars(un.num_vars - s.num_vars)
-
-
-def _grow(s: Solver, un: Unroller, depth: int, with_init: bool,
-          simple_path: bool = False) -> None:
-    """Unroll to `depth` on the incremental solver: new frames, constraint
-    units, init units at frame 0 and, with `simple_path`, state-difference
-    clauses for each new frame."""
-    while un.depth < depth:
-        new = un.add_frame()
-        _sync_vars(s, un)
-        for cl in new:
-            s.add_clause(cl)
-        for cl in un.constraint_units(un.depth):
-            s.add_clause(cl)
-        if with_init and un.depth == 0:
-            for cl in un.init_units():
-                s.add_clause(cl)
-        if simple_path and un.depth >= 1:
-            _add_simple_path(s, un, un.depth)
 
 
 def _extract_trace(s: Solver, un: Unroller, ts: TranSys, depth: int) -> WitnessTrace:
@@ -70,18 +47,17 @@ def bmc(
     if step < 1:
         raise ValueError("step must be >= 1")
     stats = UnrollStats()
-    un = Unroller(ts)
     s = Solver()
+    un = Unroller(ts, s)
     lo = 0
     while lo <= max_depth:
         if cancel is not None and cancel():
             stats.solver = s.stats
             return unknown("cancelled", stats=stats)
         hi = min(lo + step - 1, max_depth)
-        _grow(s, un, hi, True)
+        un.grow(hi)
         sel = s.new_var()
-        un.num_vars = max(un.num_vars, s.num_vars)  # keep frame vars disjoint
-        s.add_clause([2 * sel + 1] + [un.bad_at(d) for d in range(lo, hi + 1)])
+        s.add_clause([2 * sel + 1] + [un.reach(d) for d in range(lo, hi + 1)])
         stats.solver_calls += 1
         res = s.solve(assumptions=[2 * sel], cancel_check=cancel)
         if res is None:
@@ -89,8 +65,8 @@ def bmc(
             return unknown("cancelled", stats=stats)
         if res:
             depth = next(d for d in range(lo, hi + 1)
-                         if s.model_value(un.bad_at(d) >> 1, default=False)
-                         != bool(un.bad_at(d) & 1))
+                         if s.model_value(un.reach(d) >> 1, default=False)
+                         != bool(un.reach(d) & 1))
             stats.depth = depth
             stats.solver = s.stats
             return unsafe(_extract_trace(s, un, ts, depth), stats=stats)
@@ -99,25 +75,6 @@ def bmc(
         lo = hi + 1
     stats.solver = s.stats
     return unknown("no counterexample up to depth %d" % max_depth, stats=stats)
-
-
-def _add_simple_path(s: Solver, un: Unroller, new_frame: int) -> None:
-    """State-difference clauses between `new_frame` and each earlier frame."""
-    latches = un.ts.latch_vars[: un.ts.num_real_latches]
-    if not latches:
-        return
-    for i in range(new_frame):
-        lits = []
-        for lv in latches:
-            a = un.lit_at(2 * lv, i)
-            b = un.lit_at(2 * lv, new_frame)
-            d = s.new_var()
-            un.num_vars = max(un.num_vars, s.num_vars)
-            # d → (a xor b)
-            s.add_clause((2 * d + 1, a, b))
-            s.add_clause((2 * d + 1, a ^ 1, b ^ 1))
-            lits.append(2 * d)
-        s.add_clause(lits)
 
 
 def kind(
@@ -132,12 +89,10 @@ def kind(
     frames 0..k-1, bad asserted at frame k)."""
     stats = UnrollStats()
 
-    # base-case solver (with init)
-    ub = Unroller(ts)
     sb = Solver()
-    # step-case solver (no init)
-    us = Unroller(ts)
+    ub = Unroller(ts, sb)
     ss = Solver()
+    us = Unroller(ts, ss, init=False, simple_path=simple_path)
 
     # simple-path constraints grow quadratically; with the flag on, the
     # whole search is capped rather than silently dropping the constraints
@@ -147,9 +102,9 @@ def kind(
         if cancel is not None and cancel():
             break
         # base: no counterexample at depth k
-        _grow(sb, ub, k, True)
+        ub.grow(k)
         stats.solver_calls += 1
-        res = sb.solve(assumptions=[ub.bad_at(k)], cancel_check=cancel)
+        res = sb.solve(assumptions=[ub.reach(k)], cancel_check=cancel)
         if res is None:
             break
         if res:
@@ -159,11 +114,12 @@ def kind(
 
         if k == 0:
             continue
-        # step: ¬bad at 0..k-1 (permanent units, monotone in k) ⊢ ¬bad at k
-        _grow(ss, us, k, False, simple_path)
+        # step: ¬bad at 0..k-1 (permanent units, monotone in k) and the
+        # constraints at 0..k ⊢ ¬bad at k
+        us.grow(k)
         ss.add_clause((lit_neg(us.bad_at(k - 1)),))
         stats.solver_calls += 1
-        res = ss.solve(assumptions=[us.bad_at(k)], cancel_check=cancel)
+        res = ss.solve(assumptions=[us.reach(k)], cancel_check=cancel)
         if res is None:
             break
         if res is False:

@@ -131,9 +131,7 @@ class IC3:
         self.acts: List[int] = [self.solver.new_var()]
         for l in ts.init_lits:
             self.solver.add_clause((l, 2 * self.acts[0] + 1))
-        self.act_inf = self.solver.new_var()
         self.frames: List[Set[Cube]] = [set()]
-        self.frames_inf: Set[Cube] = set()
         self.k = 0
 
         # lemma co-occurrence between state vars, for domain closure
@@ -155,10 +153,8 @@ class IC3:
         self.stats.frames = self.k
 
     def _frame_assumptions(self, i: int) -> List[int]:
-        """Activation literals selecting F_i (all levels >= i, plus F_inf)."""
-        out = [2 * self.acts[j] for j in range(i, self.k + 1)]
-        out.append(2 * self.act_inf)
-        return out
+        """Activation literals selecting F_i (all levels >= i)."""
+        return [2 * self.acts[j] for j in range(i, self.k + 1)]
 
     def _query_domain(self, cube: Cube) -> Set[int]:
         roots = [self.ts.bad >> 1]
@@ -268,9 +264,6 @@ class IC3:
         return kept
 
     def _is_blocked(self, cube: Cube, level: int) -> bool:
-        for d in self.frames_inf:
-            if subsumes(d, cube):
-                return True
         for j in range(level, self.k + 1):
             for d in self.frames[j]:
                 if subsumes(d, cube):
@@ -287,10 +280,6 @@ class IC3:
         vars_ = [l >> 1 for l in cube]
         for v in vars_:
             self._adj.setdefault(v, set()).update(w for w in vars_ if w != v)
-
-    def _add_inf_lemma(self, cube: Cube) -> None:
-        self.frames_inf.add(cube)
-        self.solver.add_clause(negate(cube) + (2 * self.act_inf + 1,))
 
     # -- generalization -----------------------------------------------------
 
@@ -419,8 +408,6 @@ class IC3:
             for l in self.ts.init_lits:
                 s.add_clause((l,))
         else:
-            for d in self.frames_inf:
-                s.add_clause(negate(d))
             for j in range(level - 1, self.k + 1):
                 for d in self.frames[j]:
                     s.add_clause(negate(d))
@@ -547,10 +534,8 @@ class IC3:
         return None
 
     def _invariant(self, fixpoint: int) -> InvariantCert:
-        clauses = [negate(d) for d in sorted(self.frames_inf)]
-        for j in range(fixpoint + 1, self.k + 1):
-            clauses.extend(negate(d) for d in sorted(self.frames[j]))
-        return InvariantCert(clauses)
+        return InvariantCert([negate(d) for j in range(fixpoint + 1, self.k + 1)
+                              for d in sorted(self.frames[j])])
 
     def check(self) -> Verdict:
         try:

@@ -3,8 +3,13 @@
 Variable layout: CNF var i corresponds to AIG node i (var 0 is the reserved
 constant, asserted true by a unit clause), followed by one primed var per
 latch and any auxiliary definition vars.  The effective bad literal folds
-the invariant constraints in, so a "bad" state always satisfies the
-constraints at the step where the bad is observed.
+the invariant constraints in: a bad state satisfies them.
+
+Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
+Beyond", 2011): a counterexample of length d is a path from an initial state
+on which every constraint holds at steps 0..d and bad holds at step d;
+nothing is required after step d.  `Unroller` is the one place that builds
+timed frames and encodes this.
 
 `encode(..., cone=True)` keeps only the logic that can reach bad or an
 active constraint, walked through latch next-state functions.  Variable
@@ -22,6 +27,7 @@ from typing import (Callable, Container, Dict, Iterable, List, Optional,
 
 from .aiger import Aig, AndGate, Latch, WitnessTrace, coi as aig_coi
 from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
+from .satcore import Solver
 
 
 def ref_to_lit(ref: int) -> Lit:
@@ -285,17 +291,33 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 
 
 class Unroller:
-    """Timed copies of the transition relation sharing latch boundaries.
+    """Timed copies of the transition relation, written into `solver`.
 
-    Frame k's primed latch vars double as frame k+1's current latch vars.
+    Frame d's primed latch vars double as frame d+1's current latch vars.
     Solver var 0 stays the shared constant; each frame maps only the vars
-    the system uses.
+    the system uses and allocates them with `solver.new_var()`.  With
+    `init`, frame 0 starts in an initial state; with `simple_path`, each new
+    frame's state differs from every earlier frame's (Een and Sorensson,
+    "Temporal Induction by Incremental SAT Solving", 2003).
+
+    Constraints are those of AIGER 1.9: bad at depth d needs them at frames
+    0..d and at no frame after d.  `held(d)` implies C_0..C_d, and
+    `reach(d)`, the literal to query for a counterexample of length d,
+    implies bad at frame d (already folded with C_d) and `held(d-1)`.
+    Without constraints both are plain literals and no var is allocated.
     """
 
-    def __init__(self, ts: TranSys):
+    def __init__(self, ts: TranSys, solver: Solver, init: bool = True,
+                 simple_path: bool = False):
         self.ts = ts
+        self.solver = solver
+        self.init = init
+        self.simple_path = simple_path
         self.frame_maps: List[Dict[int, int]] = []
-        self.num_vars = 1
+        self._held: List[Lit] = []
+        self._reach: List[Lit] = []
+        if solver.num_vars == 0:
+            solver.new_var()  # var 0, the constant
         used = {l >> 1 for cl in ts.clauses for l in cl}
         used.update(ts.latch_vars, ts.input_vars, ts.next_map.values())
         used.update(l >> 1 for l in ts.constraints + [ts.bad])
@@ -306,52 +328,67 @@ class Unroller:
     def depth(self) -> int:
         return len(self.frame_maps) - 1
 
-    def add_frame(self) -> List[Clause]:
-        """Append one frame; returns the newly created clauses."""
-        ts = self.ts
+    def add_frame(self) -> None:
+        """Append one frame and write its clauses into the solver."""
+        ts, s = self.ts, self.solver
         m: Dict[int, int] = {0: 0}
         if self.frame_maps:
             prev = self.frame_maps[-1]
             for lv in ts.latch_vars:
                 m[lv] = prev[ts.next_map[lv]]
-        n = self.num_vars
         for v in self._vars:
             if v not in m:
-                m[v] = n
-                n += 1
-        self.num_vars = n
+                m[v] = s.new_var()
         self.frame_maps.append(m)
-        return [tuple(sorted((m[l >> 1] << 1) | (l & 1) for l in cl))
-                for cl in ts.clauses]
+        for cl in ts.clauses:
+            s.add_clause([(m[l >> 1] << 1) | (l & 1) for l in cl])
+        d = self.depth
+        if self.init and d == 0:
+            for l in ts.init_lits:
+                s.add_clause((self.lit_at(l, 0),))
+        if self.simple_path:
+            latches = [2 * lv for lv in ts.latch_vars[: ts.num_real_latches]]
+            for i in range(d if latches else 0):
+                diff = []
+                for l in latches:
+                    a, b = self.lit_at(l, i), self.lit_at(l, d)
+                    x = 2 * s.new_var()
+                    s.add_clause((x ^ 1, a, b))  # x -> (a xor b)
+                    s.add_clause((x ^ 1, a ^ 1, b ^ 1))
+                    diff.append(x)
+                s.add_clause(diff)
+        if not ts.constraints:
+            self._held.append(TRUE_LIT)
+            self._reach.append(self.bad_at(d))
+            return
+        held = 2 * s.new_var()
+        for c in ts.constraints:
+            s.add_clause((held ^ 1, self.lit_at(c, d)))
+        reach = self.bad_at(d)
+        if d:
+            s.add_clause((held ^ 1, self._held[-1]))
+            reach = 2 * s.new_var()
+            s.add_clause((reach ^ 1, self.bad_at(d)))
+            s.add_clause((reach ^ 1, self._held[-1]))
+        self._held.append(held)
+        self._reach.append(reach)
+
+    def grow(self, depth: int) -> None:
+        while self.depth < depth:
+            self.add_frame()
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
         m = self.frame_maps[frame]
         return (m[lit >> 1] << 1) | (lit & 1)
 
-    def init_units(self) -> List[Clause]:
-        return [(self.lit_at(l, 0),) for l in self.ts.init_lits]
-
-    def constraint_units(self, frame: int) -> List[Clause]:
-        return [(self.lit_at(l, frame),) for l in self.ts.constraints]
-
     def bad_at(self, frame: int) -> Lit:
         return self.lit_at(self.ts.bad, frame)
 
+    def held(self, frame: int) -> Lit:
+        return self._held[frame]
 
-def unroll(ts: TranSys, depth: int,
-           with_init: bool = True) -> Tuple[Unroller, List[Clause]]:
-    """Build depth+1 timed frames, from init with `with_init`; returns the
-    unroller and its clauses, constraints asserted at every frame."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    un = Unroller(ts)
-    clauses: List[Clause] = []
-    for k in range(depth + 1):
-        clauses.extend(un.add_frame())
-        clauses.extend(un.constraint_units(k))
-    if with_init:
-        clauses.extend(un.init_units())
-    return un, clauses
+    def reach(self, frame: int) -> Lit:
+        return self._reach[frame]
 
 
 # ---------------------------------------------------------------------------

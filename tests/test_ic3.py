@@ -143,12 +143,12 @@ def test_deep_counterexample_found():
 
 
 def test_solver_vars_stay_bounded():
-    # one activation var per frame, one for F_inf and one reused for the
-    # temporaries: the solvers do not grow with the number of queries
+    # one activation var per frame and one reused for the temporaries: the
+    # solvers do not grow with the number of queries
     engine = IC3(encode(mod_counter(6, 20, 40, enable=True)),
                  Ic3Options(strategy=DYNAMIC))
     assert engine.check().is_safe
     assert engine.stats.solver_calls > 500
     n = engine.ts.num_vars
-    assert engine.solver.num_vars <= n + engine.k + 3
+    assert engine.solver.num_vars <= n + engine.k + 2
     assert engine.lift_solver.num_vars <= n + 1

@@ -7,27 +7,10 @@ from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.logic import lit_neg, mklit
 from mcheck.satcore import Solver
 from mcheck.transys import (Unroller, encode, extend_with_internal_signals,
-                            simplify_cnf, unroll)
+                            simplify_cnf)
 
 from fixtures import CNT2_AAG, counter_with_reset, padded_mod_counter, random_aig
 from oracle import bfs_check
-
-
-def _unrolled_solver(ts, depth, with_init=True):
-    un = Unroller(ts)
-    s = Solver()
-    while un.depth < depth:
-        new = un.add_frame()
-        if s.num_vars < un.num_vars:
-            s.new_vars(un.num_vars - s.num_vars)
-        for cl in new:
-            s.add_clause(cl)
-        for cl in un.constraint_units(un.depth):
-            s.add_clause(cl)
-        if with_init and un.depth == 0:
-            for cl in un.init_units():
-                s.add_clause(cl)
-    return un, s
 
 
 def _lit_value(s, lit):
@@ -42,7 +25,9 @@ def test_unrolling_matches_concrete_simulation(rng):
         aig = random_aig(rng, constraint_prob=0.0)
         ts = encode(aig)
         depth = rng.randint(1, 5)
-        un, s = _unrolled_solver(ts, depth)
+        s = Solver()
+        un = Unroller(ts, s)
+        un.grow(depth)
 
         stimulus = [[rng.randint(0, 1) for _ in aig.inputs]
                     for _ in range(depth + 1)]
@@ -78,9 +63,25 @@ def test_constraint_units_exclude_violating_runs():
     # constraint pins the single latch at 0, making the toggling bad unreachable
     aig = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
     ts = encode(aig)
-    un, s = _unrolled_solver(ts, 3)
+    s = Solver()
+    un = Unroller(ts, s)
+    un.grow(3)
     for t in range(4):
-        assert s.solve([un.bad_at(t)]) is False
+        assert s.solve([un.reach(t)]) is False
+
+
+def test_reach_needs_constraints_up_to_its_depth_only():
+    # x' = ~x, y' = x, both reset 0; bad x, constraint ~y: bad at step 1,
+    # and every continuation violates the constraint at step 2
+    aig = parse_aiger(b"aag 2 0 2 0 0 1 1\n2 3\n4 2\n2\n5\n")
+    ts = encode(aig)
+    s = Solver()
+    un = Unroller(ts, s)
+    un.grow(4)
+    assert [s.solve([un.reach(t)]) for t in range(5)] == [
+        False, True, False, False, False]
+    assert s.solve([un.held(1)]) is True
+    assert s.solve([un.held(2)]) is False
 
 
 def test_effective_bad_includes_constraints():
@@ -121,9 +122,11 @@ def test_simplify_preserves_reachability_verdict(rng):
         res = bfs_check(aig)
         ts = simplify_cnf(encode(aig))
         depth = 8
-        un, s = _unrolled_solver(ts, depth)
+        s = Solver()
+        un = Unroller(ts, s)
+        un.grow(depth)
         sat_depths = [t for t in range(depth + 1)
-                      if s.solve([un.bad_at(t)]) is True]
+                      if s.solve([un.reach(t)]) is True]
         if res.status == "unsafe":
             assert sat_depths and min(sat_depths) == res.depth
         else:
@@ -150,13 +153,25 @@ def test_simplify_and_extension_leave_input_unchanged(rng):
     assert extended  # the extension ran on some model, not only the no-op path
 
 
-def test_unroll_helper_counts_frames(cnt2):
+def test_unroller_grows_frames_into_its_solver(cnt2):
     ts = encode(cnt2)
-    un, clauses = unroll(ts, 4)
-    assert un.depth == 4
-    assert len(clauses) == 5 * len(ts.clauses) + len(ts.init_lits)
-    _, no_init = unroll(ts, 4, with_init=False)
-    assert len(no_init) == 5 * len(ts.clauses)
+    used = {l >> 1 for cl in ts.clauses for l in cl} - {0}
+    shared = len(ts.latch_vars)
+    for init in (True, False):
+        s = Solver()
+        un = Unroller(ts, s, init=init)
+        un.grow(4)
+        assert un.depth == 4
+        # var 0 is shared, and so are the latch vars between frames
+        assert s.num_vars == 1 + 5 * len(used) - 4 * shared
+        for k in range(4):
+            for lv in ts.latch_vars:
+                assert un.lit_at(2 * lv, k + 1) == \
+                    un.lit_at(2 * ts.next_map[lv], k)
+        # no constraints: no extra var, and reach is the plain bad literal
+        assert [un.reach(d) for d in range(5)] == [un.bad_at(d) for d in range(5)]
+        off_init = [lit_neg(un.lit_at(l, 0)) for l in ts.init_lits]
+        assert s.solve(off_init) is (not init)
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
@@ -173,11 +188,12 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     assert len(ts.clauses) < len(full.clauses)
     assert set(ts.clauses) <= set(full.clauses)
     # an unrolled frame maps only the vars the clauses use
-    un = Unroller(ts)
+    s = Solver()
+    un = Unroller(ts, s)
     un.add_frame()
     used = {l >> 1 for cl in ts.clauses for l in cl}
     assert set(un.frame_maps[0]) == used
-    assert un.num_vars == len(used)  # var 0 is shared
+    assert s.num_vars == len(used)  # var 0 is shared
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
     cut, whole = encode(bare, cone=True), encode(bare)
