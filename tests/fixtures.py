@@ -15,6 +15,9 @@ from mcheck.aiger import Aig, AndGate, FALSE_REF, Latch, TRUE_REF, ref_neg
 # Tiny fixed models used across the suite.
 SAFE1_AAG = "aag 1 0 1 0 0 1\n2 2\n2\n"        # latch holds 0 forever; bad = latch
 UNSAFE1_AAG = "aag 1 0 1 0 0 1\n2 3\n2\n"      # latch toggles; bad at step 1
+# x' = ~x, y' = x, both reset 0; bad x, constraint ~y: bad at step 1, and
+# every continuation violates the constraint at step 2
+BAD_THEN_BLOCKED_AAG = "aag 2 0 2 0 0 1 1\n2 3\n4 2\n2\n5\n"
 CNT2_AAG = (                                    # 2-bit counter; bad once both
     "aag 5 0 2 0 3 1\n"                         # bits are 1 (step 3)
     "2 3 0\n"

@@ -11,19 +11,15 @@ from mcheck import parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.verdicts import KInductionCert, safe
 
-from fixtures import random_aig
+from fixtures import BAD_THEN_BLOCKED_AAG, random_aig
 from oracle import bfs_check
-
-# x' = ~x, y' = x, both reset 0; bad x, constraint ~y.  Bad holds at step 1,
-# and every continuation violates the constraint at step 2.
-BAD_THEN_BLOCKED = b"aag 2 0 2 0 0 1 1\n2 3\n4 2\n2\n5\n"
 
 BMC_STEPS = (1, 2, 3, 10)
 
 
 @pytest.mark.parametrize("step", BMC_STEPS)
 def test_bmc_window_keeps_a_counterexample_blocked_after_it(step):
-    aig = parse_aiger(BAD_THEN_BLOCKED)
+    aig = parse_aiger(BAD_THEN_BLOCKED_AAG.encode())
     v = run_config(aig, EngineConfig("bmc", bmc_step=step, bmc_max=40))
     assert v.is_unsafe and v.stats.depth == 1
     ok, why = verify_verdict(aig, 0, v)
@@ -32,7 +28,7 @@ def test_bmc_window_keeps_a_counterexample_blocked_after_it(step):
 
 @pytest.mark.parametrize("simple_path", [False, True])
 def test_forged_kinduction_certificates_are_rejected(simple_path):
-    aig = parse_aiger(BAD_THEN_BLOCKED)
+    aig = parse_aiger(BAD_THEN_BLOCKED_AAG.encode())
     for k in range(1, 7):
         ok, why = verify_verdict(aig, 0, safe(KInductionCert(k, simple_path)))
         assert not ok and "base case fails at depth 1" in why, (k, why)

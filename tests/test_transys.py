@@ -9,7 +9,8 @@ from mcheck.satcore import Solver
 from mcheck.transys import (Unroller, encode, extend_with_internal_signals,
                             simplify_cnf)
 
-from fixtures import CNT2_AAG, counter_with_reset, padded_mod_counter, random_aig
+from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, counter_with_reset,
+                      padded_mod_counter, random_aig)
 from oracle import bfs_check
 
 
@@ -71,9 +72,7 @@ def test_constraint_units_exclude_violating_runs():
 
 
 def test_reach_needs_constraints_up_to_its_depth_only():
-    # x' = ~x, y' = x, both reset 0; bad x, constraint ~y: bad at step 1,
-    # and every continuation violates the constraint at step 2
-    aig = parse_aiger(b"aag 2 0 2 0 0 1 1\n2 3\n4 2\n2\n5\n")
+    aig = parse_aiger(BAD_THEN_BLOCKED_AAG.encode())
     ts = encode(aig)
     s = Solver()
     un = Unroller(ts, s)
