@@ -8,14 +8,16 @@ takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking cla
 ¬c enters as a temporary clause, the primed cube as assumptions, and the
 frames activate through per-level activation literals.  Decisions are
 restricted to the cone of influence of the query (closed over lemma
-co-occurrence so a partial model always extends to a full one).
+co-occurrence so a partial model always extends to a full one).  A domain
+depends only on the cube's var set and the co-occurrence graph, so it is
+cached per var set until a lemma adds an edge to the graph.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .aiger import WitnessTrace, eval_nodes
 from .logic import Cube, lit_neg, negate, subsumes
@@ -34,6 +36,7 @@ MAX_FRAMES = 20000
 CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
 CTG_LIMIT = 3  # CTGs blocked per candidate before joining
 EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
+DOMAIN_CACHE_LIMIT = 1024  # cached query domains before the cache starts over
 
 
 @dataclass
@@ -136,6 +139,7 @@ class IC3:
 
         # lemma co-occurrence between state vars, for domain closure
         self._adj: Dict[int, Set[int]] = {}
+        self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
         self._fail_counts: Dict[Cube, int] = {}
         self._strategy_floor: Dict[Cube, int] = {}
@@ -156,13 +160,22 @@ class IC3:
         """Activation literals selecting F_i (all levels >= i)."""
         return [2 * self.acts[j] for j in range(i, self.k + 1)]
 
-    def _query_domain(self, cube: Cube) -> Set[int]:
-        roots = [self.ts.bad >> 1]
-        roots.extend(l >> 1 for l in self.ts.constraints)
-        for l in cube:
-            roots.append(l >> 1)
-            roots.append(self.ts.next_map[l >> 1])
-        return self.ts.coi_vars(roots, self._adj)
+    def _query_domain(self, cube: Optional[Cube]) -> Set[int]:
+        """Decision domain of a relative-induction query on `cube`, or of
+        get-bad for None; cached per cube var set until `_adj` grows."""
+        key = None if cube is None else frozenset(l >> 1 for l in cube)
+        domain = self._domains.get(key)
+        if domain is None:
+            roots = [self.ts.bad >> 1]
+            if cube is not None:
+                roots.extend(l >> 1 for l in self.ts.constraints)
+                for l in cube:
+                    roots.append(l >> 1)
+                    roots.append(self.ts.next_map[l >> 1])
+            if len(self._domains) >= DOMAIN_CACHE_LIMIT:
+                self._domains.clear()
+            domain = self._domains[key] = self.ts.coi_vars(roots, self._adj)
+        return domain
 
     def _model_state_cube(self) -> Cube:
         s = self.solver
@@ -279,7 +292,11 @@ class IC3:
         self.stats.lemmas += 1
         vars_ = [l >> 1 for l in cube]
         for v in vars_:
-            self._adj.setdefault(v, set()).update(w for w in vars_ if w != v)
+            nbrs = self._adj.setdefault(v, set())
+            n = len(nbrs)
+            nbrs.update(w for w in vars_ if w != v)
+            if len(nbrs) != n:
+                self._domains.clear()  # a new edge can widen any domain
 
     # -- generalization -----------------------------------------------------
 
@@ -421,8 +438,8 @@ class IC3:
         self.stats.solver_calls += 1
         s = self.solver
         assume = self._frame_assumptions(self.k) + [self.ts.bad]
-        domain = self.ts.coi_vars([self.ts.bad >> 1], self._adj)
-        res = s.solve(assume, domain=domain, cancel_check=self.cancel)
+        res = s.solve(assume, domain=self._query_domain(None),
+                      cancel_check=self.cancel)
         if res is None:
             raise _Cancelled()
         if not res:

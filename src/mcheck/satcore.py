@@ -12,10 +12,11 @@ and the next temporary clause allocates a fresh one.
 
 A var that a query pops from the activity heap while it is assigned or
 outside the domain leaves the heap for good, not just for that query.  It
-comes back on backtrack, when a restricted domain names it, or in one sweep
-at the next full-domain query after a restricted one; root-assigned vars
-never come back.  Per-query heap work thus follows the domain, not the
-number of vars the solver has seen.
+comes back on backtrack only if it is in the current domain; otherwise when
+a restricted domain names it, or in one sweep at the next full-domain query
+after a restricted one.  Root-assigned vars never come back.  Per-query
+heap work thus follows the domain, not the number of vars the solver has
+seen.
 
 Literals use the shared int encoding from :mod:`mcheck.logic`.
 """
@@ -292,29 +293,50 @@ class Solver:
         self.trail.append(lit)
 
     def _cancel_until(self, level: int) -> None:
-        if self.decision_level() <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self.trail_lim[level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = self.trail[i] >> 1
-            self.polarity[v] = self.assigns[v] == 1
-            self.assigns[v] = UNDEF
-            self.reason[v] = None
-            self.vsids.insert(v)
-        del self.trail[bound:]
-        del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+        trail = self.trail
+        assigns = self.assigns
+        polarity = self.polarity
+        reason = self.reason
+        vsids = self.vsids
+        present = vsids.present
+        vsids_level = vsids.level
+        buckets = vsids.buckets
+        origin = vsids.origin
+        top = BucketVsids.NBUCKETS - 1
+        full = self._domain_full
+        stamp = self._domain_stamp
+        gen = self._domain_gen
+        bound = trail_lim[level]
+        for i in range(len(trail) - 1, bound - 1, -1):
+            v = trail[i] >> 1
+            polarity[v] = assigns[v] == 1
+            assigns[v] = UNDEF
+            reason[v] = None
+            # BucketVsids.insert, for vars of the current domain only
+            if not present[v] and (full or stamp[v] == gen):
+                present[v] = True
+                b = vsids_level[v] - origin
+                buckets[0 if b < 0 else top if b > top else b].append(v)
+        del trail[bound:]
+        del trail_lim[level:]
+        self.qhead = len(trail)
 
     # -- propagation --------------------------------------------------------
 
     def _propagate(self) -> Optional[Clause]:
         assigns = self.assigns
         watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            false_lit = p ^ 1
+        trail = self.trail
+        vlevel = self.vlevel
+        reason = self.reason
+        level = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[false_lit]
             i = j = 0
             n = len(ws)
@@ -349,9 +371,18 @@ class Solver:
                         j += 1
                         i += 1
                     del ws[j:]
+                    self.stats.propagations += qhead - start
+                    self.qhead = qhead
                     return c
-                self._enqueue(first, c)
+                # _enqueue(first, c), inlined
+                v = first >> 1
+                assigns[v] = first & 1 ^ 1
+                vlevel[v] = level
+                reason[v] = c
+                trail.append(first)
             del ws[j:]
+        self.stats.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     # -- conflict analysis --------------------------------------------------
@@ -451,15 +482,19 @@ class Solver:
             self._cla_inc *= 1e-20
 
     def _reduce_db(self) -> None:
+        """Drop the less active half of the long learnts, and every learnt
+        satisfied at the root; clauses that are a current reason stay."""
+        assigns = self.assigns
+        vlevel = self.vlevel
         self.learnts.sort(key=lambda c: c.act)
         keep_from = len(self.learnts) // 2
-        removed = []
         kept = []
         for idx, c in enumerate(self.learnts):
             locked = self.reason[c.lits[0] >> 1] is c
-            if idx < keep_from and not locked and len(c.lits) > 2:
+            root_sat = any(vlevel[l >> 1] == 0 and assigns[l >> 1] ^ (l & 1) == 1
+                           for l in c.lits)
+            if not locked and (root_sat or (idx < keep_from and len(c.lits) > 2)):
                 self._detach(c)
-                removed.append(c)
             else:
                 kept.append(c)
         self.learnts = kept
@@ -468,15 +503,16 @@ class Solver:
 
     @staticmethod
     def _luby(i: int) -> int:
-        k = 1
-        while (1 << (k + 1)) - 1 < i + 1:
-            k += 1
-        while (1 << k) - 1 != i + 1:
-            i = i - (1 << (k - 1)) + 1
-            k = 1
-            while (1 << (k + 1)) - 1 < i + 1:
-                k += 1
-        return 1 << (k - 1)
+        """Term i (from 0) of the Luby sequence 1,1,2,1,1,2,4,1,1,2,..."""
+        size, seq = 1, 0
+        while size < i + 1:  # smallest complete subsequence 2^seq - 1 > i
+            seq += 1
+            size = 2 * size + 1
+        while size - 1 != i:  # descend into the half that holds i
+            size = (size - 1) >> 1
+            seq -= 1
+            i %= size
+        return 1 << seq
 
     def solve(
         self,
@@ -538,13 +574,17 @@ class Solver:
         max_learnts = max(4000, 2 * len(self.clauses))
         temp_act_lit = None if self._temp_act is None else 2 * self._temp_act
         temp_guard = None if temp_act_lit is None else temp_act_lit ^ 1
+        n_assume = len(assume)
+        assigns = self.assigns
+        trail = self.trail
+        trail_lim = self.trail_lim
 
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
                 conflict_count += 1
-                if self.decision_level() == 0:
+                if not trail_lim:
                     # temporaries cannot conflict at the root (their guard
                     # is assumed above it), so the clause set is unsat
                     self.ok = False
@@ -583,21 +623,25 @@ class Solver:
                 self._reduce_db()
                 max_learnts = int(max_learnts * 1.3)
 
-            dl = self.decision_level()
-            if dl < len(assume):
+            # true assumptions take dummy levels here, with no propagation
+            # pass each; the first open one is enqueued and propagated
+            dl = len(trail_lim)
+            while dl < n_assume:
                 p = assume[dl]
-                val = self.value_lit(p)
-                if val == 1:
-                    self.trail_lim.append(len(self.trail))  # dummy level
-                    continue
-                if val == 0:
-                    core = self._analyze_final(p, len(assume))
+                a = assigns[p >> 1]
+                if a == UNDEF:
+                    break
+                if a ^ (p & 1) == 0:
+                    core = self._analyze_final(p, n_assume)
                     if temp_act_lit is not None:
                         core = tuple(l for l in core if l != temp_act_lit)
                     self._core = core
                     return False
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(p, None)
+                trail_lim.append(len(trail))
+                dl += 1
+            if dl < n_assume:
+                trail_lim.append(len(trail))
+                self._enqueue(assume[dl], None)
                 continue
 
             v = self.vsids.pop_max(self._decision_eligible, self._popped)
@@ -605,7 +649,7 @@ class Solver:
                 self._model = list(self.assigns)
                 return True
             self.stats.decisions += 1
-            self.trail_lim.append(len(self.trail))
+            trail_lim.append(len(trail))
             self._enqueue(2 * v + (0 if self.polarity[v] else 1), None)
 
     def _decision_eligible(self, v: int) -> bool:

@@ -8,7 +8,8 @@ from mcheck.ic3 import (CTG, DYNAMIC, EXCTG, IC3, STANDARD, Ic3Options,
                         select_strategy, check as ic3_check)
 from mcheck.transys import encode, extend_with_internal_signals, simplify_cnf
 
-from fixtures import mod_counter, random_aig
+from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
+                      random_aig)
 from oracle import bfs_check
 
 STRATEGIES = (STANDARD, CTG, EXCTG, DYNAMIC)
@@ -152,3 +153,59 @@ def test_solver_vars_stay_bounded():
     n = engine.ts.num_vars
     assert engine.solver.num_vars <= n + engine.k + 2
     assert engine.lift_solver.num_vars <= n + 1
+
+
+class _FreshDomains(IC3):
+    """IC3 that checks every cached query domain against a fresh walk."""
+
+    lookups = hits = 0
+
+    def _query_domain(self, cube):
+        key = None if cube is None else frozenset(l >> 1 for l in cube)
+        self.lookups += 1
+        self.hits += key in self._domains
+        got = super()._query_domain(cube)
+        ts = self.ts
+        roots = [ts.bad >> 1]
+        if cube is not None:
+            roots += [l >> 1 for l in ts.constraints]
+            roots += [v for l in cube for v in (l >> 1, ts.next_map[l >> 1])]
+        assert got == ts.coi_vars(roots, self._adj)
+        return got
+
+
+def test_cached_query_domains_match_a_fresh_walk(rng):
+    # a few of the random circuits add a lemma edge that widens a domain
+    # already cached, so a cache that ignores new edges fails here
+    models = [mod_counter(6, 20, 40, enable=True)]
+    models += [random_aig(rng, max_latches=10, max_inputs=2, max_gates=30,
+                          constraint_prob=0.8) for _ in range(300)]
+    lookups = hits = 0
+    for aig in models:
+        engine = _FreshDomains(encode(aig), Ic3Options(strategy=DYNAMIC))
+        assert engine.check().status == bfs_check(aig).status
+        lookups += engine.lookups
+        hits += engine.hits
+    assert hits > lookups // 2
+
+
+@pytest.mark.parametrize("aig, status", [
+    pytest.param(mod_counter(6, 24, 40, enable=True), "safe", id="mod(6,24,40)"),
+    pytest.param(padded_mod_counter(6, 24, 40, pad=8, enable=True), "safe",
+                 id="mod(6,24,40,pad=8)"),
+    pytest.param(mod_counter(6, 20, 33, enable=True), "safe", id="mod(6,20,33)"),
+    pytest.param(padded_mod_counter(6, 20, 33, pad=6, enable=True), "safe",
+                 id="mod(6,20,33,pad=6)"),
+    pytest.param(mod_counter(5, 24, 28, enable=True), "safe", id="mod(5,24,28)"),
+    pytest.param(padded_mod_counter(5, 24, 28, pad=4, enable=True), "safe",
+                 id="mod(5,24,28,pad=4)"),
+    pytest.param(counter_overflow(4), "unsafe", id="overflow(4)"),
+])
+def test_cached_domains_cover_deep_queries(aig, status):
+    """Every restricted query on the deep counters, re-solved on the full
+    domain, gives the same answer."""
+    v = ic3_check(encode(aig), Ic3Options(strategy=DYNAMIC,
+                                          debug_check_domain=True))
+    assert v.status == status
+    assert v.stats.solver.domain_checks > 100
+    assert v.stats.solver.domain_mismatches == 0

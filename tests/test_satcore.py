@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mcheck.satcore import BucketVsids, Solver, from_dimacs
+import mcheck
+from mcheck.satcore import UNDEF, BucketVsids, Solver, from_dimacs
 
 from oracle import ShadowActivity, cnf_brute_force
+
+SRC = str(Path(mcheck.__file__).resolve().parent.parent)
 
 
 def _random_cnf(rng, max_vars=16, max_clauses=70):
@@ -299,3 +306,117 @@ def test_restricted_then_full_queries(rng):
                     assert None not in model, (seq, q)
                     for cl in perm + temps:
                         assert any(model[l >> 1] != bool(l & 1) for l in cl)
+
+
+def _run_isolated(code, timeout=30):
+    """Run `code` in a fresh interpreter: a solver that hangs fails the test
+    by timeout instead of stalling the suite."""
+    done = subprocess.run([sys.executable, "-c", code], timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_luby_sequence():
+    out = _run_isolated(
+        "from mcheck.satcore import Solver\n"
+        "print(*[Solver._luby(i) for i in range(15)])\n")
+    assert out.split() == "1 1 2 1 1 2 4 1 1 2 1 1 2 4 8".split()
+
+
+def test_search_survives_its_restarts():
+    # 6 pigeons, 5 holes: refuting it takes more conflicts than the first
+    # restart interval, so the search must restart and carry on
+    out = _run_isolated(
+        "from mcheck.satcore import Solver\n"
+        "s = Solver()\n"
+        "s.new_vars(30)\n"
+        "for p in range(6):\n"
+        "    s.add_clause([2 * (5 * p + h) for h in range(5)])\n"
+        "for h in range(5):\n"
+        "    for p in range(6):\n"
+        "        for q in range(p):\n"
+        "            s.add_clause([2 * (5 * p + h) + 1, 2 * (5 * q + h) + 1])\n"
+        "print(s.solve(), s.stats.conflicts > s.LUBY_UNIT)\n")
+    assert out.split() == ["False", "True"]
+
+
+def test_reduce_db_drops_root_satisfied_learnts(rng):
+    """A root unit added between queries satisfies some learnt clauses; the
+    next reduction drops every one that is not a reason, and the solver
+    stays exact."""
+    nv = 14
+    dropped = 0
+    for i in range(100):
+        clauses = [[2 * rng.randrange(nv) + rng.randint(0, 1) for _ in range(3)]
+                   for _ in range(60)]
+        s = _solver_for(nv, clauses)
+        s.solve()
+        in_learnts = sorted({l for c in s.learnts for l in c.lits
+                             if s.assigns[l >> 1] == UNDEF})
+        if not s.ok or not in_learnts:
+            continue
+        unit = rng.choice(in_learnts)
+        sat_by_unit = [c for c in s.learnts if unit in c.lits]
+        clauses.append([unit])
+        s.add_clause([unit])
+        s._reduce_db()
+        for c in s.learnts:
+            root_sat = any(s.vlevel[l >> 1] == 0 and s.value_lit(l) == 1
+                           for l in c.lits)
+            assert not root_sat or s.reason[c.lits[0] >> 1] is c, i
+        for c in sat_by_unit:
+            if s.reason[c.lits[0] >> 1] is not c:
+                assert c not in s.learnts, i
+                assert all(c not in ws for ws in s.watches), i
+                dropped += 1
+        want = cnf_brute_force(nv, clauses)
+        assert s.solve() == (want is not None), i
+    assert dropped >= 30
+
+
+def test_backtrack_refiles_only_the_current_domain(rng):
+    """One solver cycles through restricted domain A, restricted domain B
+    and the full domain, so vars of the other block are backtracked while
+    they are outside the domain.  Permanent clauses stay inside one block
+    and share a planted model, so a block covers its queries' cones."""
+    for seq in range(150):
+        nv = rng.randint(6, 12)
+        half = nv // 2
+        blocks = (range(half), range(half, nv))
+        planted = [rng.randint(0, 1) for _ in range(nv)]
+        s = Solver()
+        s.new_vars(nv)
+        perm = []
+        for q in range(15):
+            domain = (blocks[0], blocks[1], None)[q % 3]
+            scope = domain or range(nv)
+            for _ in range(rng.randint(1, 4)):
+                block = rng.choice(blocks)
+                cl = [2 * rng.choice(block) + rng.randint(0, 1)
+                      for _ in range(rng.randint(2, 3))]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                perm.append(cl)
+                s.add_clause(cl)
+            temps = [[2 * rng.choice(scope) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.randint(0, 2))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.choice(scope) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 3))})
+            res = s.solve(assume, domain=domain)
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+            if res:
+                model = [s.model_value(v) for v in range(nv)]
+                assert None not in [model[v] for v in scope], (seq, q)
+                for cl in perm + temps:
+                    if all(l >> 1 in scope for l in cl):
+                        assert any(model[l >> 1] != bool(l & 1) for l in cl), (seq, q)
+            else:
+                core = s.unsat_core()
+                assert set(core) <= set(assume), (seq, q)
+                assert cnf_brute_force(nv, perm + temps, core) is None, (seq, q)
