@@ -6,9 +6,10 @@ abstraction.
 One-step queries run on a single incremental solver.  A query at frame i
 takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking clause
 ¬c enters as a temporary clause, the primed cube as assumptions, and the
-frames activate through per-level activation literals.  Decisions are
-restricted to the cone of influence of the query (closed over lemma
-co-occurrence so a partial model always extends to a full one).  A domain
+frames activate through per-level activation literals.  Decisions and
+propagation are restricted to the cone of influence of the query (closed
+over lemma co-occurrence so a partial model always extends to a full one),
+so a model leaves the vars outside it unassigned.  A domain
 depends only on the cube's var set and the co-occurrence graph, so it is
 cached per var set until a lemma adds an edge to the graph.
 """

@@ -1,7 +1,17 @@
 """Incremental CDCL SAT solver specialized for one-step model-checking
 queries: assumptions with unsat cores, temporary clauses that vanish after
-each query, a decision domain restricted per query, and a bucketed
-constant-time activity heuristic.
+each query, a domain restricted per query, and a bucketed constant-time
+activity heuristic.
+
+A restricted domain bounds both decisions and propagation.  Above the root,
+a clause whose implied literal lies outside the domain stays unit and
+unpropagated, with both watches kept; assumption vars count as inside.
+Root propagation, learnt units found mid-query included, runs over every
+clause.  The query answers Sat as soon as every domain var open at its start
+is assigned.  The caller guarantees that the domain covers the cone of
+influence (COI) of the assumptions and temporary clauses, so the partial
+model extends to a full one; it assigns only domain, assumption and root
+vars, and `model_value` reads None elsewhere.
 
 Temporary clauses are guarded by one activation literal per solver, reused by
 every query and assumed in each once it exists.  Learnt clauses that contain
@@ -257,9 +267,12 @@ class Solver:
 
     # -- domain -------------------------------------------------------------
 
-    def _activate_domain(self, domain: Optional[Iterable[int]]) -> None:
-        """Stamp the query's domain and put its unassigned vars back in the
-        heap; called at decision level 0."""
+    def _activate_domain(self, domain: Optional[Iterable[int]],
+                         assume: Sequence[int]) -> int:
+        """Stamp the query's domain and assumption vars, and put the domain's
+        unassigned vars back in the heap; called at decision level 0.
+        Returns how many stamped vars are open (a restricted domain names
+        each var once), or -1 for the full domain."""
         assigns = self.assigns
         present = self.vsids.present
         insert = self.vsids.insert
@@ -270,15 +283,25 @@ class Solver:
                 for v in range(len(assigns)):
                     if not present[v] and assigns[v] == UNDEF:
                         insert(v)
-            return
+            return -1
         self._domain_full = False
         self._domain_gen += 1
         gen = self._domain_gen
         stamp = self._domain_stamp
+        n_open = 0
         for v in domain:
             stamp[v] = gen
-            if not present[v] and assigns[v] == UNDEF:
-                insert(v)
+            if assigns[v] == UNDEF:
+                n_open += 1
+                if not present[v]:
+                    insert(v)
+        for p in assume:  # assigned before any decision: no heap entry
+            v = p >> 1
+            if stamp[v] != gen:
+                stamp[v] = gen
+                if assigns[v] == UNDEF:
+                    n_open += 1
+        return n_open
 
     def in_domain(self, v: int) -> bool:
         return self._domain_full or self._domain_stamp[v] == self._domain_gen
@@ -333,6 +356,10 @@ class Solver:
         vlevel = self.vlevel
         reason = self.reason
         level = len(self.trail_lim)
+        # above the root, a restricted query implies nothing outside its domain
+        bounded = level > 0 and not self._domain_full
+        stamp = self._domain_stamp
+        gen = self._domain_gen
         qhead = start = self.qhead
         while qhead < len(trail):
             false_lit = trail[qhead] ^ 1
@@ -374,8 +401,10 @@ class Solver:
                     self.stats.propagations += qhead - start
                     self.qhead = qhead
                     return c
-                # _enqueue(first, c), inlined
                 v = first >> 1
+                if bounded and stamp[v] != gen:
+                    continue  # left unit: revisited only if v is assigned
+                # _enqueue(first, c), inlined
                 assigns[v] = first & 1 ^ 1
                 vlevel[v] = level
                 reason[v] = c
@@ -447,7 +476,7 @@ class Solver:
             bt = self.vlevel[learnt[1] >> 1]
         return learnt, bt
 
-    def _analyze_final(self, p: int, n_assumed: int) -> Tuple[int, ...]:
+    def _analyze_final(self, p: int) -> Tuple[int, ...]:
         """Assumption subset responsible for falsifying assumption lit `p`."""
         out = {p}
         if self.decision_level() == 0:
@@ -522,10 +551,12 @@ class Solver:
     ) -> Optional[bool]:
         """Complete search; True = Sat, False = Unsat, None = cancelled.
 
-        With a restricted domain, decisions stay inside it; the verdict
-        matches full-domain solving provided the domain covers the cone of
-        influence of the assumptions and temporary clauses (caller's
-        obligation, checked when `debug_check_domain` is set).
+        With a restricted domain, decisions and implications above the root
+        stay inside it and the assumption vars.  The verdict matches
+        full-domain solving provided the domain covers the COI of the
+        assumptions and temporary clauses (caller's obligation, checked when
+        `debug_check_domain` is set).  A Sat model then assigns only domain,
+        assumption and root vars; `model_value` is None for the rest.
         """
         self.stats.solves += 1
         try:
@@ -537,8 +568,8 @@ class Solver:
             if self._temp_act is not None:
                 assume.insert(0, 2 * self._temp_act)
 
-            self._activate_domain(domain)
-            result = self._search(assume, cancel_check)
+            n_open = self._activate_domain(domain, assume)
+            result = self._search(assume, cancel_check, n_open)
 
             if (
                 self.debug_check_domain
@@ -548,8 +579,8 @@ class Solver:
                 self.stats.domain_checks += 1
                 model, core = self._model, self._core
                 self._cancel_until(0)
-                self._activate_domain(None)
-                full = self._search(assume, cancel_check)
+                self._activate_domain(None, assume)
+                full = self._search(assume, cancel_check, -1)
                 if full is not None and full != result:
                     self.stats.domain_mismatches += 1
                     raise DomainMismatchError(
@@ -565,7 +596,10 @@ class Solver:
         self,
         assume: List[int],
         cancel_check: Optional[Callable[[], bool]],
+        n_open: int,
     ) -> Optional[bool]:
+        """CDCL loop; with `n_open` >= 0 (a restricted domain) it answers Sat
+        once the `n_open` vars open at the root are all assigned."""
         if cancel_check is not None and cancel_check():
             return None
         restarts = 0
@@ -578,6 +612,7 @@ class Solver:
         assigns = self.assigns
         trail = self.trail
         trail_lim = self.trail_lim
+        root_len = len(trail)
 
         while True:
             confl = self._propagate()
@@ -610,6 +645,12 @@ class Solver:
                 self._cla_inc *= 1.0 / 0.999
                 continue
 
+            if not trail_lim and len(trail) != root_len:
+                # a learnt unit fixed vars at the root: they are open no more
+                if n_open >= 0:
+                    n_open -= sum(1 for p in trail[root_len:] if self.in_domain(p >> 1))
+                root_len = len(trail)
+
             if conflict_count >= conflicts_until_restart:
                 if cancel_check is not None and cancel_check():
                     return None
@@ -632,7 +673,7 @@ class Solver:
                 if a == UNDEF:
                     break
                 if a ^ (p & 1) == 0:
-                    core = self._analyze_final(p, n_assume)
+                    core = self._analyze_final(p)
                     if temp_act_lit is not None:
                         core = tuple(l for l in core if l != temp_act_lit)
                     self._core = core
@@ -644,9 +685,11 @@ class Solver:
                 self._enqueue(assume[dl], None)
                 continue
 
-            v = self.vsids.pop_max(self._decision_eligible, self._popped)
+            # a restricted query is Sat once its open vars are all assigned
+            v = (None if len(trail) - root_len == n_open
+                 else self.vsids.pop_max(self._decision_eligible, self._popped))
             if v is None:
-                self._model = list(self.assigns)
+                self._model = list(assigns)
                 return True
             self.stats.decisions += 1
             trail_lim.append(len(trail))

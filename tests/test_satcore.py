@@ -420,3 +420,167 @@ def test_backtrack_refiles_only_the_current_domain(rng):
                 core = s.unsat_core()
                 assert set(core) <= set(assume), (seq, q)
                 assert cnf_brute_force(nv, perm + temps, core) is None, (seq, q)
+
+
+def _and_gate(g, a, b):
+    """Tseitin clauses of g = a AND b over literals a, b."""
+    return [[2 * g + 1, a], [2 * g + 1, b], [2 * g, a ^ 1, b ^ 1]]
+
+
+def _watch_trail(s, allowed):
+    """Wrap `s._propagate` to record every var assigned above the root that
+    `allowed(v)` rejects; returns the list of offending vars."""
+    offenders = []
+    propagate = s._propagate
+
+    def checked():
+        confl = propagate()
+        if s.trail_lim:
+            offenders.extend(p >> 1 for p in s.trail[s.trail_lim[0]:]
+                             if not allowed(p >> 1))
+        return confl
+    s._propagate = checked
+    return offenders
+
+
+def test_restricted_query_stays_in_its_domain():
+    # domain A = x0..x4 under three clauses; the 10 gates g_ij = x_i & x_j
+    # read A but lie outside its cone, so a restricted query leaves them open
+    n = 5
+    clauses = [[0, 2], [5, 6], [8, 1]]  # x0|x1, ~x2|x3, x4|~x0
+    gates = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = n + len(gates)
+            gates[g] = (2 * i, 2 * j)
+    for g, (a, b) in gates.items():
+        clauses += _and_gate(g, a, b)
+    nv = n + len(gates)
+    domain = range(n)
+    temp = [4, 9]  # x2 | ~x4
+
+    for assume in ([0], [2, 6], [1, 3], [0, 7]):
+        s = _solver_for(nv, clauses)
+        offenders = _watch_trail(
+            s, lambda v: v < n or v == s._temp_act)
+        s.add_clause(temp, temporary=True)
+        res = s.solve(assume, domain=domain)
+        full = _solver_for(nv, clauses)
+        full.add_clause(temp, temporary=True)
+        want = cnf_brute_force(nv, clauses + [temp], assume)
+        assert res == full.solve(assume) == (want is not None), assume
+        assert offenders == [], assume
+        if res:
+            assert all(s.model_value(v) is not None for v in domain)
+            assert all(s.model_value(g) is None for g in gates)
+            fixed = [2 * v + (0 if s.model_value(v) else 1) for v in domain]
+            assert cnf_brute_force(nv, clauses + [temp], fixed) is not None
+        else:
+            assert s.unsat_core() == full.unsat_core()
+            assert cnf_brute_force(nv, clauses + [temp], s.unsat_core()) is None
+
+
+def test_restricted_queries_match_full_ones_on_gate_circuits(rng):
+    """Seeded incremental differential: free vars X under permanent clauses
+    that share a planted model, AND gates over X and earlier gates, and one
+    solver answering queries on the fan-in cone of random roots, closed over
+    the permanent clauses.  A twin solver answers each query on the full
+    domain; the brute-force oracle judges both."""
+    units_mid_query = 0
+    for seq in range(120):
+        nx = rng.randint(3, 7)
+        ng = rng.randint(3, 16 - nx)
+        nv = nx + ng
+        planted = [rng.randint(0, 1) for _ in range(nx)]
+        fanin = {}
+        gate_clauses = []
+        for g in range(nx, nv):
+            a, b = (2 * rng.randrange(g) + rng.randint(0, 1) for _ in range(2))
+            if a >> 1 == b >> 1:
+                b = 2 * ((b >> 1) + 1 if (b >> 1) + 1 < g else 0)
+            fanin[g] = (a >> 1, b >> 1)
+            gate_clauses += _and_gate(g, a, b)
+        s, twin = _solver_for(nv, gate_clauses), _solver_for(nv, gate_clauses)
+        perm = []
+        for q in range(15):
+            for _ in range(rng.randint(0, 3)):
+                cl = [2 * rng.randrange(nx) + rng.randint(0, 1)
+                      for _ in range(rng.randint(2, 3))]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                perm.append(cl)
+                s.add_clause(cl)
+                twin.add_clause(cl)
+            # domain: fan-in cone of the roots, closed over permanent clauses
+            domain = set()
+            todo = rng.sample(range(nv), rng.randint(1, 3))
+            while todo:
+                v = todo.pop()
+                if v in domain:
+                    continue
+                domain.add(v)
+                todo.extend(fanin.get(v, ()))
+                todo.extend(l >> 1 for cl in perm if any(l >> 1 == v for l in cl)
+                            for l in cl)
+            scope = sorted(domain)
+            temps = [[2 * rng.choice(scope) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.randint(0, 2))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+                twin.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.choice(scope) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 3))})
+            allowed = domain | {l >> 1 for l in assume}
+            offenders = _watch_trail(
+                s, lambda v: v in allowed or v == s._temp_act)
+            root = len(s.trail)
+            res = s.solve(assume, domain=domain)
+            units_mid_query += len(s.trail) > root
+            want = cnf_brute_force(nv, gate_clauses + perm + temps, assume)
+            assert res == twin.solve(assume) == (want is not None), (seq, q)
+            assert offenders == [], (seq, q)
+            if res:
+                model = [s.model_value(v) for v in range(nv)]
+                assert None not in [model[v] for v in domain], (seq, q)
+                for v in range(nv):
+                    if v not in allowed and s.assigns[v] == UNDEF:
+                        assert model[v] is None, (seq, q, v)
+                # the partial model extends to a full one
+                fixed = [2 * v + (0 if model[v] else 1)
+                         for v in range(nv) if model[v] is not None]
+                assert cnf_brute_force(nv, gate_clauses + perm + temps,
+                                       fixed) is not None, (seq, q)
+            else:
+                core = s.unsat_core()
+                assert set(core) <= set(assume), (seq, q)
+                assert cnf_brute_force(nv, gate_clauses + perm + temps,
+                                       core) is None, (seq, q)
+    assert units_mid_query >= 20
+
+
+def test_sat_answer_does_not_drain_the_heap(rng):
+    """A restricted Sat answer comes from the last decision's propagation:
+    no extra `pop_max` sweeps the heap to prove the domain is full."""
+    n = 8
+    clauses = [[2 * rng.randrange(n) + rng.randint(0, 1) for _ in range(2)]
+               for _ in range(6)]
+    gates = range(n, 3 * n)
+    for g in gates:
+        clauses += _and_gate(g, 2 * rng.randrange(g), 2 * rng.randrange(g) + 1)
+    s = _solver_for(3 * n, clauses)
+    calls = [0]
+    pop_max = s.vsids.pop_max
+
+    def counted(eligible, parked):
+        calls[0] += 1
+        return pop_max(eligible, parked)
+    s.vsids.pop_max = counted
+    sat = 0
+    for q in range(20):
+        assume = [2 * rng.randrange(n) + rng.randint(0, 1)]
+        calls[0], decisions = 0, s.stats.decisions
+        if s.solve(assume, domain=range(n)):
+            sat += 1
+            assert calls[0] == s.stats.decisions - decisions, q
+    assert sat >= 5
