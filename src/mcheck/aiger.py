@@ -1,5 +1,8 @@
-"""And-inverter graphs: AIGER parsing/serialization, simulation and
-cone-of-influence analysis.
+"""And-inverter graphs: AIGER parsing/serialization and trace replay.
+
+`replay` is the one place that steps a trace through the graph; witness
+checking, simulation and IC3's constraint refinement all walk it.  Cones of
+influence are walked by `transys.coi_vars`.
 
 Node references use the AIGER literal convention: ``raw = 2*index +
 complement``, with raw 0 = constant false and raw 1 = constant true.
@@ -8,7 +11,7 @@ complement``, with raw 0 = constant false and raw 1 = constant true.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 
 class AigerError(Exception):
@@ -17,14 +20,6 @@ class AigerError(Exception):
 
 FALSE_REF = 0
 TRUE_REF = 1
-
-
-def ref_var(ref: int) -> int:
-    return ref >> 1
-
-
-def ref_compl(ref: int) -> bool:
-    return bool(ref & 1)
 
 
 def ref_neg(ref: int) -> int:
@@ -65,17 +60,6 @@ class Aig:
 
     def latch(self, var: int) -> Optional[Latch]:
         return self._latch_map.get(var)
-
-    def is_input(self, var: int) -> bool:
-        return var in self._input_set
-
-    @property
-    def _input_set(self) -> Set[int]:
-        s = getattr(self, "_input_set_cache", None)
-        if s is None:
-            s = set(self.inputs)
-            object.__setattr__(self, "_input_set_cache", s)
-        return s
 
     @property
     def _ands_by_var(self) -> List[AndGate]:
@@ -451,34 +435,6 @@ def _latch_line(lt: Latch, binary: bool = False) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Cone of influence
-
-
-def coi(aig: Aig, roots: Iterable[int], through_latches: bool = True) -> Set[int]:
-    """Variables transitively supporting `roots` (node refs or vars).
-
-    With `through_latches`, a latch in the cone also pulls in the support of
-    its next-state function.
-    """
-    stack = [r >> 1 for r in roots]
-    seen: Set[int] = set()
-    while stack:
-        v = stack.pop()
-        if v == 0 or v in seen:
-            continue
-        seen.add(v)
-        g = aig.gate(v)
-        if g is not None:
-            stack.append(g.rhs0 >> 1)
-            stack.append(g.rhs1 >> 1)
-            continue
-        lt = aig.latch(v)
-        if lt is not None and through_latches:
-            stack.append(lt.next >> 1)
-    return seen
-
-
-# ---------------------------------------------------------------------------
 # Simulation
 
 
@@ -497,6 +453,33 @@ def eval_nodes(
     return vals
 
 
+def replay(
+    aig: Aig,
+    init_state: Sequence[Optional[int]],
+    input_frames: Iterable[Sequence[Optional[int]]],
+) -> Iterator[Dict[int, int]]:
+    """Node values at each step of a trace (AIGER 1.9 semantics).
+
+    A don't-care (None) latch bit takes the latch's reset value, or 0 if it
+    has none; a don't-care input bit is 0.  Frame ``t`` drives the node
+    values of step ``t`` and the transition to step ``t + 1``.
+    """
+    if len(init_state) != len(aig.latches):
+        raise ValueError("init vector length mismatch")
+    state: Dict[int, int] = {}
+    for lt, bit in zip(aig.latches, init_state):
+        if bit is None:
+            bit = lt.init
+        state[lt.var] = 0 if bit is None else int(bit)
+    for step, frame in enumerate(input_frames):
+        if len(frame) != len(aig.inputs):
+            raise ValueError("input frame %d length mismatch" % step)
+        vals = eval_nodes(aig, state, {
+            v: 0 if bit is None else int(bit) for v, bit in zip(aig.inputs, frame)})
+        yield vals
+        state = {lt.var: vals[lt.next >> 1] ^ (lt.next & 1) for lt in aig.latches}
+
+
 def simulate(
     aig: Aig,
     init_override: Optional[Sequence[Optional[int]]],
@@ -504,37 +487,16 @@ def simulate(
 ) -> List[Optional[int]]:
     """Replay a stimulus; returns the first step each bad holds (or None).
 
-    Don't-care bits (None) collapse to 0.  Frame ``t`` drives both the bad
-    evaluation at step ``t`` and the transition to step ``t + 1``; one final
-    all-zero frame is appended so the post-transition state is observed too.
+    Don't-care bits follow `replay`; no init vector means every latch takes
+    its reset value.  One final all-zero frame is appended so the
+    post-transition state is observed too.
     """
-    latch_vals: Dict[int, int] = {}
-    for j, lt in enumerate(aig.latches):
-        bit = None
-        if init_override is not None:
-            if len(init_override) != len(aig.latches):
-                raise ValueError("init vector length mismatch")
-            bit = init_override[j]
-        if bit is None:
-            bit = lt.init if lt.init is not None else 0
-        latch_vals[lt.var] = int(bit)
-
+    if init_override is None:
+        init_override = [None] * len(aig.latches)
     first: List[Optional[int]] = [None] * len(aig.bads)
-    frames = [list(f) for f in input_frames] + [[0] * len(aig.inputs)]
-    for step, frame in enumerate(frames):
-        if len(frame) != len(aig.inputs):
-            raise ValueError("input frame %d length mismatch" % step)
-        input_vals = {
-            v: int(bit) if bit is not None else 0
-            for v, bit in zip(aig.inputs, frame)
-        }
-        vals = eval_nodes(aig, latch_vals, input_vals)
-
-        def ref_val(ref: int) -> int:
-            return vals[ref >> 1] ^ (ref & 1)
-
+    frames = [*input_frames, [0] * len(aig.inputs)]
+    for step, vals in enumerate(replay(aig, init_override, frames)):
         for bi, ref in enumerate(aig.bads):
-            if first[bi] is None and ref_val(ref):
+            if first[bi] is None and vals[ref >> 1] ^ (ref & 1):
                 first[bi] = step
-        latch_vals = {lt.var: ref_val(lt.next) for lt in aig.latches}
     return first

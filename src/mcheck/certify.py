@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .aiger import Aig, WitnessTrace, eval_nodes
+from .aiger import Aig, WitnessTrace, replay
 from .logic import Clause, lit_neg, lit_var, negate
 from .satcore import Solver
 from .transys import TranSys, Unroller
 from .verdicts import InvariantCert, KInductionCert
+
+
+K_MAX_GUARD = 64  # deepest k-induction record worth re-solving
 
 
 class FormatError(Exception):
@@ -28,7 +31,7 @@ class FormatError(Exception):
 def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
     """Replay `trace` on `aig`: the selected bad must hold at the final
     step and every constraint must hold at every step (including the final
-    one).  Don't-care bits are driven as 0."""
+    one).  Don't-care bits follow `aiger.replay`."""
     if not 0 <= trace.bad_index < len(aig.bads):
         return False, "bad index %d out of range" % trace.bad_index
     if len(trace.init_state) != len(aig.latches):
@@ -36,38 +39,21 @@ def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
             len(trace.init_state), len(aig.latches))
     if not trace.input_frames:
         return False, "witness has no frames"
-
-    state = {}
-    for j, lt in enumerate(aig.latches):
-        bit = trace.init_state[j]
-        if bit is None:
-            bit = lt.init if lt.init is not None else 0
-        elif lt.init is not None and bit != lt.init:
+    for j, (lt, bit) in enumerate(zip(aig.latches, trace.init_state)):
+        if bit is not None and lt.init is not None and bit != lt.init:
             return False, "init bit %d contradicts latch %d reset value" % (bit, j)
-        state[lt.var] = int(bit)
-
-    bad_ref = aig.bads[trace.bad_index]
-    last = len(trace.input_frames) - 1
     for t, frame in enumerate(trace.input_frames):
         if len(frame) != len(aig.inputs):
             return False, "frame %d has %d bits, model has %d inputs" % (
                 t, len(frame), len(aig.inputs))
-        inputs = {v: int(b) if b is not None else 0
-                  for v, b in zip(aig.inputs, frame)}
-        vals = eval_nodes(aig, state, inputs)
 
-        def ref_val(ref: int) -> int:
-            return vals[ref >> 1] ^ (ref & 1)
-
+    for t, vals in enumerate(replay(aig, trace.init_state, trace.input_frames)):
         for ci, cref in enumerate(aig.constraints):
-            if ref_val(cref) != 1:
+            if vals[cref >> 1] ^ (cref & 1) != 1:
                 return False, "constraint %d violated at step %d" % (ci, t)
-        if t == last:
-            if ref_val(bad_ref) != 1:
-                return False, "bad b%d not reached at final step %d" % (
-                    trace.bad_index, t)
-        else:
-            state = {lt.var: ref_val(lt.next) for lt in aig.latches}
+    bad_ref = aig.bads[trace.bad_index]
+    if vals[bad_ref >> 1] ^ (bad_ref & 1) != 1:
+        return False, "bad b%d not reached at final step %d" % (trace.bad_index, t)
     return True, "ok"
 
 
@@ -75,26 +61,19 @@ def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
 # Certificate checking
 
 
-def _base_solver(ts: TranSys) -> Solver:
-    s = Solver()
-    s.new_vars(ts.num_vars)
-    for cl in ts.clauses:
-        s.add_clause(cl)
-    return s
-
-
-def verify_certificate(ts: TranSys, cert, k_max_guard: int = 64) -> Tuple[bool, str]:
+def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     """Check a Safe certificate against the transition system.
 
     For an invariant certificate, Inv = certificate clauses ∧ ¬bad must
     satisfy: (1) init ⇒ Inv; (2) Inv ∧ constraints ∧ T ⇒ Inv′ (next-step
-    inputs unconstrained); (3) Inv ⇒ ¬bad.  For a k-induction record, the
-    base and step cases are re-solved from scratch.
+    inputs unconstrained).  Inv ⇒ ¬bad holds by construction.  For a
+    k-induction record of depth at most `K_MAX_GUARD`, the base and step
+    cases are re-solved from scratch.
     """
     if isinstance(cert, InvariantCert):
         return _verify_invariant(ts, cert.clauses)
     if isinstance(cert, KInductionCert):
-        if not 0 < cert.k <= k_max_guard:
+        if not 0 < cert.k <= K_MAX_GUARD:
             return False, "implausible induction depth %d" % cert.k
         return _verify_kinduction(ts, cert.k, cert.simple_path)
     return False, "unknown certificate type %r" % (type(cert).__name__,)
@@ -102,7 +81,10 @@ def verify_certificate(ts: TranSys, cert, k_max_guard: int = 64) -> Tuple[bool, 
 
 def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str]:
     # (1) init ⇒ Inv: init ∧ ¬c satisfiable for no clause c of Inv ∪ {¬bad}
-    s1 = _base_solver(ts)
+    s1 = Solver()
+    s1.new_vars(ts.num_vars)
+    for cl in ts.clauses:
+        s1.add_clause(cl)
     for l in ts.init_lits:
         s1.add_clause((l,))
     for idx, c in enumerate(list(clauses) + [(lit_neg(ts.bad),)]):
@@ -125,14 +107,6 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
             return False, "invariant clause %d not inductive" % idx
     if s2.solve(assumptions=[un.bad_at(1)]) is not False:
         return False, "invariant admits a transition into bad"
-
-    # (3) Inv ⇒ ¬bad (holds by construction; checked anyway)
-    s3 = _base_solver(ts)
-    for c in clauses:
-        s3.add_clause(c)
-    s3.add_clause((lit_neg(ts.bad),))
-    if s3.solve(assumptions=[ts.bad]) is not False:
-        return False, "invariant intersects bad"
     return True, "ok"
 
 

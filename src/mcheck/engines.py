@@ -19,6 +19,9 @@ from .transys import TranSys, Unroller
 from .verdicts import KInductionCert, Verdict, safe, unknown, unsafe
 
 
+SIMPLE_PATH_MAX_K = 10  # deepest k-induction step run with simple paths
+
+
 @dataclass
 class UnrollStats:
     depth: int = 0
@@ -81,7 +84,6 @@ def kind(
     ts: TranSys,
     max_k: int = 50,
     simple_path: bool = False,
-    simple_path_max_k: int = 10,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> Verdict:
     """K-induction: for ascending k, a BMC base case to depth k plus an
@@ -97,7 +99,7 @@ def kind(
     # simple-path constraints grow quadratically; with the flag on, the
     # whole search is capped rather than silently dropping the constraints
     # (the emitted certificate must match what was solved)
-    effective_max = min(max_k, simple_path_max_k) if simple_path else max_k
+    effective_max = min(max_k, SIMPLE_PATH_MAX_K) if simple_path else max_k
     for k in range(0, effective_max + 1):
         if cancel is not None and cancel():
             break

@@ -20,10 +20,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .aiger import WitnessTrace, eval_nodes
+from .aiger import WitnessTrace, replay
 from .logic import Cube, lit_neg, negate, subsumes
 from .satcore import Solver, SolverStats
-from .transys import TranSys, encode, extend_with_internal_signals
+from .transys import TranSys, coi_vars, encode, extend_with_internal_signals
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
 
 STANDARD = "standard"
@@ -31,13 +31,13 @@ CTG = "ctg"
 EXCTG = "exctg"
 DYNAMIC = "dynamic"
 
-_ORDER = {STANDARD: 0, CTG: 1, EXCTG: 2}
-
 MAX_FRAMES = 20000
 CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
 CTG_LIMIT = 3  # CTGs blocked per candidate before joining
 EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
 DOMAIN_CACHE_LIMIT = 1024  # cached query domains before the cache starts over
+DYNAMIC_T1 = 1  # failed blocks before a dynamic cube escalates to CTG
+DYNAMIC_T2 = 3  # failed blocks before it escalates to extended CTG
 
 
 @dataclass
@@ -48,8 +48,6 @@ class Ic3Options:
     verify_mic: bool = False
     debug_check_domain: bool = False
     debug_check_frames: bool = False
-    dynamic_t1: int = 1
-    dynamic_t2: int = 3
 
 
 @dataclass
@@ -79,9 +77,9 @@ def select_strategy(failed_attempts: int, options: Ic3Options) -> str:
     """Escalation schedule for one obligation cube (monotone in failures)."""
     if options.strategy != DYNAMIC:
         return options.strategy
-    if failed_attempts < options.dynamic_t1:
+    if failed_attempts < DYNAMIC_T1:
         return STANDARD
-    if failed_attempts < options.dynamic_t2:
+    if failed_attempts < DYNAMIC_T2:
         return CTG
     return EXCTG
 
@@ -143,7 +141,6 @@ class IC3:
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
         self._fail_counts: Dict[Cube, int] = {}
-        self._strategy_floor: Dict[Cube, int] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -175,7 +172,7 @@ class IC3:
                     roots.append(self.ts.next_map[l >> 1])
             if len(self._domains) >= DOMAIN_CACHE_LIMIT:
                 self._domains.clear()
-            domain = self._domains[key] = self.ts.coi_vars(roots, self._adj)
+            domain = self._domains[key] = coi_vars(roots, self.ts.dep, self._adj)
         return domain
 
     def _model_state_cube(self) -> Cube:
@@ -506,14 +503,8 @@ class IC3:
         return None
 
     def _strategy_for(self, cube: Cube) -> str:
-        """Per-cube dynamic escalation; never de-escalates for a cube."""
-        strat = select_strategy(self._fail_counts.get(cube, 0), self.options)
-        floor = self._strategy_floor.get(cube, 0)
-        if _ORDER[strat] < floor:
-            strat = [STANDARD, CTG, EXCTG][floor]
-        else:
-            self._strategy_floor[cube] = _ORDER[strat]
-        return strat
+        """Per-cube dynamic escalation; fail counts only grow."""
+        return select_strategy(self._fail_counts.get(cube, 0), self.options)
 
     def _trace(self, head: _Obligation) -> WitnessTrace:
         """Assemble the witness from an obligation chain ending at bad."""
@@ -656,21 +647,9 @@ def _first_violated_constraint(aig, trace: WitnessTrace,
                                active: Sequence[int]) -> Optional[int]:
     """Index of the first inactive constraint the trace violates, scanning
     steps in order and constraints in declaration order."""
-    state = {}
-    for j, lt in enumerate(aig.latches):
-        bit = trace.init_state[j]
-        if bit is None:
-            bit = lt.init if lt.init is not None else 0
-        state[lt.var] = int(bit)
     active_set = set(active)
-    for frame in trace.input_frames:
-        inputs = {v: int(b) if b is not None else 0
-                  for v, b in zip(aig.inputs, frame)}
-        vals = eval_nodes(aig, state, inputs)
+    for vals in replay(aig, trace.init_state, trace.input_frames):
         for ci, cref in enumerate(aig.constraints):
-            if ci in active_set:
-                continue
-            if vals[cref >> 1] ^ (cref & 1) != 1:
+            if ci not in active_set and vals[cref >> 1] ^ (cref & 1) != 1:
                 return ci
-        state = {lt.var: vals[lt.next >> 1] ^ (lt.next & 1) for lt in aig.latches}
     return None

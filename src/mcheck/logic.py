@@ -92,9 +92,5 @@ def map_lits(lits: Sequence[Lit], mapping: Dict[int, int]) -> Tuple[Lit, ...]:
     return tuple(sorted((mapping[l >> 1] << 1) | (l & 1) for l in lits))
 
 
-def map_lit(lit: Lit, mapping: Dict[int, int]) -> Lit:
-    return (mapping[lit >> 1] << 1) | (lit & 1)
-
-
 def cube_str(lits: Sequence[Lit]) -> str:
     return "{" + ", ".join(lit_str(l) for l in lits) + "}"

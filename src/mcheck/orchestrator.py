@@ -130,11 +130,9 @@ def run_portfolio(
     workers: int = 4,
     configs: Optional[Sequence[EngineConfig]] = None,
     time_limit: Optional[float] = None,
-    verify: bool = True,
-    grace_period: float = GRACE_PERIOD,
 ) -> PortfolioResult:
-    """First definitive verdict wins; losers are cancelled and must wind
-    down within `grace_period` seconds."""
+    """First definitive verdict that passes `verify_verdict` wins; losers
+    are cancelled and must wind down within `GRACE_PERIOD` seconds."""
     if configs is None:
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
@@ -172,16 +170,15 @@ def run_portfolio(
         pending -= 1
         if not v.definitive:
             continue
-        if verify:
-            ok, reason = verify_verdict(aig, bad_index, v)
-            if not ok:
-                rejected.append((cfg, reason))
-                continue
+        ok, reason = verify_verdict(aig, bad_index, v)
+        if not ok:
+            rejected.append((cfg, reason))
+            continue
         winner, verdict = cfg, v
         break
 
     stop.set()
-    deadline = time.monotonic() + grace_period
+    deadline = time.monotonic() + GRACE_PERIOD
     for t in threads:
         t.join(timeout=max(0.0, deadline - time.monotonic()))
 

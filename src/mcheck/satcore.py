@@ -40,12 +40,11 @@ UNDEF = 2  # assigns[] sentinel
 
 
 class Clause:
-    __slots__ = ("lits", "learnt", "temporary", "act")
+    __slots__ = ("lits", "learnt", "act")
 
-    def __init__(self, lits: List[int], learnt: bool = False, temporary: bool = False):
+    def __init__(self, lits: List[int], learnt: bool = False):
         self.lits = lits
         self.learnt = learnt
-        self.temporary = temporary
         self.act = 0.0
 
 
@@ -227,7 +226,7 @@ class Solver:
             if len(out) == 1:
                 self._temp_contra = True
                 return
-            c = Clause(out, temporary=True)
+            c = Clause(out)
             self._temp_clauses.append(c)
             self._attach(c)
             return

@@ -11,8 +11,9 @@ on which every constraint holds at steps 0..d and bad holds at step d;
 nothing is required after step d.  `Unroller` is the one place that builds
 timed frames and encodes this.
 
-`encode(..., cone=True)` keeps only the logic that can reach bad or an
-active constraint, walked through latch next-state functions.  Variable
+`coi_vars` is the one cone-of-influence walk.  `encode(..., cone=True)` walks
+it from bad and the active constraints through gate fanins and latch
+next-state functions, keeping only the logic that can reach them.  Variable
 numbers stay those of the full encoding, so lemmas and certificates need no
 back-map; only the lists of gates, latches, inputs and clauses shrink.
 `widen_witness` turns a trace over the cone back into one over the source
@@ -22,10 +23,10 @@ AIG's latches and inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (Callable, Container, Dict, Iterable, List, Optional,
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .aiger import Aig, AndGate, Latch, WitnessTrace, coi as aig_coi
+from .aiger import Aig, AndGate, Latch, WitnessTrace
 from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
 from .satcore import Solver
 
@@ -63,29 +64,6 @@ class TranSys:
     def unprime(self, lit: Lit) -> Lit:
         return (self.prev_map[lit >> 1] << 1) | (lit & 1)
 
-    def prime_cube(self, lits: Sequence[Lit]) -> Tuple[Lit, ...]:
-        return tuple(sorted(self.prime(l) for l in lits))
-
-    def coi_vars(self, roots: Iterable[int],
-                 adj: Dict[int, Set[int]]) -> Set[int]:
-        """Transitive closure of `roots` over the dependency graph and the
-        extra undirected edges `adj` (IC3's lemma co-occurrence)."""
-        stack = list(roots)
-        seen: Set[int] = set()
-        dep = self.dep
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for w in dep.get(v, ()):
-                if w not in seen:
-                    stack.append(w)
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    stack.append(w)
-        return seen
-
     def widen_witness(self, init_bits: Sequence[Optional[int]],
                       input_frames: Sequence[Sequence[int]]) -> WitnessTrace:
         """Witness over the source AIG from bits over this system's real
@@ -112,6 +90,27 @@ class TranSys:
             if val is not None and val == (l & 1):
                 return False  # literal false at init
         return True
+
+
+def coi_vars(roots: Iterable[int], dep: Mapping[int, Iterable[int]],
+             adj: Mapping[int, Iterable[int]]) -> Set[int]:
+    """Cone of influence: the vars reachable from the vars `roots` over the
+    edges `dep` (var -> the vars it reads) and `adj` (extra edges, such as
+    IC3's lemma co-occurrence)."""
+    stack = list(roots)
+    seen: Set[int] = set()
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for w in dep.get(v, ()):
+            if w not in seen:
+                stack.append(w)
+        for w in adj.get(v, ()):
+            if w not in seen:
+                stack.append(w)
+    return seen
 
 
 def _init_valuation(inputs: Sequence[int], latches: Sequence[Latch],
@@ -149,8 +148,8 @@ def encode(
     `active_constraints` selects a subset of constraint indices (all by
     default); the localization-abstraction loop re-encodes with fewer.
     With `cone`, only the logic that can reach bad or an active constraint
-    is encoded (`aiger.coi` through latches).  Variable numbers are those of
-    the full encoding either way.
+    is encoded (`coi_vars` through gate fanins and latch next-state
+    functions).  Variable numbers are those of the full encoding either way.
     """
     if not aig.bads:
         raise ValueError("model has no bad properties")
@@ -164,7 +163,9 @@ def encode(
     ands = sorted(aig.ands, key=lambda g: g.var)
     latches, inputs = aig.latches, aig.inputs
     if cone:
-        keep = aig_coi(aig, [bad_ref] + cst_refs)
+        fanin = {g.var: (g.rhs0 >> 1, g.rhs1 >> 1) for g in ands}
+        fanin.update((lt.var, (lt.next >> 1,)) for lt in latches)
+        keep = coi_vars([r >> 1 for r in [bad_ref] + cst_refs], fanin, {})
         ands = [g for g in ands if g.var in keep]
         latches = [lt for lt in latches if lt.var in keep]
         inputs = [v for v in inputs if v in keep]
@@ -395,10 +396,15 @@ class Unroller:
 # Internal-signal extension
 
 
-def default_signal_policy(aig: Aig, within: Container[int],
-                          cap_fraction: float = 0.10, min_fanout: int = 3):
-    """Gates in `within` with fanout >= 3 and an input-free cone, capped at
-    10% of the gates in `within`."""
+SIGNAL_MIN_FANOUT = 3  # fanout a gate needs to become a pseudo-latch
+SIGNAL_CAP_FRACTION = 0.10  # pseudo-latches per encoded gate, at most
+
+
+def default_signal_policy(aig: Aig, dep: Mapping[int, Iterable[int]]):
+    """Gates encoded in `dep` (a `TranSys.dep`) with fanout >=
+    `SIGNAL_MIN_FANOUT` and an input-free cone, capped at
+    `SIGNAL_CAP_FRACTION` of the encoded gates.  A gate's cone is walked over
+    `dep`, which stops at latches."""
     fanout: Dict[int, int] = {}
     for g in aig.ands:
         fanout[g.rhs0 >> 1] = fanout.get(g.rhs0 >> 1, 0) + 1
@@ -406,13 +412,13 @@ def default_signal_policy(aig: Aig, within: Container[int],
     for lt in aig.latches:
         fanout[lt.next >> 1] = fanout.get(lt.next >> 1, 0) + 1
     inputs = set(aig.inputs)
-    gates = [g for g in aig.ands if g.var in within]
-    cap = max(1, int(cap_fraction * len(gates)))
+    gates = [g for g in aig.ands if g.var in dep]
+    cap = max(1, int(SIGNAL_CAP_FRACTION * len(gates)))
     chosen = []
     for g in sorted(gates, key=lambda g: -fanout.get(g.var, 0)):
-        if fanout.get(g.var, 0) < min_fanout:
+        if fanout.get(g.var, 0) < SIGNAL_MIN_FANOUT:
             continue
-        cone = aig_coi(aig, [2 * g.var], through_latches=False)
+        cone = coi_vars([g.var], dep, {})
         if cone & inputs:
             continue
         chosen.append(g.var)
@@ -436,7 +442,7 @@ def extend_with_internal_signals(
     system does not have.
     """
     signals = list(policy(aig) if policy else
-                   default_signal_policy(aig, within=ts.dep))
+                   default_signal_policy(aig, ts.dep))
     if not signals:
         return ts
 

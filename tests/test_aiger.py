@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mcheck.aiger import (AigerError, coi, eval_nodes, parse_aiger,
-                          serialize_aiger, simulate)
+from mcheck.aiger import (AigerError, eval_nodes, parse_aiger, serialize_aiger,
+                          simulate)
 
 from fixtures import CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, counter_overflow, random_aig
 
@@ -105,10 +105,3 @@ def test_simulate_counter_overflow_depth():
 def test_simulate_toggle(unsafe1):
     assert simulate(unsafe1, None, [[]])[0] == 1  # bad on the appended frame
     assert simulate(unsafe1, None, [])[0] is None  # only step 0 is observed
-
-
-def test_coi_restricts_to_support(cnt2):
-    support = coi(cnt2, cnt2.bads)
-    assert {1, 2} <= support
-    free = parse_aiger(b"aag 2 1 1 0 0 1\n2\n4 4\n4\n")
-    assert 1 not in coi(free, free.bads)  # the input is outside the bad cone

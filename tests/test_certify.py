@@ -1,6 +1,6 @@
 import pytest
 
-from mcheck.aiger import WitnessTrace
+from mcheck.aiger import WitnessTrace, parse_aiger
 from mcheck.certify import (FormatError, format_certificate, format_witness,
                             parse_certificate, parse_witness,
                             verify_certificate, verify_witness)
@@ -49,7 +49,6 @@ def test_witness_rejects_init_inconsistent_with_reset(safe1):
 
 
 def test_witness_respects_constraints():
-    from mcheck.aiger import parse_aiger
     # toggling latch, bad = latch, constraint pins latch at 0: any trace
     # claiming the bad violates the constraint at the failing step
     aig = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
@@ -102,6 +101,21 @@ def test_certificate_rejects_flipped_literal():
     mutated = InvariantCert([tuple(l ^ 1 for l in cl)] + list(cert.clauses[1:]))
     ok, _ = verify_certificate(ts, mutated)
     assert not ok
+
+
+@pytest.mark.parametrize("aag, clauses, reason", [
+    # latch x resets to 0 and holds; bad x: the clause (x) fails at init
+    (b"aag 1 0 1 0 0 1\n2 2\n2\n", [(2,)], "init violates invariant clause 0"),
+    # latch x resets to 1: bad holds in the initial state
+    (b"aag 1 0 1 0 0 1\n2 2 1\n2\n", [], "initial state satisfies bad"),
+    # latch x resets to 0 and toggles; bad x: (~x) is not inductive, and
+    # ~bad alone admits the step into bad
+    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [(3,)], "invariant clause 0 not inductive"),
+    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [], "invariant admits a transition into bad"),
+])
+def test_certificate_rejection_reasons(aag, clauses, reason):
+    ts = encode(parse_aiger(aag))
+    assert verify_certificate(ts, InvariantCert(clauses)) == (False, reason)
 
 
 def test_kinduction_certificate_roundtrip():

@@ -8,6 +8,9 @@ import random
 import pytest
 
 from mcheck import parse_aiger
+from mcheck.aiger import WitnessTrace, replay, simulate
+from mcheck.certify import verify_witness
+from mcheck.ic3 import _first_violated_constraint
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.verdicts import KInductionCert, safe
 
@@ -72,3 +75,46 @@ def test_constrained_differential_against_oracle():
                     forged = safe(KInductionCert(k, sp))
                     assert not verify_verdict(aig, 0, forged)[0], (idx, k, sp)
     assert constrained >= 200 and unsafe >= 50
+
+
+# -- trace replay -------------------------------------------------------------
+
+# input i; latch x resets to 1 and holds; latch y resets to 0 and loads i;
+# bad x & ~y; constraints x and ~y
+HOLD_AAG = b"aag 4 1 2 0 1 1 2\n2\n4 4 1\n6 2\n8\n4\n7\n8 4 7\n"
+
+
+def test_dont_care_bits_replay_alike_everywhere():
+    # a don't-care latch bit takes its reset value (x is 1) and a
+    # don't-care input bit is 0 (y stays 0), in every reader of a trace
+    aig = parse_aiger(HOLD_AAG)
+    trace = WitnessTrace(0, [None, None], [[None], [None]])
+    steps = list(replay(aig, trace.init_state, trace.input_frames))
+    assert [(vals[2], vals[3]) for vals in steps] == [(1, 0), (1, 0)]
+    assert simulate(aig, trace.init_state, trace.input_frames) == [0]
+    assert simulate(aig, None, trace.input_frames) == [0]
+    assert verify_witness(aig, trace) == (True, "ok")
+    assert _first_violated_constraint(aig, trace, []) is None
+    # the same trace with the bits made explicit and wrong is rejected
+    ok, why = verify_witness(aig, WitnessTrace(0, [None, None], [[1], [None]]))
+    assert (ok, why) == (False, "constraint 1 violated at step 1")
+    ok, why = verify_witness(aig, WitnessTrace(0, [0, None], [[None], [None]]))
+    assert (ok, why) == (False, "init bit 0 contradicts latch 0 reset value")
+
+
+def test_refinement_scan_takes_the_first_violation():
+    # inputs a and b; bad a; constraints a and b
+    aig = parse_aiger(b"aag 2 2 0 0 0 1 2\n2\n4\n2\n2\n4\n")
+
+    def scan(frames, active=()):
+        return _first_violated_constraint(aig, WitnessTrace(0, [], frames),
+                                          active)
+
+    # steps first: constraint 1 breaks at step 1, before constraint 0 at 2
+    assert scan([[1, 1], [1, 0], [0, 1]]) == 1
+    # then declaration order within a step
+    assert scan([[1, 1], [0, 0]]) == 0
+    # active constraints are skipped
+    assert scan([[1, 1], [0, 0]], active=[0]) == 1
+    assert scan([[0, 0]], active=[0, 1]) is None
+    assert scan([[1, 1], [1, 1]]) is None

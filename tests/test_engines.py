@@ -2,7 +2,7 @@ import pytest
 
 from mcheck import engines
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.engines import bmc, kind
+from mcheck.engines import SIMPLE_PATH_MAX_K, bmc, kind
 from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
                                  verify_verdict)
 from mcheck.transys import encode
@@ -105,13 +105,11 @@ def test_kind_simple_path_caps_search_depth():
     # quadratic distinctness constraints are only sound to report if the
     # whole search ran with them, so the flag caps k rather than dropping
     # constraints beyond the cap
+    assert SIMPLE_PATH_MAX_K == 10
     ts = encode(mod_counter(6, 20, 40))
-    v = kind(ts, max_k=50, simple_path=True, simple_path_max_k=5)
-    if v.is_safe:
-        assert v.certificate.k <= 5
-    else:
-        assert v.status == "unknown"
-        assert "k=5" in v.reason
+    v = kind(ts, max_k=50, simple_path=True)
+    assert v.status == "unknown"
+    assert v.reason.endswith("k=10")
 
 
 def test_kind_certificates_never_overstate(rng):

@@ -6,8 +6,8 @@ import pytest
 from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.logic import lit_neg, mklit
 from mcheck.satcore import Solver
-from mcheck.transys import (Unroller, encode, extend_with_internal_signals,
-                            simplify_cnf)
+from mcheck.transys import (Unroller, coi_vars, encode,
+                            extend_with_internal_signals, simplify_cnf)
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, counter_with_reset,
                       padded_mod_counter, random_aig)
@@ -226,3 +226,18 @@ def test_internal_signal_cap():
     ts_inn = extend_with_internal_signals(ts, aig)
     pseudo = len(ts_inn.latch_vars) - ts_inn.num_real_latches
     assert pseudo <= max(1, int(0.10 * len(aig.ands)))
+
+
+def test_coi_restricts_to_support():
+    # bad reads latch x, whose next state reads latch y: the cone walks
+    # through x's next-state function to y
+    chain = parse_aiger(b"aag 2 0 2 0 0 1\n2 4\n4 4\n2\n")
+    assert encode(chain, cone=True).latch_vars == [1, 2]
+    # an input that bad does not read is outside the cone
+    free = parse_aiger(b"aag 2 1 1 0 0 1\n2\n4 4\n4\n")
+    assert encode(free, cone=True).input_vars == []
+    # over TranSys.dep the walk stops at latches; `adj` adds edges
+    ts = encode(chain)
+    assert coi_vars([ts.bad >> 1], ts.dep, {}) == {1}
+    assert coi_vars([ts.next_map[1]], ts.dep, {}) == {ts.next_map[1], 2}
+    assert coi_vars([1], ts.dep, {1: {2}}) == {1, 2}
