@@ -3,6 +3,12 @@ lifting, MIC generalization (standard / CTG / extended-CTG) with dynamic
 strategy escalation, forward propagation, and constraint localization
 abstraction.
 
+In dynamic mode each obligation cube starts at standard MIC and moves up
+on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
+`DYNAMIC_T2`, but only once a CTG MIC on that cube has blocked a CTG.  A
+cube whose CTGs never block stays at CTG: extended CTG only adds recursive
+blocks of CTGs, the costliest step.
+
 One-step queries run on a single incremental solver.  A query at frame i
 takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking clause
 ¬c enters as a temporary clause, the primed cube as assumptions, and the
@@ -36,8 +42,8 @@ CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
 CTG_LIMIT = 3  # CTGs blocked per candidate before joining
 EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
 DOMAIN_CACHE_LIMIT = 1024  # cached query domains before the cache starts over
-DYNAMIC_T1 = 1  # failed blocks before a dynamic cube escalates to CTG
-DYNAMIC_T2 = 3  # failed blocks before it escalates to extended CTG
+DYNAMIC_T1 = 3  # failed blocks before a dynamic cube escalates to CTG
+DYNAMIC_T2 = 6  # failed blocks before it may escalate to extended CTG
 
 
 @dataclass
@@ -140,7 +146,8 @@ class IC3:
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
-        self._fail_counts: Dict[Cube, int] = {}
+        # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
+        self._escalation: Dict[Cube, list] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -473,7 +480,10 @@ class IC3:
             if r is False:
                 kept = self._repair_init(payload, cube)
                 strat = self._strategy_for(cube)
+                ctg_blocks = self.stats.ctg_blocks
                 g = self.mic(kept, level, strat)
+                if self.stats.ctg_blocks > ctg_blocks:
+                    self._escalation.setdefault(cube, [0, False])[1] = True
                 j = level
                 while j < self.k:
                     r2, _ = self.solve_relative(g, j + 1)
@@ -485,7 +495,7 @@ class IC3:
                     counter += 1
                     heapq.heappush(q, (j + 1, cube, counter, ob))
             else:
-                self._fail_counts[cube] = self._fail_counts.get(cube, 0) + 1
+                self._escalation.setdefault(cube, [0, False])[0] += 1
                 state = self._model_state_cube()
                 bits, input_lits = self._model_inputs()
                 pred = self.lift_predecessor(
@@ -503,8 +513,14 @@ class IC3:
         return None
 
     def _strategy_for(self, cube: Cube) -> str:
-        """Per-cube dynamic escalation; fail counts only grow."""
-        return select_strategy(self._fail_counts.get(cube, 0), self.options)
+        """Per-cube dynamic escalation: the fail-count schedule, except that
+        extended CTG waits until CTG has blocked something for this cube.
+        Both parts of the state only grow, so a cube never steps down."""
+        fails, ctg_paid = self._escalation.get(cube, (0, False))
+        strategy = select_strategy(fails, self.options)
+        if strategy == EXCTG and self.options.strategy == DYNAMIC and not ctg_paid:
+            return CTG
+        return strategy
 
     def _trace(self, head: _Obligation) -> WitnessTrace:
         """Assemble the witness from an obligation chain ending at bad."""

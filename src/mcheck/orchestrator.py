@@ -1,15 +1,17 @@
 """Engine configuration, single-engine runs, and the parallel portfolio.
 
-Each run builds its own transition system with `build_transys`: the Tseitin
+A run searches the transition system `build_transys` makes: the Tseitin
 encoding restricted to the cone of influence of bad and the constraints,
 then simplified by unit propagation and clause deduplication, which is
-cheap next to the search.  The cone keeps the AIG's variable numbers, and
-the engines widen their witnesses back to the full model's latches and
-inputs.  Witnesses replay on the AIG and invariants are checked against the
-plain encoding; a k-induction record is re-solved over the same cone,
-recomputed from the AIG.  The portfolio launches one thread per
-configuration, takes the first definitive (safe/unsafe) verdict, re-verifies
-it before reporting, and cancels the rest with a bounded grace period.
+cheap next to the search.  The portfolio builds it once and every worker
+searches that one system; no engine changes a `TranSys` after it is built.
+The cone keeps the AIG's variable numbers, and the engines widen their
+witnesses back to the full model's latches and inputs.  Witnesses replay on
+the AIG and invariants are checked against the plain encoding; a
+k-induction record is re-solved over the same cone, recomputed from the
+AIG.  The portfolio launches one thread per configuration, takes the first
+definitive (safe/unsafe) verdict, re-verifies it before reporting, and
+cancels the rest with a bounded grace period.
 """
 
 from __future__ import annotations
@@ -88,9 +90,12 @@ def run_config(
     config: EngineConfig,
     bad_index: int = 0,
     cancel: Optional[Callable[[], bool]] = None,
+    ts: Optional[TranSys] = None,
 ) -> Verdict:
-    """Run one engine configuration to completion (or cancellation)."""
-    ts = build_transys(aig, bad_index)
+    """Run one engine configuration to completion (or cancellation) on
+    `ts`, which is built from `aig` when not given."""
+    if ts is None:
+        ts = build_transys(aig, bad_index)
     if config.engine == "ic3":
         opts = Ic3Options(strategy=config.strategy, inn=config.inn,
                           abs_cst=config.abs_cst)
@@ -137,19 +142,20 @@ def run_portfolio(
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
 
+    start = time.monotonic()
+    ts = build_transys(aig, bad_index)
     stop = threading.Event()
     results: "queue.Queue[Tuple[EngineConfig, Verdict]]" = queue.Queue()
 
     def worker(cfg: EngineConfig) -> None:
         try:
-            v = run_config(aig, cfg, bad_index, cancel=stop.is_set)
+            v = run_config(aig, cfg, bad_index, cancel=stop.is_set, ts=ts)
         except Exception as exc:  # engine bug: surface as a non-verdict
             v = unknown("engine error: %s" % exc)
         results.put((cfg, v))
 
     threads = [threading.Thread(target=worker, args=(cfg,), daemon=True)
                for cfg in configs]
-    start = time.monotonic()
     for t in threads:
         t.start()
 

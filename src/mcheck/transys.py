@@ -56,13 +56,9 @@ class TranSys:
     def __post_init__(self) -> None:
         if self.num_real_latches is None:
             self.num_real_latches = len(self.latch_vars)
-        self.prev_map = {p: v for v, p in self.next_map.items()}
 
     def prime(self, lit: Lit) -> Lit:
         return (self.next_map[lit >> 1] << 1) | (lit & 1)
-
-    def unprime(self, lit: Lit) -> Lit:
-        return (self.prev_map[lit >> 1] << 1) | (lit & 1)
 
     def widen_witness(self, init_bits: Sequence[Optional[int]],
                       input_frames: Sequence[Sequence[int]]) -> WitnessTrace:

@@ -4,8 +4,8 @@ import pytest
 
 from mcheck.aiger import parse_aiger
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.ic3 import (CTG, DYNAMIC, EXCTG, IC3, STANDARD, Ic3Options,
-                        select_strategy, check as ic3_check)
+from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, STANDARD,
+                        Ic3Options, select_strategy, check as ic3_check)
 from mcheck.transys import (coi_vars, encode, extend_with_internal_signals,
                             simplify_cnf)
 
@@ -93,6 +93,69 @@ def test_select_strategy_monotone():
     assert seq == sorted(seq)
     assert seq[0] == 0
     assert seq[-1] == 2
+
+
+class _EscalationIC3(IC3):
+    """Records each strategy handed out, with the cube's fail count and
+    whether a top-level MIC on that cube has blocked a CTG so far; the
+    latter is observed here, apart from the engine's own bookkeeping."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.blocked = set()
+        self.given = []  # (strategy, fails, blocked)
+        self._cube = None
+
+    def _strategy_for(self, cube):
+        s = super()._strategy_for(cube)
+        fails = self._escalation.get(cube, [0])[0]
+        self.given.append((s, fails, cube in self.blocked))
+        self._cube = cube  # rec_block runs the top-level MIC next
+        return s
+
+    def mic(self, cube, level, strategy, rec_depth=1, budget=None):
+        before = self.stats.ctg_blocks
+        out = super().mic(cube, level, strategy, rec_depth, budget)
+        if rec_depth == 1 and self.stats.ctg_blocks > before:
+            self.blocked.add(self._cube)
+        return out
+
+
+@pytest.fixture(scope="module")
+def escalations():
+    given = []
+    for aig in (mod_counter(6, 20, 40), mod_counter(6, 24, 40, enable=True),
+                mod_counter(6, 20, 33, enable=True)):
+        engine = _EscalationIC3(encode(aig), Ic3Options(strategy=DYNAMIC))
+        assert engine.check().is_safe
+        given += engine.given
+    return given
+
+
+def test_dynamic_exctg_waits_for_a_ctg_block(escalations):
+    # however often its blocks fail, a cube whose CTG MICs never blocked a
+    # CTG stays at CTG
+    assert not [g for g in escalations if g[0] == EXCTG and not g[2]]
+    assert [g for g in escalations if g[0] == CTG and g[1] >= DYNAMIC_T2
+            and not g[2]]
+
+
+def test_dynamic_cube_with_a_ctg_block_escalates_at_t2(escalations):
+    paid = [(s, fails) for s, fails, blocked in escalations if blocked]
+    assert all((s == EXCTG) == (fails >= DYNAMIC_T2) for s, fails in paid)
+    assert (EXCTG, DYNAMIC_T2) in paid
+
+
+def test_dynamic_solver_calls_stay_near_ctg():
+    # on deep enable counters CTG rarely pays and extended CTG costs most;
+    # dynamic must not spend much more than CTG alone
+    calls = {}
+    for s in (CTG, DYNAMIC):
+        calls[s] = sum(
+            ic3_check(encode(mod_counter(n, w, b, enable=True)),
+                      Ic3Options(strategy=s)).stats.solver_calls
+            for n, w, b in ((6, 24, 40), (6, 20, 33), (5, 24, 28)))
+    assert calls[DYNAMIC] <= 1.1 * calls[CTG], calls
 
 
 def test_select_strategy_static_modes_are_constant():

@@ -1,80 +1,37 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from mcheck.logic import (TRUE_LIT, FALSE_LIT, TautologyError, canonicalize,
-                          cube_str, lit_dimacs, lit_neg, lit_negated, lit_str,
-                          lit_var, map_lits, mklit, negate, subsumes)
+from mcheck.logic import TRUE_LIT, lit_neg, lit_var, mklit, negate, subsumes
 
-lits = st.integers(min_value=2, max_value=200)
-lit_lists = st.lists(lits, min_size=1, max_size=12)
+# canonical cubes: sorted literals, at most one polarity per variable
+cubes = st.dictionaries(st.integers(min_value=1, max_value=100), st.booleans(),
+                        min_size=1, max_size=12).map(
+    lambda pol: tuple(sorted(mklit(v, neg) for v, neg in pol.items())))
 
 
 def test_literal_basics():
     assert mklit(3) == 6
     assert mklit(3, True) == 7
     assert lit_var(7) == 3
-    assert lit_negated(7) and not lit_negated(6)
     assert lit_neg(6) == 7 and lit_neg(7) == 6
-    assert lit_dimacs(6) == 3 and lit_dimacs(7) == -3
-    assert lit_neg(TRUE_LIT) == FALSE_LIT
+    assert lit_neg(TRUE_LIT) == 1
 
 
-@given(lit_lists)
-def test_canonicalize_sorted_unique(ls):
-    try:
-        c = canonicalize(ls)
-    except TautologyError:
-        # must really contain a complementary pair
-        assert any(lit_neg(x) in ls for x in ls)
-        return
-    assert list(c) == sorted(set(ls))
-    assert not any(lit_neg(x) in c for x in c)
-
-
-def test_canonicalize_tautology():
-    with pytest.raises(TautologyError):
-        canonicalize([4, 5])
-
-
-@given(lit_lists)
-def test_negate_involution(ls):
-    try:
-        c = canonicalize(ls)
-    except TautologyError:
-        return
+@given(cubes)
+def test_negate_involution(c):
     n = negate(c)
     assert negate(n) == c
     assert sorted(lit_var(x) for x in n) == sorted(lit_var(x) for x in c)
     assert all(lit_neg(x) in c for x in n)
 
 
-@given(lit_lists, lit_lists)
+@given(cubes, cubes)
 def test_subsumes_is_subset(a, b):
-    try:
-        ca, cb = canonicalize(a), canonicalize(b)
-    except TautologyError:
-        return
-    assert subsumes(ca, cb) == set(ca).issubset(set(cb))
+    assert subsumes(a, b) == set(a).issubset(set(b))
 
 
-@given(lit_lists)
-def test_subsumes_reflexive(ls):
-    try:
-        c = canonicalize(ls)
-    except TautologyError:
-        return
+@given(cubes)
+def test_subsumes_reflexive(c):
     assert subsumes(c, c)
     if len(c) > 1:
         assert subsumes(c[:-1], c)
         assert not subsumes(c, c[:-1])
-
-
-def test_map_lits_preserves_polarity():
-    # variable renaming 2->10, 3->11
-    out = map_lits((4, 7), {2: 10, 3: 11})
-    assert out == (20, 23)
-
-
-def test_str_helpers_cover_polarity():
-    assert lit_str(6) != lit_str(7)
-    assert cube_str((4, 7))  # non-empty rendering

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from mcheck import orchestrator
 from mcheck.aiger import parse_aiger, ref_neg
 from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
                                  run_portfolio, verify_verdict)
@@ -63,6 +64,25 @@ def test_portfolio_agrees_with_oracle(rng):
         res = bfs_check(aig)
         r = run_portfolio(aig, workers=4)
         assert r.verdict.status == res.status
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_portfolio_encodes_once(workers, monkeypatch, rng):
+    built = []
+    build = orchestrator.build_transys
+
+    def counting(*a, **kw):
+        built.append(a)
+        return build(*a, **kw)
+
+    monkeypatch.setattr(orchestrator, "build_transys", counting)
+    models = [mod_counter(6, 20, 40), counter_overflow(4)]
+    models += [random_aig(rng) for _ in range(10)]
+    for aig in models:
+        built.clear()
+        r = run_portfolio(aig, workers=workers)
+        assert len(built) == 1
+        assert r.verdict.status == bfs_check(aig).status
 
 
 def test_portfolio_single_worker(cnt2):
