@@ -83,10 +83,7 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
     # (1) init ⇒ Inv: init ∧ ¬c satisfiable for no clause c of Inv ∪ {¬bad}
     s1 = Solver()
     s1.new_vars(ts.num_vars)
-    for cl in ts.clauses:
-        s1.add_clause(cl)
-    for l in ts.init_lits:
-        s1.add_clause((l,))
+    s1.add_root_clauses(ts.root_clauses(ts.init_lits))
     for idx, c in enumerate(list(clauses) + [(lit_neg(ts.bad),)]):
         if s1.solve(assumptions=sorted(negate(c))) is not False:
             if idx < len(clauses):

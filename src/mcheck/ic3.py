@@ -125,15 +125,11 @@ class IC3:
 
         self.solver = Solver(debug_check_domain=self.options.debug_check_domain)
         self.solver.new_vars(ts.num_vars)
-        for cl in ts.clauses:
-            self.solver.add_clause(cl)
-        for l in ts.constraints:
-            self.solver.add_clause((l,))
+        self.solver.add_root_clauses(ts.root_clauses(ts.constraints))
 
         self.lift_solver = Solver()
         self.lift_solver.new_vars(ts.num_vars)
-        for cl in ts.clauses:
-            self.lift_solver.add_clause(cl)
+        self.lift_solver.add_root_clauses(ts.root_clauses())
 
         # frame 0 = init, activated like a lemma set
         self.acts: List[int] = [self.solver.new_var()]
@@ -420,21 +416,18 @@ class IC3:
         excludes init (used by tests and the verify_mic option)."""
         if not cube or self.ts.cube_intersects_init(cube):
             return False
+        ts = self.ts
         s = Solver()
-        s.new_vars(self.ts.num_vars)
-        for cl in self.ts.clauses:
-            s.add_clause(cl)
-        for l in self.ts.constraints:
-            s.add_clause((l,))
+        s.new_vars(ts.num_vars)
+        s.add_root_clauses(ts.root_clauses(ts.constraints))
         if level - 1 == 0:
-            for l in self.ts.init_lits:
-                s.add_clause((l,))
+            s.add_root_clauses([[l] for l in ts.init_lits])
         else:
             for j in range(level - 1, self.k + 1):
                 for d in self.frames[j]:
                     s.add_clause(negate(d))
         s.add_clause(negate(cube))
-        return s.solve(sorted(self.ts.prime(l) for l in cube)) is False
+        return s.solve(sorted(ts.prime(l) for l in cube)) is False
 
     # -- main loop ----------------------------------------------------------
 

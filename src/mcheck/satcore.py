@@ -28,13 +28,20 @@ after a restricted one.  Root-assigned vars never come back.  Per-query
 heap work thus follows the domain, not the number of vars the solver has
 seen.
 
+Permanent clauses enter through one root loader, `add_root_clauses`.  It
+takes a batch of clause lists that name each var at most once, drops
+root-false literals, skips root-satisfied clauses, enqueues units, attaches
+the rest on two open literals and runs root propagation once, at the end.
+`add_clause` wraps it for a single clause that may still need sorting,
+repeated literals removed or a tautology dropped.
+
 Literals use the shared int encoding from :mod:`mcheck.logic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 UNDEF = 2  # assigns[] sentinel
 
@@ -65,10 +72,13 @@ class BucketVsids:
         self.buckets: List[List[int]] = [[] for _ in range(self.NBUCKETS)]
 
     def new_var(self) -> None:
+        self.new_vars(1)
+
+    def new_vars(self, n: int) -> None:
         v = len(self.level)
-        self.level.append(self.origin)
-        self.present.append(False)
-        self.insert(v)
+        self.level += [self.origin] * n
+        self.present += [True] * n
+        self.buckets[0].extend(range(v, v + n))  # bucket_of a new var is 0
 
     def bucket_of(self, v: int) -> int:
         b = self.level[v] - self.origin
@@ -168,21 +178,20 @@ class Solver:
     # -- variables ----------------------------------------------------------
 
     def new_var(self) -> int:
-        v = len(self.assigns)
-        self.assigns.append(UNDEF)
-        self.polarity.append(False)
-        self.vlevel.append(0)
-        self.reason.append(None)
-        self.watches.append([])
-        self.watches.append([])
-        self._seen.append(False)
-        self._domain_stamp.append(-1)
-        self.vsids.new_var()
-        return v
+        return self.new_vars(1)
 
-    def new_vars(self, n: int) -> None:
-        for _ in range(n):
-            self.new_var()
+    def new_vars(self, n: int) -> int:
+        """Allocate `n` fresh vars; returns the first."""
+        v = len(self.assigns)
+        self.assigns += [UNDEF] * n
+        self.polarity += [False] * n
+        self.vlevel += [0] * n
+        self.reason += [None] * n
+        self.watches += [[] for _ in range(2 * n)]
+        self._seen += [False] * n
+        self._domain_stamp += [-1] * n
+        self.vsids.new_vars(n)
+        return v
 
     @property
     def num_vars(self) -> int:
@@ -198,50 +207,95 @@ class Solver:
     # -- clause management --------------------------------------------------
 
     def add_clause(self, lits: Iterable[int], temporary: bool = False) -> None:
+        """Add one clause at the root.  It is sorted, rid of repeated
+        literals and dropped if a tautology; a permanent clause then goes
+        through `add_root_clauses`, a temporary one is guarded for the next
+        query only."""
         assert self.decision_level() == 0
         if not self.ok:
             return
         out: List[int] = []
-        seen: Dict[int, int] = {}
-        for l in sorted(lits):
-            v = l >> 1
-            if v in seen:
-                if seen[v] != l:
-                    return  # tautology
+        last = -2
+        for l in sorted(lits):  # a var's two literals are adjacent
+            if l == last:
                 continue
-            a = self.assigns[v]
-            if a != UNDEF:
-                if a ^ (l & 1) == 1:
-                    return  # satisfied at root
-                continue  # root-false literal dropped
-            seen[v] = l
+            if l == last ^ 1:
+                return  # tautology
             out.append(l)
-
-        if temporary:
-            # one activation var, reused: learnt clauses that contain its
-            # negation are filed with the temporaries and go with them
-            if self._temp_act is None:
-                self._temp_act = self.new_var()
-            out.insert(0, 2 * self._temp_act + 1)
-            if len(out) == 1:
-                self._temp_contra = True
-                return
-            c = Clause(out)
-            self._temp_clauses.append(c)
-            self._attach(c)
+            last = l
+        if not temporary:
+            self.add_root_clauses((out,))
             return
 
-        if not out:
-            self.ok = False
+        assigns = self.assigns
+        kept: List[int] = []
+        for l in out:
+            a = assigns[l >> 1]
+            if a == UNDEF:
+                kept.append(l)
+            elif a ^ (l & 1) == 1:
+                return  # satisfied at root
+        # one activation var, reused: learnt clauses that contain its
+        # negation are filed with the temporaries and go with them
+        if self._temp_act is None:
+            self._temp_act = self.new_var()
+        if not kept:
+            self._temp_contra = True
             return
-        if len(out) == 1:
-            self._enqueue(out[0], None)
-            if self._propagate() is not None:
-                self.ok = False
-            return
-        c = Clause(out)
-        self.clauses.append(c)
+        kept.insert(0, 2 * self._temp_act + 1)
+        c = Clause(kept)
+        self._temp_clauses.append(c)
         self._attach(c)
+
+    def add_root_clauses(self, clauses: Iterable[List[int]]) -> None:
+        """Load permanent clauses at the root in one pass.
+
+        Each clause is a list that names each var at most once.  The solver
+        takes it over: it keeps the list, shortened in place, and the open
+        literals keep their order.
+        Root-false literals are dropped and root-satisfied clauses skipped.
+        A unit is enqueued without propagating, any longer clause is
+        attached on its first two open literals, and an empty clause makes
+        the solver unsat for good.  Root propagation runs once, at the end,
+        and a conflict there also makes the solver unsat for good.
+        """
+        assert not self.trail_lim
+        if not self.ok:
+            return
+        assigns = self.assigns
+        watches = self.watches
+        attached = self.clauses
+        vlevel = self.vlevel
+        reason = self.reason
+        trail = self.trail
+        for lits in clauses:
+            n = 0  # open literals, moved to the front
+            for l in lits:
+                a = assigns[l >> 1]
+                if a == UNDEF:
+                    lits[n] = l
+                    n += 1
+                elif a ^ (l & 1) == 1:
+                    break  # satisfied at root
+            else:
+                if n > 1:
+                    del lits[n:]
+                    c = Clause(lits)
+                    attached.append(c)
+                    watches[lits[0]].append(c)  # _attach(c), inlined
+                    watches[lits[1]].append(c)
+                elif n:
+                    l = lits[0]  # _enqueue(l, None), inlined
+                    v = l >> 1
+                    assigns[v] = l & 1 ^ 1
+                    vlevel[v] = 0
+                    reason[v] = None
+                    trail.append(l)
+                else:
+                    self.ok = False
+                    return
+        if self.qhead < len(self.trail) and self._propagate() is not None:
+            self.ok = False
 
     def _attach(self, c: Clause) -> None:
         # watches[l] lists the clauses watching literal l; they are visited
@@ -737,8 +791,8 @@ def from_dimacs(text: str) -> Solver:
             if n == 0:
                 break
             v = abs(n) - 1
-            while s.num_vars <= v:
-                s.new_var()
+            if s.num_vars <= v:
+                s.new_vars(v + 1 - s.num_vars)
             lits.append(2 * v + (1 if n < 0 else 0))
         s.add_clause(lits)
     return s

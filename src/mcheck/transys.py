@@ -22,7 +22,9 @@ AIG's latches and inputs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -38,6 +40,11 @@ def ref_to_lit(ref: int) -> Lit:
 
 @dataclass
 class TranSys:
+    """A transition system in CNF.  Every entry of `clauses` is a sorted
+    tuple that names each var at most once: `encode` and
+    `extend_with_internal_signals` collapse repeated literals and leave
+    tautologies out, and `FrameTemplate` relies on it."""
+
     num_vars: int
     latch_vars: List[int]
     input_vars: List[int]
@@ -56,6 +63,17 @@ class TranSys:
     def __post_init__(self) -> None:
         if self.num_real_latches is None:
             self.num_real_latches = len(self.latch_vars)
+
+    @cached_property
+    def frame_template(self) -> FrameTemplate:
+        """This system compiled for `Unroller`, once; a system derived with
+        `dataclasses.replace` compiles its own."""
+        return FrameTemplate(self)
+
+    def root_clauses(self, units: Iterable[Lit] = ()) -> List[List[Lit]]:
+        """Fresh lists of `clauses`, then one unit per literal of `units`:
+        `Solver.add_root_clauses` takes its clause lists over."""
+        return [list(c) for c in self.clauses] + [[l] for l in units]
 
     def prime(self, lit: Lit) -> Lit:
         return (self.next_map[lit >> 1] << 1) | (lit & 1)
@@ -133,6 +151,20 @@ def _init_valuation(inputs: Sequence[int], latches: Sequence[Latch],
     return vals
 
 
+def _and_clauses(out: List[Clause], g: Lit, a: Lit, b: Lit) -> None:
+    """Append the Tseitin clauses of g = a AND b to `out`, each sorted; a
+    repeated fanin is collapsed, and a complementary pair (g is constant
+    false) leaves out the tautology it would make."""
+    ng = g ^ 1
+    out.append((ng, a) if ng < a else (a, ng))
+    if b == a:
+        out.append((g, a ^ 1) if g < a ^ 1 else (a ^ 1, g))
+        return
+    out.append((ng, b) if ng < b else (b, ng))
+    if b != a ^ 1:
+        out.append(tuple(sorted((g, a ^ 1, b ^ 1))))
+
+
 def encode(
     aig: Aig,
     bad_index: int = 0,
@@ -170,12 +202,7 @@ def encode(
     dep: Dict[int, Tuple[int, ...]] = {}
 
     for g in ands:
-        go = mklit(g.var)
-        a = ref_to_lit(g.rhs0)
-        b = ref_to_lit(g.rhs1)
-        clauses.append((lit_neg(go), a) if lit_neg(go) < a else (a, lit_neg(go)))
-        clauses.append((lit_neg(go), b) if lit_neg(go) < b else (b, lit_neg(go)))
-        clauses.append(tuple(sorted((go, lit_neg(a), lit_neg(b)))))
+        _and_clauses(clauses, mklit(g.var), ref_to_lit(g.rhs0), ref_to_lit(g.rhs1))
         dep[g.var] = (g.rhs0 >> 1, g.rhs1 >> 1)
 
     # primed var of the j-th AIG latch, whether or not it is encoded
@@ -197,10 +224,11 @@ def encode(
     if cst_lits:
         be = num_vars
         num_vars += 1
-        conj = [bad_raw] + cst_lits
+        conj = list(dict.fromkeys([bad_raw] + cst_lits))
         for l in conj:
             clauses.append(tuple(sorted((mklit(be, True), l))))
-        clauses.append(tuple(sorted([mklit(be)] + [lit_neg(l) for l in conj])))
+        if not any(lit_neg(l) in conj for l in conj):  # else be is false
+            clauses.append(tuple(sorted([mklit(be)] + [lit_neg(l) for l in conj])))
         dep[be] = tuple(sorted({l >> 1 for l in conj}))
         bad = mklit(be)
     else:
@@ -215,7 +243,7 @@ def encode(
         bad=bad,
         bad_raw=bad_raw,
         constraints=cst_lits,
-        clauses=[c for c in clauses if c],
+        clauses=clauses,
         dep=dep,
         init_value=_init_valuation(inputs, latches, ands),
         source=aig,
@@ -287,12 +315,64 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 # Unrolling
 
 
+class FrameTemplate:
+    """A system's clauses compiled once for `Unroller`, over frame slots.
+
+    Slot 0 is the constant var 0.  Then come the latches, ordered by their
+    primed vars, then every other var the system uses, in var order.  The
+    clauses are stored flat: `lits` holds them one after the other as
+    packed ints `(slot << 1) | sign`, each clause sorted, and clause i spans
+    `lits[starts[i]:ends[i]]`.  A frame after the first maps each latch slot
+    to its primed var in the frame before and the other slots to fresh
+    vars, allocated in slot order; solver vars thus rise with the slots,
+    and a mapped clause stays sorted.  The first frame allocates every slot
+    fresh, in var order.
+
+    That map is injective only if no two latches share a primed var and
+    none is primed to the constant; the template checks this once, and that
+    each clause names each var at most once, and raises `ValueError`
+    otherwise.  Frames then load their clauses without per-clause cleanup.
+    """
+
+    def __init__(self, ts: TranSys):
+        latches = sorted(ts.latch_vars, key=ts.next_map.__getitem__)
+        primed = [ts.next_map[lv] for lv in latches]
+        if 0 in primed or len(set(primed)) < len(primed):
+            raise ValueError("two latches share a primed var, or one is "
+                             "primed to the constant")
+        used = {l >> 1 for cl in ts.clauses for l in cl}
+        used.update(ts.input_vars, primed)
+        used.update(l >> 1 for l in ts.constraints + [ts.bad])
+        used.difference_update(latches)
+        used.discard(0)
+        rest = sorted(used)
+        self.slot_of: Dict[int, int] = {
+            v: j for j, v in enumerate([0] + latches + rest)}
+        slot_of = self.slot_of
+        self.latch_src = [slot_of[p] for p in primed]
+        self.num_fresh = len(rest)  # vars a frame after the first allocates
+        rank = {v: r for r, v in enumerate(sorted(latches + rest))}
+        self.first_rank = [rank[v] for v in latches + rest]  # slot 1 on
+        self.lits = array("i")
+        self.ends = array("i")
+        for cl in ts.clauses:
+            tc = sorted((slot_of[l >> 1] << 1) | (l & 1) for l in cl)
+            if len({x >> 1 for x in tc}) < len(tc):
+                raise ValueError("clause %r names a var twice" % (cl,))
+            self.lits.extend(tc)
+            self.ends.append(len(self.lits))
+        self.starts = array("i", [0]) + self.ends[:-1]
+
+
 class Unroller:
     """Timed copies of the transition relation, written into `solver`.
 
     Frame d's primed latch vars double as frame d+1's current latch vars.
     Solver var 0 stays the shared constant; each frame maps only the vars
-    the system uses and allocates them with `solver.new_var()`.  With
+    the system uses.  The system's `FrameTemplate` (see there) is compiled
+    once per `TranSys`, and a frame allocates its vars with one
+    `Solver.new_vars` call, maps the template through a flat literal list
+    and loads the clauses with one `Solver.add_root_clauses` call.  With
     `init`, frame 0 starts in an initial state; with `simple_path`, each new
     frame's state differs from every earlier frame's (Een and Sorensson,
     "Temporal Induction by Incremental SAT Solving", 2003).
@@ -310,39 +390,40 @@ class Unroller:
         self.solver = solver
         self.init = init
         self.simple_path = simple_path
-        self.frame_maps: List[Dict[int, int]] = []
+        self.template = ts.frame_template
+        self._frames: List[List[int]] = []  # per frame: solver var by slot
         self._held: List[Lit] = []
         self._reach: List[Lit] = []
         if solver.num_vars == 0:
             solver.new_var()  # var 0, the constant
-        used = {l >> 1 for cl in ts.clauses for l in cl}
-        used.update(ts.latch_vars, ts.input_vars, ts.next_map.values())
-        used.update(l >> 1 for l in ts.constraints + [ts.bad])
-        used.discard(0)
-        self._vars = sorted(used)
 
     @property
     def depth(self) -> int:
-        return len(self.frame_maps) - 1
+        return len(self._frames) - 1
 
     def add_frame(self) -> None:
         """Append one frame and write its clauses into the solver."""
-        ts, s = self.ts, self.solver
-        m: Dict[int, int] = {0: 0}
-        if self.frame_maps:
-            prev = self.frame_maps[-1]
-            for lv in ts.latch_vars:
-                m[lv] = prev[ts.next_map[lv]]
-        for v in self._vars:
-            if v not in m:
-                m[v] = s.new_var()
-        self.frame_maps.append(m)
-        for cl in ts.clauses:
-            s.add_clause([(m[l >> 1] << 1) | (l & 1) for l in cl])
+        ts, s, t = self.ts, self.solver, self.template
+        if self._frames:
+            prev = self._frames[-1]
+            first = s.new_vars(t.num_fresh)
+            fm = [0] + [prev[j] for j in t.latch_src]
+            fm += range(first, first + t.num_fresh)
+        else:
+            first = s.new_vars(len(t.first_rank))
+            fm = [0] + [first + r for r in t.first_rank]
+        self._frames.append(fm)
+        lm = [0] * (2 * len(fm))  # frame literal by packed template literal
+        lm[0::2] = [2 * v for v in fm]
+        lm[1::2] = [2 * v + 1 for v in fm]
+        lits = [lm[x] for x in t.lits]
         d = self.depth
-        if self.init and d == 0:
-            for l in ts.init_lits:
-                s.add_clause((self.lit_at(l, 0),))
+        if d:
+            batch = [lits[i:j] for i, j in zip(t.starts, t.ends)]
+        else:  # frame 0 allocates in var order, not slot order
+            batch = [sorted(lits[i:j]) for i, j in zip(t.starts, t.ends)]
+            if self.init:
+                batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
         if self.simple_path:
             latches = [2 * lv for lv in ts.latch_vars[: ts.num_real_latches]]
             for i in range(d if latches else 0):
@@ -350,23 +431,21 @@ class Unroller:
                 for l in latches:
                     a, b = self.lit_at(l, i), self.lit_at(l, d)
                     x = 2 * s.new_var()
-                    s.add_clause((x ^ 1, a, b))  # x -> (a xor b)
-                    s.add_clause((x ^ 1, a ^ 1, b ^ 1))
+                    batch.append(sorted((x ^ 1, a, b)))  # x -> (a xor b)
+                    batch.append(sorted((x ^ 1, a ^ 1, b ^ 1)))
                     diff.append(x)
-                s.add_clause(diff)
-        if not ts.constraints:
-            self._held.append(TRUE_LIT)
-            self._reach.append(self.bad_at(d))
-            return
-        held = 2 * s.new_var()
-        for c in ts.constraints:
-            s.add_clause((held ^ 1, self.lit_at(c, d)))
-        reach = self.bad_at(d)
-        if d:
-            s.add_clause((held ^ 1, self._held[-1]))
-            reach = 2 * s.new_var()
-            s.add_clause((reach ^ 1, self.bad_at(d)))
-            s.add_clause((reach ^ 1, self._held[-1]))
+                batch.append(diff)
+        held, reach = TRUE_LIT, self.bad_at(d)
+        if ts.constraints:
+            held = 2 * s.new_var()
+            for c in ts.constraints:
+                batch.append(sorted((held ^ 1, self.lit_at(c, d))))
+            if d:
+                batch.append(sorted((held ^ 1, self._held[-1])))
+                reach = 2 * s.new_var()
+                batch.append(sorted((reach ^ 1, self.bad_at(d))))
+                batch.append(sorted((reach ^ 1, self._held[-1])))
+        s.add_root_clauses(batch)
         self._held.append(held)
         self._reach.append(reach)
 
@@ -375,8 +454,8 @@ class Unroller:
             self.add_frame()
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
-        m = self.frame_maps[frame]
-        return (m[lit >> 1] << 1) | (lit & 1)
+        v = self._frames[frame][self.template.slot_of[lit >> 1]]
+        return (v << 1) | (lit & 1)
 
     def bad_at(self, frame: int) -> Lit:
         return self.lit_at(self.ts.bad, frame)
@@ -463,10 +542,7 @@ def extend_with_internal_signals(
         primed_of[var] = p
         a = _shift(ref_to_lit(g.rhs0), primed_copy)
         b = _shift(ref_to_lit(g.rhs1), primed_copy)
-        go = mklit(p)
-        clauses.append(tuple(sorted((lit_neg(go), a))))
-        clauses.append(tuple(sorted((lit_neg(go), b))))
-        clauses.append(tuple(sorted((go, lit_neg(a), lit_neg(b)))))
+        _and_clauses(clauses, mklit(p), a, b)
         dep[p] = tuple(sorted({a >> 1, b >> 1}))
         return p
 

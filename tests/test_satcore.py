@@ -584,3 +584,97 @@ def test_sat_answer_does_not_drain_the_heap(rng):
             sat += 1
             assert calls[0] == s.stats.decisions - decisions, q
     assert sat >= 5
+
+
+def _root_closed(s, clauses):
+    """No clause is false or unit under the root assignment of `s`."""
+    for cl in clauses:
+        vals = [s.value_lit(l) for l in cl]
+        if 1 not in vals and vals.count(UNDEF) < 2:
+            return False
+    return True
+
+
+def test_root_loader_matches_one_clause_at_a_time(rng):
+    """Seeded batches go through `add_root_clauses` on one solver and one
+    clause at a time through `add_clause` on its twin; incremental queries
+    with assumptions, temporaries and restricted domains follow each batch.
+    Permanent clauses keep a planted model inside one of two var blocks, so
+    a block is a covering domain for a query on it, until a batch refutes
+    the root on purpose: complementary units, or units that come after the
+    clauses they falsify, so the conflict shows only in the final
+    propagation."""
+    refuted = {"units": 0, "final": 0}
+    restricted_sat = 0
+    for seq in range(150):
+        nv = rng.randint(4, 10)
+        half = nv // 2
+        blocks = (range(half), range(half, nv))
+        planted = [rng.randint(0, 1) for _ in range(nv)]
+        loader, twin = Solver(), Solver()
+        loader.new_vars(nv)
+        twin.new_vars(nv)
+        perm = []
+        refute_at = rng.randrange(12) if rng.random() < 0.3 else None
+        for q in range(12):
+            batch = []
+            for _ in range(rng.randint(1, 6)):
+                block = rng.choice(blocks)
+                # units mid-batch; each clause names each var once
+                width = 1 if rng.random() < 0.3 else rng.randint(2, 3)
+                cl = [2 * v + rng.randint(0, 1)
+                      for v in rng.sample(block, min(width, len(block)))]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                batch.append(cl)
+            kind = None
+            if q == refute_at:
+                open_vars = [v for v in range(nv) if loader.assigns[v] == UNDEF]
+                if rng.random() < 0.5 and len(open_vars) >= 2:
+                    kind = "final"
+                    x, y = rng.sample(open_vars, 2)
+                    batch += [[2 * x + 1, 2 * y], [2 * x + 1, 2 * y + 1], [2 * x]]
+                else:
+                    kind = "units"
+                    x = rng.randrange(nv)
+                    batch.insert(rng.randrange(len(batch) + 1), [2 * x])
+                    batch.insert(rng.randrange(len(batch) + 1), [2 * x + 1])
+            loader.add_root_clauses([list(cl) for cl in batch])
+            for cl in batch:
+                twin.add_clause(cl)
+            perm += batch
+            assert loader.ok == twin.ok, (seq, q)
+            if kind is not None:
+                assert not loader.ok, (seq, q, kind)
+                refuted[kind] += 1
+            for s in (loader, twin):
+                assert not s.ok or _root_closed(s, perm), (seq, q)
+
+            block = rng.choice(blocks)
+            temps = [[2 * v + rng.randint(0, 1)
+                      for v in rng.sample(block, rng.randint(1, 2))]
+                     for _ in range(rng.randint(0, 2))]
+            assume = sorted({2 * rng.choice(block) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 2))})
+            if any(a ^ 1 in assume for a in assume):
+                assume = assume[:1]
+            restricted = rng.random() < 0.5
+            want = cnf_brute_force(nv, perm + temps, assume)
+            for s in (loader, twin):
+                for cl in temps:
+                    s.add_clause(cl, temporary=True)
+                res = s.solve(assume, domain=block if restricted else None)
+                assert res == (want is not None), (seq, q)
+                if res:
+                    restricted_sat += restricted
+                    model = [s.model_value(v) for v in range(nv)]
+                    assert all(model[l >> 1] == (not l & 1) for l in assume)
+                    if not restricted:
+                        for cl in perm + temps:
+                            assert any(model[l >> 1] == (not l & 1) for l in cl)
+                else:
+                    core = s.unsat_core()
+                    assert set(core) <= set(assume), (seq, q)
+                    assert cnf_brute_force(nv, perm + temps, core) is None
+    assert min(refuted.values()) >= 5 and restricted_sat >= 100, (
+        refuted, restricted_sat)

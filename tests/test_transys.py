@@ -1,10 +1,14 @@
 import copy
+import dataclasses
 import random
 
 import pytest
 
 from mcheck.aiger import eval_nodes, parse_aiger
+from mcheck.engines import bmc, kind
+from mcheck.ic3 import check as ic3_check
 from mcheck.logic import lit_neg, mklit
+from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
 from mcheck.transys import (Unroller, coi_vars, encode,
                             extend_with_internal_signals, simplify_cnf)
@@ -183,7 +187,7 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     un = Unroller(ts, s)
     un.add_frame()
     used = {l >> 1 for cl in ts.clauses for l in cl}
-    assert set(un.frame_maps[0]) == used
+    assert set(un.template.slot_of) == used
     assert s.num_vars == len(used)  # var 0 is shared
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
@@ -233,3 +237,102 @@ def test_coi_restricts_to_support():
     assert coi_vars([ts.bad >> 1], ts.dep, {}) == {1}
     assert coi_vars([ts.next_map[1]], ts.dep, {}) == {ts.next_map[1], 2}
     assert coi_vars([1], ts.dep, {1: {2}}) == {1, 2}
+
+
+# gate 6 = 2 AND 2 repeats a fanin, gate 8 = 4 AND NOT 4 is constant false
+REPEATED_FANIN_AAG = "aag 4 1 1 0 2 1\n2\n4 6\n8\n6 2 2\n8 4 5\n"
+SHAPE_AAGS = [
+    REPEATED_FANIN_AAG,
+    "aag 4 1 1 0 2 1\n2\n4 6\n4\n6 2 2\n8 4 5\n",  # bad is the latch
+    # latch-only gates, so the extension primes a repeated fanin too
+    "aag 3 0 1 0 2 1\n2 4\n6\n4 2 2\n6 4 3\n",
+]
+
+
+def _well_formed(clauses):
+    return all(list(c) == sorted(c) and len({l >> 1 for l in c}) == len(c)
+               for c in clauses)
+
+
+def test_clauses_are_sorted_and_name_each_var_once():
+    ts = encode(parse_aiger(REPEATED_FANIN_AAG.encode()))
+    assert (3, 3, 6) not in ts.clauses and (3, 6) in ts.clauses
+    assert (4, 5, 8) not in ts.clauses  # the tautology of a false gate
+    for text in SHAPE_AAGS:
+        aig = parse_aiger(text.encode())
+        want = bfs_check(aig)
+        ts = encode(aig)
+        assert _well_formed(ts.clauses)
+        inputs = set(aig.inputs)
+        gates = [g.var for g in aig.ands
+                 if not coi_vars([g.var], ts.dep, {}) & inputs]
+        assert gates
+        ext = extend_with_internal_signals(ts, aig, policy=lambda a: gates)
+        assert _well_formed(ext.clauses)
+        assert ic3_check(ext).status == want.status
+        assert ic3_check(build_transys(aig)).status == want.status
+        v = bmc(build_transys(aig), max_depth=4)
+        if want.status == "unsafe":
+            assert v.is_unsafe and v.stats.depth == want.depth
+        else:
+            assert not v.definitive
+
+
+def test_unroller_rejects_latches_sharing_a_primed_var(cnt2):
+    ts = encode(cnt2)
+    l0, l1 = ts.latch_vars
+    shared = dataclasses.replace(
+        ts, next_map={l0: ts.next_map[l0], l1: ts.next_map[l0]})
+    with pytest.raises(ValueError):
+        Unroller(shared, Solver())
+    Unroller(ts, Solver()).grow(2)  # the system it was derived from loads
+
+
+@pytest.mark.parametrize("init", [True, False])
+def test_frames_load_without_per_clause_calls(monkeypatch, init):
+    """A constraint-free, non-simple-path frame loads in one batch: not one
+    `add_clause` call per clause, nor one per init unit."""
+    calls = []
+    add_clause = Solver.add_clause
+
+    def counted(self, lits, temporary=False):
+        calls.append(lits)
+        return add_clause(self, lits, temporary)
+
+    monkeypatch.setattr(Solver, "add_clause", counted)
+    ts = build_transys(counter_with_reset(16, 8))
+    assert not ts.constraints
+    s = Solver()
+    Unroller(ts, s, init=init).grow(6)
+    assert calls == []
+    assert len(s.clauses) > 6 * len(ts.latch_vars)  # the frames did load
+
+
+def _check_unrolling_engines(aig, max_depth=10):
+    """BMC at several steps and k-induction with and without simple paths
+    agree with the explicit-state oracle, and every definitive verdict
+    passes the independent check."""
+    want = bfs_check(aig)
+    ts = build_transys(aig)
+    found = want.status == "unsafe" and want.depth <= max_depth
+    runs = [("bmc", step, bmc(ts, max_depth=max_depth, step=step))
+            for step in (1, 2, 3, 10)]
+    runs += [("kind", sp, kind(ts, max_k=max_depth, simple_path=sp))
+             for sp in (False, True)]
+    for engine, arg, v in runs:
+        if v.definitive:
+            assert v.status == want.status, (engine, arg)
+            ok, why = verify_verdict(aig, 0, v)
+            assert ok, (engine, arg, why)
+        assert v.is_unsafe == found, (engine, arg)
+        if found and (engine == "kind" or arg == 1):
+            assert v.stats.depth == want.depth, (engine, arg)
+    return want.status
+
+
+def test_unrolling_engines_match_the_oracle(rng):
+    assert _check_unrolling_engines(
+        parse_aiger(BAD_THEN_BLOCKED_AAG.encode())) == "unsafe"
+    statuses = [_check_unrolling_engines(random_aig(rng, constraint_prob=1.0))
+                for _ in range(100)]
+    assert {"safe", "unsafe"} <= set(statuses)
