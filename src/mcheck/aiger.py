@@ -11,6 +11,7 @@ complement``, with raw 0 = constant false and raw 1 = constant true.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 
@@ -51,25 +52,18 @@ class Aig:
     bads_from_outputs: bool = False  # parsed via the pre-1.9 O section
     trailer: bytes = b""  # opaque symbol table / comment section
 
-    def __post_init__(self) -> None:
-        self._and_map: Dict[int, AndGate] = {a.var: a for a in self.ands}
-        self._latch_map: Dict[int, Latch] = {l.var: l for l in self.latches}
-
     def gate(self, var: int) -> Optional[AndGate]:
         return self._and_map.get(var)
 
-    def latch(self, var: int) -> Optional[Latch]:
-        return self._latch_map.get(var)
+    # computed on first use, so parsing pays for neither
+    @cached_property
+    def _and_map(self) -> Dict[int, AndGate]:
+        return {a.var: a for a in self.ands}
 
-    @property
+    @cached_property
     def _ands_by_var(self) -> List[AndGate]:
-        """Gates in ascending var order, an evaluation order; computed on
-        first use, so parsing does not pay for it."""
-        s = getattr(self, "_ands_by_var_cache", None)
-        if s is None:
-            s = sorted(self.ands, key=lambda g: g.var)
-            object.__setattr__(self, "_ands_by_var_cache", s)
-        return s
+        """Gates in ascending var order, an evaluation order."""
+        return sorted(self.ands, key=lambda g: g.var)
 
     def structurally_equal(self, other: "Aig") -> bool:
         return (
@@ -180,9 +174,6 @@ def _parse_ascii(data, pos, m, i, l, o, a, b, c) -> Aig:
     lineno = 2
     inputs: List[int] = []
     latches: List[Latch] = []
-    outputs: List[int] = []
-    bads: List[int] = []
-    constraints: List[int] = []
     ands: List[AndGate] = []
 
     lines, pos, lineno = _read_lines(data, pos, i, lineno)
@@ -201,11 +192,8 @@ def _parse_ascii(data, pos, m, i, l, o, a, b, c) -> Aig:
             raise AigerError("line %d: invalid latch literal %d" % (ln, cur))
         latches.append(_latch_from_fields(cur, nums[1:], m, ln))
 
-    for count, dest in ((o, outputs), (b, bads), (c, constraints)):
-        lines, pos, lineno = _read_lines(data, pos, count, lineno)
-        for line, ln in lines:
-            (lit,) = _int_fields(line, ln, 1, 1)
-            dest.append(_check_ref(lit, m, ln))
+    (outputs, bads, constraints), pos, lineno = _read_refs(
+        data, pos, (o, b, c), lineno, m)
 
     lines, pos, lineno = _read_lines(data, pos, a, lineno)
     for line, ln in lines:
@@ -219,13 +207,9 @@ def _parse_ascii(data, pos, m, i, l, o, a, b, c) -> Aig:
             raise AigerError("line %d: and-gate child not smaller than gate" % ln)
         ands.append(AndGate(lhs >> 1, rhs0, rhs1))
 
-    bads_from_outputs = False
-    if not bads and outputs:
-        bads = outputs
-        bads_from_outputs = True
     _check_defs(inputs, latches, ands, outputs + bads + constraints)
-    return Aig(m, inputs, latches, ands, bads, constraints,
-               bads_from_outputs, data[pos:])
+    return _make_aig(m, inputs, latches, ands, outputs, bads, constraints,
+                     data[pos:])
 
 
 def _decode_delta(data: bytes, pos: int) -> Tuple[int, int]:
@@ -248,9 +232,6 @@ def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
     lineno = 2
     inputs = list(range(1, i + 1))
     latches: List[Latch] = []
-    outputs: List[int] = []
-    bads: List[int] = []
-    constraints: List[int] = []
     ands: List[AndGate] = []
 
     lines, pos, lineno = _read_lines(data, pos, l, lineno)
@@ -259,11 +240,8 @@ def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
         nums = _int_fields(line, ln, 1, 2)
         latches.append(_latch_from_fields(cur, nums, m, ln))
 
-    for count, dest in ((o, outputs), (b, bads), (c, constraints)):
-        lines, pos, lineno = _read_lines(data, pos, count, lineno)
-        for line, ln in lines:
-            (lit,) = _int_fields(line, ln, 1, 1)
-            dest.append(_check_ref(lit, m, ln))
+    (outputs, bads, constraints), pos, lineno = _read_refs(
+        data, pos, (o, b, c), lineno, m)
 
     for j in range(a):
         var = i + l + j + 1
@@ -276,12 +254,29 @@ def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
             raise AigerError("byte %d: non-monotone binary delta encoding" % pos)
         ands.append(AndGate(var, rhs0, rhs1))
 
-    bads_from_outputs = False
-    if not bads and outputs:
-        bads = outputs
-        bads_from_outputs = True
-    return Aig(m, inputs, latches, ands, bads, constraints,
-               bads_from_outputs, data[pos:])
+    return _make_aig(m, inputs, latches, ands, outputs, bads, constraints,
+                     data[pos:])
+
+
+def _read_refs(data: bytes, pos: int, counts: Sequence[int], lineno: int,
+               m: int):
+    """Consecutive sections of one node ref a line (the output, bad and
+    constraint sections), one list per entry of `counts`."""
+    sections = []
+    for count in counts:
+        lines, pos, lineno = _read_lines(data, pos, count, lineno)
+        sections.append([_check_ref(_int_fields(line, ln, 1, 1)[0], m, ln)
+                         for line, ln in lines])
+    return sections, pos, lineno
+
+
+def _make_aig(m, inputs, latches, ands, outputs, bads, constraints,
+              trailer) -> Aig:
+    """Without a bad section, the outputs are the bad properties (AIGER
+    before 1.9)."""
+    from_outputs = not bads and bool(outputs)
+    return Aig(m, inputs, latches, ands, outputs if from_outputs else bads,
+               constraints, from_outputs, trailer)
 
 
 def _check_defs(inputs, latches, ands, refs) -> None:
@@ -371,53 +366,34 @@ def reindex(aig: Aig) -> Aig:
 
 
 def serialize_aiger(aig: Aig, ascii: bool = True) -> bytes:
-    out = bytearray()
+    """ASCII or binary AIGER; binary output is renumbered canonically first
+    when needed (`reindex`)."""
+    if not ascii and not is_canonical(aig):
+        aig = reindex(aig)
     o_count, b_count = 0, len(aig.bads)
     if aig.bads_from_outputs:
         o_count, b_count = len(aig.bads), 0
-    if ascii:
-        header = "aag %d %d %d %d %d" % (
-            aig.max_var, len(aig.inputs), len(aig.latches), o_count, len(aig.ands))
-        if b_count or aig.constraints:
-            header += " %d" % b_count
-            if aig.constraints:
-                header += " %d" % len(aig.constraints)
-        out += header.encode() + b"\n"
-        for v in aig.inputs:
-            out += b"%d\n" % (2 * v)
-        for lt in aig.latches:
-            out += _latch_line(lt)
-        for ref in aig.bads:
-            out += b"%d\n" % ref
-        for ref in aig.constraints:
-            out += b"%d\n" % ref
-        for g in aig.ands:
-            out += b"%d %d %d\n" % (2 * g.var, g.rhs0, g.rhs1)
-        out += aig.trailer
-        return bytes(out)
-
-    if not is_canonical(aig):
-        aig = reindex(aig)
-        o_count, b_count = 0, len(aig.bads)
-        if aig.bads_from_outputs:
-            o_count, b_count = len(aig.bads), 0
-    header = "aig %d %d %d %d %d" % (
-        aig.max_var, len(aig.inputs), len(aig.latches), o_count, len(aig.ands))
+    header = "%s %d %d %d %d %d" % (
+        "aag" if ascii else "aig", aig.max_var, len(aig.inputs),
+        len(aig.latches), o_count, len(aig.ands))
     if b_count or aig.constraints:
         header += " %d" % b_count
         if aig.constraints:
             header += " %d" % len(aig.constraints)
-    out += header.encode() + b"\n"
+    out = bytearray(header.encode() + b"\n")
+    if ascii:
+        for v in aig.inputs:
+            out += b"%d\n" % (2 * v)
     for lt in aig.latches:
-        out += _latch_line(lt, binary=True)
-    for ref in aig.bads:
-        out += b"%d\n" % ref
-    for ref in aig.constraints:
+        out += _latch_line(lt, binary=not ascii)
+    for ref in aig.bads + aig.constraints:
         out += b"%d\n" % ref
     for g in aig.ands:
-        lhs = 2 * g.var
-        out += _encode_delta(lhs - g.rhs0)
-        out += _encode_delta(g.rhs0 - g.rhs1)
+        if ascii:
+            out += b"%d %d %d\n" % (2 * g.var, g.rhs0, g.rhs1)
+        else:
+            out += _encode_delta(2 * g.var - g.rhs0)
+            out += _encode_delta(g.rhs0 - g.rhs1)
     out += aig.trailer
     return bytes(out)
 

@@ -82,8 +82,7 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
 def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str]:
     # (1) init ⇒ Inv: init ∧ ¬c satisfiable for no clause c of Inv ∪ {¬bad}
     s1 = Solver()
-    s1.new_vars(ts.num_vars)
-    s1.add_root_clauses(ts.root_clauses(ts.init_lits))
+    ts.load(s1, ts.init_lits)
     for idx, c in enumerate(list(clauses) + [(lit_neg(ts.bad),)]):
         if s1.solve(assumptions=sorted(negate(c))) is not False:
             if idx < len(clauses):
@@ -189,10 +188,11 @@ def parse_witness(text: str) -> WitnessTrace:
     return WitnessTrace(bad_index, init_state, frames)
 
 
-def format_certificate(cert: InvariantCert, ts: TranSys) -> str:
-    """Invariant as DIMACS-style clauses over 1-based latch indices."""
-    index = {lv: j + 1 for j, lv in enumerate(ts.latch_vars[: ts.num_real_latches])}
-    lines = ["inv %d %d" % (len(cert.clauses), ts.num_real_latches)]
+def format_certificate(cert: InvariantCert, aig: Aig) -> str:
+    """Invariant as DIMACS-style clauses over the 1-based indices of the
+    model's latches, `aig.latches`."""
+    index = {lt.var: j + 1 for j, lt in enumerate(aig.latches)}
+    lines = ["inv %d %d" % (len(cert.clauses), len(aig.latches))]
     for c in cert.clauses:
         toks = []
         for l in c:
@@ -206,7 +206,9 @@ def format_certificate(cert: InvariantCert, ts: TranSys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str, ts: TranSys) -> InvariantCert:
+def parse_certificate(text: str, aig: Aig) -> InvariantCert:
+    """Read `format_certificate` text back into clauses over `aig`'s
+    latch vars."""
     lines = [l.strip() for l in text.splitlines()
              if l.strip() and not l.lstrip().startswith("#")]
     if not lines or not lines[0].startswith("inv"):
@@ -218,13 +220,12 @@ def parse_certificate(text: str, ts: TranSys) -> InvariantCert:
         n_clauses, n_latches = int(parts[1]), int(parts[2])
     except ValueError:
         raise FormatError("malformed 'inv' header")
-    if n_latches != ts.num_real_latches:
+    if n_latches != len(aig.latches):
         raise FormatError("certificate latch count %d, model has %d" % (
-            n_latches, ts.num_real_latches))
+            n_latches, len(aig.latches)))
     if len(lines) - 1 != n_clauses:
         raise FormatError("expected %d clauses, found %d" % (
             n_clauses, len(lines) - 1))
-    latches = ts.latch_vars[: ts.num_real_latches]
     clauses: List[Clause] = []
     for no, line in enumerate(lines[1:], start=2):
         toks = line.split()
@@ -238,6 +239,6 @@ def parse_certificate(text: str, ts: TranSys) -> InvariantCert:
                 raise FormatError("line %d: bad literal %r" % (no, t))
             if n == 0 or abs(n) > n_latches:
                 raise FormatError("line %d: latch index %d out of range" % (no, n))
-            lits.append(2 * latches[abs(n) - 1] + (1 if n < 0 else 0))
+            lits.append(2 * aig.latches[abs(n) - 1].var + (1 if n < 0 else 0))
         clauses.append(tuple(sorted(lits)))
     return InvariantCert(clauses)

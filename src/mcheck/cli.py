@@ -15,11 +15,10 @@ import sys
 import time
 from typing import List, Optional
 
-from .aiger import AigerError, parse_aiger
+from .aiger import Aig, AigerError, parse_aiger
 from .certify import format_certificate, format_witness
 from .orchestrator import (EngineConfig, run_config, run_portfolio,
                            verify_verdict)
-from .transys import encode
 from .verdicts import InvariantCert, Verdict
 
 EXIT_UNSAFE = 10
@@ -94,7 +93,7 @@ def _single_config(args: argparse.Namespace) -> EngineConfig:
                         simple_path=args.simple_path)
 
 
-def _report(verdict: Verdict, bad_index: int, args: argparse.Namespace,
+def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace,
             out=None) -> int:
     out = out or sys.stdout
     if verdict.is_unsafe:
@@ -105,29 +104,28 @@ def _report(verdict: Verdict, bad_index: int, args: argparse.Namespace,
                 f.write(format_witness(verdict.witness))
         return EXIT_UNSAFE
     if verdict.is_safe:
-        out.write("0\nb%d\n.\n" % bad_index)
+        out.write("0\nb%d\n.\n" % args.bad_index)
         if args.certificate:
-            _write_certificate(verdict, args)
+            _write_certificate(verdict, aig, args.certificate)
         return EXIT_SAFE
-    out.write("2\nb%d\n.\n" % bad_index)
+    out.write("2\nb%d\n.\n" % args.bad_index)
     if verdict.reason:
         print("unknown: %s" % verdict.reason, file=sys.stderr)
     return EXIT_UNKNOWN
 
 
-def _write_certificate(verdict: Verdict, args: argparse.Namespace) -> None:
+def _write_certificate(verdict: Verdict, aig: Aig, path: str) -> None:
     cert = verdict.certificate
     if not isinstance(cert, InvariantCert):
         print("certificate not written: proof is a k-induction record, "
               "not a clause invariant", file=sys.stderr)
         return
-    aig = getattr(args, "_aig")
     try:
-        text = format_certificate(cert, encode(aig, bad_index=args.bad_index))
+        text = format_certificate(cert, aig)
     except ValueError as exc:
         print("certificate not written: %s" % exc, file=sys.stderr)
         return
-    with open(args.certificate, "w") as f:
+    with open(path, "w") as f:
         f.write(text)
 
 
@@ -153,13 +151,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: bad index %d out of range (model has %d)"
               % (args.bad_index, len(aig.bads)), file=sys.stderr)
         return EXIT_USAGE
-    args._aig = aig
 
     if args.engine == "portfolio":
         result = run_portfolio(aig, bad_index=args.bad_index,
                                workers=args.workers,
                                time_limit=args.time_limit)
-        return _report(result.verdict, args.bad_index, args)
+        return _report(result.verdict, aig, args)
 
     cfg = _single_config(args)
     cancel = None
@@ -173,7 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("verification of %s verdict failed: %s"
                   % (verdict.status, reason), file=sys.stderr)
             return EXIT_VERIFY_FAILED
-    return _report(verdict, args.bad_index, args)
+    return _report(verdict, aig, args)
 
 
 if __name__ == "__main__":

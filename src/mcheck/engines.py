@@ -26,12 +26,12 @@ SIMPLE_PATH_MAX_K = 10  # deepest k-induction step run with simple paths
 class UnrollStats:
     depth: int = 0
     solver_calls: int = 0
-    solver: Optional[SolverStats] = None
+    solver: Optional[SolverStats] = None  # every solver of the run
 
 
 def _extract_trace(s: Solver, un: Unroller, ts: TranSys, depth: int) -> WitnessTrace:
     init_bits: List[Optional[int]] = []
-    for lv in ts.latch_vars[: ts.num_real_latches]:
+    for lv in ts.latch_vars:
         val = s.model_value(un.lit_at(2 * lv, 0) >> 1)
         init_bits.append(None if val is None else int(val))
     frames = [[int(s.model_value(un.lit_at(2 * iv, t) >> 1, default=False))
@@ -49,13 +49,12 @@ def bmc(
     incremental query."""
     if step < 1:
         raise ValueError("step must be >= 1")
-    stats = UnrollStats()
     s = Solver()
+    stats = UnrollStats(solver=s.stats)
     un = Unroller(ts, s)
     lo = 0
     while lo <= max_depth:
         if cancel is not None and cancel():
-            stats.solver = s.stats
             return unknown("cancelled", stats=stats)
         hi = min(lo + step - 1, max_depth)
         un.grow(hi)
@@ -64,19 +63,16 @@ def bmc(
         stats.solver_calls += 1
         res = s.solve(assumptions=[2 * sel], cancel_check=cancel)
         if res is None:
-            stats.solver = s.stats
             return unknown("cancelled", stats=stats)
         if res:
             depth = next(d for d in range(lo, hi + 1)
                          if s.model_value(un.reach(d) >> 1, default=False)
                          != bool(un.reach(d) & 1))
             stats.depth = depth
-            stats.solver = s.stats
             return unsafe(_extract_trace(s, un, ts, depth), stats=stats)
         s.add_clause((2 * sel + 1,))  # retire the window selector
         stats.depth = hi
         lo = hi + 1
-    stats.solver = s.stats
     return unknown("no counterexample up to depth %d" % max_depth, stats=stats)
 
 
@@ -89,12 +85,12 @@ def kind(
     """K-induction: for ascending k, a BMC base case to depth k plus an
     inductive step over an init-free k+1-frame unrolling (¬bad assumed at
     frames 0..k-1, bad asserted at frame k)."""
-    stats = UnrollStats()
-
     sb = Solver()
     ub = Unroller(ts, sb)
     ss = Solver()
+    ss.stats = sb.stats  # one count for the base and step solvers
     us = Unroller(ts, ss, init=False, simple_path=simple_path)
+    stats = UnrollStats(solver=sb.stats)
 
     # simple-path constraints grow quadratically; with the flag on, the
     # whole search is capped rather than silently dropping the constraints
@@ -111,7 +107,6 @@ def kind(
             break
         if res:
             stats.depth = k
-            stats.solver = sb.stats
             return unsafe(_extract_trace(sb, ub, ts, k), stats=stats)
 
         if k == 0:
@@ -126,8 +121,6 @@ def kind(
             break
         if res is False:
             stats.depth = k
-            stats.solver = ss.stats
             cert = KInductionCert(k, simple_path=simple_path)
             return safe(cert, stats=stats)
-    stats.solver = sb.stats
     return unknown("not k-inductive up to k=%d" % effective_max, stats=stats)

@@ -76,7 +76,7 @@ class Ic3Stats:
     abstraction_refinements: int = 0
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
-    solver: Optional[SolverStats] = None
+    solver: Optional[SolverStats] = None  # the main and lift solvers' count
 
 
 def select_strategy(failed_attempts: int, options: Ic3Options) -> str:
@@ -95,12 +95,11 @@ class _Cancelled(Exception):
 
 
 class _Obligation:
-    __slots__ = ("level", "cube", "depth", "inputs", "succ", "state_bits")
+    __slots__ = ("level", "cube", "inputs", "succ", "state_bits")
 
-    def __init__(self, level, cube, depth, inputs, succ, state_bits=None):
+    def __init__(self, level, cube, inputs, succ, state_bits=None):
         self.level = level
         self.cube = cube
-        self.depth = depth
         self.inputs = inputs  # input bit vector driving the step FROM this state
         self.succ = succ
         self.state_bits = state_bits  # full latch valuation (cex head only)
@@ -108,7 +107,11 @@ class _Obligation:
 
 class IC3:
     """One IC3 run over a fixed constraint set; see `check` for the CEGAR
-    wrapper that re-runs with constraints localized."""
+    wrapper that re-runs with constraints localized.
+
+    With `inn`, the run searches the system extended with pseudo-latches
+    (`extend_with_internal_signals`); `_latches` keeps the latches of the
+    system it was given, the ones a witness is made of."""
 
     def __init__(
         self,
@@ -117,19 +120,19 @@ class IC3:
         cancel: Optional[Callable[[], bool]] = None,
     ):
         self.options = options or Ic3Options()
+        self._latches = list(ts.latch_vars)
         if self.options.inn:
             ts = extend_with_internal_signals(ts, ts.source)
         self.ts = ts
         self.cancel = cancel
-        self.stats = Ic3Stats(mic_calls={STANDARD: 0, CTG: 0, EXCTG: 0})
 
         self.solver = Solver(debug_check_domain=self.options.debug_check_domain)
-        self.solver.new_vars(ts.num_vars)
-        self.solver.add_root_clauses(ts.root_clauses(ts.constraints))
-
+        ts.load(self.solver, ts.constraints)
         self.lift_solver = Solver()
-        self.lift_solver.new_vars(ts.num_vars)
-        self.lift_solver.add_root_clauses(ts.root_clauses())
+        self.lift_solver.stats = self.solver.stats
+        ts.load(self.lift_solver)
+        self.stats = Ic3Stats(mic_calls={STANDARD: 0, CTG: 0, EXCTG: 0},
+                              solver=self.solver.stats)
 
         # frame 0 = init, activated like a lemma set
         self.acts: List[int] = [self.solver.new_var()]
@@ -200,7 +203,7 @@ class IC3:
     def _model_latch_bits(self) -> List[Optional[int]]:
         s = self.solver
         out = []
-        for lv in self.ts.latch_vars[: self.ts.num_real_latches]:
+        for lv in self._latches:
             val = s.model_value(lv)
             out.append(None if val is None else int(val))
         return out
@@ -258,11 +261,7 @@ class IC3:
         assume = sorted(set(cube) | set(self.ts.init_lits))
         if s.solve(assumptions=assume) is not True:
             return None
-        bits = []
-        for lv in self.ts.latch_vars[: self.ts.num_real_latches]:
-            val = s.model_value(lv, default=False)
-            bits.append(int(val))
-        return bits
+        return [int(s.model_value(lv, default=False)) for lv in self._latches]
 
     def _repair_init(self, kept: Cube, full: Cube) -> Cube:
         """Core shrinking may re-introduce an init overlap; restore one
@@ -418,11 +417,8 @@ class IC3:
             return False
         ts = self.ts
         s = Solver()
-        s.new_vars(ts.num_vars)
-        s.add_root_clauses(ts.root_clauses(ts.constraints))
-        if level - 1 == 0:
-            s.add_root_clauses([[l] for l in ts.init_lits])
-        else:
+        ts.load(s, ts.constraints + (list(ts.init_lits) if level == 1 else []))
+        if level > 1:
             for j in range(level - 1, self.k + 1):
                 for d in self.frames[j]:
                     s.add_clause(negate(d))
@@ -445,7 +441,7 @@ class IC3:
         state = self._model_state_cube()
         bits, input_lits = self._model_inputs()
         cube = self.lift_predecessor(state, input_lits, [self.ts.bad])
-        return _Obligation(self.k, cube, 1, bits, None)
+        return _Obligation(self.k, cube, bits, None)
 
     def rec_block(self, root: _Obligation) -> Optional[WitnessTrace]:
         """Block the obligation or return a counterexample trace."""
@@ -493,7 +489,7 @@ class IC3:
                 bits, input_lits = self._model_inputs()
                 pred = self.lift_predecessor(
                     state, input_lits, [self.ts.prime(l) for l in cube])
-                pred_ob = _Obligation(level - 1, pred, ob.depth + 1, bits, ob)
+                pred_ob = _Obligation(level - 1, pred, bits, ob)
                 if self.ts.cube_intersects_init(pred):
                     init_bits = self._find_init_state(pred)
                     if init_bits is not None:
@@ -521,7 +517,7 @@ class IC3:
         init_bits: List[Optional[int]] = []
         model_bits = head.state_bits or []
         cube_val = {l >> 1: 1 - (l & 1) for l in head.cube}
-        for j, lv in enumerate(ts.latch_vars[: ts.num_real_latches]):
+        for j, lv in enumerate(self._latches):
             bit = cube_val.get(lv)
             if (bit is None and ts.init_value.get(lv) is None
                     and j < len(model_bits)):
@@ -567,9 +563,9 @@ class IC3:
                 raise _Cancelled()
             if res:
                 bits, _ = self._model_inputs()
-                head = _Obligation(0, (), 1, bits, None,
+                head = _Obligation(0, (), bits, None,
                                    state_bits=self._model_latch_bits())
-                return unsafe(self._trace(head), stats=self._final_stats())
+                return unsafe(self._trace(head), stats=self.stats)
 
             while True:
                 self._check_cancel()
@@ -579,22 +575,17 @@ class IC3:
                     if self.options.debug_check_frames:
                         self.debug_check_frames()
                     if trace is not None:
-                        return unsafe(trace, stats=self._final_stats())
+                        return unsafe(trace, stats=self.stats)
                 else:
                     self._new_frame()
                     fixpoint = self.propagate()
                     if fixpoint is not None:
-                        return safe(self._invariant(fixpoint),
-                                    stats=self._final_stats())
+                        return safe(self._invariant(fixpoint), stats=self.stats)
                     if self.k > MAX_FRAMES:
                         return unknown("frame limit %d reached" % self.k,
-                                       stats=self._final_stats())
+                                       stats=self.stats)
         except _Cancelled:
-            return unknown("cancelled", stats=self._final_stats())
-
-    def _final_stats(self) -> Ic3Stats:
-        self.stats.solver = self.solver.stats
-        return self.stats
+            return unknown("cancelled", stats=self.stats)
 
     # -- debug invariants ---------------------------------------------------
 

@@ -35,6 +35,10 @@ the rest on two open literals and runs root propagation once, at the end.
 `add_clause` wraps it for a single clause that may still need sorting,
 repeated literals removed or a tautology dropped.
 
+`stats` counts this solver's work; an engine that runs several solvers
+gives them one `SolverStats` object, so a run reports one count.  Nothing
+in the search reads it.
+
 Literals use the shared int encoding from :mod:`mcheck.logic`.
 """
 
@@ -160,7 +164,8 @@ class Solver:
         self.clauses: List[Clause] = []
         self.learnts: List[Clause] = []
         self.vsids = BucketVsids()
-        self.stats = SolverStats()
+        self.stats = SolverStats()  # an engine may share one among its solvers
+        self._conflicts = 0  # this solver's own, for the decay schedule
         self.debug_check_domain = debug_check_domain
 
         self._seen: List[bool] = []
@@ -678,7 +683,8 @@ class Solver:
                     self.ok = False
                     self._core = ()
                     return False
-                if self.stats.conflicts % self.DECAY_INTERVAL == 0:
+                self._conflicts += 1
+                if self._conflicts % self.DECAY_INTERVAL == 0:
                     self.vsids.decay()
                     if cancel_check is not None and cancel_check():
                         return None
@@ -761,38 +767,3 @@ class Solver:
 
     def unsat_core(self) -> Tuple[int, ...]:
         return self._core
-
-    # -- DIMACS (differential-testing interface) ----------------------------
-
-    def to_dimacs(self) -> str:
-        lines = ["p cnf %d %d" % (self.num_vars, len(self.clauses) + len(self.trail))]
-        for lit in self.trail:
-            if self.vlevel[lit >> 1] == 0:
-                lines.append("%d 0" % _dimacs(lit))
-        for c in self.clauses:
-            lines.append(" ".join(str(_dimacs(l)) for l in c.lits) + " 0")
-        return "\n".join(lines) + "\n"
-
-
-def _dimacs(lit: int) -> int:
-    v = (lit >> 1) + 1
-    return -v if lit & 1 else v
-
-
-def from_dimacs(text: str) -> Solver:
-    s = Solver()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("c", "p", "%")):
-            continue
-        lits = []
-        for tok in line.split():
-            n = int(tok)
-            if n == 0:
-                break
-            v = abs(n) - 1
-            if s.num_vars <= v:
-                s.new_vars(v + 1 - s.num_vars)
-            lits.append(2 * v + (1 if n < 0 else 0))
-        s.add_clause(lits)
-    return s

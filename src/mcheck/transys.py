@@ -1,9 +1,11 @@
 """CNF transition-system representation built from an and-inverter graph.
 
 Variable layout: CNF var i corresponds to AIG node i (var 0 is the reserved
-constant, asserted true by a unit clause), followed by one primed var per
-latch and any auxiliary definition vars.  The effective bad literal folds
-the invariant constraints in: a bad state satisfies them.
+constant, asserted true by a unit clause).  One primed var per latch
+follows the largest node the AIG defines, not the header's M, so an
+oversized header does not size the solvers; then come any auxiliary
+definition vars.  The effective bad literal folds the invariant
+constraints in: a bad state satisfies them.
 
 Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
 Beyond", 2011): a counterexample of length d is a path from an initial state
@@ -43,7 +45,9 @@ class TranSys:
     """A transition system in CNF.  Every entry of `clauses` is a sorted
     tuple that names each var at most once: `encode` and
     `extend_with_internal_signals` collapse repeated literals and leave
-    tautologies out, and `FrameTemplate` relies on it."""
+    tautologies out, and `FrameTemplate` relies on it.  `latch_vars` lists
+    every state var; pseudo-latches of `extend_with_internal_signals` come
+    after the system's own latches, and only IC3 adds them."""
 
     num_vars: int
     latch_vars: List[int]
@@ -58,11 +62,6 @@ class TranSys:
     init_value: Dict[int, Optional[int]]  # 3-valued node valuation at init
     source: Aig
     bad_index: int = 0
-    num_real_latches: Optional[int] = None  # None: every latch is real
-
-    def __post_init__(self) -> None:
-        if self.num_real_latches is None:
-            self.num_real_latches = len(self.latch_vars)
 
     @cached_property
     def frame_template(self) -> FrameTemplate:
@@ -70,21 +69,23 @@ class TranSys:
         `dataclasses.replace` compiles its own."""
         return FrameTemplate(self)
 
-    def root_clauses(self, units: Iterable[Lit] = ()) -> List[List[Lit]]:
-        """Fresh lists of `clauses`, then one unit per literal of `units`:
-        `Solver.add_root_clauses` takes its clause lists over."""
-        return [list(c) for c in self.clauses] + [[l] for l in units]
+    def load(self, solver: Solver, units: Iterable[Lit] = ()) -> None:
+        """Load this system into the fresh `solver`: allocate `num_vars`,
+        then one root load of `clauses` and one unit per literal of `units`."""
+        solver.new_vars(self.num_vars)
+        solver.add_root_clauses([list(c) for c in self.clauses]
+                                + [[l] for l in units])
 
     def prime(self, lit: Lit) -> Lit:
         return (self.next_map[lit >> 1] << 1) | (lit & 1)
 
     def widen_witness(self, init_bits: Sequence[Optional[int]],
                       input_frames: Sequence[Sequence[int]]) -> WitnessTrace:
-        """Witness over the source AIG from bits over this system's real
-        latches and inputs.  An input outside the system is 0; a latch
-        outside it, or one left open (None), takes its reset value, or 0 if
-        it has none."""
-        own = dict(zip(self.latch_vars[: self.num_real_latches], init_bits))
+        """Witness over the source AIG from bits over the leading entries of
+        `latch_vars` (pseudo-latches come last, and need no bits) and over
+        the inputs.  An input outside the system is 0; a latch outside it,
+        or one left open (None), takes its reset value, or 0 if it has none."""
+        own = dict(zip(self.latch_vars, init_bits))
         init: List[Optional[int]] = []
         for lt in self.source.latches:
             bit = own.get(lt.var)
@@ -188,7 +189,7 @@ def encode(
     cst_refs = [aig.constraints[i] for i in active_constraints]
     bad_ref = aig.bads[bad_index]
 
-    ands = sorted(aig.ands, key=lambda g: g.var)
+    ands = aig._ands_by_var
     latches, inputs = aig.latches, aig.inputs
     if cone:
         fanin = {g.var: (g.rhs0 >> 1, g.rhs1 >> 1) for g in ands}
@@ -205,9 +206,12 @@ def encode(
         _and_clauses(clauses, mklit(g.var), ref_to_lit(g.rhs0), ref_to_lit(g.rhs1))
         dep[g.var] = (g.rhs0 >> 1, g.rhs1 >> 1)
 
-    # primed var of the j-th AIG latch, whether or not it is encoded
-    primed = {lt.var: aig.max_var + 1 + j for j, lt in enumerate(aig.latches)}
-    num_vars = aig.max_var + 1 + len(aig.latches)
+    # primed var of the j-th AIG latch, whether or not it is encoded, after
+    # the largest defined node
+    top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+               *(g.var for g in aig.ands)])
+    primed = {lt.var: top + 1 + j for j, lt in enumerate(aig.latches)}
+    num_vars = top + 1 + len(aig.latches)
     next_map: Dict[int, int] = {}
     init_lits: List[Lit] = []
     for lt in latches:
@@ -425,7 +429,7 @@ class Unroller:
             if self.init:
                 batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
         if self.simple_path:
-            latches = [2 * lv for lv in ts.latch_vars[: ts.num_real_latches]]
+            latches = [2 * lv for lv in ts.latch_vars]
             for i in range(d if latches else 0):
                 diff = []
                 for l in latches:
@@ -527,7 +531,7 @@ def extend_with_internal_signals(
     next_map = dict(ts.next_map)
     latch_vars = list(ts.latch_vars)
     primed_of: Dict[int, int] = {0: 0}
-    for lv in ts.latch_vars[: ts.num_real_latches]:
+    for lv in ts.latch_vars:
         primed_of[lv] = ts.next_map[lv]
 
     def primed_copy(var: int) -> int:

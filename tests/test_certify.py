@@ -174,9 +174,9 @@ def test_witness_format_rejects(text):
 def test_certificate_format_roundtrip():
     aig = mod_counter(6, 20, 40)
     ts, cert = _safe_cert(aig)
-    text = format_certificate(cert, ts)
+    text = format_certificate(cert, aig)
     assert text.splitlines()[0] == "inv %d %d" % (len(cert.clauses), 6)
-    again = parse_certificate(text, ts)
+    again = parse_certificate(text, aig)
     assert sorted(again.clauses) == sorted(cert.clauses)
     ok, why = verify_certificate(ts, again)
     assert ok, why
@@ -192,9 +192,8 @@ def test_certificate_format_roundtrip():
 ])
 def test_certificate_format_rejects(text):
     aig = mod_counter(6, 20, 40)
-    ts = encode(aig)
     with pytest.raises(FormatError):
-        parse_certificate(text, ts)
+        parse_certificate(text, aig)
 
 
 def test_certificate_format_refuses_internal_signals(cnt2):
@@ -203,4 +202,4 @@ def test_certificate_format_refuses_internal_signals(cnt2):
                     if v not in ts.latch_vars and v not in ts.input_vars
                     and v in ts.dep)
     with pytest.raises(ValueError):
-        format_certificate(InvariantCert([(2 * gate_var,)]), ts)
+        format_certificate(InvariantCert([(2 * gate_var,)]), cnt2)

@@ -4,7 +4,8 @@ from mcheck.cli import main
 from mcheck.transys import encode
 from mcheck.certify import verify_certificate
 
-from fixtures import CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, mod_counter
+from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, mod_counter,
+                      padded_mod_counter)
 from mcheck.aiger import serialize_aiger
 
 
@@ -63,8 +64,24 @@ def test_certificate_file_written_and_verifiable(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 20
     ts = encode(aig)
-    cert = parse_certificate(cpath.read_text(), ts)
+    cert = parse_certificate(cpath.read_text(), aig)
     ok, why = verify_certificate(ts, cert)
+    assert ok, why
+
+
+def test_certificate_file_numbers_every_model_latch(tmp_path, capsys):
+    # the pad latches lie outside bad's cone, so the search never sees
+    # them; the file still numbers the model's latches, all of them
+    aig = padded_mod_counter(4, 10, 12, pad=3)
+    assert len(encode(aig, cone=True).latch_vars) < len(aig.latches)
+    path = _write(tmp_path, "m.aag", serialize_aiger(aig))
+    cpath = tmp_path / "inv.txt"
+    rc = main([path, "--engine", "ic3", "--certificate", str(cpath)])
+    capsys.readouterr()
+    assert rc == 20
+    text = cpath.read_text()
+    assert text.split("\n")[0].split()[2] == str(len(aig.latches))
+    ok, why = verify_certificate(encode(aig), parse_certificate(text, aig))
     assert ok, why
 
 

@@ -3,8 +3,10 @@ import pytest
 from mcheck import engines
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.engines import SIMPLE_PATH_MAX_K, bmc, kind
+from mcheck.ic3 import check as ic3_check
 from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
                                  verify_verdict)
+from mcheck.satcore import Solver
 from mcheck.transys import encode
 
 from fixtures import (counter_overflow, induction_gap, mod_counter,
@@ -127,6 +129,28 @@ def test_engines_cancel(cnt2):
     ts = encode(cnt2)
     assert bmc(ts, max_depth=10, cancel=lambda: True).status == "unknown"
     assert kind(ts, max_k=10, cancel=lambda: True).status == "unknown"
+
+
+def test_stats_count_every_solver_of_a_run(monkeypatch):
+    """A verdict's solver stats count the solves of all of its engine's
+    solvers: IC3's main and lift solvers, k-induction's base and step."""
+    calls = []
+    solve = Solver.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    v = ic3_check(encode(counter_overflow(4)))
+    assert v.is_unsafe
+    assert v.stats.solver.solves == len(calls)
+    assert len(set(map(id, calls))) == 2
+    calls.clear()
+    v = kind(encode(induction_gap()), max_k=12, simple_path=True)
+    assert v.is_safe
+    assert v.stats.solver.solves == len(calls)
+    assert len(set(map(id, calls))) == 2
 
 
 # -- cone of influence --------------------------------------------------------

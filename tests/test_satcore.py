@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mcheck
-from mcheck.satcore import UNDEF, BucketVsids, Solver, from_dimacs
+from mcheck.satcore import UNDEF, BucketVsids, Solver
 
 from oracle import ShadowActivity, cnf_brute_force
 
@@ -132,13 +132,6 @@ def test_cancel_returns_none():
         s.add_clause([2 * rng.randrange(30) + rng.randint(0, 1)
                       for _ in range(3)])
     assert s.solve(cancel_check=lambda: True) is None
-
-
-def test_dimacs_round_trip(rng):
-    nv, clauses = _random_cnf(rng, max_vars=8, max_clauses=20)
-    s = _solver_for(nv, clauses)
-    s2 = from_dimacs(s.to_dimacs())
-    assert s.solve() == s2.solve()
 
 
 def test_trivially_unsat_and_empty():

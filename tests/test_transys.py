@@ -54,7 +54,7 @@ def test_unrolling_matches_concrete_simulation(rng):
         for t, frame in enumerate(stimulus):
             vals = eval_nodes(aig, latch_vals,
                               dict(zip(aig.inputs, frame)))
-            for j, lv in enumerate(ts.latch_vars[: ts.num_real_latches]):
+            for j, lv in enumerate(ts.latch_vars):
                 got = _lit_value(s, un.lit_at(2 * lv, t))
                 assert got == vals[aig.latches[j].var], (t, j)
             bad_ref = aig.bads[0]
@@ -174,7 +174,7 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     full = encode(aig)
     ts = encode(aig, cone=True)
     cnt = [lt.var for lt in aig.latches[:4]]
-    assert ts.latch_vars == cnt and ts.num_real_latches == 4
+    assert ts.latch_vars == cnt
     assert ts.input_vars == aig.inputs[:1]  # the enable input
     assert ts.next_map == {v: full.next_map[v] for v in cnt}
     assert ts.init_lits == full.init_lits  # the pad has no reset value
@@ -211,16 +211,41 @@ def test_internal_signal_extension_adds_pseudo_latches():
     # force promotion of one concrete gate to check the plumbing
     target = aig.ands[0].var
     ts_inn = extend_with_internal_signals(ts, aig, policy=lambda a: [target])
-    assert len(ts_inn.latch_vars) == len(ts.latch_vars) + 1
-    assert ts_inn.num_real_latches == ts.num_real_latches
+    assert ts_inn.latch_vars == ts.latch_vars + [target]
     assert target in ts_inn.next_map
+
+
+def test_internal_signal_extension_keeps_latches_as_prefix(rng):
+    # IC3 and `widen_witness` read a witness's bits off the leading latches
+    extended = 0
+    for _ in range(20):
+        aig = random_aig(rng, max_latches=8, max_gates=50)
+        for ts in (encode(aig), encode(aig, cone=True)):
+            ts_inn = extend_with_internal_signals(ts, aig)
+            n = len(ts.latch_vars)
+            assert ts_inn.latch_vars[:n] == ts.latch_vars
+            assert all(ts_inn.next_map[v] == ts.next_map[v]
+                       for v in ts.latch_vars)
+            assert not set(ts_inn.latch_vars[n:]) & set(aig.inputs)
+            extended += len(ts_inn.latch_vars) > n
+    assert extended >= 5
+
+
+def test_header_m_does_not_size_the_encoding():
+    # primed vars follow the largest defined node, whatever M the header says
+    body = b" 1 1 0 1 1\n2\n4 6\n6\n6 2 4\n"
+    small = encode(parse_aiger(b"aag 3" + body))
+    huge = encode(parse_aiger(b"aag 1000000000" + body))
+    assert small.num_vars == 5
+    assert (huge.num_vars, huge.next_map, huge.clauses) == (
+        small.num_vars, small.next_map, small.clauses)
 
 
 def test_internal_signal_cap():
     aig = counter_with_reset(16, 8)
     ts = encode(aig)
     ts_inn = extend_with_internal_signals(ts, aig)
-    pseudo = len(ts_inn.latch_vars) - ts_inn.num_real_latches
+    pseudo = len(ts_inn.latch_vars) - len(ts.latch_vars)
     assert pseudo <= max(1, int(0.10 * len(aig.ands)))
 
 
