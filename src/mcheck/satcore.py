@@ -30,10 +30,23 @@ seen.
 
 Permanent clauses enter through one root loader, `add_root_clauses`.  It
 takes a batch of clause lists that name each var at most once, drops
-root-false literals, skips root-satisfied clauses, enqueues units, attaches
-the rest on two open literals and runs root propagation once, at the end.
-`add_clause` wraps it for a single clause that may still need sorting,
-repeated literals removed or a tautology dropped.
+root-false literals, skips root-satisfied clauses, enqueues units, files
+two-literal clauses in the binary implication lists, attaches the rest on
+two open literals and runs root propagation once, at the end.  `add_clause`
+wraps it for a single clause that may still need sorting, repeated literals
+removed or a tautology dropped.
+
+A permanent binary clause (a | b) is no `Clause`: `bins[a]` holds b and
+`bins[b]` holds a, as plain ints, and a literal's list is created on its
+first clause.  Propagating a false literal visits its binary list first,
+then the long clauses watching it; learnt and temporary binary clauses stay
+on the watch path, where `_reduce_db` and `_clear_temporaries` detach them.
+Above the root, a binary clause that a restricted domain leaves unit is
+visited again through its other literal's list should that var be assigned.
+A var implied through `bins` takes the false literal as its reason, an int,
+where a watched clause's reason is the `Clause`; analysis reads an int
+reason r as the clause (r,) without the implied literal.  Literal 0 is a
+valid reason, so a reason is tested only with `is None`.
 
 `stats` counts this solver's work; an engine that runs several solvers
 gives them one `SolverStats` object, so a run reports one count.  Nothing
@@ -45,7 +58,7 @@ Literals use the shared int encoding from :mod:`mcheck.logic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 UNDEF = 2  # assigns[] sentinel
 
@@ -115,20 +128,24 @@ class BucketVsids:
     def pop_max(self, eligible: Callable[[int], bool], parked: List[int]) -> Optional[int]:
         """Pop the best eligible var; ineligible pops go to `parked`."""
         buckets = self.buckets
-        for i in range(self.NBUCKETS - 1, -1, -1):
+        present = self.present
+        level = self.level
+        origin = self.origin
+        top = self.NBUCKETS - 1
+        for i in range(top, -1, -1):
             b = buckets[i]
             while b:
                 v = b.pop()
-                if not self.present[v]:
+                if not present[v]:
                     continue
-                cur = self.bucket_of(v)
+                cur = level[v] - origin  # bucket_of(v), inlined
+                cur = 0 if cur < 0 else top if cur > top else cur
                 if cur != i:
                     buckets[cur].append(v)  # re-file after decay
                     continue
+                present[v] = False
                 if eligible(v):
-                    self.present[v] = False
                     return v
-                self.present[v] = False
                 parked.append(v)
         return None
 
@@ -156,8 +173,10 @@ class Solver:
         self.assigns: List[int] = []
         self.polarity: List[bool] = []
         self.vlevel: List[int] = []
-        self.reason: List[Optional[Clause]] = []
+        self.reason: List[Union[Clause, int, None]] = []
         self.watches: List[List[Clause]] = []
+        self.bins: List[Sequence[int]] = []  # () until the literal's first clause
+        self.num_bins = 0
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
@@ -193,6 +212,7 @@ class Solver:
         self.vlevel += [0] * n
         self.reason += [None] * n
         self.watches += [[] for _ in range(2 * n)]
+        self.bins += [()] * (2 * n)
         self._seen += [False] * n
         self._domain_stamp += [-1] * n
         self.vsids.new_vars(n)
@@ -256,23 +276,27 @@ class Solver:
         """Load permanent clauses at the root in one pass.
 
         Each clause is a list that names each var at most once.  The solver
-        takes it over: it keeps the list, shortened in place, and the open
-        literals keep their order.
+        takes over only the lists of the clauses it attaches: it keeps such
+        a list, shortened in place, and the open literals keep their order.
         Root-false literals are dropped and root-satisfied clauses skipped.
-        A unit is enqueued without propagating, any longer clause is
-        attached on its first two open literals, and an empty clause makes
-        the solver unsat for good.  Root propagation runs once, at the end,
-        and a conflict there also makes the solver unsat for good.
+        A unit is enqueued without propagating, a clause with two open
+        literals goes to the binary lists (its list is not kept), any longer
+        clause is attached on its first two open literals, and an empty
+        clause makes the solver unsat for good.  Root propagation runs once,
+        at the end, and a conflict there also makes the solver unsat for
+        good.
         """
         assert not self.trail_lim
         if not self.ok:
             return
         assigns = self.assigns
         watches = self.watches
+        bins = self.bins
         attached = self.clauses
         vlevel = self.vlevel
         reason = self.reason
         trail = self.trail
+        num_bins = self.num_bins
         for lits in clauses:
             n = 0  # open literals, moved to the front
             for l in lits:
@@ -283,12 +307,25 @@ class Solver:
                 elif a ^ (l & 1) == 1:
                     break  # satisfied at root
             else:
-                if n > 1:
+                if n > 2:
                     del lits[n:]
                     c = Clause(lits)
                     attached.append(c)
                     watches[lits[0]].append(c)  # _attach(c), inlined
                     watches[lits[1]].append(c)
+                elif n == 2:
+                    x, y = lits[0], lits[1]
+                    bx = bins[x]
+                    if bx:
+                        bx.append(y)
+                    else:
+                        bins[x] = [y]
+                    by = bins[y]
+                    if by:
+                        by.append(x)
+                    else:
+                        bins[y] = [x]
+                    num_bins += 1
                 elif n:
                     l = lits[0]  # _enqueue(l, None), inlined
                     v = l >> 1
@@ -298,8 +335,9 @@ class Solver:
                     trail.append(l)
                 else:
                     self.ok = False
-                    return
-        if self.qhead < len(self.trail) and self._propagate() is not None:
+                    break
+        self.num_bins = num_bins
+        if self.ok and self.qhead < len(trail) and self._propagate() is not None:
             self.ok = False
 
     def _attach(self, c: Clause) -> None:
@@ -409,6 +447,7 @@ class Solver:
 
     def _propagate(self) -> Optional[Clause]:
         assigns = self.assigns
+        bins = self.bins
         watches = self.watches
         trail = self.trail
         vlevel = self.vlevel
@@ -422,51 +461,59 @@ class Solver:
         while qhead < len(trail):
             false_lit = trail[qhead] ^ 1
             qhead += 1
+            for other in bins[false_lit]:
+                v = other >> 1
+                a = assigns[v]
+                if a == UNDEF:
+                    if bounded and stamp[v] != gen:
+                        continue  # left unit: revisited if v is assigned
+                    assigns[v] = other & 1 ^ 1
+                    vlevel[v] = level
+                    reason[v] = false_lit
+                    trail.append(other)
+                elif a == other & 1:  # other is false: conflict
+                    self.stats.propagations += qhead - start
+                    self.qhead = qhead
+                    return Clause([other, false_lit])
             ws = watches[false_lit]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
+            if not ws:
+                continue
+            j = 0
+            for i, c in enumerate(ws):
                 lits = c.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], false_lit
                 first = lits[0]
+                if first == false_lit:
+                    first = lits[0] = lits[1]
+                    lits[1] = false_lit
                 a = assigns[first >> 1]
                 if a != UNDEF and a ^ (first & 1) == 1:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     ak = assigns[lk >> 1]
                     if ak == UNDEF or ak ^ (lk & 1) == 1:
-                        lits[1], lits[k] = lk, false_lit
+                        lits[1] = lk
+                        lits[k] = false_lit
                         watches[lk].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if a != UNDEF:  # first is false: conflict
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.stats.propagations += qhead - start
-                    self.qhead = qhead
-                    return c
-                v = first >> 1
-                if bounded and stamp[v] != gen:
-                    continue  # left unit: revisited only if v is assigned
-                # _enqueue(first, c), inlined
-                assigns[v] = first & 1 ^ 1
-                vlevel[v] = level
-                reason[v] = c
-                trail.append(first)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if a != UNDEF:  # first is false: conflict
+                        del ws[j:i + 1]
+                        self.stats.propagations += qhead - start
+                        self.qhead = qhead
+                        return c
+                    v = first >> 1
+                    if bounded and stamp[v] != gen:
+                        continue  # left unit: revisited only if v is assigned
+                    # _enqueue(first, c), inlined
+                    assigns[v] = first & 1 ^ 1
+                    vlevel[v] = level
+                    reason[v] = c
+                    trail.append(first)
             del ws[j:]
         self.stats.propagations += qhead - start
         self.qhead = qhead
@@ -476,47 +523,55 @@ class Solver:
 
     def _analyze(self, confl: Clause) -> Tuple[List[int], int]:
         seen = self._seen
+        vlevel = self.vlevel
+        reason = self.reason
+        trail = self.trail
         learnt: List[int] = [0]  # placeholder for asserting literal
         path = 0
-        p = -1
-        index = len(self.trail)
-        cur_level = self.decision_level()
+        index = len(trail)
+        cur_level = len(self.trail_lim)
         to_clear: List[int] = []
+        if confl.learnt:
+            self._bump_clause(confl)
+        lits: Sequence[int] = confl.lits
         while True:
-            if confl.learnt:
-                self._bump_clause(confl)
-            start = 1 if p >= 0 else 0
-            for l in confl.lits[start:]:
+            for l in lits:
                 v = l >> 1
-                if not seen[v] and self.vlevel[v] > 0:
+                if not seen[v] and vlevel[v] > 0:
                     seen[v] = True
                     to_clear.append(v)
                     self.vsids.bump(v)
-                    if self.vlevel[v] >= cur_level:
+                    if vlevel[v] >= cur_level:
                         path += 1
                     else:
                         learnt.append(l)
             while True:
                 index -= 1
-                p = self.trail[index]
+                p = trail[index]
                 if seen[p >> 1]:
                     break
             path -= 1
             if path == 0:
                 break
-            confl = self.reason[p >> 1]  # type: ignore[assignment]
+            r = reason[p >> 1]
+            if isinstance(r, int):
+                lits = (r,)
+            else:  # a Clause, never None: p was implied
+                if r.learnt:
+                    self._bump_clause(r)
+                lits = r.lits[1:]  # lits[0] is p
             seen[p >> 1] = False
         learnt[0] = p ^ 1
 
         # conflict-clause minimization: drop lits implied by the rest
         keep = [learnt[0]]
         for l in learnt[1:]:
-            r = self.reason[l >> 1]
+            r = reason[l >> 1]
             if r is None:
                 keep.append(l)
                 continue
-            if any((x >> 1) != (l >> 1) and not seen[x >> 1] and self.vlevel[x >> 1] > 0
-                   for x in r.lits):
+            if any((x >> 1) != (l >> 1) and not seen[x >> 1] and vlevel[x >> 1] > 0
+                   for x in ((r,) if isinstance(r, int) else r.lits)):
                 keep.append(l)
         learnt = keep
 
@@ -551,7 +606,7 @@ class Solver:
             if r is None:
                 out.add(q)
             else:
-                for l in r.lits:
+                for l in (r,) if isinstance(r, int) else r.lits:
                     if self.vlevel[l >> 1] > 0:
                         if not seen[l >> 1]:
                             seen[l >> 1] = True
@@ -663,11 +718,13 @@ class Solver:
         restarts = 0
         conflicts_until_restart = self._luby(restarts) * self.LUBY_UNIT
         conflict_count = 0
-        max_learnts = max(4000, 2 * len(self.clauses))
+        max_learnts = max(4000, 2 * (len(self.clauses) + self.num_bins))
         temp_act_lit = None if self._temp_act is None else 2 * self._temp_act
         temp_guard = None if temp_act_lit is None else temp_act_lit ^ 1
         n_assume = len(assume)
         assigns = self.assigns
+        vlevel = self.vlevel
+        polarity = self.polarity
         trail = self.trail
         trail_lim = self.trail_lim
         root_len = len(trail)
@@ -741,7 +798,11 @@ class Solver:
                 dl += 1
             if dl < n_assume:
                 trail_lim.append(len(trail))
-                self._enqueue(assume[dl], None)
+                # _enqueue(p, None), inlined: an open var's reason is None
+                v = p >> 1
+                assigns[v] = p & 1 ^ 1
+                vlevel[v] = dl + 1
+                trail.append(p)
                 continue
 
             # a restricted query is Sat once its open vars are all assigned
@@ -752,10 +813,14 @@ class Solver:
                 return True
             self.stats.decisions += 1
             trail_lim.append(len(trail))
-            self._enqueue(2 * v + (0 if self.polarity[v] else 1), None)
+            p = 2 * v + (0 if polarity[v] else 1)  # _enqueue(p, None), inlined
+            assigns[v] = p & 1 ^ 1
+            vlevel[v] = len(trail_lim)
+            trail.append(p)
 
     def _decision_eligible(self, v: int) -> bool:
-        return self.assigns[v] == UNDEF and self.in_domain(v)
+        return self.assigns[v] == UNDEF and (
+            self._domain_full or self._domain_stamp[v] == self._domain_gen)
 
     # -- results ------------------------------------------------------------
 

@@ -671,3 +671,99 @@ def test_root_loader_matches_one_clause_at_a_time(rng):
                     assert cnf_brute_force(nv, perm + temps, core) is None
     assert min(refuted.values()) >= 5 and restricted_sat >= 100, (
         refuted, restricted_sat)
+
+
+def test_binary_clauses_match_brute_force(rng):
+    """Binary-heavy CNFs, mostly two-literal clauses (the binary implication
+    lists) and some three-literal ones, load in batches through
+    `add_root_clauses` or one at a time through `add_clause`; queries with
+    assumptions, temporaries and restricted domains follow.  Answers and
+    cores are checked by brute force, and every learnt clause and root unit
+    must follow from the permanent clauses, which a wrong int reason in
+    conflict analysis breaks.  Random clauses keep a planted model inside
+    one of two var blocks, so a block covers a query on it.  A few more vars
+    copy a block literal through two binary clauses each; they lie in no
+    query's cone, so a restricted query leaves them open."""
+    learnts_checked = unsat = 0
+    for seq in range(120):
+        nx = rng.randint(8, 13)
+        half = nx // 2
+        blocks = (range(half), range(half, nx))
+        planted = [rng.randint(0, 1) for _ in range(nx)]
+        copies = range(nx, nx + 3)
+        nv = nx + len(copies)
+        batch = []
+        for c in copies:  # c = x
+            x = 2 * rng.randrange(nx) + rng.randint(0, 1)
+            batch += [[x ^ 1, 2 * c], [x, 2 * c + 1]]
+        batched = seq % 2 == 0
+        s = Solver()
+        s.new_vars(nv)
+        perm = []
+        for q in range(10):
+            for _ in range(rng.randint(2, 8)):
+                block = rng.choice(blocks)
+                width = 2 if rng.random() < 0.7 else 3
+                cl = [2 * v + rng.randint(0, 1) for v in rng.sample(block, width)]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                batch.append(cl)
+            if batched:
+                s.add_root_clauses([list(cl) for cl in batch])
+            else:
+                for cl in batch:
+                    s.add_clause(cl)
+            perm += batch
+            batch = []
+            block = rng.choice(blocks)
+            temps = [[2 * v + rng.randint(0, 1)
+                      for v in rng.sample(block, rng.randint(1, 2))]
+                     for _ in range(rng.randint(0, 2))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.choice(block) + rng.randint(0, 1)
+                             for _ in range(rng.randint(1, 3))})
+            if any(a ^ 1 in assume for a in assume):
+                assume = assume[:1]
+            restricted = rng.random() < 0.5
+            res = s.solve(assume, domain=block if restricted else None)
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+            if res:
+                model = [s.model_value(v) for v in range(nv)]
+                assert all(model[l >> 1] == (not l & 1) for l in assume)
+                scope = block if restricted else range(nv)
+                for cl in perm + temps:
+                    if all(l >> 1 in scope for l in cl):
+                        assert any(model[l >> 1] == (not l & 1) for l in cl), (seq, q)
+                if restricted:
+                    for c in copies:
+                        assert s.assigns[c] != UNDEF or model[c] is None, (seq, q)
+            else:
+                unsat += 1
+                core = s.unsat_core()
+                assert set(core) <= set(assume), (seq, q)
+                assert cnf_brute_force(nv, perm + temps, core) is None, (seq, q)
+            for c in s.learnts:
+                assert cnf_brute_force(nv, perm, [l ^ 1 for l in c.lits]) is None
+                learnts_checked += 1
+            for l in s.trail:
+                if l >> 1 < nv:
+                    assert cnf_brute_force(nv, perm, [l ^ 1]) is None, (seq, q)
+        assert s.num_bins > 0
+    assert learnts_checked >= 100 and unsat >= 100, (learnts_checked, unsat)
+
+
+def test_binary_implication_respects_the_domain():
+    # (a | b): a's false literal implies b, unless b is outside the domain
+    s = Solver()
+    s.new_vars(2)
+    s.add_clause([0, 2])
+    assert s.num_bins == 1 and s.clauses == []
+    assert s.solve([1], domain=[0]) is True  # assume ~a; b lies outside
+    assert s.model_value(0) is False and s.model_value(1) is None
+    assert s.solve([1]) is True
+    assert s.model_value(1) is True
+    # an assumption var is inside: b's reason is literal a, that is 0
+    assert s.solve([1, 3], domain=[0]) is False
+    assert s.unsat_core() == (1, 3)
