@@ -312,25 +312,9 @@ def _encode_delta(value: int) -> bytes:
             return bytes(out)
 
 
-def is_canonical(aig: Aig) -> bool:
-    """Canonical numbering: inputs 1..I, latches I+1..I+L, gates after."""
-    i, l = len(aig.inputs), len(aig.latches)
-    if aig.max_var != i + l + len(aig.ands):
-        return False
-    if aig.inputs != list(range(1, i + 1)):
-        return False
-    if [lt.var for lt in aig.latches] != list(range(i + 1, i + l + 1)):
-        return False
-    for j, g in enumerate(aig.ands):
-        if g.var != i + l + j + 1:
-            return False
-        if (g.rhs0 >> 1) >= g.var or g.rhs1 > g.rhs0:
-            return False
-    return True
-
-
 def reindex(aig: Aig) -> Aig:
-    """Renumber to canonical binary ordering; semantics preserved."""
+    """Renumber to the binary format's order (inputs, latches, gates; larger
+    fanin first); a graph already so numbered comes back unchanged."""
     mapping: Dict[int, int] = {0: 0}
     nxt = 1
     for v in aig.inputs:
@@ -366,9 +350,9 @@ def reindex(aig: Aig) -> Aig:
 
 
 def serialize_aiger(aig: Aig, ascii: bool = True) -> bytes:
-    """ASCII or binary AIGER; binary output is renumbered canonically first
-    when needed (`reindex`)."""
-    if not ascii and not is_canonical(aig):
+    """ASCII or binary AIGER.  Binary output is written from `reindex`,
+    whose numbering the format requires; ASCII keeps the graph's own."""
+    if not ascii:
         aig = reindex(aig)
     o_count, b_count = 0, len(aig.bads)
     if aig.bads_from_outputs:

@@ -2,10 +2,10 @@
 
 Exit codes follow the hardware model-checking competition convention:
 10 = unsafe (counterexample found), 20 = safe (proof found), 0 = unknown,
-2 = usage or input error; 1 = a `--verify` check rejected the verdict
-(reason on stderr, nothing on stdout).  Otherwise stdout carries the
-matching verdict block ("0"/"1", the property line "b<i>", and for unsafe
-the witness body).
+2 = usage or input error; 1 = the independent check of a safe or unsafe
+verdict rejected it (reason on stderr, nothing on stdout).  Otherwise
+stdout carries the matching verdict block ("0"/"1", the property line
+"b<i>", and for unsafe the witness body).
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ EXIT_SAFE = 20
 EXIT_UNKNOWN = 0
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 1
+
+
+def _at_least(low, kind=int):
+    """argparse `type=`: a `kind` number no smaller than `low`."""
+    def number(text: str):
+        value = kind(text)  # a ValueError reads "invalid number value"
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                "must be at least %s, got %r" % (low, text))
+        return value
+    return number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,26 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="IC3: extend the state with internal signals")
     p.add_argument("--abs-cst", action="store_true",
                    help="IC3: localize invariant constraints by refinement")
-    p.add_argument("--bmc-max", type=int, default=1000, metavar="N",
+    p.add_argument("--bmc-max", type=_at_least(0), default=1000, metavar="N",
                    help="BMC depth bound (default 1000)")
-    p.add_argument("--bmc-step", type=int, default=1, metavar="N",
+    p.add_argument("--bmc-step", type=_at_least(1), default=1, metavar="N",
                    help="BMC frames per incremental query (default 1)")
-    p.add_argument("--kind-max", type=int, default=50, metavar="N",
+    p.add_argument("--kind-max", type=_at_least(0), default=50, metavar="N",
                    help="k-induction depth bound (default 50)")
     p.add_argument("--simple-path", action="store_true",
                    help="k-induction: add state-uniqueness constraints "
                         "(caps the search at k=10)")
-    p.add_argument("--workers", type=int, default=4, metavar="N",
+    p.add_argument("--workers", type=_at_least(1), default=4, metavar="N",
                    help="portfolio thread count (default 4)")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECS")
+    p.add_argument("--time-limit", type=_at_least(0, float), default=None,
+                   metavar="SECS")
     p.add_argument("--bad-index", type=int, default=0, metavar="I",
                    help="which bad property to check (default 0)")
     p.add_argument("--witness", metavar="PATH",
                    help="write the counterexample witness here when unsafe")
     p.add_argument("--certificate", metavar="PATH",
                    help="write the inductive invariant here when safe")
-    p.add_argument("--verify", action="store_true",
-                   help="independently re-verify the verdict before reporting")
     return p
 
 
@@ -164,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         deadline = time.monotonic() + args.time_limit
         cancel = lambda: time.monotonic() >= deadline  # noqa: E731
     verdict = run_config(aig, cfg, bad_index=args.bad_index, cancel=cancel)
-    if args.verify and verdict.definitive:
+    if verdict.definitive:
         ok, reason = verify_verdict(aig, args.bad_index, verdict)
         if not ok:
             print("verification of %s verdict failed: %s"

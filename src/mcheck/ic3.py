@@ -53,7 +53,6 @@ class Ic3Options:
     abs_cst: bool = False
     verify_mic: bool = False
     debug_check_domain: bool = False
-    debug_check_frames: bool = False
 
 
 @dataclass
@@ -190,23 +189,23 @@ class IC3:
                 out.append(2 * v + (0 if val else 1))
         return tuple(out)
 
-    def _model_inputs(self):
+    def _model_inputs(self) -> List[int]:
         s = self.solver
-        bits = []
-        lits = []
-        for v in self.ts.input_vars:
-            val = s.model_value(v)
-            bits.append(0 if val is None else int(val))
-            lits.append(2 * v + (0 if val else 1))
-        return bits, lits
+        return [int(s.model_value(v, default=False)) for v in self.ts.input_vars]
 
-    def _model_latch_bits(self) -> List[Optional[int]]:
-        s = self.solver
-        out = []
-        for lv in self._latches:
-            val = s.model_value(lv)
-            out.append(None if val is None else int(val))
-        return out
+    def _latch_bits(self, solver: Solver) -> List[int]:
+        return [int(solver.model_value(lv, default=False)) for lv in self._latches]
+
+    def _predecessor(self, targets: Sequence[int],
+                     state: Optional[Cube] = None) -> Tuple[Cube, List[int]]:
+        """The main solver's model as a lifted predecessor of `targets`
+        (literals one step on) and the input bits of that step; `state` is
+        the model's state cube if the caller has read it already."""
+        if state is None:
+            state = self._model_state_cube()
+        bits = self._model_inputs()
+        input_lits = [2 * v + 1 - b for v, b in zip(self.ts.input_vars, bits)]
+        return self.lift_predecessor(state, input_lits, targets), bits
 
     # -- queries ------------------------------------------------------------
 
@@ -261,7 +260,7 @@ class IC3:
         assume = sorted(set(cube) | set(self.ts.init_lits))
         if s.solve(assumptions=assume) is not True:
             return None
-        return [int(s.model_value(lv, default=False)) for lv in self._latches]
+        return self._latch_bits(s)
 
     def _repair_init(self, kept: Cube, full: Cube) -> Cube:
         """Core shrinking may re-introduce an init overlap; restore one
@@ -348,9 +347,7 @@ class IC3:
                 and level > 1
             )
             if allow_ctg:
-                _, input_lits = self._model_inputs()
-                z = self.lift_predecessor(
-                    state, input_lits, [self.ts.prime(l) for l in cube])
+                z, _ = self._predecessor([self.ts.prime(l) for l in cube], state)
                 if not self.ts.cube_intersects_init(z):
                     r, kept = self.solve_relative(z, level - 1)
                     if r is False:
@@ -400,10 +397,7 @@ class IC3:
                              rec_depth=CTG_DEPTH + 1, budget=budget)
                 self.add_lemma(g, lvl)
             else:
-                state = self._model_state_cube()
-                _, input_lits = self._model_inputs()
-                pred = self.lift_predecessor(
-                    state, input_lits, [self.ts.prime(l) for l in c])
+                pred, _ = self._predecessor([self.ts.prime(l) for l in c])
                 if self.ts.cube_intersects_init(pred):
                     return False
                 heapq.heappush(q, (lvl - 1, pred))
@@ -438,18 +432,14 @@ class IC3:
             raise _Cancelled()
         if not res:
             return None
-        state = self._model_state_cube()
-        bits, input_lits = self._model_inputs()
-        cube = self.lift_predecessor(state, input_lits, [self.ts.bad])
+        cube, bits = self._predecessor([self.ts.bad])
         return _Obligation(self.k, cube, bits, None)
 
     def rec_block(self, root: _Obligation) -> Optional[WitnessTrace]:
         """Block the obligation or return a counterexample trace."""
-        if self.ts.cube_intersects_init(root.cube):
-            bits = self._find_init_state(root.cube)
-            if bits is not None:
-                root.state_bits = bits
-                return self._trace(root)
+        trace = self._trace_from_init(root)
+        if trace is not None:
+            return trace
         q: List[Tuple[int, Cube, int, _Obligation]] = []
         counter = 0  # heap tie-breaker; obligations are not comparable
         heapq.heappush(q, (root.level, root.cube, counter, root))
@@ -485,16 +475,11 @@ class IC3:
                     heapq.heappush(q, (j + 1, cube, counter, ob))
             else:
                 self._escalation.setdefault(cube, [0, False])[0] += 1
-                state = self._model_state_cube()
-                bits, input_lits = self._model_inputs()
-                pred = self.lift_predecessor(
-                    state, input_lits, [self.ts.prime(l) for l in cube])
+                pred, bits = self._predecessor([self.ts.prime(l) for l in cube])
                 pred_ob = _Obligation(level - 1, pred, bits, ob)
-                if self.ts.cube_intersects_init(pred):
-                    init_bits = self._find_init_state(pred)
-                    if init_bits is not None:
-                        pred_ob.state_bits = init_bits
-                        return self._trace(pred_ob)
+                trace = self._trace_from_init(pred_ob)
+                if trace is not None:
+                    return trace
                 counter += 1
                 heapq.heappush(q, (level - 1, pred, counter, pred_ob))
                 counter += 1
@@ -510,6 +495,13 @@ class IC3:
         if strategy == EXCTG and self.options.strategy == DYNAMIC and not ctg_paid:
             return CTG
         return strategy
+
+    def _trace_from_init(self, ob: _Obligation) -> Optional[WitnessTrace]:
+        """The witness from `ob` if some initial state lies in its cube."""
+        if not self.ts.cube_intersects_init(ob.cube):
+            return None
+        ob.state_bits = self._find_init_state(ob.cube)
+        return None if ob.state_bits is None else self._trace(ob)
 
     def _trace(self, head: _Obligation) -> WitnessTrace:
         """Assemble the witness from an obligation chain ending at bad."""
@@ -562,9 +554,8 @@ class IC3:
             if res is None:
                 raise _Cancelled()
             if res:
-                bits, _ = self._model_inputs()
-                head = _Obligation(0, (), bits, None,
-                                   state_bits=self._model_latch_bits())
+                head = _Obligation(0, (), self._model_inputs(), None,
+                                   state_bits=self._latch_bits(self.solver))
                 return unsafe(self._trace(head), stats=self.stats)
 
             while True:
@@ -572,8 +563,6 @@ class IC3:
                 ob = self.get_bad()
                 if ob is not None:
                     trace = self.rec_block(ob)
-                    if self.options.debug_check_frames:
-                        self.debug_check_frames()
                     if trace is not None:
                         return unsafe(trace, stats=self.stats)
                 else:

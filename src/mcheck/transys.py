@@ -55,7 +55,6 @@ class TranSys:
     next_map: Dict[int, int]
     init_lits: Tuple[Lit, ...]  # cube over latches; uninitialized bits absent
     bad: Lit  # effective bad: raw bad AND all active constraints
-    bad_raw: Lit
     constraints: List[Lit]
     clauses: List[Clause]
     dep: Dict[int, Tuple[int, ...]]
@@ -245,7 +244,6 @@ def encode(
         next_map=next_map,
         init_lits=tuple(sorted(init_lits)),
         bad=bad,
-        bad_raw=bad_raw,
         constraints=cst_lits,
         clauses=clauses,
         dep=dep,
@@ -326,11 +324,10 @@ class FrameTemplate:
     primed vars, then every other var the system uses, in var order.  The
     clauses are stored flat: `lits` holds them one after the other as
     packed ints `(slot << 1) | sign`, each clause sorted, and clause i spans
-    `lits[starts[i]:ends[i]]`.  A frame after the first maps each latch slot
-    to its primed var in the frame before and the other slots to fresh
-    vars, allocated in slot order; solver vars thus rise with the slots,
-    and a mapped clause stays sorted.  The first frame allocates every slot
-    fresh, in var order.
+    `lits[starts[i]:ends[i]]`.  A frame maps slot 0 to var 0, each latch
+    slot to its primed var in the frame before (the first frame has none)
+    and every other slot to a fresh var, allocated in slot order; solver
+    vars thus rise with the slots, and a mapped clause stays sorted.
 
     That map is injective only if no two latches share a primed var and
     none is primed to the constant; the template checks this once, and that
@@ -354,9 +351,6 @@ class FrameTemplate:
             v: j for j, v in enumerate([0] + latches + rest)}
         slot_of = self.slot_of
         self.latch_src = [slot_of[p] for p in primed]
-        self.num_fresh = len(rest)  # vars a frame after the first allocates
-        rank = {v: r for r, v in enumerate(sorted(latches + rest))}
-        self.first_rank = [rank[v] for v in latches + rest]  # slot 1 on
         self.lits = array("i")
         self.ends = array("i")
         for cl in ts.clauses:
@@ -408,26 +402,22 @@ class Unroller:
     def add_frame(self) -> None:
         """Append one frame and write its clauses into the solver."""
         ts, s, t = self.ts, self.solver, self.template
+        fm = [0]
         if self._frames:
             prev = self._frames[-1]
-            first = s.new_vars(t.num_fresh)
-            fm = [0] + [prev[j] for j in t.latch_src]
-            fm += range(first, first + t.num_fresh)
-        else:
-            first = s.new_vars(len(t.first_rank))
-            fm = [0] + [first + r for r in t.first_rank]
+            fm += [prev[j] for j in t.latch_src]
+        fresh = len(t.slot_of) - len(fm)
+        first = s.new_vars(fresh)
+        fm += range(first, first + fresh)
         self._frames.append(fm)
         lm = [0] * (2 * len(fm))  # frame literal by packed template literal
         lm[0::2] = [2 * v for v in fm]
         lm[1::2] = [2 * v + 1 for v in fm]
         lits = [lm[x] for x in t.lits]
+        batch = [lits[i:j] for i, j in zip(t.starts, t.ends)]
         d = self.depth
-        if d:
-            batch = [lits[i:j] for i, j in zip(t.starts, t.ends)]
-        else:  # frame 0 allocates in var order, not slot order
-            batch = [sorted(lits[i:j]) for i, j in zip(t.starts, t.ends)]
-            if self.init:
-                batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
+        if self.init and not d:
+            batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
         if self.simple_path:
             latches = [2 * lv for lv in ts.latch_vars]
             for i in range(d if latches else 0):

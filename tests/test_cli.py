@@ -1,3 +1,5 @@
+import pytest
+
 from mcheck.aiger import parse_aiger
 from mcheck.certify import parse_certificate, parse_witness, verify_witness
 from mcheck.cli import main
@@ -105,7 +107,7 @@ def test_binary_input_accepted(tmp_path, capsys):
 
 def test_verify_flag_accepted(tmp_path, capsys):
     path = _write(tmp_path, "m.aag", CNT2_AAG)
-    rc = main([path, "--engine", "ic3", "--verify"])
+    rc = main([path, "--engine", "ic3"])
     capsys.readouterr()
     assert rc == 10
 
@@ -121,10 +123,26 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--bmc-step", "0"), ("--bmc-max", "-3"), ("--kind-max", "-1"),
+    ("--workers", "-2"), ("--workers", "0"), ("--time-limit", "-0.5"),
+    ("--time-limit", "nan"), ("--bmc-step", "two"),
+])
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, option, value):
+    path = _write(tmp_path, "m.aag", CNT2_AAG)
+    with pytest.raises(SystemExit) as exc:
+        main([path, "--engine", "bmc", option + "=" + value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert option in captured.err and "usage:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_undefined_variable_is_input_error(tmp_path, capsys):
     # the gate reads variable 2, which the header declares and nothing defines
     path = _write(tmp_path, "undef.aag", "aag 4 0 1 0 1 1\n2 8\n8\n8 4 3\n")
-    for extra in (["--engine", "bmc"], ["--engine", "bmc", "--verify"], []):
+    for extra in (["--engine", "bmc"], []):
         rc = main([path] + extra)
         captured = capsys.readouterr()
         assert rc == 2
@@ -137,7 +155,7 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("mcheck.cli.verify_verdict",
                         lambda aig, bad_index, verdict: (False, "forced rejection"))
     path = _write(tmp_path, "m.aag", CNT2_AAG)
-    rc = main([path, "--engine", "bmc", "--verify"])
+    rc = main([path, "--engine", "bmc"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""

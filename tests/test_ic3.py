@@ -181,10 +181,21 @@ def test_domain_restriction_differential(rng):
     assert checks >= 100
 
 
-def test_frame_invariants_hold_during_search():
+def test_frame_invariants_hold_during_search(monkeypatch):
+    rec_block = IC3.rec_block
+    checked = []
+
+    def rec_block_then_check(self, root):
+        trace = rec_block(self, root)
+        self.debug_check_frames()
+        checked.append(root)
+        return trace
+
+    monkeypatch.setattr(IC3, "rec_block", rec_block_then_check)
     ts = encode(mod_counter(6, 20, 40))
-    v = ic3_check(ts, Ic3Options(strategy=DYNAMIC, debug_check_frames=True))
+    v = ic3_check(ts, Ic3Options(strategy=DYNAMIC))
     assert v.is_safe
+    assert checked
 
 
 def test_cancel_gives_unknown():

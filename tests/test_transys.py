@@ -11,10 +11,11 @@ from mcheck.logic import lit_neg, mklit
 from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
 from mcheck.transys import (Unroller, coi_vars, encode,
-                            extend_with_internal_signals, simplify_cnf)
+                            extend_with_internal_signals, ref_to_lit,
+                            simplify_cnf)
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, counter_with_reset,
-                      padded_mod_counter, random_aig)
+                      mod_counter, padded_mod_counter, random_aig)
 from oracle import bfs_check
 
 
@@ -91,7 +92,7 @@ def test_effective_bad_includes_constraints():
     aig = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
     ts = encode(aig)
     # bad and raw bad differ when constraints exist
-    assert ts.bad != ts.bad_raw
+    assert ts.bad != ref_to_lit(aig.bads[0])
     assert len(ts.constraints) == 1
 
 
@@ -167,6 +168,33 @@ def test_unroller_grows_frames_into_its_solver(cnt2):
         assert [un.reach(d) for d in range(5)] == [un.bad_at(d) for d in range(5)]
         off_init = [lit_neg(un.lit_at(l, 0)) for l in ts.init_lits]
         assert s.solve(off_init) is (not init)
+
+
+def test_every_frame_allocates_in_slot_order(monkeypatch):
+    """Frame 0 lays out its vars as later frames do, in slot order, so a
+    mapped clause comes out sorted in every frame.  The enable input comes
+    before the latches in var order but after them in slot order."""
+    batches = []
+    add_root_clauses = Solver.add_root_clauses
+
+    def recorded(self, clauses):
+        clauses = list(clauses)
+        batches.append([list(c) for c in clauses])
+        return add_root_clauses(self, clauses)
+
+    monkeypatch.setattr(Solver, "add_root_clauses", recorded)
+    ts = encode(mod_counter(4, 6, 10, enable=True))
+    slot_of = ts.frame_template.slot_of
+    assert sorted(slot_of, key=slot_of.get) != sorted(slot_of)
+    s = Solver()
+    un = Unroller(ts, s, init=False)
+    un.grow(3)
+    assert len(batches) == 4
+    assert {v: un.lit_at(2 * v, 0) >> 1 for v in slot_of} == slot_of
+    for batch in batches:
+        assert len(batch) == len(ts.clauses)
+        for cl in batch:
+            assert cl == sorted(cl)
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
