@@ -9,6 +9,10 @@ portfolio's two default configurations on its own for ``portfolio-mixed``,
 and prints the verdict and the counts the engines keep.  The search is
 deterministic, so two checkouts that search alike print the same lines, and
 ``diff`` of two outputs shows every model whose search moved.
+
+Exits 1, after printing every line, if some verdict is ``unknown`` or
+differs from the model's known answer; each such verdict is also named on
+stderr.
 """
 
 from __future__ import annotations
@@ -55,13 +59,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(corpus.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    wrong = 0
     for m in corpus.build(args.workload, args.seed):
         aig = parse_aiger(corpus.to_aig_bytes(m))
         for cfg in configs_for(args.workload):
+            verdict = run_config(aig, cfg)
             line = {"model": m.name, "config": cfg.name}
-            line.update(counts(run_config(aig, cfg)))
+            line.update(counts(verdict))
             print(json.dumps(line))
-    return 0
+            if verdict.status == "unknown" or (
+                    m.expected is not None and verdict.status != m.expected):
+                wrong += 1
+                print("%s %s: %s, expected %s" % (m.name, cfg.name,
+                                                  verdict.status, m.expected),
+                      file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
