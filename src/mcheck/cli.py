@@ -53,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--exctg", action="store_true",
                    help="IC3: fixed extended-CTG generalization")
     g.add_argument("--dynamic", action="store_true",
-                   help="IC3: escalate generalization dynamically; a cube "
-                        "that comes back first tries its last lemma, then "
-                        "that lemma plus one literal, before MIC (default)")
+                   help="IC3: escalate generalization dynamically (default)")
     g.add_argument("--standard", action="store_true",
                    help="IC3: plain drop-literal generalization")
     p.add_argument("--inn", action="store_true",

@@ -7,12 +7,7 @@ In dynamic mode each obligation cube starts at standard MIC and moves up
 on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
 `DYNAMIC_T2`, but only once a CTG MIC on that cube has blocked a CTG.  A
 cube whose CTGs never block stays at CTG: extended CTG only adds recursive
-blocks of CTGs, the costliest step.  Below extended CTG, a bottom rung
-reuses work across levels: a cube that comes back after a lemma (it is
-re-pushed one level up when its lemma fails to push) first tries its last
-lemma, then that lemma plus one cube literal the failed push's successor
-falsified or left open, and goes to MIC only if both queries are sat.
-Static modes never take the rung.
+blocks of CTGs, the costliest step.
 
 One-step queries run on a single incremental solver.  A query at frame i
 takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking clause
@@ -41,9 +36,6 @@ STANDARD = "standard"
 CTG = "ctg"
 EXCTG = "exctg"
 DYNAMIC = "dynamic"
-# MicRecord.strategy of a lemma `IC3._predict` took; such records are kept
-# under `verify_mic` only, so that mic_records otherwise holds MICs alone
-PREDICTED = "predicted"
 
 MAX_FRAMES = 20000
 CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
@@ -81,8 +73,6 @@ class Ic3Stats:
     obligations: int = 0
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
-    predictions: int = 0  # dynamic rung tries (`IC3._predict`)
-    predicted: int = 0  # lemmas the rung took without MIC
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
     solver: Optional[SolverStats] = None  # the main and lift solvers' count
@@ -154,7 +144,7 @@ class IC3:
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
-        # per obligation cube, one record (`_record`)
+        # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
 
     # -- plumbing -----------------------------------------------------------
@@ -414,37 +404,6 @@ class IC3:
                 heapq.heappush(q, (lvl, c))
         return True
 
-    def _predict(self, cube: Cube, level: int, rec: list) -> Optional[Cube]:
-        """The bottom rung of the dynamic ladder, for a cube that comes back
-        after a lemma: that lemma at `level`, else the lemma plus the first
-        literal of the cube that the successor state of the lemma's failed
-        push falsified or left open.  Candidates that overlap init are
-        skipped.  At most two queries; None sends the cube to MIC."""
-        self.stats.predictions += 1
-        lemma = rec[2]
-        intersects = self.ts.cube_intersects_init
-        extended = (tuple(sorted(lemma + (l,))) for l in rec[3])
-        for c in (lemma, next((e for e in extended if not intersects(e)), None)):
-            if c is None or intersects(c):
-                continue
-            r, kept = self.solve_relative(c, level)
-            if r is False:
-                self.stats.predicted += 1
-                g = self._repair_init(kept, c)
-                if self.options.verify_mic:
-                    self.stats.mic_records.append(MicRecord(
-                        PREDICTED, len(cube), len(g), level,
-                        self._verify_relative_inductive(g, level)))
-                return g
-        return None
-
-    def _push_falsified(self, cube: Cube, lemma: Cube) -> Cube:
-        """Literals of `cube` outside `lemma` that the successor state of the
-        push query just solved (sat) falsifies or leaves open."""
-        value, primed = self.solver.model_value, self.ts.next_map
-        return tuple(l for l in cube if l not in lemma
-                     and value(primed[l >> 1]) != (not l & 1))
-
     def _verify_relative_inductive(self, cube: Cube, level: int) -> bool:
         """Fresh-solver re-check that `cube` is relatively inductive and
         excludes init (used by tests and the verify_mic option)."""
@@ -500,30 +459,22 @@ class IC3:
             if r is False:
                 kept = self._repair_init(payload, cube)
                 strat = self._strategy_for(cube)
-                rec = self._record(cube)
-                g = None
-                if rec[2] is not None and strat != EXCTG:
-                    g = self._predict(cube, level, rec)
-                if g is None:
-                    ctg_blocks = self.stats.ctg_blocks
-                    g = self.mic(kept, level, strat)
-                    if self.stats.ctg_blocks > ctg_blocks:
-                        rec[1] = True
+                ctg_blocks = self.stats.ctg_blocks
+                g = self.mic(kept, level, strat)
+                if self.stats.ctg_blocks > ctg_blocks:
+                    self._escalation.setdefault(cube, [0, False])[1] = True
                 j = level
                 while j < self.k:
                     r2, _ = self.solve_relative(g, j + 1)
                     if r2 is not False:
                         break
                     j += 1
-                if self.options.strategy == DYNAMIC:
-                    falsified = self._push_falsified(cube, g) if j < self.k else ()
-                    rec[2:] = [g, falsified]
                 self.add_lemma(g, j)
                 if j < self.k:
                     counter += 1
                     heapq.heappush(q, (j + 1, cube, counter, ob))
             else:
-                self._record(cube)[0] += 1
+                self._escalation.setdefault(cube, [0, False])[0] += 1
                 pred, bits = self._predecessor([self.ts.prime(l) for l in cube])
                 pred_ob = _Obligation(level - 1, pred, bits, ob)
                 trace = self._trace_from_init(pred_ob)
@@ -535,20 +486,11 @@ class IC3:
                 heapq.heappush(q, (level, cube, counter, ob))
         return None
 
-    def _record(self, cube: Cube) -> list:
-        """The cube's record: [failed blocks, whether a MIC on it blocked a
-        CTG, its last lemma (dynamic mode only), the cube literals that the
-        successor state of that lemma's failed push falsified or left open
-        (empty if the lemma reached frame k)]."""
-        return self._escalation.setdefault(cube, [0, False, None, ()])
-
     def _strategy_for(self, cube: Cube) -> str:
         """Per-cube dynamic escalation: the fail-count schedule, except that
         extended CTG waits until CTG has blocked something for this cube.
-        Both parts of the state only grow, so a cube never steps down.  Below
-        extended CTG, `rec_block` first tries `_predict` on a cube that comes
-        back, and runs MIC at this strategy only if that fails."""
-        fails, ctg_paid = self._escalation.get(cube, (0, False))[:2]
+        Both parts of the state only grow, so a cube never steps down."""
+        fails, ctg_paid = self._escalation.get(cube, (0, False))
         strategy = select_strategy(fails, self.options)
         if strategy == EXCTG and self.options.strategy == DYNAMIC and not ctg_paid:
             return CTG

@@ -13,6 +13,17 @@ influence (COI) of the assumptions and temporary clauses, so the partial
 model extends to a full one; it assigns only domain, assumption and root
 vars, and `model_value` reads None elsewhere.
 
+A restricted query also opens a single decision level for its assumptions:
+it enqueues every open one there and propagates once.  A conflict on that
+level ends the query as Unsat, with no clause learnt, and its core is the
+set of assumptions reached backwards from the conflict clause, so it holds
+only what the conflict used, in whatever order the assumptions came.  A
+full-domain query (BMC, k-induction, lifting, certificate checks) gives each
+assumption its own level, propagates after each open one, and learns from
+conflicts among them.  On both paths an assumption found false ends the query, and
+its core is that assumption plus the assumptions that falsified it;
+`_analyze_final` walks back from the conflict clause or the false literal.
+
 Temporary clauses are guarded by one activation literal per solver, reused by
 every query and assumed in each once it exists.  Learnt clauses that contain
 its negation were derived from the current query's temporaries; they are
@@ -29,12 +40,14 @@ heap work thus follows the domain, not the number of vars the solver has
 seen.
 
 Permanent clauses enter through one root loader, `add_root_clauses`.  It
-takes a batch of clause lists that name each var at most once, drops
-root-false literals, skips root-satisfied clauses, enqueues units, files
-two-literal clauses in the binary implication lists, attaches the rest on
-two open literals and runs root propagation once, at the end.  `add_clause`
-wraps it for a single clause that may still need sorting, repeated literals
-removed or a tautology dropped.
+takes a batch of clauses laid out flat, one after another in a literal list,
+that name each var at most once; drops root-false literals, skips
+root-satisfied clauses, enqueues units, files two-literal clauses in the
+binary implication lists (one with both literals open is read in place,
+with no list made for it), attaches the rest on two open literals and runs
+root propagation once, at the end.  `add_clause` wraps it for a single
+clause that may still need sorting, repeated literals removed or a
+tautology dropped.
 
 A permanent binary clause (a | b) is no `Clause`: `bins[a]` holds b and
 `bins[b]` holds a, as plain ints, and a literal's list is created on its
@@ -249,7 +262,7 @@ class Solver:
             out.append(l)
             last = l
         if not temporary:
-            self.add_root_clauses((out,))
+            self.add_root_clauses(out, (len(out),))
             return
 
         assigns = self.assigns
@@ -272,19 +285,20 @@ class Solver:
         self._temp_clauses.append(c)
         self._attach(c)
 
-    def add_root_clauses(self, clauses: Iterable[List[int]]) -> None:
+    def add_root_clauses(self, lits: List[int], ends: Iterable[int]) -> None:
         """Load permanent clauses at the root in one pass.
 
-        Each clause is a list that names each var at most once.  The solver
-        takes over only the lists of the clauses it attaches: it keeps such
-        a list, shortened in place, and the open literals keep their order.
-        Root-false literals are dropped and root-satisfied clauses skipped.
-        A unit is enqueued without propagating, a clause with two open
-        literals goes to the binary lists (its list is not kept), any longer
-        clause is attached on its first two open literals, and an empty
-        clause makes the solver unsat for good.  Root propagation runs once,
-        at the end, and a conflict there also makes the solver unsat for
-        good.
+        The clauses lie one after another in `lits`: clause i ends before
+        index `ends[i]`, and each names each var at most once.  A clause of
+        two open literals goes to the binary lists straight from `lits`;
+        any other is copied out, and the solver keeps the copy of a clause
+        it attaches.  Root-false literals are dropped and root-satisfied
+        clauses skipped.  A unit is enqueued without propagating, a clause
+        with two open literals goes to the binary lists, any longer one is
+        attached on its first two open literals, which keep their order,
+        and an empty clause makes the solver unsat for good.  Root
+        propagation runs once, at the end, and a conflict there also makes
+        the solver unsat for good.
         """
         assert not self.trail_lim
         if not self.ok:
@@ -297,45 +311,53 @@ class Solver:
         reason = self.reason
         trail = self.trail
         num_bins = self.num_bins
-        for lits in clauses:
-            n = 0  # open literals, moved to the front
-            for l in lits:
-                a = assigns[l >> 1]
-                if a == UNDEF:
-                    lits[n] = l
-                    n += 1
-                elif a ^ (l & 1) == 1:
-                    break  # satisfied at root
+        start = 0
+        for end in ends:
+            i, start = start, end
+            if (end - i != 2 or assigns[lits[i] >> 1] != UNDEF
+                    or assigns[lits[i + 1] >> 1] != UNDEF):
+                cl = lits[i:end]
+                n = 0  # open literals, moved to the front
+                for l in cl:
+                    a = assigns[l >> 1]
+                    if a == UNDEF:
+                        cl[n] = l
+                        n += 1
+                    elif a ^ (l & 1) == 1:
+                        n = -1  # satisfied at root
+                        break
+                if n != 2:
+                    if n > 2:
+                        del cl[n:]
+                        c = Clause(cl)
+                        attached.append(c)
+                        watches[cl[0]].append(c)  # _attach(c), inlined
+                        watches[cl[1]].append(c)
+                    elif n == 1:
+                        l = cl[0]  # _enqueue(l, None), inlined
+                        v = l >> 1
+                        assigns[v] = l & 1 ^ 1
+                        vlevel[v] = 0
+                        reason[v] = None
+                        trail.append(l)
+                    elif n == 0:
+                        self.ok = False
+                        break
+                    continue
+                x, y = cl[0], cl[1]
+            else:  # two open literals, read in place
+                x, y = lits[i], lits[i + 1]
+            bx = bins[x]
+            if bx:
+                bx.append(y)
             else:
-                if n > 2:
-                    del lits[n:]
-                    c = Clause(lits)
-                    attached.append(c)
-                    watches[lits[0]].append(c)  # _attach(c), inlined
-                    watches[lits[1]].append(c)
-                elif n == 2:
-                    x, y = lits[0], lits[1]
-                    bx = bins[x]
-                    if bx:
-                        bx.append(y)
-                    else:
-                        bins[x] = [y]
-                    by = bins[y]
-                    if by:
-                        by.append(x)
-                    else:
-                        bins[y] = [x]
-                    num_bins += 1
-                elif n:
-                    l = lits[0]  # _enqueue(l, None), inlined
-                    v = l >> 1
-                    assigns[v] = l & 1 ^ 1
-                    vlevel[v] = 0
-                    reason[v] = None
-                    trail.append(l)
-                else:
-                    self.ok = False
-                    break
+                bins[x] = [y]
+            by = bins[y]
+            if by:
+                by.append(x)
+            else:
+                bins[y] = [x]
+            num_bins += 1
         self.num_bins = num_bins
         if self.ok and self.qhead < len(trail) and self._propagate() is not None:
             self.ok = False
@@ -589,31 +611,45 @@ class Solver:
             bt = self.vlevel[learnt[1] >> 1]
         return learnt, bt
 
-    def _analyze_final(self, p: int) -> Tuple[int, ...]:
-        """Assumption subset responsible for falsifying assumption lit `p`."""
-        out = {p}
-        if self.decision_level() == 0:
-            return tuple(out)
-        seen = self._seen
-        seen[p >> 1] = True
-        to_clear = [p >> 1]
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            q = self.trail[i]
-            v = q >> 1
-            if not seen[v]:
-                continue
-            r = self.reason[v]
-            if r is None:
-                out.add(q)
-            else:
-                for l in (r,) if isinstance(r, int) else r.lits:
-                    if self.vlevel[l >> 1] > 0:
-                        if not seen[l >> 1]:
-                            seen[l >> 1] = True
-                            to_clear.append(l >> 1)
-            seen[v] = False
-        for v in to_clear:
-            seen[v] = False
+    def _analyze_final(self, confl: Sequence[int],
+                       failed: Optional[int] = None) -> Tuple[int, ...]:
+        """The query's unsat core: the assumptions whose implications falsify
+        every literal of `confl`, found by walking reasons back along the
+        trail above the root, plus the assumption `failed` if the query
+        found it false (then `confl` is `(failed,)`).  `confl` is otherwise
+        the clause that conflicts on the assumption level.  The temporaries'
+        activation literal is left out."""
+        out = set() if failed is None else {failed}
+        trail_lim = self.trail_lim
+        if trail_lim:
+            seen = self._seen
+            vlevel = self.vlevel
+            reason = self.reason
+            trail = self.trail
+            to_clear = []
+            for l in confl:
+                v = l >> 1
+                if vlevel[v] > 0 and not seen[v]:
+                    seen[v] = True
+                    to_clear.append(v)
+            for i in range(len(trail) - 1, trail_lim[0] - 1, -1):
+                q = trail[i]
+                v = q >> 1
+                if not seen[v]:
+                    continue
+                r = reason[v]
+                if r is None:
+                    out.add(q)  # above the root, only assumptions lack a reason
+                else:
+                    for l in (r,) if isinstance(r, int) else r.lits:
+                        w = l >> 1
+                        if vlevel[w] > 0 and not seen[w]:
+                            seen[w] = True
+                            to_clear.append(w)
+            for v in to_clear:
+                seen[v] = False
+        if self._temp_act is not None:
+            out.discard(2 * self._temp_act)
         return tuple(sorted(out))
 
     def _bump_clause(self, c: Clause) -> None:
@@ -670,6 +706,14 @@ class Solver:
         assumptions and temporary clauses (caller's obligation, checked when
         `debug_check_domain` is set).  A Sat model then assigns only domain,
         assumption and root vars; `model_value` is None for the rest.
+
+        On Unsat, `unsat_core()` holds a subset of the assumptions that the
+        clauses, the query's temporaries included, refute: with a restricted
+        domain, which puts every assumption on one level, the ones reached
+        backwards from the conflict among them; on either path, an
+        assumption found false at its turn plus the earlier ones that
+        falsified it.  The core is empty when the clauses are unsat without
+        assumptions, and it never holds the temporaries' activation literal.
         """
         self.stats.solves += 1
         try:
@@ -719,9 +763,9 @@ class Solver:
         conflicts_until_restart = self._luby(restarts) * self.LUBY_UNIT
         conflict_count = 0
         max_learnts = max(4000, 2 * (len(self.clauses) + self.num_bins))
-        temp_act_lit = None if self._temp_act is None else 2 * self._temp_act
-        temp_guard = None if temp_act_lit is None else temp_act_lit ^ 1
+        temp_guard = None if self._temp_act is None else 2 * self._temp_act + 1
         n_assume = len(assume)
+        one_level = n_open >= 0 and n_assume > 0
         assigns = self.assigns
         vlevel = self.vlevel
         polarity = self.polarity
@@ -734,11 +778,14 @@ class Solver:
             if confl is not None:
                 self.stats.conflicts += 1
                 conflict_count += 1
-                if not trail_lim:
-                    # temporaries cannot conflict at the root (their guard
-                    # is assumed above it), so the clause set is unsat
-                    self.ok = False
-                    self._core = ()
+                if not trail_lim or (one_level and len(trail_lim) == 1):
+                    # at the root the clause set is unsat (temporaries cannot
+                    # conflict there: their guard is assumed above it); on a
+                    # restricted query's one assumption level, the
+                    # assumptions conflict
+                    if not trail_lim:
+                        self.ok = False
+                    self._core = self._analyze_final(confl.lits)
                     return False
                 self._conflicts += 1
                 if self._conflicts % self.DECAY_INTERVAL == 0:
@@ -780,30 +827,44 @@ class Solver:
                 self._reduce_db()
                 max_learnts = int(max_learnts * 1.3)
 
-            # true assumptions take dummy levels here, with no propagation
-            # pass each; the first open one is enqueued and propagated
+            # a restricted query enqueues every open assumption on level 1
+            # and propagates once; any other query gives each assumption a
+            # level, where true ones take dummy levels with no propagation
+            # pass each and the first open one is enqueued and propagated
             dl = len(trail_lim)
-            while dl < n_assume:
-                p = assume[dl]
-                a = assigns[p >> 1]
-                if a == UNDEF:
-                    break
-                if a ^ (p & 1) == 0:
-                    core = self._analyze_final(p)
-                    if temp_act_lit is not None:
-                        core = tuple(l for l in core if l != temp_act_lit)
-                    self._core = core
-                    return False
-                trail_lim.append(len(trail))
-                dl += 1
-            if dl < n_assume:
-                trail_lim.append(len(trail))
-                # _enqueue(p, None), inlined: an open var's reason is None
-                v = p >> 1
-                assigns[v] = p & 1 ^ 1
-                vlevel[v] = dl + 1
-                trail.append(p)
-                continue
+            if one_level:
+                if not dl:
+                    trail_lim.append(len(trail))
+                    for p in assume:
+                        v = p >> 1
+                        a = assigns[v]
+                        if a == UNDEF:  # _enqueue(p, None), inlined
+                            assigns[v] = p & 1 ^ 1
+                            vlevel[v] = 1
+                            trail.append(p)
+                        elif a ^ (p & 1) == 0:
+                            self._core = self._analyze_final((p,), p)
+                            return False
+                    continue
+            else:
+                while dl < n_assume:
+                    p = assume[dl]
+                    a = assigns[p >> 1]
+                    if a == UNDEF:
+                        break
+                    if a ^ (p & 1) == 0:
+                        self._core = self._analyze_final((p,), p)
+                        return False
+                    trail_lim.append(len(trail))
+                    dl += 1
+                if dl < n_assume:
+                    trail_lim.append(len(trail))
+                    # _enqueue(p, None), inlined: an open var's reason is None
+                    v = p >> 1
+                    assigns[v] = p & 1 ^ 1
+                    vlevel[v] = dl + 1
+                    trail.append(p)
+                    continue
 
             # a restricted query is Sat once its open vars are all assigned
             v = (None if len(trail) - root_len == n_open

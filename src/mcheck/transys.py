@@ -72,8 +72,15 @@ class TranSys:
         """Load this system into the fresh `solver`: allocate `num_vars`,
         then one root load of `clauses` and one unit per literal of `units`."""
         solver.new_vars(self.num_vars)
-        solver.add_root_clauses([list(c) for c in self.clauses]
-                                + [[l] for l in units])
+        lits: List[Lit] = []
+        ends: List[int] = []
+        for c in self.clauses:
+            lits += c
+            ends.append(len(lits))
+        for l in units:
+            lits.append(l)
+            ends.append(len(lits))
+        solver.add_root_clauses(lits, ends)
 
     def prime(self, lit: Lit) -> Lit:
         return (self.next_map[lit >> 1] << 1) | (lit & 1)
@@ -323,11 +330,12 @@ class FrameTemplate:
     Slot 0 is the constant var 0.  Then come the latches, ordered by their
     primed vars, then every other var the system uses, in var order.  The
     clauses are stored flat: `lits` holds them one after the other as
-    packed ints `(slot << 1) | sign`, each clause sorted, and clause i spans
-    `lits[starts[i]:ends[i]]`.  A frame maps slot 0 to var 0, each latch
-    slot to its primed var in the frame before (the first frame has none)
-    and every other slot to a fresh var, allocated in slot order; solver
-    vars thus rise with the slots, and a mapped clause stays sorted.
+    packed ints `(slot << 1) | sign`, each clause sorted, and clause i ends
+    before index `ends[i]`, the layout `Solver.add_root_clauses` reads.  A
+    frame maps slot 0 to var 0, each latch slot to its primed var in the
+    frame before (the first frame has none) and every other slot to a fresh
+    var, allocated in slot order; solver vars thus rise with the slots, and
+    a mapped clause stays sorted.
 
     That map is injective only if no two latches share a primed var and
     none is primed to the constant; the template checks this once, and that
@@ -359,7 +367,6 @@ class FrameTemplate:
                 raise ValueError("clause %r names a var twice" % (cl,))
             self.lits.extend(tc)
             self.ends.append(len(self.lits))
-        self.starts = array("i", [0]) + self.ends[:-1]
 
 
 class Unroller:
@@ -414,7 +421,7 @@ class Unroller:
         lm[0::2] = [2 * v for v in fm]
         lm[1::2] = [2 * v + 1 for v in fm]
         lits = [lm[x] for x in t.lits]
-        batch = [lits[i:j] for i, j in zip(t.starts, t.ends)]
+        batch: List[List[Lit]] = []  # clauses beyond the template's
         d = self.depth
         if self.init and not d:
             batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
@@ -439,7 +446,11 @@ class Unroller:
                 reach = 2 * s.new_var()
                 batch.append(sorted((reach ^ 1, self.bad_at(d))))
                 batch.append(sorted((reach ^ 1, self._held[-1])))
-        s.add_root_clauses(batch)
+        ends = t.ends.tolist()
+        for cl in batch:
+            lits += cl
+            ends.append(len(lits))
+        s.add_root_clauses(lits, ends)
         self._held.append(held)
         self._reach.append(reach)
 

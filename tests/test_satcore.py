@@ -25,6 +25,15 @@ def _random_cnf(rng, max_vars=16, max_clauses=70):
     return nv, clauses
 
 
+def _flat(clauses):
+    """`clauses` laid out as `Solver.add_root_clauses` reads them."""
+    lits, ends = [], []
+    for cl in clauses:
+        lits += cl
+        ends.append(len(lits))
+    return lits, ends
+
+
 def _solver_for(nv, clauses):
     s = Solver()
     s.new_vars(nv)
@@ -632,7 +641,7 @@ def test_root_loader_matches_one_clause_at_a_time(rng):
                     x = rng.randrange(nv)
                     batch.insert(rng.randrange(len(batch) + 1), [2 * x])
                     batch.insert(rng.randrange(len(batch) + 1), [2 * x + 1])
-            loader.add_root_clauses([list(cl) for cl in batch])
+            loader.add_root_clauses(*_flat(batch))
             for cl in batch:
                 twin.add_clause(cl)
             perm += batch
@@ -709,7 +718,7 @@ def test_binary_clauses_match_brute_force(rng):
                     cl[0] ^= 1  # keep the planted model
                 batch.append(cl)
             if batched:
-                s.add_root_clauses([list(cl) for cl in batch])
+                s.add_root_clauses(*_flat(batch))
             else:
                 for cl in batch:
                     s.add_clause(cl)
@@ -767,3 +776,92 @@ def test_binary_implication_respects_the_domain():
     # an assumption var is inside: b's reason is literal a, that is 0
     assert s.solve([1, 3], domain=[0]) is False
     assert s.unsat_core() == (1, 3)
+
+
+def _clause_closure(seeds, clauses):
+    """The vars that share a clause, directly or through other vars, with a
+    var of `seeds`."""
+    out, todo = set(), list(seeds)
+    while todo:
+        v = todo.pop()
+        if v in out:
+            continue
+        out.add(v)
+        todo.extend(l >> 1 for cl in clauses if any(l >> 1 == v for l in cl)
+                    for l in cl)
+    return out
+
+
+def test_cores_are_refuted_by_a_fresh_full_domain_solver(rng):
+    """Seeded incremental sequences of restricted and full-domain queries.
+    Permanent clauses share a planted model, so the clause-graph closure of
+    a query's assumption and temporary vars covers its cone.  Brute force
+    judges every answer, and every core is a subset of the assumptions that
+    a fresh solver, loaded with the same clauses and temporaries as
+    permanent ones, refutes on the full domain."""
+    restricted_cores = 0
+    for seq in range(200):
+        nv = rng.randint(3, 8)
+        planted = [rng.randint(0, 1) for _ in range(nv)]
+        s = Solver()
+        s.new_vars(nv)
+        perm = []
+        for q in range(25):
+            for _ in range(rng.randint(0, 3)):
+                cl = [2 * rng.randrange(nv) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                perm.append(cl)
+                s.add_clause(cl)
+            temps = [[2 * rng.randrange(nv) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.choice((0, 0, 1, 2)))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.randrange(nv) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 4))})
+            domain = None
+            if rng.random() < 0.7:
+                seeds = {l >> 1 for cl in temps for l in cl}
+                domain = _clause_closure(seeds | {l >> 1 for l in assume},
+                                         perm + temps)
+            res = s.solve(assume, domain=domain)
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+            if res:
+                model = [s.model_value(v) for v in range(nv)]
+                fixed = [2 * v + (0 if model[v] else 1)
+                         for v in range(nv) if model[v] is not None]
+                assert cnf_brute_force(nv, perm + temps, fixed) is not None
+                assert all(s.model_value(l >> 1) != bool(l & 1) for l in assume)
+            else:
+                core = s.unsat_core()
+                assert set(core) <= set(assume), (seq, q)
+                assert _solver_for(nv, perm + temps).solve(core) is False, \
+                    (seq, q)
+                restricted_cores += domain is not None and len(core) > 1
+    assert restricted_cores >= 100
+
+
+def test_only_a_restricted_query_puts_its_assumptions_on_one_level():
+    """The decision level of each assumption at every propagation pass above
+    the root: a restricted query enqueues all three on level 1 and
+    propagates once; a full-domain query gives each its own level."""
+    assume = [0, 3, 4]  # a, ~b, c: three free vars, no clause between them
+
+    class Recording(Solver):
+        def _propagate(self):
+            if self.trail_lim:
+                self.passes.append([self.vlevel[p >> 1]
+                                    if self.assigns[p >> 1] != UNDEF else None
+                                    for p in assume])
+            return super()._propagate()
+
+    for domain, passes in ((range(3), [[1, 1, 1]]),
+                           (None, [[1, None, None], [1, 2, None], [1, 2, 3]])):
+        s = Recording()
+        s.passes = []
+        s.new_vars(3)
+        assert s.solve(assume, domain=domain) is True
+        assert s.passes == passes, domain

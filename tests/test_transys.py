@@ -177,10 +177,10 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
     batches = []
     add_root_clauses = Solver.add_root_clauses
 
-    def recorded(self, clauses):
-        clauses = list(clauses)
-        batches.append([list(c) for c in clauses])
-        return add_root_clauses(self, clauses)
+    def recorded(self, lits, ends):
+        ends = list(ends)
+        batches.append([lits[i:j] for i, j in zip([0] + ends[:-1], ends)])
+        return add_root_clauses(self, lits, ends)
 
     monkeypatch.setattr(Solver, "add_root_clauses", recorded)
     ts = encode(mod_counter(4, 6, 10, enable=True))
