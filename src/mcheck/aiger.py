@@ -21,6 +21,9 @@ class AigerError(Exception):
 
 FALSE_REF = 0
 TRUE_REF = 1
+# A binary file's inputs take no bytes of its body, so nothing in the file
+# backs their count; a larger header is rejected before any allocation.
+MAX_BINARY_INPUTS = 1 << 20
 
 
 def ref_neg(ref: int) -> int:
@@ -229,6 +232,9 @@ def _decode_delta(data: bytes, pos: int) -> Tuple[int, int]:
 def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
     if m != i + l + a:
         raise AigerError("line 1: binary header requires M = I + L + A")
+    if i > MAX_BINARY_INPUTS:
+        raise AigerError("line 1: binary header declares %d inputs, more than "
+                         "the %d supported" % (i, MAX_BINARY_INPUTS))
     lineno = 2
     inputs = list(range(1, i + 1))
     latches: List[Latch] = []

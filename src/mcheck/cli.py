@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .aiger import Aig, AigerError, parse_aiger
 from .certify import format_certificate, format_witness
-from .orchestrator import (EngineConfig, run_config, run_portfolio,
+from .orchestrator import (SOLO_TIME, EngineConfig, run_config, run_portfolio,
                            verify_verdict)
 from .verdicts import InvariantCert, Verdict
 
@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="k-induction: add state-uniqueness constraints "
                         "(caps the search at k=10)")
     p.add_argument("--workers", type=_at_least(1), default=4, metavar="N",
-                   help="portfolio thread count (default 4)")
+                   help="portfolio size: the first config runs alone for "
+                        "%g ms, then each other one in its own thread "
+                        "(default 4)" % (SOLO_TIME * 1000))
     p.add_argument("--time-limit", type=_at_least(0, float), default=None,
                    metavar="SECS")
     p.add_argument("--bad-index", type=int, default=0, metavar="I",

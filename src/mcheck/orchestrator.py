@@ -9,9 +9,11 @@ The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
 the AIG and invariants are checked against the plain encoding; a
 k-induction record is re-solved over the same cone, recomputed from the
-AIG.  The portfolio launches one thread per configuration, takes the first
-definitive (safe/unsafe) verdict, re-verifies it before reporting, and
-cancels the rest with a bounded grace period.
+AIG.  The portfolio runs its first configuration alone in the calling
+thread and starts one thread for each of the others only once that search
+has run for `SOLO_TIME` seconds or ended without a verified verdict.  The
+first definitive (safe/unsafe) verdict that passes `verify_verdict` wins,
+and the rest are cancelled with a bounded grace period.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .transys import TranSys, encode, simplify_cnf
 from .verdicts import KInductionCert, Verdict, unknown
 
 GRACE_PERIOD = 2.0  # seconds a cancelled engine may take to wind down
+SOLO_TIME = 0.02  # seconds the first config searches before the race starts
 
 
 @dataclass
@@ -123,10 +126,25 @@ def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, st
 
 
 @dataclass
+class Outcome:
+    """How one portfolio config ended.  `status` is one of `OUTCOMES`;
+    `reason` is the rejection, the error message, the engine's own reason
+    for an unknown verdict, or what cancelled the run."""
+    config: EngineConfig
+    status: str = "not-started"
+    reason: str = ""
+
+
+OUTCOMES = ("won", "rejected", "errored", "no-verdict", "cancelled",
+            "not-started")
+
+
+@dataclass
 class PortfolioResult:
     verdict: Verdict
     winner: Optional[EngineConfig] = None
     rejected: List[Tuple[EngineConfig, str]] = field(default_factory=list)
+    outcomes: List[Outcome] = field(default_factory=list)  # lineup order
 
 
 def run_portfolio(
@@ -136,63 +154,103 @@ def run_portfolio(
     configs: Optional[Sequence[EngineConfig]] = None,
     time_limit: Optional[float] = None,
 ) -> PortfolioResult:
-    """First definitive verdict that passes `verify_verdict` wins; losers
-    are cancelled and must wind down within `GRACE_PERIOD` seconds."""
+    """First definitive verdict that passes `verify_verdict` wins.
+
+    The first config runs in the calling thread.  After `SOLO_TIME` seconds
+    of its search, or as soon as it ends without a verdict that passes, the
+    others start, one daemon thread each; the first config's cancel
+    callback verifies their verdicts as they come in.  Losers are cancelled
+    and must wind down within `GRACE_PERIOD` seconds."""
     if configs is None:
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
 
-    start = time.monotonic()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     ts = build_transys(aig, bad_index)
     stop = threading.Event()
-    results: "queue.Queue[Tuple[EngineConfig, Verdict]]" = queue.Queue()
-
-    def worker(cfg: EngineConfig) -> None:
-        try:
-            v = run_config(aig, cfg, bad_index, cancel=stop.is_set, ts=ts)
-        except Exception as exc:  # engine bug: surface as a non-verdict
-            v = unknown("engine error: %s" % exc)
-        results.put((cfg, v))
-
-    threads = [threading.Thread(target=worker, args=(cfg,), daemon=True)
-               for cfg in configs]
-    for t in threads:
-        t.start()
-
+    results: "queue.Queue[Tuple[int, Verdict, bool]]" = queue.Queue()
+    outcomes = [Outcome(cfg) for cfg in configs]
     rejected: List[Tuple[EngineConfig, str]] = []
-    winner: Optional[EngineConfig] = None
+    threads: List[threading.Thread] = []
+    running = {0}  # configs started and not yet settled
+    winner: Optional[int] = None
     verdict: Optional[Verdict] = None
-    pending = len(threads)
-    while pending:
-        timeout = None
-        if time_limit is not None:
-            timeout = time_limit - (time.monotonic() - start)
-            if timeout <= 0:
-                break
+
+    def run(j: int, cancel: Callable[[], bool]) -> Tuple[Verdict, bool]:
+        """Config j's verdict, and whether its engine raised."""
         try:
-            cfg, v = results.get(timeout=timeout)
-        except queue.Empty:
-            break
-        pending -= 1
+            return run_config(aig, configs[j], bad_index, cancel=cancel, ts=ts), False
+        except Exception as exc:  # engine bug: surface as a non-verdict
+            return unknown("engine error: %s" % exc), True
+
+    def worker(j: int) -> None:
+        results.put((j, *run(j, stop.is_set)))
+
+    def race() -> None:
+        if threads:
+            return
+        for j in range(1, len(configs)):
+            threads.append(threading.Thread(target=worker, args=(j,), daemon=True))
+            running.add(j)
+        for t in threads:
+            t.start()
+
+    def settle(j: int, v: Verdict, failed: bool) -> None:
+        nonlocal winner, verdict
+        running.discard(j)
+        out = outcomes[j]
         if not v.definitive:
-            continue
-        ok, reason = verify_verdict(aig, bad_index, v)
-        if not ok:
-            rejected.append((cfg, reason))
-            continue
-        winner, verdict = cfg, v
-        break
+            out.status = "errored" if failed else "no-verdict"
+            out.reason = v.reason
+        else:
+            ok, reason = verify_verdict(aig, bad_index, v)
+            if ok:
+                out.status, winner, verdict = "won", j, v
+            else:
+                out.status, out.reason = "rejected", reason
+                rejected.append((configs[j], reason))
 
-    stop.set()
-    deadline = time.monotonic() + GRACE_PERIOD
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
 
+    solo_end = time.monotonic() + SOLO_TIME
+
+    def poll() -> bool:
+        if time.monotonic() >= solo_end:
+            race()
+            while winner is None and not results.empty():
+                settle(*results.get())
+        return winner is not None or expired()
+
+    try:
+        v, failed = run(0, poll)
+        if winner is None and not expired():
+            settle(0, v, failed)
+            if winner is None:
+                race()
+        while winner is None and running:
+            timeout = None if deadline is None else deadline - time.monotonic()
+            if timeout is not None and timeout <= 0:
+                break
+            try:
+                settle(*results.get(timeout=timeout))
+            except queue.Empty:
+                break
+    finally:
+        stop.set()
+        grace_end = time.monotonic() + GRACE_PERIOD
+        for t in threads:
+            t.join(timeout=max(0.0, grace_end - time.monotonic()))
+
+    for j in running:
+        outcomes[j].status = "cancelled"
+        outcomes[j].reason = ("%s won" % configs[winner].name if winner is not None
+                              else "time limit reached")
     if verdict is None:
         reason = "no definitive verdict"
-        if time_limit is not None and time.monotonic() - start >= time_limit:
+        if expired():
             reason = "time limit reached"
         if rejected:
             reason += "; %d verdicts failed verification" % len(rejected)
-        return PortfolioResult(unknown(reason), None, rejected)
-    return PortfolioResult(verdict, winner, rejected)
+        return PortfolioResult(unknown(reason), None, rejected, outcomes)
+    return PortfolioResult(verdict, configs[winner], rejected, outcomes)

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcheck.aiger import (AigerError, eval_nodes, parse_aiger, serialize_aiger,
-                          simulate)
+from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, eval_nodes,
+                          parse_aiger, serialize_aiger, simulate)
 
 from fixtures import CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, counter_overflow, random_aig
 
@@ -67,6 +68,44 @@ def test_ascii_binary_agree(rng):
         a = parse_aiger(serialize_aiger(aig, ascii=True))
         b = parse_aiger(serialize_aiger(aig, ascii=False))
         assert a.structurally_equal(b)
+
+
+_BINARY = [serialize_aiger(aig, ascii=False) for aig in (
+    parse_aiger(CNT2_AAG.encode()), parse_aiger(SAFE1_AAG.encode()),
+    random_aig(random.Random(7)), counter_overflow(3))]
+_COUNT = st.one_of(st.integers(0, 40),
+                   st.integers(MAX_BINARY_INPUTS - 2, MAX_BINARY_INPUTS + 2),
+                   st.builds(lambda e, d: (1 << e) + d,
+                             st.integers(21, 70), st.integers(-2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.integers(0, len(_BINARY) - 1),
+       counts=st.lists(st.one_of(st.none(), _COUNT), min_size=7, max_size=7))
+def test_mutated_binary_header_counts(model, counts):
+    # each of M I L O A B C may be replaced; None keeps a count as written,
+    # and for M sets it to I + L + A, so that a mutation reaches past the
+    # header's own consistency check
+    data = _BINARY[model]
+    nl = data.index(b"\n")
+    nums = ([int(f) for f in data[:nl].split()[1:]] + [0, 0])[:7]
+    nums = [n if c is None else c for n, c in zip(nums, counts)]
+    if counts[0] is None:
+        nums[0] = nums[1] + nums[2] + nums[4]
+    mutated = b"aig " + b" ".join(b"%d" % n for n in nums) + data[nl:]
+    try:
+        aig = parse_aiger(mutated)
+    except AigerError:
+        return
+    assert isinstance(aig, Aig)
+
+
+def test_binary_inputs_beyond_the_limit_rejected():
+    at = b"aig %d %d 0 0 0\n" % (MAX_BINARY_INPUTS, MAX_BINARY_INPUTS)
+    assert len(parse_aiger(at).inputs) == MAX_BINARY_INPUTS
+    over = b"aig %d %d 0 0 0\n" % (MAX_BINARY_INPUTS + 1, MAX_BINARY_INPUTS + 1)
+    with pytest.raises(AigerError, match="inputs"):
+        parse_aiger(over)
 
 
 def test_trailer_preserved():

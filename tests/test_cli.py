@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import mcheck
 
 from mcheck.aiger import parse_aiger
 from mcheck.certify import parse_certificate, parse_witness, verify_witness
@@ -167,3 +174,21 @@ def test_time_limit_single_engine(tmp_path, capsys):
     rc = main([path, "--engine", "bmc", "--time-limit", "0.0"])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_hostile_binary_header_exits_2(tmp_path):
+    # 300 million inputs declared by a 30-byte file: the parser must reject
+    # the count before it allocates from it, which the address-space limit
+    # would turn into a MemoryError
+    path = _write(tmp_path, "h.aig", b"aig 300000000 300000000 0 0 0\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from mcheck.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mcheck.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, path], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "inputs" in run.stderr
+    assert "Traceback" not in run.stderr

@@ -1,11 +1,12 @@
+import threading
 import time
 
 import pytest
 
 from mcheck import orchestrator
 from mcheck.aiger import parse_aiger, ref_neg
-from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
-                                 run_portfolio, verify_verdict)
+from mcheck.orchestrator import (OUTCOMES, EngineConfig, default_configs,
+                                 run_config, run_portfolio, verify_verdict)
 from mcheck.transys import default_signal_policy, encode
 
 from fixtures import AigBuilder, counter_overflow, mod_counter, random_aig
@@ -155,3 +156,122 @@ def test_inn_ignores_gates_outside_the_cone():
         assert v.status == want
         ok, why = verify_verdict(aig, 0, v)
         assert ok, why
+
+
+# ---------------------------------------------------------------------------
+# Staged start: configs[0] searches alone for SOLO_TIME, then the race
+
+
+def _spy_threads(monkeypatch):
+    """Record every thread the portfolio starts."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(orchestrator.threading, "Thread", Spy)
+    return started
+
+
+def _statuses(r):
+    assert all(o.status in OUTCOMES for o in r.outcomes)
+    return [o.status for o in r.outcomes]
+
+
+def test_portfolio_settled_in_solo_time_starts_no_thread(monkeypatch, cnt2, safe1):
+    monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
+    started = _spy_threads(monkeypatch)
+    for aig, want in ((cnt2, "unsafe"), (safe1, "safe")):
+        r = run_portfolio(aig, workers=4)
+        assert r.verdict.status == want
+        assert r.winner == default_configs(4)[0]
+        assert _statuses(r) == ["won"] + ["not-started"] * 3
+    assert started == []
+
+
+def test_portfolio_race_after_bmc_first_on_safe_model(monkeypatch):
+    # BMC cannot prove a safe model; after its solo time IC3 starts and wins,
+    # and the callback that verified IC3's verdict stops BMC
+    started = _spy_threads(monkeypatch)
+    aig = mod_counter(6, 20, 40)
+    cfgs = [EngineConfig("bmc", bmc_max=10 ** 6), EngineConfig("ic3")]
+    r = run_portfolio(aig, workers=2, configs=cfgs)
+    assert r.verdict.is_safe
+    assert r.winner is cfgs[1]
+    assert len(started) == 1
+    assert _statuses(r) == ["cancelled", "won"]
+    assert r.outcomes[0].reason == "ic3+dynamic won"
+
+
+def test_portfolio_race_starts_at_once_after_unknown(monkeypatch, safe1):
+    monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
+    cfgs = [EngineConfig("bmc", bmc_max=2), EngineConfig("ic3")]
+    t0 = time.monotonic()
+    r = run_portfolio(safe1, workers=2, configs=cfgs)
+    assert time.monotonic() - t0 < 30
+    assert r.verdict.is_safe and r.winner is cfgs[1]
+    assert _statuses(r) == ["no-verdict", "won"]
+    assert r.outcomes[0].reason
+
+
+def test_portfolio_engine_error_in_first_config(monkeypatch, safe1):
+    monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
+    cfgs = [EngineConfig("kind"), EngineConfig("ic3")]
+    run = orchestrator.run_config
+
+    def failing(aig, config, *a, **kw):
+        if config is cfgs[0]:
+            raise RuntimeError("boom")
+        return run(aig, config, *a, **kw)
+
+    monkeypatch.setattr(orchestrator, "run_config", failing)
+    r = run_portfolio(safe1, workers=2, configs=cfgs)
+    assert r.verdict.is_safe and r.winner is cfgs[1]
+    assert _statuses(r) == ["errored", "won"]
+    assert r.outcomes[0].reason == "engine error: boom"
+    assert not r.rejected
+
+
+def test_portfolio_rejected_first_verdict(monkeypatch, cnt2):
+    monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
+    cfgs = [EngineConfig("ic3"), EngineConfig("bmc")]
+    verify = orchestrator.verify_verdict
+    calls = []
+
+    def reject_first(aig, bad_index, verdict):
+        calls.append(verdict)
+        if len(calls) == 1:
+            return False, "forged"
+        return verify(aig, bad_index, verdict)
+
+    monkeypatch.setattr(orchestrator, "verify_verdict", reject_first)
+    r = run_portfolio(cnt2, workers=2, configs=cfgs)
+    assert r.verdict.is_unsafe and r.winner is cfgs[1]
+    assert r.rejected == [(cfgs[0], "forged")]
+    assert _statuses(r) == ["rejected", "won"]
+    assert r.outcomes[0].reason == "forged"
+
+
+def test_portfolio_leaves_no_thread_behind(rng):
+    baseline = threading.active_count()
+    models = [mod_counter(6, 20, 40), counter_overflow(5), mod_counter(7, 40, 80)]
+    models += [random_aig(rng) for _ in range(5)]
+    for aig in models:
+        r = run_portfolio(aig, workers=4, time_limit=5.0)
+        assert len(r.outcomes) == 4
+        assert threading.active_count() == baseline
+
+
+def test_portfolio_two_workers_time_limit():
+    aig = mod_counter(7, 40, 80)
+    cfgs = [EngineConfig("bmc", bmc_max=10 ** 6),
+            EngineConfig("bmc", bmc_step=10, bmc_max=10 ** 6)]
+    t0 = time.monotonic()
+    r = run_portfolio(aig, workers=2, configs=cfgs, time_limit=0.3)
+    assert time.monotonic() - t0 < 0.3 + 0.5
+    assert r.verdict.status == "unknown"
+    assert "time limit" in r.verdict.reason
+    assert _statuses(r) == ["cancelled", "cancelled"]
+    assert r.outcomes[0].reason == "time limit reached"
