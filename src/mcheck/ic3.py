@@ -18,6 +18,14 @@ over lemma co-occurrence so a partial model always extends to a full one),
 so a model leaves the vars outside it unassigned.  A domain
 depends only on the cube's var set and the co-occurrence graph, so it is
 cached per var set until a lemma adds an edge to the graph.
+
+A push that fails leaves its lemma a counterexample: the state of the sat
+model, kept in `_push_cex` with the length of the lemma log at that time.
+The next push of that lemma from the same level is skipped while the state
+refutes every lemma logged since at that level or above: the old model
+still satisfies F_i ∧ T ∧ c′, so the query would answer sat again.  An
+entry goes when its lemma leaves its level, and the log is cut after each
+propagation pass to the lemmas the oldest entry has not yet seen.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ class Ic3Stats:
     obligations: int = 0
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
+    push_skips: int = 0  # pushes known to fail, not counted in solver_calls
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
     solver: Optional[SolverStats] = None  # the main and lift solvers' count
@@ -146,6 +155,12 @@ class IC3:
         self._state_vars = sorted(ts.latch_vars)
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
+        # per lemma: [level, counterexample state of its last failed push
+        # from there, absolute lemma-log length when it was read]
+        self._push_cex: Dict[Cube, list] = {}
+        # (level, cube) of each lemma added since absolute position _log_base
+        self._lemma_log: List[Tuple[int, Cube]] = []
+        self._log_base = 0
 
     # -- plumbing -----------------------------------------------------------
 
@@ -285,8 +300,12 @@ class IC3:
     def add_lemma(self, cube: Cube, level: int) -> None:
         level = min(level, self.k)
         for j in range(1, level + 1):
-            self.frames[j] = {d for d in self.frames[j] if not subsumes(cube, d)}
+            frame = self.frames[j]
+            for d in [d for d in frame if subsumes(cube, d)]:
+                frame.discard(d)
+                self._push_cex.pop(d, None)
         self.frames[level].add(cube)
+        self._lemma_log.append((level, cube))
         self.solver.add_clause(negate(cube) + (2 * self.acts[level] + 1,))
         self.stats.lemmas += 1
         vars_ = [l >> 1 for l in cube]
@@ -464,12 +483,17 @@ class IC3:
                 if self.stats.ctg_blocks > ctg_blocks:
                     self._escalation.setdefault(cube, [0, False])[1] = True
                 j = level
+                cex = None
+                since = self._log_end()
                 while j < self.k:
                     r2, _ = self.solve_relative(g, j + 1)
                     if r2 is not False:
+                        cex = [j, set(self._model_state_cube()), since]
                         break
                     j += 1
                 self.add_lemma(g, j)
+                if cex is not None:
+                    self._push_cex[g] = cex
                 if j < self.k:
                     counter += 1
                     heapq.heappush(q, (j + 1, cube, counter, ob))
@@ -530,14 +554,45 @@ class IC3:
                 if cube not in self.frames[i]:
                     continue  # dropped by subsumption during this pass
                 self._check_cancel()
+                if self._push_fails_again(cube, i):
+                    self.stats.push_skips += 1
+                    continue
+                since = self._log_end()
                 r, kept = self.solve_relative(cube, i + 1, block_self=False)
                 if r is False:
                     self.frames[i].discard(cube)
+                    self._push_cex.pop(cube, None)
                     self.add_lemma(self._repair_init(kept, cube), i + 1)
+                else:
+                    self._push_cex[cube] = [i, set(self._model_state_cube()), since]
+        # every entry was read or refreshed in this pass: drop the log
+        # prefix that no entry still has to check
+        start = min((m[2] for m in self._push_cex.values()),
+                    default=self._log_end())
+        del self._lemma_log[:start - self._log_base]
+        self._log_base = start
         for i in range(1, self.k):
             if not self.frames[i]:
                 return i
         return None
+
+    def _log_end(self) -> int:
+        return self._log_base + len(self._lemma_log)
+
+    def _push_fails_again(self, cube: Cube, i: int) -> bool:
+        """Whether the counterexample state of the last failed push of
+        `cube` from level i refutes every lemma logged since at a level >= i,
+        so that it still satisfies F_i and the push would fail again.  A var
+        the old model left unassigned refutes nothing."""
+        memo = self._push_cex.get(cube)
+        if memo is None or memo[0] != i:
+            return False
+        state = memo[1]
+        for level, d in self._lemma_log[memo[2] - self._log_base:]:
+            if level >= i and not any(l ^ 1 in state for l in d):
+                return False
+        memo[2] = self._log_end()
+        return True
 
     def _invariant(self, fixpoint: int) -> InvariantCert:
         return InvariantCert([negate(d) for j in range(fixpoint + 1, self.k + 1)
@@ -550,7 +605,7 @@ class IC3:
             self.stats.solver_calls += 1
             res = self.solver.solve(
                 self._frame_assumptions(0) + [self.ts.bad],
-                cancel_check=self.cancel)
+                domain=self._query_domain(None), cancel_check=self.cancel)
             if res is None:
                 raise _Cancelled()
             if res:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mcheck.aiger import parse_aiger
+from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, STANDARD,
                         Ic3Options, select_strategy, check as ic3_check)
@@ -219,7 +220,7 @@ def test_deep_counterexample_found():
 def test_solver_vars_stay_bounded():
     # one activation var per frame and one reused for the temporaries: the
     # solvers do not grow with the number of queries
-    engine = IC3(encode(mod_counter(6, 30, 50, enable=True)),
+    engine = IC3(encode(mod_counter(6, 32, 60, enable=True)),
                  Ic3Options(strategy=DYNAMIC))
     assert engine.check().is_safe
     assert engine.stats.solver_calls > 500
@@ -250,7 +251,7 @@ class _FreshDomains(IC3):
 def test_cached_query_domains_match_a_fresh_walk(rng):
     # a few of the random circuits add a lemma edge that widens a domain
     # already cached, so a cache that ignores new edges fails here
-    models = [mod_counter(6, 30, 50, enable=True)]
+    models = [mod_counter(6, 32, 60, enable=True)]
     models += [random_aig(rng, max_latches=10, max_inputs=2, max_gates=30,
                           constraint_prob=0.8) for _ in range(300)]
     lookups = hits = 0
@@ -282,3 +283,84 @@ def test_cached_domains_cover_deep_queries(aig, status):
     assert v.status == status
     assert v.stats.solver.domain_checks > 100
     assert v.stats.solver.domain_mismatches == 0
+
+
+def test_zero_step_query_searches_only_the_cone_of_bad():
+    # bad is input 1 of 2^16: the 0-step query decides bad's cone, not
+    # every var the encoding allocated
+    aig = parse_aiger(b"aig 65536 65536 0 1 0\n2\n")
+    v = run_config(aig, EngineConfig("ic3"))
+    assert v.is_unsafe
+    ok, why = verify_verdict(aig, 0, v)
+    assert ok, why
+    assert v.stats.solver.decisions <= 2
+
+
+class _CheckedSkips(IC3):
+    """Re-runs on the solver every push the counterexample memo skips."""
+
+    rechecked = 0
+
+    def _push_fails_again(self, cube, i):
+        skip = super()._push_fails_again(cube, i)
+        if skip:
+            r, _ = self.solve_relative(cube, i + 1, block_self=False)
+            assert r is True, "skipped push of %r from %d is unsat" % (cube, i)
+            self.rechecked += 1
+        return skip
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_skipped_pushes_would_fail(strategy, rng):
+    # a memo that ignored the lemmas added since a failed push would skip
+    # pushes that now succeed
+    models = [random_aig(rng) for _ in range(30)]
+    models += [mod_counter(6, 20, 33, enable=True),
+               mod_counter(5, 24, 28, enable=True)]
+    rechecked = 0
+    for aig in models:
+        engine = _CheckedSkips(encode(aig), Ic3Options(strategy=strategy))
+        v = engine.check()
+        assert v.status in ("safe", "unsafe"), v.reason
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why
+        rechecked += engine.rechecked
+    assert rechecked > 0
+
+
+def test_push_memo_skips_pushes_on_an_enable_counter():
+    v = ic3_check(encode(mod_counter(6, 20, 33, enable=True)),
+                  Ic3Options(strategy=DYNAMIC))
+    assert v.is_safe
+    assert v.stats.push_skips > 0
+
+
+class _BoundedMemo(IC3):
+    """Checks that each memo entry belongs to a live lemma at its level, and
+    that after a propagation pass the lemma log holds no lemma older than
+    the pass."""
+
+    def _check_memo(self):
+        assert len(self._push_cex) <= sum(len(f) for f in self.frames)
+        for cube, (level, _, _) in self._push_cex.items():
+            assert cube in self.frames[level]
+
+    def add_lemma(self, cube, level):
+        super().add_lemma(cube, level)
+        self._check_memo()
+
+    def propagate(self):
+        before = self.stats.lemmas
+        out = super().propagate()
+        self._check_memo()
+        assert len(self._lemma_log) <= self.stats.lemmas - before
+        return out
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_push_memo_is_bounded_by_live_lemmas(strategy):
+    for aig in (mod_counter(6, 20, 33, enable=True),
+                mod_counter(6, 32, 60, enable=True)):
+        engine = _BoundedMemo(encode(aig), Ic3Options(strategy=strategy))
+        assert engine.check().is_safe
+        assert engine.stats.push_skips > 0

@@ -8,7 +8,11 @@ model with the workload's engine configuration, ``bmc(step=1)`` for
 portfolio's two default configurations on its own for ``portfolio-mixed``,
 and prints the verdict and the counts the engines keep.  The search is
 deterministic, so two checkouts that search alike print the same lines, and
-``diff`` of two outputs shows every model whose search moved.
+``diff`` of two outputs shows every model whose search moved.  IC3 lines
+also carry ``push_skips``, the pushes IC3 skipped because a stored
+counterexample showed they would fail; output from a checkout older than that
+key lacks it, so a ``diff`` against such output shows every IC3 line, while
+``bmc-deep`` lines stay comparable.
 
 Exits 1, after printing every line, if some verdict is ``unknown`` or
 differs from the model's known answer; each such verdict is also named on
@@ -45,7 +49,7 @@ def counts(verdict) -> dict:
     st = verdict.stats
     out = {"verdict": verdict.status}
     if hasattr(st, "lemmas"):  # Ic3Stats
-        out.update(frames=st.frames, lemmas=st.lemmas)
+        out.update(frames=st.frames, lemmas=st.lemmas, push_skips=st.push_skips)
     else:  # UnrollStats
         out["depth"] = st.depth
     out["solver_calls"] = st.solver_calls
