@@ -51,9 +51,11 @@ tautology dropped.
 
 A permanent binary clause (a | b) is no `Clause`: `bins[a]` holds b and
 `bins[b]` holds a, as plain ints, and a literal's list is created on its
-first clause.  Propagating a false literal visits its binary list first,
-then the long clauses watching it; learnt and temporary binary clauses stay
-on the watch path, where `_reduce_db` and `_clear_temporaries` detach them.
+first clause.  A literal's watch list, too, is () until its first watch,
+so a var that no clause names costs no list.  Propagating a false literal
+visits its binary list first, then the long clauses watching it; learnt
+and temporary binary clauses stay on the watch path, where `_reduce_db`
+and `_clear_temporaries` detach them.
 Above the root, a binary clause that a restricted domain leaves unit is
 visited again through its other literal's list should that var be assigned.
 A var implied through `bins` takes the false literal as its reason, an int,
@@ -187,7 +189,7 @@ class Solver:
         self.polarity: List[bool] = []
         self.vlevel: List[int] = []
         self.reason: List[Union[Clause, int, None]] = []
-        self.watches: List[List[Clause]] = []
+        self.watches: List[Sequence[Clause]] = []  # () until the first watch
         self.bins: List[Sequence[int]] = []  # () until the literal's first clause
         self.num_bins = 0
         self.trail: List[int] = []
@@ -224,7 +226,7 @@ class Solver:
         self.polarity += [False] * n
         self.vlevel += [0] * n
         self.reason += [None] * n
-        self.watches += [[] for _ in range(2 * n)]
+        self.watches += [()] * (2 * n)
         self.bins += [()] * (2 * n)
         self._seen += [False] * n
         self._domain_stamp += [-1] * n
@@ -331,8 +333,12 @@ class Solver:
                         del cl[n:]
                         c = Clause(cl)
                         attached.append(c)
-                        watches[cl[0]].append(c)  # _attach(c), inlined
-                        watches[cl[1]].append(c)
+                        for w in cl[0], cl[1]:  # _attach(c), inlined
+                            ws = watches[w]
+                            if ws:
+                                ws.append(c)
+                            else:
+                                watches[w] = [c]
                     elif n == 1:
                         l = cl[0]  # _enqueue(l, None), inlined
                         v = l >> 1
@@ -364,11 +370,17 @@ class Solver:
 
     def _attach(self, c: Clause) -> None:
         # watches[l] lists the clauses watching literal l; they are visited
-        # when l becomes false
-        self.watches[c.lits[0]].append(c)
-        self.watches[c.lits[1]].append(c)
+        # when l becomes false.  It is () until l's first watch.
+        watches = self.watches
+        for w in c.lits[0], c.lits[1]:
+            ws = watches[w]
+            if ws:
+                ws.append(c)
+            else:
+                watches[w] = [c]
 
     def _detach(self, c: Clause) -> None:
+        # a watched literal's list exists: the clause went in through it
         for w in (c.lits[0], c.lits[1]):
             try:
                 self.watches[w].remove(c)
@@ -518,7 +530,11 @@ class Solver:
                     if ak == UNDEF or ak ^ (lk & 1) == 1:
                         lits[1] = lk
                         lits[k] = false_lit
-                        watches[lk].append(c)
+                        wk = watches[lk]
+                        if wk:
+                            wk.append(c)
+                        else:  # lk's first watch
+                            watches[lk] = [c]
                         break
                 else:
                     ws[j] = c

@@ -11,7 +11,9 @@ Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
 Beyond", 2011): a counterexample of length d is a path from an initial state
 on which every constraint holds at steps 0..d and bad holds at step d;
 nothing is required after step d.  `Unroller` is the one place that builds
-timed frames and encodes this.
+timed frames and encodes this.  A frame maps a latch to the previous frame's
+next-state literal, with no var of its own, unless `FrameTemplate`'s alias
+rule keeps the latch's primed var.
 
 `coi_vars` is the one cone-of-influence walk.  `encode(..., cone=True)` walks
 it from bad and the active constraints through gate fanins and latch
@@ -25,6 +27,7 @@ AIG's latches and inputs.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
@@ -327,60 +330,90 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 class FrameTemplate:
     """A system's clauses compiled once for `Unroller`, over frame slots.
 
-    Slot 0 is the constant var 0.  Then come the latches, ordered by their
-    primed vars, then every other var the system uses, in var order.  The
-    clauses are stored flat: `lits` holds them one after the other as
-    packed ints `(slot << 1) | sign`, each clause sorted, and clause i ends
-    before index `ends[i]`, the layout `Solver.add_root_clauses` reads.  A
-    frame maps slot 0 to var 0, each latch slot to its primed var in the
-    frame before (the first frame has none) and every other slot to a fresh
-    var, allocated in slot order; solver vars thus rise with the slots, and
-    a mapped clause stays sorted.
+    Slot 0 is the constant var 0.  Then come the latches, the other vars
+    the system uses in var order, and last the aliased primed vars.  A
+    latch's primed var is aliased when its only clauses are the two
+    equivalence clauses with its next-state literal (`encode` writes them),
+    that literal is not constant, and no earlier aliased latch has the same
+    next-state var.  The clauses are stored flat: `lits` holds them one
+    after the other as packed ints `(slot << 1) | sign`, less the
+    equivalence clauses of the aliased primed vars, and clause i ends before
+    index `ends[i]`, the layout `Solver.add_root_clauses` reads.
 
-    That map is injective only if no two latches share a primed var and
-    none is primed to the constant; the template checks this once, and that
-    each clause names each var at most once, and raises `ValueError`
-    otherwise.  Frames then load their clauses without per-clause cleanup.
+    A frame maps each slot to a solver literal: slot 0 to var 0, each latch
+    slot to the literal of its primed slot in the frame before (the first
+    frame gives it a fresh var), each aliased primed slot to the literal of
+    its next-state slot in the same frame, sign included, and every other
+    slot to a fresh positive var, allocated in slot order.  The latch
+    literals of one frame thus name distinct vars, and so does every mapped
+    clause; the loader reads no order, so a mapped clause need not be
+    sorted.
+
+    That holds only if no two latches share a primed var and none is primed
+    to the constant; the template checks this once, and that each clause
+    names each var at most once, and raises `ValueError` otherwise.  Frames
+    then load their clauses without per-clause cleanup.
     """
 
     def __init__(self, ts: TranSys):
-        latches = sorted(ts.latch_vars, key=ts.next_map.__getitem__)
+        latches = ts.latch_vars
         primed = [ts.next_map[lv] for lv in latches]
         if 0 in primed or len(set(primed)) < len(primed):
             raise ValueError("two latches share a primed var, or one is "
                              "primed to the constant")
-        used = {l >> 1 for cl in ts.clauses for l in cl}
+        uses = Counter([l >> 1 for cl in ts.clauses for l in cl])
+        # a pseudo-latch has no source latch, so it is never aliased
+        nxt = {lt.var: ref_to_lit(lt.next) for lt in ts.source.latches}
+        alias: Dict[int, Lit] = {}  # aliased primed var -> next-state literal
+        targets = {0}  # next-state vars taken, the constant's from the start
+        for lv, p in zip(latches, primed):
+            n = nxt.get(lv)
+            if (n is not None and uses[p] == 2
+                    and ts.dep.get(p) == (n >> 1,) and n >> 1 not in targets):
+                targets.add(n >> 1)
+                alias[p] = n
+        used = set(uses)
         used.update(ts.input_vars, primed)
         used.update(l >> 1 for l in ts.constraints + [ts.bad])
-        used.difference_update(latches)
+        used.difference_update(latches, alias)
         used.discard(0)
-        rest = sorted(used)
-        self.slot_of: Dict[int, int] = {
-            v: j for j, v in enumerate([0] + latches + rest)}
+        order = [0, *latches, *sorted(used)]
+        self.own = len(order)  # slots before the aliased ones
+        order += alias
+        self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
         self.latch_src = [slot_of[p] for p in primed]
-        self.lits = array("i")
-        self.ends = array("i")
+        self.alias_src = [(slot_of[n >> 1] << 1) | (n & 1)
+                          for n in alias.values()]
+        lits: List[int] = []
+        ends: List[int] = []
+        own = self.own
         for cl in ts.clauses:
-            tc = sorted((slot_of[l >> 1] << 1) | (l & 1) for l in cl)
+            tc = sorted([(slot_of[l >> 1] << 1) | (l & 1) for l in cl])
             if len({x >> 1 for x in tc}) < len(tc):
                 raise ValueError("clause %r names a var twice" % (cl,))
-            self.lits.extend(tc)
-            self.ends.append(len(self.lits))
+            if tc[-1] >> 1 < own:  # else an aliased primed var's equivalence
+                lits += tc
+                ends.append(len(lits))
+        self.lits = array("i", lits)
+        self.ends = array("i", ends)
 
 
 class Unroller:
     """Timed copies of the transition relation, written into `solver`.
 
-    Frame d's primed latch vars double as frame d+1's current latch vars.
-    Solver var 0 stays the shared constant; each frame maps only the vars
-    the system uses.  The system's `FrameTemplate` (see there) is compiled
-    once per `TranSys`, and a frame allocates its vars with one
-    `Solver.new_vars` call, maps the template through a flat literal list
-    and loads the clauses with one `Solver.add_root_clauses` call.  With
-    `init`, frame 0 starts in an initial state; with `simple_path`, each new
-    frame's state differs from every earlier frame's (Een and Sorensson,
-    "Temporal Induction by Incremental SAT Solving", 2003).
+    Frame d+1 maps each latch to the literal of its primed var in frame d:
+    for an aliased latch, frame d's literal of its next-state function
+    itself (Biere, Cimatti, Clarke and Zhu, "Symbolic Model Checking
+    without BDDs", 1999).  Solver var 0 stays the shared constant; each
+    frame maps only the vars the system uses.  The system's `FrameTemplate`
+    (see there) is compiled once per `TranSys`, and a frame allocates its
+    vars with one `Solver.new_vars` call, maps the template through a flat
+    literal list and loads the clauses with one `Solver.add_root_clauses`
+    call.  With `init`, frame 0 starts in an initial state; with
+    `simple_path`, each new frame's state differs from every earlier
+    frame's (Een and Sorensson, "Temporal Induction by Incremental SAT
+    Solving", 2003).
 
     Constraints are those of AIGER 1.9: bad at depth d needs them at frames
     0..d and at no frame after d.  `held(d)` implies C_0..C_d, and
@@ -396,7 +429,7 @@ class Unroller:
         self.init = init
         self.simple_path = simple_path
         self.template = ts.frame_template
-        self._frames: List[List[int]] = []  # per frame: solver var by slot
+        self._frames: List[List[Lit]] = []  # per frame: solver literal by slot
         self._held: List[Lit] = []
         self._reach: List[Lit] = []
         if solver.num_vars == 0:
@@ -413,13 +446,14 @@ class Unroller:
         if self._frames:
             prev = self._frames[-1]
             fm += [prev[j] for j in t.latch_src]
-        fresh = len(t.slot_of) - len(fm)
+        fresh = t.own - len(fm)
         first = s.new_vars(fresh)
-        fm += range(first, first + fresh)
+        fm += range(2 * first, 2 * (first + fresh), 2)
+        fm += [fm[x >> 1] ^ (x & 1) for x in t.alias_src]
         self._frames.append(fm)
         lm = [0] * (2 * len(fm))  # frame literal by packed template literal
-        lm[0::2] = [2 * v for v in fm]
-        lm[1::2] = [2 * v + 1 for v in fm]
+        lm[0::2] = fm
+        lm[1::2] = [x ^ 1 for x in fm]
         lits = [lm[x] for x in t.lits]
         batch: List[List[Lit]] = []  # clauses beyond the template's
         d = self.depth
@@ -428,14 +462,18 @@ class Unroller:
         if self.simple_path:
             latches = [2 * lv for lv in ts.latch_vars]
             for i in range(d if latches else 0):
+                pairs = [(self.lit_at(l, i), self.lit_at(l, d)) for l in latches]
+                if any(a == b ^ 1 for a, b in pairs):
+                    continue  # the two frames always differ on that latch
                 diff = []
-                for l in latches:
-                    a, b = self.lit_at(l, i), self.lit_at(l, d)
+                for a, b in pairs:
+                    if a == b:
+                        continue  # the two frames never differ on it
                     x = 2 * s.new_var()
                     batch.append(sorted((x ^ 1, a, b)))  # x -> (a xor b)
                     batch.append(sorted((x ^ 1, a ^ 1, b ^ 1)))
                     diff.append(x)
-                batch.append(diff)
+                batch.append(diff)  # empty if they agree on every latch
         held, reach = TRUE_LIT, self.bad_at(d)
         if ts.constraints:
             held = 2 * s.new_var()
@@ -459,8 +497,7 @@ class Unroller:
             self.add_frame()
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
-        v = self._frames[frame][self.template.slot_of[lit >> 1]]
-        return (v << 1) | (lit & 1)
+        return self._frames[frame][self.template.slot_of[lit >> 1]] ^ (lit & 1)
 
     def bad_at(self, frame: int) -> Lit:
         return self.lit_at(self.ts.bad, frame)

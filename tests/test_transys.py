@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcheck.aiger import eval_nodes, parse_aiger
+from mcheck.aiger import FALSE_REF, TRUE_REF, eval_nodes, parse_aiger, ref_neg
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import check as ic3_check
 from mcheck.logic import lit_neg, mklit
@@ -14,9 +14,16 @@ from mcheck.transys import (Unroller, coi_vars, encode,
                             extend_with_internal_signals, ref_to_lit,
                             simplify_cnf)
 
-from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, counter_with_reset,
-                      mod_counter, padded_mod_counter, random_aig)
+from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, AigBuilder,
+                      counter_with_reset, mod_counter, padded_mod_counter,
+                      random_aig)
 from oracle import bfs_check
+
+
+def _aliased(ts):
+    """The latches whose primed var the frame template aliases."""
+    t = ts.frame_template
+    return {lv for lv in ts.latch_vars if t.slot_of[ts.next_map[lv]] >= t.own}
 
 
 def _lit_value(s, lit):
@@ -153,13 +160,15 @@ def test_unroller_grows_frames_into_its_solver(cnt2):
     ts = encode(cnt2)
     used = {l >> 1 for cl in ts.clauses for l in cl} - {0}
     shared = len(ts.latch_vars)
+    assert _aliased(ts) == set(ts.latch_vars)
     for init in (True, False):
         s = Solver()
         un = Unroller(ts, s, init=init)
         un.grow(4)
         assert un.depth == 4
-        # var 0 is shared, and so are the latch vars between frames
-        assert s.num_vars == 1 + 5 * len(used) - 4 * shared
+        # var 0 is shared; no frame allocates an aliased primed var, and a
+        # frame after the first allocates no latch var either
+        assert s.num_vars == 1 + 5 * (len(used) - 2 * shared) + shared == 18
         for k in range(4):
             for lv in ts.latch_vars:
                 assert un.lit_at(2 * lv, k + 1) == \
@@ -171,9 +180,9 @@ def test_unroller_grows_frames_into_its_solver(cnt2):
 
 
 def test_every_frame_allocates_in_slot_order(monkeypatch):
-    """Frame 0 lays out its vars as later frames do, in slot order, so a
-    mapped clause comes out sorted in every frame.  The enable input comes
-    before the latches in var order but after them in slot order."""
+    """Every frame allocates its fresh vars in slot order, and no mapped
+    clause names a var twice.  The enable input comes before the latches in
+    var order but after them in slot order."""
     batches = []
     add_root_clauses = Solver.add_root_clauses
 
@@ -184,17 +193,26 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
 
     monkeypatch.setattr(Solver, "add_root_clauses", recorded)
     ts = encode(mod_counter(4, 6, 10, enable=True))
-    slot_of = ts.frame_template.slot_of
+    t = ts.frame_template
+    slot_of = t.slot_of
     assert sorted(slot_of, key=slot_of.get) != sorted(slot_of)
+    assert _aliased(ts) == set(ts.latch_vars)
     s = Solver()
     un = Unroller(ts, s, init=False)
     un.grow(3)
     assert len(batches) == 4
-    assert {v: un.lit_at(2 * v, 0) >> 1 for v in slot_of} == slot_of
+    own = sorted((v for v in slot_of if slot_of[v] < t.own), key=slot_of.get)
+    assert [un.lit_at(2 * v, 0) for v in own] == [2 * slot_of[v] for v in own]
+    fresh = [v for v in own[1:] if v not in ts.latch_vars]
+    top = s.num_vars - 3 * len(fresh)  # the vars after frame 0's
+    for d in (1, 2, 3):
+        assert [un.lit_at(2 * v, d) for v in fresh] == [
+            2 * (top + j) for j in range((d - 1) * len(fresh), d * len(fresh))]
     for batch in batches:
-        assert len(batch) == len(ts.clauses)
+        # the two equivalence clauses of each aliased primed var are gone
+        assert len(batch) == len(ts.clauses) - 2 * len(ts.latch_vars)
         for cl in batch:
-            assert cl == sorted(cl)
+            assert len({l >> 1 for l in cl}) == len(cl)
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
@@ -216,7 +234,9 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     un.add_frame()
     used = {l >> 1 for cl in ts.clauses for l in cl}
     assert set(un.template.slot_of) == used
-    assert s.num_vars == len(used)  # var 0 is shared
+    # var 0 is shared, and every latch's primed var is aliased
+    assert _aliased(ts) == set(cnt)
+    assert s.num_vars == len(used) - len(cnt)
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
     cut, whole = encode(bare, cone=True), encode(bare)
@@ -390,3 +410,91 @@ def test_unrolling_engines_match_the_oracle(rng):
     statuses = [_check_unrolling_engines(random_aig(rng, constraint_prob=1.0))
                 for _ in range(100)]
     assert {"safe", "unsafe"} <= set(statuses)
+
+
+def _twin(opposite):
+    # a' = x and c' = x (or NOT x): the two share a next-state var, so only
+    # a is aliased; bad = a AND NOT c, which needs them to differ
+    b = AigBuilder()
+    x = b.new_input()
+    a, c = b.new_latch(0), b.new_latch(1)
+    b.set_next(a, x)
+    b.set_next(c, ref_neg(x) if opposite else x)
+    return b.build(bads=[b.AND(a, ref_neg(c))]), {a}
+
+
+def _constant(value):
+    # c' = value is never aliased; the toggle m' = NOT m is
+    b = AigBuilder()
+    c, m = b.new_latch(1), b.new_latch(0)
+    b.set_next(c, value)
+    b.set_next(m, ref_neg(m))
+    return b.build(bads=[b.AND(ref_neg(c), m)]), {m}
+
+
+def _self_loop(init):
+    # l' = l keeps its start value; t' = NOT t toggles
+    b = AigBuilder()
+    l, t = b.new_latch(init), b.new_latch(0)
+    b.set_next(l, l)
+    b.set_next(t, ref_neg(t))
+    return b.build(bads=[b.AND(l, t)]), {l, t}
+
+
+def _johnson(bad_state):
+    # a' = NOT c, b' = a, c' = b from 000 visits six of the eight states
+    b = AigBuilder()
+    a, m, c = b.new_latch(0), b.new_latch(0), b.new_latch(0)
+    b.set_next(a, ref_neg(c))
+    b.set_next(m, a)
+    b.set_next(c, m)
+    bits = [r if bit else ref_neg(r) for r, bit in zip((a, m, c), bad_state)]
+    return b.build(bads=[b.conj(bits)]), {a, m, c}
+
+
+def _from_input(shift):
+    # a' = x; m' = a (a shift register) or m' = a AND m (stuck at 0)
+    b = AigBuilder()
+    x = b.new_input()
+    a, m = b.new_latch(0), b.new_latch(0)
+    b.set_next(a, x)
+    b.set_next(m, a if shift else b.AND(a, m))
+    return b.build(bads=[m]), {a, m}
+
+
+ALIAS_CASES = {
+    "same next literal": (_twin(False), "safe"),
+    "opposite next literals": (_twin(True), "unsafe"),
+    "constant true next": (_constant(TRUE_REF), "safe"),
+    "constant false next": (_constant(FALSE_REF), "unsafe"),
+    "self-loop, reset": (_self_loop(0), "safe"),
+    "self-loop, no reset": (_self_loop(None), "unsafe"),
+    "negated next, unreachable": (_johnson((0, 1, 0)), "safe"),
+    "negated next, reachable": (_johnson((1, 1, 1)), "unsafe"),
+    "input next, stuck": (_from_input(False), "safe"),
+    "input next, shift": (_from_input(True), "unsafe"),
+}
+
+
+@pytest.mark.parametrize("case", list(ALIAS_CASES))
+def test_alias_edge_cases(monkeypatch, case):
+    """The template aliases exactly the latches the rule allows, and BMC
+    and k-induction with simple paths decide the model as the oracle does,
+    with verdicts that pass the independent check.  No clause that reaches
+    the root loader names a var twice, simple-path clauses included."""
+    add_root_clauses = Solver.add_root_clauses
+
+    def checked(self, lits, ends):
+        ends = list(ends)
+        for i, j in zip([0] + ends[:-1], ends):
+            assert len({l >> 1 for l in lits[i:j]}) == j - i, lits[i:j]
+        return add_root_clauses(self, lits, ends)
+
+    monkeypatch.setattr(Solver, "add_root_clauses", checked)
+    (aig, allowed), status = ALIAS_CASES[case]
+    want = {r >> 1 for r in allowed}
+    assert _aliased(encode(aig)) == want
+    assert _aliased(build_transys(aig)) == want
+    assert _check_unrolling_engines(aig) == status
+    v = kind(build_transys(aig), max_k=10, simple_path=True)
+    assert v.status == status
