@@ -1,24 +1,25 @@
 """Command-line entry point.
 
+Every `--engine` value runs through `run_portfolio`, a single engine as a
+lineup of one, so one gate verifies, cancels and reports every verdict.
 Exit codes follow the hardware model-checking competition convention:
-10 = unsafe (counterexample found), 20 = safe (proof found), 0 = unknown,
-2 = usage or input error; 1 = the independent check of a safe or unsafe
-verdict rejected it (reason on stderr, nothing on stdout).  Otherwise
-stdout carries the matching verdict block ("0"/"1", the property line
-"b<i>", and for unsafe the witness body).
+10 = unsafe (counterexample found), 20 = safe (proof found), 0 = unknown
+(also when an engine raised: "engine error" on stderr), 2 = usage or input
+error; 1 = no verdict passed the independent check and at least one failed
+it (reasons on stderr, nothing on stdout).  Otherwise stdout carries the
+matching verdict block ("0"/"1", the property line "b<i>", and for unsafe
+the witness body).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 from .aiger import Aig, AigerError, parse_aiger
 from .certify import format_certificate, format_witness
-from .orchestrator import (SOLO_TIME, EngineConfig, run_config, run_portfolio,
-                           verify_verdict)
+from .orchestrator import SOLO_TIME, EngineConfig, run_portfolio
 from .verdicts import InvariantCert, Verdict
 
 EXIT_UNSAFE = 10
@@ -105,22 +106,20 @@ def _single_config(args: argparse.Namespace) -> EngineConfig:
                         simple_path=args.simple_path)
 
 
-def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace,
-            out=None) -> int:
-    out = out or sys.stdout
+def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace) -> int:
     if verdict.is_unsafe:
         assert verdict.witness is not None
-        out.write(format_witness(verdict.witness))
+        sys.stdout.write(format_witness(verdict.witness))
         if args.witness:
             with open(args.witness, "w") as f:
                 f.write(format_witness(verdict.witness))
         return EXIT_UNSAFE
     if verdict.is_safe:
-        out.write("0\nb%d\n.\n" % args.bad_index)
+        sys.stdout.write("0\nb%d\n.\n" % args.bad_index)
         if args.certificate:
             _write_certificate(verdict, aig, args.certificate)
         return EXIT_SAFE
-    out.write("2\nb%d\n.\n" % args.bad_index)
+    sys.stdout.write("2\nb%d\n.\n" % args.bad_index)
     if verdict.reason:
         print("unknown: %s" % verdict.reason, file=sys.stderr)
     return EXIT_UNKNOWN
@@ -164,25 +163,15 @@ def main(argv: Optional[List[str]] = None) -> int:
               % (args.bad_index, len(aig.bads)), file=sys.stderr)
         return EXIT_USAGE
 
-    if args.engine == "portfolio":
-        result = run_portfolio(aig, bad_index=args.bad_index,
-                               workers=args.workers,
-                               time_limit=args.time_limit)
-        return _report(result.verdict, aig, args)
-
-    cfg = _single_config(args)
-    cancel = None
-    if args.time_limit is not None:
-        deadline = time.monotonic() + args.time_limit
-        cancel = lambda: time.monotonic() >= deadline  # noqa: E731
-    verdict = run_config(aig, cfg, bad_index=args.bad_index, cancel=cancel)
-    if verdict.definitive:
-        ok, reason = verify_verdict(aig, args.bad_index, verdict)
-        if not ok:
-            print("verification of %s verdict failed: %s"
-                  % (verdict.status, reason), file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-    return _report(verdict, aig, args)
+    configs = None if args.engine == "portfolio" else [_single_config(args)]
+    result = run_portfolio(aig, bad_index=args.bad_index, workers=args.workers,
+                           configs=configs, time_limit=args.time_limit)
+    if not result.verdict.definitive and result.rejected:
+        for cfg, reason in result.rejected:
+            print("verification of the %s verdict failed: %s"
+                  % (cfg.name, reason), file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return _report(result.verdict, aig, args)
 
 
 if __name__ == "__main__":

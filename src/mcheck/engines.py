@@ -25,7 +25,6 @@ SIMPLE_PATH_MAX_K = 10  # deepest k-induction step run with simple paths
 @dataclass
 class UnrollStats:
     depth: int = 0
-    solver_calls: int = 0
     solver: Optional[SolverStats] = None  # every solver of the run
 
 
@@ -60,7 +59,6 @@ def bmc(
         un.grow(hi)
         sel = s.new_var()
         s.add_clause([2 * sel + 1] + [un.reach(d) for d in range(lo, hi + 1)])
-        stats.solver_calls += 1
         res = s.solve(assumptions=[2 * sel], cancel_check=cancel)
         if res is None:
             return unknown("cancelled", stats=stats)
@@ -101,7 +99,6 @@ def kind(
             break
         # base: no counterexample at depth k
         ub.grow(k)
-        stats.solver_calls += 1
         res = sb.solve(assumptions=[ub.reach(k)], cancel_check=cancel)
         if res is None:
             break
@@ -115,7 +112,6 @@ def kind(
         # constraints at 0..k ⊢ ¬bad at k
         us.grow(k)
         ss.add_clause((lit_neg(us.bad_at(k - 1)),))
-        stats.solver_calls += 1
         res = ss.solve(assumptions=[us.reach(k)], cancel_check=cancel)
         if res is None:
             break

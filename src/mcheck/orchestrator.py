@@ -13,7 +13,10 @@ AIG.  The portfolio runs its first configuration alone in the calling
 thread and starts one thread for each of the others only once that search
 has run for `SOLO_TIME` seconds or ended without a verified verdict.  The
 first definitive (safe/unsafe) verdict that passes `verify_verdict` wins,
-and the rest are cancelled with a bounded grace period.
+and the rest are cancelled with a bounded grace period.  `run_portfolio` is
+the one gate for verdicts: the CLI runs a single engine as a lineup of one,
+and no engine checks its own verdicts.  `PortfolioResult.outcomes` records
+how each config ended.
 """
 
 from __future__ import annotations
@@ -143,8 +146,13 @@ OUTCOMES = ("won", "rejected", "errored", "no-verdict", "cancelled",
 class PortfolioResult:
     verdict: Verdict
     winner: Optional[EngineConfig] = None
-    rejected: List[Tuple[EngineConfig, str]] = field(default_factory=list)
     outcomes: List[Outcome] = field(default_factory=list)  # lineup order
+
+    @property
+    def rejected(self) -> List[Tuple[EngineConfig, str]]:
+        """Each config whose verdict failed `verify_verdict`, with why."""
+        return [(o.config, o.reason) for o in self.outcomes
+                if o.status == "rejected"]
 
 
 def run_portfolio(
@@ -170,7 +178,6 @@ def run_portfolio(
     stop = threading.Event()
     results: "queue.Queue[Tuple[int, Verdict, bool]]" = queue.Queue()
     outcomes = [Outcome(cfg) for cfg in configs]
-    rejected: List[Tuple[EngineConfig, str]] = []
     threads: List[threading.Thread] = []
     running = {0}  # configs started and not yet settled
     winner: Optional[int] = None
@@ -208,7 +215,6 @@ def run_portfolio(
                 out.status, winner, verdict = "won", j, v
             else:
                 out.status, out.reason = "rejected", reason
-                rejected.append((configs[j], reason))
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -247,10 +253,8 @@ def run_portfolio(
         outcomes[j].reason = ("%s won" % configs[winner].name if winner is not None
                               else "time limit reached")
     if verdict is None:
-        reason = "no definitive verdict"
-        if expired():
-            reason = "time limit reached"
-        if rejected:
-            reason += "; %d verdicts failed verification" % len(rejected)
-        return PortfolioResult(unknown(reason), None, rejected, outcomes)
-    return PortfolioResult(verdict, configs[winner], rejected, outcomes)
+        why = ["time limit reached"] if expired() else []
+        why += ["%s %s: %s" % (o.config.name, o.status, o.reason)
+                for o in outcomes if o.status in ("rejected", "errored", "no-verdict")]
+        return PortfolioResult(unknown("; ".join(why)), None, outcomes)
+    return PortfolioResult(verdict, configs[winner], outcomes)

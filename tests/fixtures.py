@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from mcheck.aiger import Aig, AndGate, FALSE_REF, Latch, TRUE_REF, ref_neg
+from mcheck.aiger import (Aig, AndGate, FALSE_REF, Latch, TRUE_REF, parse_aiger,
+                          ref_neg, serialize_aiger)
 
 # Tiny fixed models used across the suite.
 SAFE1_AAG = "aag 1 0 1 0 0 1\n2 2\n2\n"        # latch holds 0 forever; bad = latch
@@ -200,6 +201,18 @@ def induction_gap() -> Aig:
     return b.build(bads=[b.AND(s1, s0)])
 
 
+def shift_register(n: int) -> Aig:
+    """n latches reset to 0 that shift a constant 0 in (s0' = 0, s_j' =
+    s_{j-1}); bad = the last latch.  Safe, and n-inductive but not
+    (n-1)-inductive: an init-free path may start with a 1 in any latch, and
+    only the 0 fed in at s0 takes n shifts to reach bad."""
+    b = AigBuilder()
+    s = [b.new_latch(0) for _ in range(n)]  # s0 keeps next state 0
+    for j in range(1, n):
+        b.set_next(s[j], s[j - 1])
+    return b.build(bads=[s[-1]])
+
+
 def random_aig(
     rng: random.Random,
     max_latches: int = 8,
@@ -231,3 +244,32 @@ def random_aig(
         for _ in range(rng.randint(1, 2)):
             constraints.append(pick())
     return b.build(bads=[bad], constraints=constraints)
+
+
+def mutate_bytes(data: bytes, edits: List[Tuple[str, int, int]]) -> bytes:
+    """Apply byte edits `(op, position, byte)` in turn: op "r" replaces the
+    byte at `position` modulo the length, "i" inserts `byte` before it, and
+    "d" deletes it."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "i":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif buf:
+            pos %= len(buf)
+            if op == "r":
+                buf[pos] = byte
+            else:
+                del buf[pos]
+    return bytes(buf)
+
+
+def fuzz_seed_models() -> List[bytes]:
+    """Valid models to mutate, each ASCII and binary: the fixed models, one
+    with a constraint and a symbol table, and a seeded random circuit with
+    constraints."""
+    texts = [SAFE1_AAG, CNT2_AAG, BAD_THEN_BLOCKED_AAG + "l0 x\nc\nnote\n"]
+    aigs = [parse_aiger(t.encode()) for t in texts]
+    aigs.append(random_aig(random.Random(5), max_latches=4, max_inputs=2,
+                           max_gates=12, constraint_prob=0.8))
+    return ([t.encode() for t in texts] + [serialize_aiger(aigs[-1])]
+            + [serialize_aiger(a, ascii=False) for a in aigs])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, eval_nodes,
                           parse_aiger, serialize_aiger, simulate)
 
-from fixtures import CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, counter_overflow, random_aig
+from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, counter_overflow,
+                      fuzz_seed_models, mutate_bytes, random_aig)
 
 
 def test_parse_fixed_models(cnt2):
@@ -106,6 +107,26 @@ def test_binary_inputs_beyond_the_limit_rejected():
     over = b"aig %d %d 0 0 0\n" % (MAX_BINARY_INPUTS + 1, MAX_BINARY_INPUTS + 1)
     with pytest.raises(AigerError, match="inputs"):
         parse_aiger(over)
+
+
+_FUZZ_SEEDS = fuzz_seed_models()
+_EDIT = st.tuples(st.sampled_from("rid"),
+                  st.one_of(st.integers(0, 15), st.integers(0, 1 << 12)),
+                  st.one_of(st.sampled_from(b"0123456789 \n-abcgiloxB"),
+                            st.integers(0, 255)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.integers(0, len(_FUZZ_SEEDS) - 1),
+       edits=st.lists(_EDIT, min_size=1, max_size=4))
+def test_mutated_models_parse_or_raise_aiger_error(model, edits):
+    # replaced, inserted and deleted bytes anywhere, the header included
+    # (positions 0-15 are drawn as often as the rest of the file)
+    try:
+        aig = parse_aiger(mutate_bytes(_FUZZ_SEEDS[model], edits))
+    except AigerError:
+        return
+    assert isinstance(aig, Aig)
 
 
 def test_trailer_preserved():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,10 @@ from mcheck.cli import main
 from mcheck.transys import encode
 from mcheck.certify import verify_certificate
 
-from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, mod_counter,
-                      padded_mod_counter)
-from mcheck.aiger import serialize_aiger
+from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, fuzz_seed_models,
+                      mod_counter, mutate_bytes, padded_mod_counter,
+                      shift_register)
+from mcheck.aiger import AigerError, serialize_aiger
 
 
 def _write(tmp_path, name, text):
@@ -52,6 +54,7 @@ def test_unknown_verdict_block(tmp_path, capsys):
     assert rc == 0
     assert captured.out == "2\nb0\n.\n"
     assert "unknown" in captured.err
+    assert "no counterexample up to depth 5" in captured.err  # the engine's own
 
 
 def test_witness_file_written_and_replayable(tmp_path, capsys):
@@ -158,15 +161,54 @@ def test_undefined_variable_is_input_error(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
-def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("mcheck.cli.verify_verdict",
+def _reject_every_verdict(monkeypatch):
+    monkeypatch.setattr("mcheck.orchestrator.verify_verdict",
                         lambda aig, bad_index, verdict: (False, "forced rejection"))
+
+
+def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
+    _reject_every_verdict(monkeypatch)
     path = _write(tmp_path, "m.aag", CNT2_AAG)
     rc = main([path, "--engine", "bmc"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert "forced rejection" in captured.err
+
+
+def test_portfolio_with_every_verdict_rejected_exits_1(tmp_path, capsys,
+                                                       monkeypatch):
+    # the same rule as a single engine: no verdict passed, one or more failed
+    _reject_every_verdict(monkeypatch)
+    path = _write(tmp_path, "m.aag", CNT2_AAG)
+    rc = main([path, "--engine", "portfolio", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("forced rejection") == 2  # one line per config
+    assert "Traceback" not in captured.err
+
+
+def test_engine_error_is_unknown(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("mcheck.engines.bmc", boom)
+    path = _write(tmp_path, "m.aag", CNT2_AAG)
+    rc = main([path, "--engine", "bmc"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "2\nb0\n.\n"
+    assert "engine error: boom" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_deep_kinduction_proof_accepted(tmp_path, capsys):
+    # 70-inductive and no less, so the checked record has depth 70
+    path = _write(tmp_path, "m.aag", serialize_aiger(shift_register(70)))
+    rc = main([path, "--engine", "kind", "--kind-max", "100"])
+    captured = capsys.readouterr()
+    assert rc == 20, captured.err
+    assert captured.out == "0\nb0\n.\n"
 
 
 def test_time_limit_single_engine(tmp_path, capsys):
@@ -192,3 +234,31 @@ def test_hostile_binary_header_exits_2(tmp_path):
     assert run.stdout == ""
     assert "inputs" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def _parsed_mutants(count, rng):
+    """The first `count` byte mutants of the fuzz seeds that still parse."""
+    seeds = fuzz_seed_models()
+    found = []
+    while len(found) < count:
+        data = rng.choice(seeds)
+        edits = [(rng.choice("rid"), rng.randrange(1 << 12), rng.randrange(256))
+                 for _ in range(rng.randint(1, 3))]
+        data = mutate_bytes(data, edits)
+        try:
+            parse_aiger(data)
+        except AigerError:
+            continue
+        found.append(data)
+    return found
+
+
+def test_parsed_mutants_end_in_a_documented_exit_code(tmp_path, capsys):
+    rng = random.Random(20)
+    engines = ["portfolio", "ic3", "bmc", "kind"]
+    for n, data in enumerate(_parsed_mutants(8, rng)):
+        path = _write(tmp_path, "m%d.aig" % n, data)
+        rc = main([path, "--engine", engines[n % 4], "--time-limit", "0.3"])
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2, 10, 20), (n, rc)
+        assert "Traceback" not in captured.err, captured.err
