@@ -72,7 +72,7 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     if isinstance(cert, KInductionCert):
         if cert.k < 1:
             return False, "implausible induction depth %d" % cert.k
-        return _verify_kinduction(ts, cert.k, cert.simple_path)
+        return _verify_kinduction(ts, cert.k)
     return False, "unknown certificate type %r" % (type(cert).__name__,)
 
 
@@ -103,7 +103,7 @@ def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str
     return True, "ok"
 
 
-def _verify_kinduction(ts: TranSys, k: int, simple_path: bool) -> Tuple[bool, str]:
+def _verify_kinduction(ts: TranSys, k: int) -> Tuple[bool, str]:
     # base: no counterexample of length 0..k
     sb = Solver()
     un = Unroller(ts, sb)
@@ -115,7 +115,7 @@ def _verify_kinduction(ts: TranSys, k: int, simple_path: bool) -> Tuple[bool, st
     # step: k+1 frames, no init, constraints at 0..k and ¬bad at 0..k-1
     # entail ¬bad at k
     ss = Solver()
-    un = Unroller(ts, ss, init=False, simple_path=simple_path)
+    un = Unroller(ts, ss, init=False)
     un.grow(k)
     for d in range(k):
         ss.add_clause((lit_neg(un.bad_at(d)),))

@@ -8,7 +8,8 @@ Exit codes follow the hardware model-checking competition convention:
 error; 1 = no verdict passed the independent check and at least one failed
 it (reasons on stderr, nothing on stdout).  Otherwise stdout carries the
 matching verdict block ("0"/"1", the property line "b<i>", and for unsafe
-the witness body).
+the witness body); a `--witness` or `--certificate` path that cannot be
+written then exits 2 with one "error: cannot write" line on stderr.
 """
 
 from __future__ import annotations
@@ -67,15 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="BMC frames per incremental query (default 1)")
     p.add_argument("--kind-max", type=_at_least(0), default=50, metavar="N",
                    help="k-induction depth bound (default 50)")
-    p.add_argument("--simple-path", action="store_true",
-                   help="k-induction: add state-uniqueness constraints "
-                        "(caps the search at k=10)")
     p.add_argument("--workers", type=_at_least(1), default=4, metavar="N",
                    help="portfolio size: the first config runs alone for "
                         "%g ms, then each other one in its own thread "
                         "(default 4)" % (SOLO_TIME * 1000))
     p.add_argument("--time-limit", type=_at_least(0, float), default=None,
-                   metavar="SECS")
+                   metavar="SECS", help="time bound, counted after parsing")
     p.add_argument("--bad-index", type=int, default=0, metavar="I",
                    help="which bad property to check (default 0)")
     p.add_argument("--witness", metavar="PATH",
@@ -102,42 +100,47 @@ def _single_config(args: argparse.Namespace) -> EngineConfig:
     if args.engine == "bmc":
         return EngineConfig("bmc", bmc_step=args.bmc_step,
                             bmc_max=args.bmc_max)
-    return EngineConfig("kind", kind_max=args.kind_max,
-                        simple_path=args.simple_path)
+    return EngineConfig("kind", kind_max=args.kind_max)
 
 
 def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace) -> int:
     if verdict.is_unsafe:
         assert verdict.witness is not None
-        sys.stdout.write(format_witness(verdict.witness))
-        if args.witness:
-            with open(args.witness, "w") as f:
-                f.write(format_witness(verdict.witness))
-        return EXIT_UNSAFE
+        text = format_witness(verdict.witness)
+        sys.stdout.write(text)
+        return _write(args.witness, text, EXIT_UNSAFE)
     if verdict.is_safe:
         sys.stdout.write("0\nb%d\n.\n" % args.bad_index)
-        if args.certificate:
-            _write_certificate(verdict, aig, args.certificate)
-        return EXIT_SAFE
+        text = _certificate_text(verdict, aig) if args.certificate else None
+        return _write(args.certificate, text, EXIT_SAFE)
     sys.stdout.write("2\nb%d\n.\n" % args.bad_index)
     if verdict.reason:
         print("unknown: %s" % verdict.reason, file=sys.stderr)
     return EXIT_UNKNOWN
 
 
-def _write_certificate(verdict: Verdict, aig: Aig, path: str) -> None:
-    cert = verdict.certificate
-    if not isinstance(cert, InvariantCert):
-        print("certificate not written: proof is a k-induction record, "
-              "not a clause invariant", file=sys.stderr)
-        return
+def _certificate_text(verdict: Verdict, aig: Aig) -> Optional[str]:
     try:
-        text = format_certificate(cert, aig)
+        if not isinstance(verdict.certificate, InvariantCert):
+            raise ValueError("proof is a k-induction record, not a clause "
+                             "invariant")
+        return format_certificate(verdict.certificate, aig)
     except ValueError as exc:
         print("certificate not written: %s" % exc, file=sys.stderr)
-        return
-    with open(path, "w") as f:
-        f.write(text)
+        return None
+
+
+def _write(path: Optional[str], text: Optional[str], code: int) -> int:
+    """Write `text` to `path` if both are given; EXIT_USAGE if that fails."""
+    if path and text is not None:
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (path, exc.strerror or exc),
+                  file=sys.stderr)
+            return EXIT_USAGE
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,9 +19,6 @@ from .transys import TranSys, Unroller
 from .verdicts import KInductionCert, Verdict, safe, unknown, unsafe
 
 
-SIMPLE_PATH_MAX_K = 10  # deepest k-induction step run with simple paths
-
-
 @dataclass
 class UnrollStats:
     depth: int = 0
@@ -77,7 +74,6 @@ def bmc(
 def kind(
     ts: TranSys,
     max_k: int = 50,
-    simple_path: bool = False,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> Verdict:
     """K-induction: for ascending k, a BMC base case to depth k plus an
@@ -87,14 +83,10 @@ def kind(
     ub = Unroller(ts, sb)
     ss = Solver()
     ss.stats = sb.stats  # one count for the base and step solvers
-    us = Unroller(ts, ss, init=False, simple_path=simple_path)
+    us = Unroller(ts, ss, init=False)
     stats = UnrollStats(solver=sb.stats)
 
-    # simple-path constraints grow quadratically; with the flag on, the
-    # whole search is capped rather than silently dropping the constraints
-    # (the emitted certificate must match what was solved)
-    effective_max = min(max_k, SIMPLE_PATH_MAX_K) if simple_path else max_k
-    for k in range(0, effective_max + 1):
+    for k in range(0, max_k + 1):
         if cancel is not None and cancel():
             break
         # base: no counterexample at depth k
@@ -117,6 +109,5 @@ def kind(
             break
         if res is False:
             stats.depth = k
-            cert = KInductionCert(k, simple_path=simple_path)
-            return safe(cert, stats=stats)
-    return unknown("not k-inductive up to k=%d" % effective_max, stats=stats)
+            return safe(KInductionCert(k), stats=stats)
+    return unknown("not k-inductive up to k=%d" % max_k, stats=stats)

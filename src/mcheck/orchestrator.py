@@ -7,9 +7,8 @@ cheap next to the search.  The portfolio builds it once and every worker
 searches that one system; no engine changes a `TranSys` after it is built.
 The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
-the AIG and invariants are checked against the plain encoding; a
-k-induction record is re-solved over the same cone, recomputed from the
-AIG.  The portfolio runs its first configuration alone in the calling
+the AIG, and every certificate is checked against the plain encoding of the
+whole model.  The portfolio runs its first configuration alone in the calling
 thread and starts one thread for each of the others only once that search
 has run for `SOLO_TIME` seconds or ended without a verified verdict.  The
 first definitive (safe/unsafe) verdict that passes `verify_verdict` wins,
@@ -32,7 +31,7 @@ from . import engines, ic3
 from .certify import verify_certificate, verify_witness
 from .ic3 import DYNAMIC, Ic3Options
 from .transys import TranSys, encode, simplify_cnf
-from .verdicts import KInductionCert, Verdict, unknown
+from .verdicts import Verdict, unknown
 
 GRACE_PERIOD = 2.0  # seconds a cancelled engine may take to wind down
 SOLO_TIME = 0.02  # seconds the first config searches before the race starts
@@ -47,7 +46,6 @@ class EngineConfig:
     bmc_step: int = 1
     bmc_max: int = 1000
     kind_max: int = 50
-    simple_path: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ("ic3", "bmc", "kind"):
@@ -66,7 +64,7 @@ class EngineConfig:
             return "+".join(parts)
         if self.engine == "bmc":
             return "bmc(step=%d)" % self.bmc_step
-        return "kind" + ("+simple-path" if self.simple_path else "")
+        return "kind"
 
 
 def default_configs(workers: int) -> List[EngineConfig]:
@@ -109,21 +107,19 @@ def run_config(
     if config.engine == "bmc":
         return engines.bmc(ts, max_depth=config.bmc_max, step=config.bmc_step,
                            cancel=cancel)
-    return engines.kind(ts, max_k=config.kind_max,
-                        simple_path=config.simple_path, cancel=cancel)
+    return engines.kind(ts, max_k=config.kind_max, cancel=cancel)
 
 
 def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, str]:
     """Independent check of a definitive verdict against the model: a
-    witness replays on the AIG, an invariant is checked on the full
-    encoding, and a k-induction record over the cone it was found in (a
-    simple-path proof over the cone latches need not hold over all)."""
+    witness replays on the AIG, and a certificate is checked on the plain
+    encoding of the whole model (a proof found over the cone holds there,
+    since logic outside the cone reaches neither bad nor a constraint)."""
     if verdict.is_unsafe:
         assert verdict.witness is not None
         return verify_witness(aig, verdict.witness)
     if verdict.is_safe:
-        cone = isinstance(verdict.certificate, KInductionCert)
-        return verify_certificate(encode(aig, bad_index=bad_index, cone=cone),
+        return verify_certificate(encode(aig, bad_index=bad_index),
                                   verdict.certificate)
     return True, "ok"
 
@@ -188,7 +184,7 @@ def run_portfolio(
         try:
             return run_config(aig, configs[j], bad_index, cancel=cancel, ts=ts), False
         except Exception as exc:  # engine bug: surface as a non-verdict
-            return unknown("engine error: %s" % exc), True
+            return unknown("engine error: %s: %s" % (type(exc).__name__, exc)), True
 
     def worker(j: int) -> None:
         results.put((j, *run(j, stop.is_set)))

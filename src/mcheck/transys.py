@@ -410,10 +410,7 @@ class Unroller:
     (see there) is compiled once per `TranSys`, and a frame allocates its
     vars with one `Solver.new_vars` call, maps the template through a flat
     literal list and loads the clauses with one `Solver.add_root_clauses`
-    call.  With `init`, frame 0 starts in an initial state; with
-    `simple_path`, each new frame's state differs from every earlier
-    frame's (Een and Sorensson, "Temporal Induction by Incremental SAT
-    Solving", 2003).
+    call.  With `init`, frame 0 starts in an initial state.
 
     Constraints are those of AIGER 1.9: bad at depth d needs them at frames
     0..d and at no frame after d.  `held(d)` implies C_0..C_d, and
@@ -422,12 +419,10 @@ class Unroller:
     Without constraints both are plain literals and no var is allocated.
     """
 
-    def __init__(self, ts: TranSys, solver: Solver, init: bool = True,
-                 simple_path: bool = False):
+    def __init__(self, ts: TranSys, solver: Solver, init: bool = True):
         self.ts = ts
         self.solver = solver
         self.init = init
-        self.simple_path = simple_path
         self.template = ts.frame_template
         self._frames: List[List[Lit]] = []  # per frame: solver literal by slot
         self._held: List[Lit] = []
@@ -459,21 +454,6 @@ class Unroller:
         d = self.depth
         if self.init and not d:
             batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
-        if self.simple_path:
-            latches = [2 * lv for lv in ts.latch_vars]
-            for i in range(d if latches else 0):
-                pairs = [(self.lit_at(l, i), self.lit_at(l, d)) for l in latches]
-                if any(a == b ^ 1 for a, b in pairs):
-                    continue  # the two frames always differ on that latch
-                diff = []
-                for a, b in pairs:
-                    if a == b:
-                        continue  # the two frames never differ on it
-                    x = 2 * s.new_var()
-                    batch.append(sorted((x ^ 1, a, b)))  # x -> (a xor b)
-                    batch.append(sorted((x ^ 1, a ^ 1, b ^ 1)))
-                    diff.append(x)
-                batch.append(diff)  # empty if they agree on every latch
         held, reach = TRUE_LIT, self.bad_at(d)
         if ts.constraints:
             held = 2 * s.new_var()

@@ -21,7 +21,6 @@ class KInductionCert:
     """Record of a k-induction proof: base cases to k-1, inductive step at k."""
 
     k: int
-    simple_path: bool = False
 
 
 @dataclass

@@ -187,10 +187,9 @@ def padded_mod_counter(nbits: int, wrap: int, bad_at: int, pad: int,
 
 
 def induction_gap() -> Aig:
-    """Safe two-latch system that plain k-induction cannot prove for any k
-    (an unreachable two-state loop feeds the bad state, so arbitrarily long
-    counterexample-to-induction paths exist) but simple-path induction
-    settles at small k."""
+    """Safe two-latch system that k-induction cannot prove for any k (an
+    unreachable two-state loop feeds the bad state, so arbitrarily long
+    counterexample-to-induction paths exist)."""
     b = AigBuilder()
     i = b.new_input()
     s1 = b.new_latch(0)

@@ -9,7 +9,7 @@ from mcheck.ic3 import Ic3Options, check as ic3_check
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, KInductionCert
 
-from fixtures import induction_gap, mod_counter
+from fixtures import induction_gap, mod_counter, shift_register
 from oracle import bfs_check
 
 
@@ -119,19 +119,19 @@ def test_certificate_rejection_reasons(aag, clauses, reason):
 
 
 def test_kinduction_certificate_roundtrip():
-    aig = induction_gap()
-    ts = encode(aig)
-    v = kind(ts, max_k=10, simple_path=True)
-    assert v.is_safe
+    ts = encode(shift_register(4))
+    v = kind(ts, max_k=10)
+    assert v.is_safe and v.certificate.k == 4
     ok, why = verify_certificate(ts, v.certificate)
     assert ok, why
-    # same k without the simple-path strengthening is not inductive
-    ok, _ = verify_certificate(ts, KInductionCert(v.certificate.k,
-                                                  simple_path=False))
-    assert not ok
-    # nor is a smaller k
-    ok, _ = verify_certificate(ts, KInductionCert(1, simple_path=True))
-    assert not ok
+    # a smaller k is not inductive
+    for k in (1, 3):
+        assert verify_certificate(ts, KInductionCert(k)) == (
+            False, "inductive step fails at k=%d" % k)
+    # nor is any k on a safe model that is k-inductive for none
+    gap = encode(induction_gap())
+    assert not any(verify_certificate(gap, KInductionCert(k))[0]
+                   for k in range(1, 7))
 
 
 # -- file formats -----------------------------------------------------------

@@ -107,6 +107,27 @@ def test_kind_certificate_not_written_as_clauses(tmp_path, capsys):
     assert "k-induction" in captured.err
 
 
+@pytest.mark.parametrize("model, engine, flag, code", [
+    (UNSAFE1_AAG, "bmc", "--witness", 10),
+    (SAFE1_AAG, "ic3", "--certificate", 20),
+], ids=["witness", "certificate"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, model, engine, flag,
+                                        code):
+    # the verdict block stays as it is; the path that cannot be written
+    # adds one line on stderr and turns the exit code into a usage error
+    path = _write(tmp_path, "m.aag", model)
+    assert main([path, "--engine", engine]) == code
+    block = capsys.readouterr().out
+    out_path = tmp_path / "nodir" / "out.txt"
+    rc = main([path, "--engine", engine, flag, str(out_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == block
+    assert captured.err == ("error: cannot write %s: No such file or "
+                            "directory\n" % out_path)
+    assert not out_path.parent.exists()
+
+
 def test_binary_input_accepted(tmp_path, capsys):
     aig = parse_aiger(CNT2_AAG.encode())
     path = _write(tmp_path, "m.aig", serialize_aiger(aig, ascii=False))
@@ -190,15 +211,16 @@ def test_portfolio_with_every_verdict_rejected_exits_1(tmp_path, capsys,
 
 
 def test_engine_error_is_unknown(tmp_path, capsys, monkeypatch):
+    # the message names the exception's type: str(KeyError(5)) is only "5"
     def boom(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise KeyError(5)
     monkeypatch.setattr("mcheck.engines.bmc", boom)
     path = _write(tmp_path, "m.aag", CNT2_AAG)
     rc = main([path, "--engine", "bmc"])
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out == "2\nb0\n.\n"
-    assert "engine error: boom" in captured.err
+    assert "engine error: KeyError: 5" in captured.err
     assert "Traceback" not in captured.err
 
 

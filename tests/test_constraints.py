@@ -29,11 +29,10 @@ def test_bmc_window_keeps_a_counterexample_blocked_after_it(step):
     assert ok, why
 
 
-@pytest.mark.parametrize("simple_path", [False, True])
-def test_forged_kinduction_certificates_are_rejected(simple_path):
+def test_forged_kinduction_certificates_are_rejected():
     aig = parse_aiger(BAD_THEN_BLOCKED_AAG.encode())
     for k in range(1, 7):
-        ok, why = verify_verdict(aig, 0, safe(KInductionCert(k, simple_path)))
+        ok, why = verify_verdict(aig, 0, safe(KInductionCert(k)))
         assert not ok and "base case fails at depth 1" in why, (k, why)
 
 
@@ -45,8 +44,7 @@ def _constrained_models(n):
 
 def test_constrained_differential_against_oracle():
     configs = [EngineConfig("bmc", bmc_step=s, bmc_max=12) for s in BMC_STEPS]
-    configs += [EngineConfig("kind", kind_max=12, simple_path=sp)
-                for sp in (False, True)]
+    configs.append(EngineConfig("kind", kind_max=12))
     configs += [EngineConfig("ic3", abs_cst=a) for a in (False, True)]
     models = _constrained_models(320)
     constrained = unsafe = 0
@@ -71,9 +69,8 @@ def test_constrained_differential_against_oracle():
         if res.status == "unsafe":
             unsafe += 1
             for k in range(1, 7):
-                for sp in (False, True):
-                    forged = safe(KInductionCert(k, sp))
-                    assert not verify_verdict(aig, 0, forged)[0], (idx, k, sp)
+                forged = safe(KInductionCert(k))
+                assert not verify_verdict(aig, 0, forged)[0], (idx, k)
     assert constrained >= 200 and unsafe >= 50
 
 

@@ -2,15 +2,16 @@ import pytest
 
 from mcheck import engines
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.engines import SIMPLE_PATH_MAX_K, bmc, kind
+from mcheck.engines import bmc, kind
 from mcheck.ic3 import check as ic3_check
 from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
                                  verify_verdict)
 from mcheck.satcore import Solver
 from mcheck.transys import encode
+from mcheck.verdicts import KInductionCert, safe
 
-from fixtures import (counter_overflow, induction_gap, mod_counter,
-                      padded_mod_counter, random_aig)
+from fixtures import (counter_overflow, induction_gap, padded_mod_counter,
+                      random_aig, shift_register)
 from oracle import bfs_check
 
 
@@ -93,36 +94,14 @@ def test_kind_unknown_when_not_inductive():
     assert v.status == "unknown"
 
 
-def test_kind_simple_path_closes_the_gap():
-    ts = encode(induction_gap())
-    v = kind(ts, max_k=12, simple_path=True)
-    assert v.is_safe
-    assert v.certificate.simple_path
-    assert v.certificate.k <= 4
-    ok, why = verify_certificate(ts, v.certificate)
-    assert ok, why
-
-
-def test_kind_simple_path_caps_search_depth():
-    # quadratic distinctness constraints are only sound to report if the
-    # whole search ran with them, so the flag caps k rather than dropping
-    # constraints beyond the cap
-    assert SIMPLE_PATH_MAX_K == 10
-    ts = encode(mod_counter(6, 20, 40))
-    v = kind(ts, max_k=50, simple_path=True)
-    assert v.status == "unknown"
-    assert v.reason.endswith("k=10")
-
-
 def test_kind_certificates_never_overstate(rng):
     for _ in range(25):
         aig = random_aig(rng)
         ts = encode(aig)
-        for sp in (False, True):
-            v = kind(ts, max_k=12, simple_path=sp)
-            if v.is_safe:
-                ok, why = verify_certificate(ts, v.certificate)
-                assert ok, why
+        v = kind(ts, max_k=12)
+        if v.is_safe:
+            ok, why = verify_certificate(ts, v.certificate)
+            assert ok, why
 
 
 def test_engines_cancel(cnt2):
@@ -147,8 +126,8 @@ def test_stats_count_every_solver_of_a_run(monkeypatch):
     assert v.stats.solver.solves == len(calls)
     assert len(set(map(id, calls))) == 2
     calls.clear()
-    v = kind(encode(induction_gap()), max_k=12, simple_path=True)
-    assert v.is_safe
+    v = kind(encode(shift_register(3)), max_k=12)
+    assert v.is_safe and v.certificate.k == 3
     assert v.stats.solver.solves == len(calls)
     assert len(set(map(id, calls))) == 2
 
@@ -202,10 +181,14 @@ def test_padded_witnesses_have_source_width(cfg, pad_init):
 
 
 def test_cone_kinduction_certificate_verifies():
-    # simple-path k-induction over the cone latches proves this at k=3; over
-    # all latches the padding makes long loop-free paths, and the step fails
-    aig = padded_mod_counter(3, 4, 6, pad=2, enable=True)
-    v = run_config(aig, EngineConfig("kind", simple_path=True))
-    assert v.is_safe and v.certificate.simple_path
+    # k-induction over the cone proves this at k=3: only 4 -> 5 -> 6 leads
+    # into bad, and 4 has no predecessor.  The record is checked against the
+    # full encoding, pad latches included, where k=2 still fails.
+    aig = padded_mod_counter(3, 4, 6, pad=2)
+    assert len(build_transys(aig).latch_vars) < len(encode(aig).latch_vars)
+    v = run_config(aig, EngineConfig("kind"))
+    assert v.is_safe and v.certificate.k == 3
     ok, why = verify_verdict(aig, 0, v)
     assert ok, why
+    ok, why = verify_verdict(aig, 0, safe(KInductionCert(2)))
+    assert (ok, why) == (False, "inductive step fails at k=2")

@@ -25,7 +25,7 @@ def test_engine_config_validation():
 def test_engine_config_names():
     assert EngineConfig("ic3", strategy="dynamic", inn=True).name == "ic3+dynamic+inn"
     assert EngineConfig("bmc", bmc_step=10).name == "bmc(step=10)"
-    assert EngineConfig("kind", simple_path=True).name == "kind+simple-path"
+    assert EngineConfig("kind").name == "kind"
 
 
 def test_default_configs_shape():
@@ -230,7 +230,7 @@ def test_portfolio_engine_error_in_first_config(monkeypatch, safe1):
     r = run_portfolio(safe1, workers=2, configs=cfgs)
     assert r.verdict.is_safe and r.winner is cfgs[1]
     assert _statuses(r) == ["errored", "won"]
-    assert r.outcomes[0].reason == "engine error: boom"
+    assert r.outcomes[0].reason == "engine error: RuntimeError: boom"
     assert not r.rejected
 
 

@@ -363,8 +363,8 @@ def test_unroller_rejects_latches_sharing_a_primed_var(cnt2):
 
 @pytest.mark.parametrize("init", [True, False])
 def test_frames_load_without_per_clause_calls(monkeypatch, init):
-    """A constraint-free, non-simple-path frame loads in one batch: not one
-    `add_clause` call per clause, nor one per init unit."""
+    """A constraint-free frame loads in one batch: not one `add_clause`
+    call per clause, nor one per init unit."""
     calls = []
     add_clause = Solver.add_clause
 
@@ -383,16 +383,14 @@ def test_frames_load_without_per_clause_calls(monkeypatch, init):
 
 
 def _check_unrolling_engines(aig, max_depth=10):
-    """BMC at several steps and k-induction with and without simple paths
-    agree with the explicit-state oracle, and every definitive verdict
-    passes the independent check."""
+    """BMC at several steps and k-induction agree with the explicit-state
+    oracle, and every definitive verdict passes the independent check."""
     want = bfs_check(aig)
     ts = build_transys(aig)
     found = want.status == "unsafe" and want.depth <= max_depth
     runs = [("bmc", step, bmc(ts, max_depth=max_depth, step=step))
             for step in (1, 2, 3, 10)]
-    runs += [("kind", sp, kind(ts, max_k=max_depth, simple_path=sp))
-             for sp in (False, True)]
+    runs.append(("kind", None, kind(ts, max_k=max_depth)))
     for engine, arg, v in runs:
         if v.definitive:
             assert v.status == want.status, (engine, arg)
@@ -479,9 +477,9 @@ ALIAS_CASES = {
 @pytest.mark.parametrize("case", list(ALIAS_CASES))
 def test_alias_edge_cases(monkeypatch, case):
     """The template aliases exactly the latches the rule allows, and BMC
-    and k-induction with simple paths decide the model as the oracle does,
-    with verdicts that pass the independent check.  No clause that reaches
-    the root loader names a var twice, simple-path clauses included."""
+    and k-induction decide the model as the oracle does, with verdicts that
+    pass the independent check.  No clause that reaches the root loader
+    names a var twice."""
     add_root_clauses = Solver.add_root_clauses
 
     def checked(self, lits, ends):
@@ -496,5 +494,3 @@ def test_alias_edge_cases(monkeypatch, case):
     assert _aliased(encode(aig)) == want
     assert _aliased(build_transys(aig)) == want
     assert _check_unrolling_engines(aig) == status
-    v = kind(build_transys(aig), max_k=10, simple_path=True)
-    assert v.status == status
