@@ -3,7 +3,7 @@
 Engines: IC3 (with CTG / extended-CTG / dynamic generalization and an
 optional internal-signal state extension), bounded model checking, and
 k-induction, combined by a parallel portfolio.  Safe verdicts carry
-self-verified inductive-invariant certificates; unsafe verdicts carry
+self-verified k-inductive invariant certificates; unsafe verdicts carry
 replayable counterexample witnesses.
 """
 
@@ -15,7 +15,7 @@ from .ic3 import IC3, Ic3Options, check as ic3_check
 from .orchestrator import (EngineConfig, PortfolioResult, build_transys,
                            default_configs, run_config, run_portfolio)
 from .transys import TranSys, encode, simplify_cnf
-from .verdicts import InvariantCert, KInductionCert, Verdict
+from .verdicts import InvariantCert, Verdict
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "parse_witness", "verify_certificate", "verify_witness", "bmc", "kind",
     "IC3", "Ic3Options", "ic3_check", "EngineConfig", "PortfolioResult",
     "build_transys", "default_configs", "run_config", "run_portfolio",
-    "TranSys", "encode", "simplify_cnf", "InvariantCert",
-    "KInductionCert", "Verdict", "__version__",
+    "TranSys", "encode", "simplify_cnf", "InvariantCert", "Verdict",
+    "__version__",
 ]

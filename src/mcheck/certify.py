@@ -1,20 +1,21 @@
-"""Independent verification of results: witness replay, inductive-invariant
-certificate checking, and the text file formats for both.
+"""Independent verification of results: witness replay, k-inductive
+invariant certificate checking, and the text file formats for both.
 
-The checks here deliberately avoid the engines' incremental solvers: each
-certificate condition gets a fresh solver instance, and witness replay uses
-plain gate evaluation on the original and-inverter graph.
+The checks here deliberately avoid the engines' solvers: a certificate is
+checked on one solver of its own, over one unrolling of the system, and
+witness replay uses plain gate evaluation on the original and-inverter
+graph.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .aiger import Aig, WitnessTrace, replay
-from .logic import Clause, lit_neg, lit_var, negate
+from .logic import Clause, lit_var
 from .satcore import Solver
 from .transys import TranSys, Unroller
-from .verdicts import InvariantCert, KInductionCert
+from .verdicts import InvariantCert
 
 
 class FormatError(Exception):
@@ -61,66 +62,57 @@ def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
 def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     """Check a Safe certificate against the transition system.
 
-    For an invariant certificate, Inv = certificate clauses ∧ ¬bad must
-    satisfy: (1) init ⇒ Inv; (2) Inv ∧ constraints ∧ T ⇒ Inv′ (next-step
-    inputs unconstrained).  Inv ⇒ ¬bad holds by construction.  For a
-    k-induction record of depth k >= 1, the base and step cases are
-    re-solved from scratch.
+    `InvariantCert(clauses, k)` claims that P = clauses ∧ ¬bad is
+    k-inductive (Sheeran, Singh and Stålmarck, FMCAD 2000): no path from
+    init leaves P at a depth d < k (base case), and no path of k frames in
+    P leaves it at frame k (inductive step).  A path to frame d assumes the
+    constraints at frames 0..d-1, and bad at frame d folds in frame d's.
+    One solver holds one init-free unrolling to frame k, with selector g for
+    init at frame 0 and h for P at frames 0..k-1; each condition is one
+    query on a fresh literal that implies ¬P at its frame.
     """
-    if isinstance(cert, InvariantCert):
-        return _verify_invariant(ts, cert.clauses)
-    if isinstance(cert, KInductionCert):
-        if cert.k < 1:
-            return False, "implausible induction depth %d" % cert.k
-        return _verify_kinduction(ts, cert.k)
-    return False, "unknown certificate type %r" % (type(cert).__name__,)
-
-
-def _verify_invariant(ts: TranSys, clauses: Sequence[Clause]) -> Tuple[bool, str]:
-    # (1) init ⇒ Inv: init ∧ ¬c satisfiable for no clause c of Inv ∪ {¬bad}
-    s1 = Solver()
-    ts.load(s1, ts.init_lits)
-    for idx, c in enumerate(list(clauses) + [(lit_neg(ts.bad),)]):
-        if s1.solve(assumptions=sorted(negate(c))) is not False:
-            if idx < len(clauses):
-                return False, "init violates invariant clause %d" % idx
-            return False, "initial state satisfies bad"
-
-    # (2) Inv ∧ constraints ∧ T ⇒ Inv′, next-step inputs fresh
-    s2 = Solver()
-    un = Unroller(ts, s2, init=False)
-    un.grow(1)
-    s2.add_clause((un.held(0),))
-    for c in clauses:
-        s2.add_clause(tuple(un.lit_at(l, 0) for l in c))
-    s2.add_clause((lit_neg(un.bad_at(0)),))
+    if not isinstance(cert, InvariantCert):
+        return False, "unknown certificate type %r" % (type(cert).__name__,)
+    k, clauses = cert.k, cert.clauses
+    if k < 1:
+        return False, "implausible induction depth %d" % k
+    slot_of = ts.frame_template.slot_of
     for idx, c in enumerate(clauses):
-        neg = sorted(un.lit_at(lit_neg(l), 1) for l in c)
-        if s2.solve(assumptions=neg) is not False:
-            return False, "invariant clause %d not inductive" % idx
-    if s2.solve(assumptions=[un.bad_at(1)]) is not False:
-        return False, "invariant admits a transition into bad"
-    return True, "ok"
+        for l in c:
+            if lit_var(l) not in slot_of:
+                return False, ("invariant clause %d names var %d, which the "
+                               "model does not have" % (idx, lit_var(l)))
 
-
-def _verify_kinduction(ts: TranSys, k: int) -> Tuple[bool, str]:
-    # base: no counterexample of length 0..k
-    sb = Solver()
-    un = Unroller(ts, sb)
-    for d in range(k + 1):
-        un.grow(d)
-        if sb.solve(assumptions=[un.reach(d)]) is not False:
-            return False, "base case fails at depth %d" % d
-
-    # step: k+1 frames, no init, constraints at 0..k and ¬bad at 0..k-1
-    # entail ¬bad at k
-    ss = Solver()
-    un = Unroller(ts, ss, init=False)
+    s = Solver()
+    un = Unroller(ts, s, init=False)
     un.grow(k)
+    g, h = 2 * s.new_var(), 2 * s.new_var()
+    for l in ts.init_lits:
+        s.add_clause((g ^ 1, un.lit_at(l, 0)))
     for d in range(k):
-        ss.add_clause((lit_neg(un.bad_at(d)),))
-    if ss.solve(assumptions=[un.reach(k)]) is not False:
-        return False, "inductive step fails at k=%d" % k
+        for c in clauses:
+            s.add_clause([h ^ 1] + [un.lit_at(l, d) for l in c])
+        s.add_clause((h ^ 1, un.bad_at(d) ^ 1))
+
+    for d in range(k + 1):  # base cases 0..k-1, then the step
+        frame = [[un.lit_at(l, d) for l in c] for c in clauses]
+        v = 2 * s.new_var()
+        some = [v ^ 1, un.bad_at(d)]  # v -> bad or some clause false
+        for c in frame:
+            a = 2 * s.new_var()
+            some.append(a)
+            for x in c:
+                s.add_clause((a ^ 1, x ^ 1))
+        s.add_clause(some)
+        held = [un.held(d - 1)] if d else []
+        if s.solve(assumptions=[h if d == k else g, v] + held) is False:
+            continue
+        why = next(("invariant clause %d" % idx for idx, c in enumerate(frame)
+                    if all(s.model_value(x >> 1) == bool(x & 1) for x in c)),
+                   "bad")
+        if d == k:
+            return False, "inductive step fails at k=%d: %s" % (k, why)
+        return False, "base case fails at depth %d: %s" % (d, why)
     return True, "ok"
 
 
@@ -186,8 +178,11 @@ def parse_witness(text: str) -> WitnessTrace:
 
 
 def format_certificate(cert: InvariantCert, aig: Aig) -> str:
-    """Invariant as DIMACS-style clauses over the 1-based indices of the
-    model's latches, `aig.latches`."""
+    """Inductive invariant (k = 1) as DIMACS-style clauses over the 1-based
+    indices of the model's latches, `aig.latches`."""
+    if cert.k != 1:
+        raise ValueError("proof is %d-inductive; the clause file format "
+                         "covers inductive invariants (k = 1) only" % cert.k)
     index = {lt.var: j + 1 for j, lt in enumerate(aig.latches)}
     lines = ["inv %d %d" % (len(cert.clauses), len(aig.latches))]
     for c in cert.clauses:

@@ -21,7 +21,7 @@ from typing import List, Optional
 from .aiger import Aig, AigerError, parse_aiger
 from .certify import format_certificate, format_witness
 from .orchestrator import SOLO_TIME, EngineConfig, run_portfolio
-from .verdicts import InvariantCert, Verdict
+from .verdicts import Verdict
 
 EXIT_UNSAFE = 10
 EXIT_SAFE = 20
@@ -121,9 +121,6 @@ def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace) -> int:
 
 def _certificate_text(verdict: Verdict, aig: Aig) -> Optional[str]:
     try:
-        if not isinstance(verdict.certificate, InvariantCert):
-            raise ValueError("proof is a k-induction record, not a clause "
-                             "invariant")
         return format_certificate(verdict.certificate, aig)
     except ValueError as exc:
         print("certificate not written: %s" % exc, file=sys.stderr)

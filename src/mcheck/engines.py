@@ -16,7 +16,7 @@ from .aiger import WitnessTrace
 from .logic import lit_neg
 from .satcore import Solver, SolverStats
 from .transys import TranSys, Unroller
-from .verdicts import KInductionCert, Verdict, safe, unknown, unsafe
+from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
 
 
 @dataclass
@@ -78,7 +78,8 @@ def kind(
 ) -> Verdict:
     """K-induction: for ascending k, a BMC base case to depth k plus an
     inductive step over an init-free k+1-frame unrolling (¬bad assumed at
-    frames 0..k-1, bad asserted at frame k)."""
+    frames 0..k-1, bad asserted at frame k).  A proof at k is the
+    certificate `InvariantCert([], k)`: ¬bad alone is k-inductive."""
     sb = Solver()
     ub = Unroller(ts, sb)
     ss = Solver()
@@ -109,5 +110,5 @@ def kind(
             break
         if res is False:
             stats.depth = k
-            return safe(KInductionCert(k), stats=stats)
+            return safe(InvariantCert([], k), stats=stats)
     return unknown("not k-inductive up to k=%d" % max_k, stats=stats)

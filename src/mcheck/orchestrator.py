@@ -7,15 +7,16 @@ cheap next to the search.  The portfolio builds it once and every worker
 searches that one system; no engine changes a `TranSys` after it is built.
 The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
-the AIG, and every certificate is checked against the plain encoding of the
-whole model.  The portfolio runs its first configuration alone in the calling
-thread and starts one thread for each of the others only once that search
-has run for `SOLO_TIME` seconds or ended without a verified verdict.  The
-first definitive (safe/unsafe) verdict that passes `verify_verdict` wins,
-and the rest are cancelled with a bounded grace period.  `run_portfolio` is
-the one gate for verdicts: the CLI runs a single engine as a lineup of one,
-and no engine checks its own verdicts.  `PortfolioResult.outcomes` records
-how each config ended.
+the AIG, and every certificate, a k-inductive invariant from any engine, is
+checked against the plain encoding of the whole model.  The portfolio runs
+its first configuration alone in the calling thread and starts one thread
+for each of the others only once that search has run for `SOLO_TIME`
+seconds or ended without a verified verdict.  The first definitive
+(safe/unsafe) verdict that passes `verify_verdict` wins, and the rest are
+cancelled with a bounded grace period.  `run_portfolio` is the one gate for
+verdicts: the CLI runs a single engine as a lineup of one, and no engine
+checks its own verdicts.  `PortfolioResult.outcomes` records how each
+config ended.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .aiger import Aig
 from . import engines, ic3
 from .certify import verify_certificate, verify_witness
-from .ic3 import DYNAMIC, Ic3Options
+from .ic3 import CTG, DYNAMIC, EXCTG, STANDARD, Ic3Options
 from .transys import TranSys, encode, simplify_cnf
 from .verdicts import Verdict, unknown
 
@@ -52,6 +53,11 @@ class EngineConfig:
             raise ValueError("unknown engine %r" % self.engine)
         if self.engine != "ic3" and (self.inn or self.abs_cst):
             raise ValueError("inn/abs-cst are IC3-only flags")
+        if self.strategy not in (STANDARD, CTG, EXCTG, DYNAMIC):
+            raise ValueError("unknown strategy %r" % self.strategy)
+        if self.bmc_step < 1 or self.bmc_max < 0 or self.kind_max < 0:
+            raise ValueError("need bmc_step >= 1, bmc_max >= 0 and "
+                             "kind_max >= 0")
 
     @property
     def name(self) -> str:
@@ -112,9 +118,10 @@ def run_config(
 
 def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, str]:
     """Independent check of a definitive verdict against the model: a
-    witness replays on the AIG, and a certificate is checked on the plain
-    encoding of the whole model (a proof found over the cone holds there,
-    since logic outside the cone reaches neither bad nor a constraint)."""
+    witness replays on the AIG, and a certificate goes to
+    `verify_certificate` on the plain encoding of the whole model (a proof
+    found over the cone holds there, since logic outside the cone reaches
+    neither bad nor a constraint)."""
     if verdict.is_unsafe:
         assert verdict.witness is not None
         return verify_witness(aig, verdict.witness)

@@ -1,9 +1,9 @@
-"""Engine verdicts and the certificates they carry."""
+"""Engine verdicts and the witnesses and certificates they carry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 from .aiger import WitnessTrace
 from .logic import Clause
@@ -11,22 +11,18 @@ from .logic import Clause
 
 @dataclass
 class InvariantCert:
-    """CNF inductive invariant over state literals (conjoined with ~bad)."""
+    """The one safe certificate: clauses over state literals whose
+    conjunction with ~bad is a k-inductive invariant.  IC3 finds inductive
+    ones (k = 1); k-induction finds `InvariantCert([], k)`, ~bad alone."""
 
     clauses: List[Clause]
-
-
-@dataclass
-class KInductionCert:
-    """Record of a k-induction proof: base cases to k-1, inductive step at k."""
-
-    k: int
+    k: int = 1
 
 
 @dataclass
 class Verdict:
     status: str  # "safe" | "unsafe" | "unknown"
-    certificate: Optional[Any] = None  # InvariantCert | KInductionCert
+    certificate: Optional[InvariantCert] = None
     witness: Optional[WitnessTrace] = None
     reason: str = ""
     stats: Optional[Any] = None
@@ -44,7 +40,7 @@ class Verdict:
         return self.status in ("safe", "unsafe")
 
 
-def safe(certificate: Any, stats: Any = None) -> Verdict:
+def safe(certificate: InvariantCert, stats: Any = None) -> Verdict:
     return Verdict("safe", certificate=certificate, stats=stats)
 
 

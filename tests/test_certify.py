@@ -7,7 +7,7 @@ from mcheck.certify import (FormatError, format_certificate, format_witness,
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import Ic3Options, check as ic3_check
 from mcheck.transys import encode
-from mcheck.verdicts import InvariantCert, KInductionCert
+from mcheck.verdicts import InvariantCert
 
 from fixtures import induction_gap, mod_counter, shift_register
 from oracle import bfs_check
@@ -105,17 +105,34 @@ def test_certificate_rejects_flipped_literal():
 
 @pytest.mark.parametrize("aag, clauses, reason", [
     # latch x resets to 0 and holds; bad x: the clause (x) fails at init
-    (b"aag 1 0 1 0 0 1\n2 2\n2\n", [(2,)], "init violates invariant clause 0"),
+    (b"aag 1 0 1 0 0 1\n2 2\n2\n", [(2,)],
+     "base case fails at depth 0: invariant clause 0"),
     # latch x resets to 1: bad holds in the initial state
-    (b"aag 1 0 1 0 0 1\n2 2 1\n2\n", [], "initial state satisfies bad"),
+    (b"aag 1 0 1 0 0 1\n2 2 1\n2\n", [], "base case fails at depth 0: bad"),
     # latch x resets to 0 and toggles; bad x: (~x) is not inductive, and
     # ~bad alone admits the step into bad
-    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [(3,)], "invariant clause 0 not inductive"),
-    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [], "invariant admits a transition into bad"),
+    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [(3,)],
+     "inductive step fails at k=1: invariant clause 0"),
+    (b"aag 1 0 1 0 0 1\n2 3\n2\n", [], "inductive step fails at k=1: bad"),
 ])
 def test_certificate_rejection_reasons(aag, clauses, reason):
     ts = encode(parse_aiger(aag))
     assert verify_certificate(ts, InvariantCert(clauses)) == (False, reason)
+
+
+def test_malformed_certificate_is_rejected_not_raised():
+    # the encoding has vars 0..18: var 999, var 19, and the var -1 that the
+    # literal -2 would index from the end, are none of them
+    ts = encode(mod_counter(3, 4, 6))
+    assert ts.num_vars == 19
+    for lit, var in ((1998, 999), (38, 19), (-2, -1)):
+        assert verify_certificate(ts, InvariantCert([(lit,)])) == (
+            False, "invariant clause 0 names var %d, which the model does "
+                   "not have" % var)
+    assert verify_certificate(ts, InvariantCert([], 0)) == (
+        False, "implausible induction depth 0")
+    assert verify_certificate(ts, [(2,)]) == (
+        False, "unknown certificate type 'list'")
 
 
 def test_kinduction_certificate_roundtrip():
@@ -126,11 +143,11 @@ def test_kinduction_certificate_roundtrip():
     assert ok, why
     # a smaller k is not inductive
     for k in (1, 3):
-        assert verify_certificate(ts, KInductionCert(k)) == (
-            False, "inductive step fails at k=%d" % k)
+        assert verify_certificate(ts, InvariantCert([], k)) == (
+            False, "inductive step fails at k=%d: bad" % k)
     # nor is any k on a safe model that is k-inductive for none
     gap = encode(induction_gap())
-    assert not any(verify_certificate(gap, KInductionCert(k))[0]
+    assert not any(verify_certificate(gap, InvariantCert([], k))[0]
                    for k in range(1, 7))
 
 

@@ -98,13 +98,29 @@ def test_certificate_file_numbers_every_model_latch(tmp_path, capsys):
 
 
 def test_kind_certificate_not_written_as_clauses(tmp_path, capsys):
+    # a 1-inductive proof is an inductive invariant, ~bad alone, and is
+    # written like IC3's
+    aig = parse_aiger(SAFE1_AAG.encode())
     path = _write(tmp_path, "m.aag", SAFE1_AAG)
     cpath = tmp_path / "inv.txt"
+    rc = main([path, "--engine", "kind", "--certificate", str(cpath)])
+    capsys.readouterr()
+    assert rc == 20
+    text = cpath.read_text()
+    assert text == "inv 0 1\n"
+    ok, why = verify_certificate(encode(aig), parse_certificate(text, aig))
+    assert ok, why
+    # a 4-inductive one is not
+    path = _write(tmp_path, "s.aag", serialize_aiger(shift_register(4)))
+    cpath = tmp_path / "inv4.txt"
     rc = main([path, "--engine", "kind", "--certificate", str(cpath)])
     captured = capsys.readouterr()
     assert rc == 20
     assert not cpath.exists()
-    assert "k-induction" in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("certificate not written: proof is "
+                               "4-inductive; ")
 
 
 @pytest.mark.parametrize("model, engine, flag, code", [

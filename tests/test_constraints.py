@@ -8,13 +8,14 @@ import random
 import pytest
 
 from mcheck import parse_aiger
-from mcheck.aiger import WitnessTrace, replay, simulate
-from mcheck.certify import verify_witness
+from mcheck.aiger import WitnessTrace, ref_neg, replay, simulate
+from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import _first_violated_constraint
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
-from mcheck.verdicts import KInductionCert, safe
+from mcheck.transys import encode
+from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import BAD_THEN_BLOCKED_AAG, random_aig
+from fixtures import BAD_THEN_BLOCKED_AAG, AigBuilder, random_aig
 from oracle import bfs_check
 
 BMC_STEPS = (1, 2, 3, 10)
@@ -31,9 +32,30 @@ def test_bmc_window_keeps_a_counterexample_blocked_after_it(step):
 
 def test_forged_kinduction_certificates_are_rejected():
     aig = parse_aiger(BAD_THEN_BLOCKED_AAG.encode())
-    for k in range(1, 7):
-        ok, why = verify_verdict(aig, 0, safe(KInductionCert(k)))
+    ok, why = verify_verdict(aig, 0, safe(InvariantCert([], 1)))
+    assert (ok, why) == (False, "inductive step fails at k=1: bad")
+    for k in range(2, 7):
+        ok, why = verify_verdict(aig, 0, safe(InvariantCert([], k)))
         assert not ok and "base case fails at depth 1" in why, (k, why)
+
+
+@pytest.mark.parametrize("latch_init, reason", [
+    # x starts open and holds: (x) holds at init only under the constraint,
+    # which initiation does not assume
+    (None, "base case fails at depth 0: invariant clause 0"),
+    # x starts at 1 and loads the input: (x) holds at the next frame only
+    # under that frame's constraint, which consecution does not assume
+    (1, "inductive step fails at k=1: invariant clause 0"),
+])
+def test_certificate_check_assumes_constraints_before_the_checked_frame(
+        latch_init, reason):
+    b = AigBuilder()
+    i = b.new_input()
+    x = b.new_latch(init=latch_init)
+    b.set_next(x, x if latch_init is None else i)
+    aig = b.build([ref_neg(x)], constraints=[x])  # bad never holds
+    assert verify_certificate(encode(aig), InvariantCert([(x,)])) == (
+        False, reason)
 
 
 def _constrained_models(n):
@@ -69,7 +91,7 @@ def test_constrained_differential_against_oracle():
         if res.status == "unsafe":
             unsafe += 1
             for k in range(1, 7):
-                forged = safe(KInductionCert(k))
+                forged = safe(InvariantCert([], k))
                 assert not verify_verdict(aig, 0, forged)[0], (idx, k)
     assert constrained >= 200 and unsafe >= 50
 

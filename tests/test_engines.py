@@ -8,7 +8,7 @@ from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
                                  verify_verdict)
 from mcheck.satcore import Solver
 from mcheck.transys import encode
-from mcheck.verdicts import KInductionCert, safe
+from mcheck.verdicts import InvariantCert, safe
 
 from fixtures import (counter_overflow, induction_gap, padded_mod_counter,
                       random_aig, shift_register)
@@ -190,5 +190,5 @@ def test_cone_kinduction_certificate_verifies():
     assert v.is_safe and v.certificate.k == 3
     ok, why = verify_verdict(aig, 0, v)
     assert ok, why
-    ok, why = verify_verdict(aig, 0, safe(KInductionCert(2)))
-    assert (ok, why) == (False, "inductive step fails at k=2")
+    ok, why = verify_verdict(aig, 0, safe(InvariantCert([], 2)))
+    assert (ok, why) == (False, "inductive step fails at k=2: bad")

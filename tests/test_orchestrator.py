@@ -20,6 +20,12 @@ def test_engine_config_validation():
         EngineConfig(engine="bmc", inn=True)
     with pytest.raises(ValueError):
         EngineConfig(engine="kind", abs_cst=True)
+    for bad in (dict(strategy="bogus"), dict(engine="bmc", bmc_step=0),
+                dict(engine="bmc", bmc_max=-1), dict(engine="kind", kind_max=-1)):
+        with pytest.raises(ValueError):
+            EngineConfig(**bad)
+    EngineConfig("bmc", bmc_step=1, bmc_max=0)
+    EngineConfig("kind", kind_max=0)
 
 
 def test_engine_config_names():
