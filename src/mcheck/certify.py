@@ -9,10 +9,10 @@ graph.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .aiger import Aig, WitnessTrace, replay
-from .logic import Clause, lit_var
+from .logic import Clause, Lit, lit_var
 from .satcore import Solver
 from .transys import TranSys, Unroller
 from .verdicts import InvariantCert
@@ -59,6 +59,24 @@ def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
 # Certificate checking
 
 
+def _add_clauses(s: Solver, clauses: Iterable[Sequence[Lit]]) -> None:
+    """Add `clauses` to `s` in one `Solver.add_root_clauses` batch, each
+    cleaned as `Solver.add_clause` cleans one: sorted, a repeated literal
+    kept once, a tautology left out.  Each clause here holds the negation
+    of a guard var that no clause loaded before it names positively, so a
+    unit can only be such a negation, and the solver ends as one
+    `add_clause` per clause would leave it."""
+    lits: List[Lit] = []
+    ends: List[int] = []
+    for c in clauses:
+        c = sorted(set(c))
+        if any(x ^ y == 1 for x, y in zip(c, c[1:])):
+            continue  # a var's two literals sort next to each other
+        lits += c
+        ends.append(len(lits))
+    s.add_root_clauses(lits, ends)
+
+
 def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     """Check a Safe certificate against the transition system.
 
@@ -87,23 +105,22 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     un = Unroller(ts, s, init=False)
     un.grow(k)
     g, h = 2 * s.new_var(), 2 * s.new_var()
-    for l in ts.init_lits:
-        s.add_clause((g ^ 1, un.lit_at(l, 0)))
+    guarded = [(g ^ 1, un.lit_at(l, 0)) for l in ts.init_lits]
     for d in range(k):
-        for c in clauses:
-            s.add_clause([h ^ 1] + [un.lit_at(l, d) for l in c])
-        s.add_clause((h ^ 1, un.bad_at(d) ^ 1))
+        guarded += [[h ^ 1] + [un.lit_at(l, d) for l in c] for c in clauses]
+        guarded.append((h ^ 1, un.bad_at(d) ^ 1))
+    _add_clauses(s, guarded)
 
     for d in range(k + 1):  # base cases 0..k-1, then the step
         frame = [[un.lit_at(l, d) for l in c] for c in clauses]
         v = 2 * s.new_var()
         some = [v ^ 1, un.bad_at(d)]  # v -> bad or some clause false
+        pairs = []
         for c in frame:
             a = 2 * s.new_var()
             some.append(a)
-            for x in c:
-                s.add_clause((a ^ 1, x ^ 1))
-        s.add_clause(some)
+            pairs += [(a ^ 1, x ^ 1) for x in c]
+        _add_clauses(s, pairs + [some])
         held = [un.held(d - 1)] if d else []
         if s.solve(assumptions=[h if d == k else g, v] + held) is False:
             continue

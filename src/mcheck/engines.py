@@ -47,6 +47,8 @@ def bmc(
         raise ValueError("step must be >= 1")
     s = Solver()
     stats = UnrollStats(solver=s.stats)
+    if cancel is not None and cancel():  # before the template compiles
+        return unknown("cancelled", stats=stats)
     un = Unroller(ts, s)
     lo = 0
     while lo <= max_depth:
@@ -81,11 +83,13 @@ def kind(
     frames 0..k-1, bad asserted at frame k).  A proof at k is the
     certificate `InvariantCert([], k)`: ¬bad alone is k-inductive."""
     sb = Solver()
-    ub = Unroller(ts, sb)
     ss = Solver()
     ss.stats = sb.stats  # one count for the base and step solvers
-    us = Unroller(ts, ss, init=False)
     stats = UnrollStats(solver=sb.stats)
+    if cancel is not None and cancel():  # before the template compiles
+        return unknown("cancelled", stats=stats)
+    ub = Unroller(ts, sb)
+    us = Unroller(ts, ss, init=False)
 
     for k in range(0, max_k + 1):
         if cancel is not None and cancel():

@@ -2,9 +2,9 @@
 
 A run searches the transition system `build_transys` makes: the Tseitin
 encoding restricted to the cone of influence of bad and the constraints,
-then simplified by unit propagation and clause deduplication, which is
-cheap next to the search.  The portfolio builds it once and every worker
-searches that one system; no engine changes a `TranSys` after it is built.
+then simplified by unit propagation and clause deduplication in one
+linear pass.  The portfolio builds it once and every worker searches that
+one system; no engine changes a `TranSys` after it is built.
 The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
 the AIG, and every certificate, a k-inductive invariant from any engine, is
@@ -171,7 +171,9 @@ def run_portfolio(
     of its search, or as soon as it ends without a verdict that passes, the
     others start, one daemon thread each; the first config's cancel
     callback verifies their verdicts as they come in.  Losers are cancelled
-    and must wind down within `GRACE_PERIOD` seconds."""
+    and must wind down within `GRACE_PERIOD` seconds.  The clock of
+    `time_limit` starts on entry, and if it runs out while the system is
+    built, no config starts."""
     if configs is None:
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
@@ -232,11 +234,12 @@ def run_portfolio(
         return winner is not None or expired()
 
     try:
-        v, failed = run(0, poll)
-        if winner is None and not expired():
-            settle(0, v, failed)
-            if winner is None:
-                race()
+        if not expired():  # building the system may have used up the time
+            v, failed = run(0, poll)
+            if winner is None and not expired():
+                settle(0, v, failed)
+                if winner is None:
+                    race()
         while winner is None and running:
             timeout = None if deadline is None else deadline - time.monotonic()
             if timeout is not None and timeout <= 0:

@@ -30,6 +30,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -270,56 +271,62 @@ def encode(
 def simplify_cnf(ts: TranSys) -> TranSys:
     """Unit propagation to fixpoint, satisfied-clause removal and clause
     deduplication; the input system is left unchanged.  Units are kept as
-    unit clauses, so every variable keeps its meaning."""
-    clauses = [list(c) for c in ts.clauses]
-    value: Dict[int, int] = {}
+    unit clauses, so every variable keeps its meaning: they come first, in
+    var order, then the other clauses in their order, rid of false
+    literals.  A clause made empty raises `AssertionError`, since a
+    transition relation is never unsatisfiable outright.
 
-    def assign(lit: Lit) -> bool:
-        v, pol = lit >> 1, 1 - (lit & 1)
-        if v in value:
-            return value[v] == pol
-        value[v] = pol
-        return True
+    Linear: one scan finds the units and the clauses that name var 0, a
+    queue runs propagation over occurrence lists (Eén and Sörensson, "An
+    Extensible SAT-solver", SAT 2003), and one pass emits.  A lone unit on
+    var 0 that no other clause names propagates nothing, and then no list
+    is built."""
+    clauses = ts.clauses
+    # var 0's literals sort first, so a clause names it only in front
+    special = [i for i, c in enumerate(clauses) if len(c) < 2 or c[0] < 2]
+    units = [clauses[i] for i in special]
+    if len(units) < 2 and all(len(u) == 1 and u[0] < 2 for u in units):
+        rest = dict.fromkeys(clauses)
+        for u in units:
+            del rest[u]
+        return replace(ts, clauses=units + list(rest))
 
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for cl in clauses:
-            new = []
-            sat = False
-            for l in cl:
-                v = value.get(l >> 1)
-                if v is None:
-                    new.append(l)
-                elif v == 1 - (l & 1):
-                    sat = True
-                    break
-            if sat:
-                changed = True
-                continue
-            if not new:
-                # transition relation is never unsatisfiable outright
-                raise AssertionError("contradiction during CNF simplification")
-            if len(new) == 1:
-                if not assign(new[0]):
-                    raise AssertionError("contradiction during CNF simplification")
-                changed = True
-            out.append(new)
-        clauses = out
+    val = bytearray(2 * ts.num_vars)  # by literal: 0 open, 1 true, 2 false
+    occ: List[List[int]] = [[] for _ in val]  # clause indices by literal
+    for i, c in enumerate(clauses):
+        for l in c:
+            occ[l].append(i)
+    left = [len(c) for c in clauses]  # literals not yet false
+    trail: List[Lit] = []  # true literals, in assignment order
 
-    # re-emit: units for fixed vars, then remaining clauses (deduplicated)
-    final: List[Clause] = []
-    seen: Set[Tuple[int, ...]] = set()
-    for v in sorted(value):
-        final.append((mklit(v, value[v] == 0),))
-    for cl in clauses:
-        t = tuple(sorted(set(cl)))
-        if len(t) == 1 and (t[0] >> 1) in value:
-            continue
-        if t not in seen:
-            seen.add(t)
-            final.append(t)
+    def unit(i: int) -> None:
+        """Clause i has at most one literal not yet false: make it true."""
+        x = next((x for x in clauses[i] if val[x] != 2), None)
+        if x is None:
+            raise AssertionError("contradiction during CNF simplification")
+        if not val[x]:
+            val[x], val[x ^ 1] = 1, 2
+            trail.append(x)
+
+    for i in special:
+        if left[i] < 2:
+            unit(i)
+    for l in trail:  # grows while it is read
+        for i in occ[l ^ 1]:
+            left[i] -= 1
+            if left[i] < 2:
+                unit(i)
+
+    out: List[Optional[Clause]] = list(clauses)
+    for l in trail:
+        for i in occ[l]:
+            out[i] = None  # satisfied
+    for l in trail:
+        for i in occ[l ^ 1]:
+            if out[i] is clauses[i]:
+                out[i] = tuple([x for x in clauses[i] if val[x] != 2])
+    final: List[Clause] = [(l,) for l in sorted(trail)]
+    final += dict.fromkeys(c for c in out if c is not None)
     return replace(ts, clauses=final)
 
 
@@ -361,18 +368,18 @@ class FrameTemplate:
         if 0 in primed or len(set(primed)) < len(primed):
             raise ValueError("two latches share a primed var, or one is "
                              "primed to the constant")
-        uses = Counter([l >> 1 for cl in ts.clauses for l in cl])
+        uses = Counter(chain.from_iterable(ts.clauses))  # by literal
         # a pseudo-latch has no source latch, so it is never aliased
         nxt = {lt.var: ref_to_lit(lt.next) for lt in ts.source.latches}
         alias: Dict[int, Lit] = {}  # aliased primed var -> next-state literal
         targets = {0}  # next-state vars taken, the constant's from the start
         for lv, p in zip(latches, primed):
             n = nxt.get(lv)
-            if (n is not None and uses[p] == 2
+            if (n is not None and uses[2 * p] + uses[2 * p + 1] == 2
                     and ts.dep.get(p) == (n >> 1,) and n >> 1 not in targets):
                 targets.add(n >> 1)
                 alias[p] = n
-        used = set(uses)
+        used = {l >> 1 for l in uses}
         used.update(ts.input_vars, primed)
         used.update(l >> 1 for l in ts.constraints + [ts.bad])
         used.difference_update(latches, alias)
@@ -385,14 +392,26 @@ class FrameTemplate:
         self.latch_src = [slot_of[p] for p in primed]
         self.alias_src = [(slot_of[n >> 1] << 1) | (n & 1)
                           for n in alias.values()]
+        packed = [0] * (2 * ts.num_vars)  # packed template literal by literal
+        for v, j in slot_of.items():
+            packed[2 * v] = 2 * j
+            packed[2 * v + 1] = 2 * j + 1
+        flat = list(map(packed.__getitem__, chain.from_iterable(ts.clauses)))
         lits: List[int] = []
         ends: List[int] = []
         own = self.own
-        for cl in ts.clauses:
-            tc = sorted([(slot_of[l >> 1] << 1) | (l & 1) for l in cl])
-            if len({x >> 1 for x in tc}) < len(tc):
-                raise ValueError("clause %r names a var twice" % (cl,))
-            if tc[-1] >> 1 < own:  # else an aliased primed var's equivalence
+        i = 0
+        for k, j in enumerate(accumulate(map(len, ts.clauses))):
+            tc = flat[i:j]
+            i = j
+            tc.sort()
+            top = -1  # a var's two literals sort next to each other
+            for x in tc:
+                if x >> 1 == top:
+                    raise ValueError("clause %r names a var twice"
+                                     % (ts.clauses[k],))
+                top = x >> 1
+            if top < own:  # else an aliased primed var's equivalence
                 lits += tc
                 ends.append(len(lits))
         self.lits = array("i", lits)

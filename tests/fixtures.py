@@ -212,6 +212,24 @@ def shift_register(n: int) -> Aig:
     return b.build(bads=[s[-1]])
 
 
+def and_chain(n: int, inputs: int = 8) -> Aig:
+    """`n` AND gates in a chain over one latch and `inputs` inputs: gate j
+    ANDs gate j-1 (the latch, for j = 0) with input j mod (`inputs` + 1),
+    or with the latch when that index is `inputs`.  The latch loads
+    the last gate, and bad is the last gate.  Nothing is constant, so
+    every gate is in the cone and no clause simplifies: a front-end
+    scaling model."""
+    b = AigBuilder()
+    ins = [b.new_input() for _ in range(inputs)]
+    x = b.new_latch(0)
+    operands = ins + [x]
+    acc = x
+    for j in range(n):
+        acc = b.AND(acc, operands[j % len(operands)])
+    b.set_next(x, acc)
+    return b.build(bads=[acc])
+
+
 def random_aig(
     rng: random.Random,
     max_latches: int = 8,

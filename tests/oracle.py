@@ -6,6 +6,9 @@ structures themselves:
 * ``bfs_check`` — explicit-state breadth-first reachability over the full
   state space, evaluated bit-parallel with big-integer truth tables.
 * ``cnf_brute_force`` — exhaustive truth-table satisfiability for small CNFs.
+* ``simplify_fixpoint`` and ``compile_frame_template`` — the earlier,
+  plainer forms of ``simplify_cnf`` and the ``FrameTemplate`` compile,
+  whose output the package's must match exactly.
 * ``ShadowActivity`` — an exact-score mirror of the solver's bucketed
   activity heap, used to audit decision ordering.
 """
@@ -13,7 +16,8 @@ structures themselves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from mcheck.aiger import Aig
 
@@ -169,6 +173,103 @@ def cnf_brute_force(num_vars: int, clauses: Sequence[Sequence[int]],
             return None
     row = (sat & -sat).bit_length() - 1
     return [2 * v + (0 if (row >> v) & 1 else 1) for v in range(num_vars)]
+
+
+# ---------------------------------------------------------------------------
+# Front-end references
+
+
+def simplify_fixpoint(clauses: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """The clauses ``simplify_cnf`` must return for a system with these
+    clauses: passes over every clause until one changes nothing, each
+    dropping satisfied clauses and false literals and assigning units as
+    it meets them; then the units in var order and the remaining clauses,
+    deduplicated.  Raises ``AssertionError`` on an empty clause."""
+    work = [list(c) for c in clauses]
+    value: Dict[int, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for cl in work:
+            new = []
+            sat = False
+            for l in cl:
+                v = value.get(l >> 1)
+                if v is None:
+                    new.append(l)
+                elif v == 1 - (l & 1):
+                    sat = True
+                    break
+            if sat:
+                changed = True
+                continue
+            if not new:
+                raise AssertionError("contradiction during CNF simplification")
+            if len(new) == 1:
+                value[new[0] >> 1] = 1 - (new[0] & 1)
+                changed = True
+            out.append(new)
+        work = out
+
+    final: List[Tuple[int, ...]] = []
+    seen: Set[Tuple[int, ...]] = set()
+    for v in sorted(value):
+        final.append((2 * v + (value[v] == 0),))
+    for cl in work:
+        t = tuple(sorted(set(cl)))
+        if len(t) == 1 and (t[0] >> 1) in value:
+            continue
+        if t not in seen:
+            seen.add(t)
+            final.append(t)
+    return final
+
+
+def compile_frame_template(ts) -> dict:
+    """``FrameTemplate``'s fields for the system ``ts``, compiled clause by
+    clause through a dict of slots: ``slot_of``, ``own``, ``latch_src``,
+    ``alias_src``, ``lits`` and ``ends`` (the last two as lists).  Raises
+    ``ValueError`` where the template must."""
+    latches = ts.latch_vars
+    primed = [ts.next_map[lv] for lv in latches]
+    if 0 in primed or len(set(primed)) < len(primed):
+        raise ValueError("two latches share a primed var, or one is "
+                         "primed to the constant")
+    uses = Counter([l >> 1 for cl in ts.clauses for l in cl])
+    nxt = {lt.var: lt.next ^ 1 if lt.next < 2 else lt.next
+           for lt in ts.source.latches}
+    alias: Dict[int, int] = {}
+    targets = {0}
+    for lv, p in zip(latches, primed):
+        n = nxt.get(lv)
+        if (n is not None and uses[p] == 2
+                and ts.dep.get(p) == (n >> 1,) and n >> 1 not in targets):
+            targets.add(n >> 1)
+            alias[p] = n
+    used = set(uses)
+    used.update(ts.input_vars, primed)
+    used.update(l >> 1 for l in ts.constraints + [ts.bad])
+    used.difference_update(latches, alias)
+    used.discard(0)
+    order = [0, *latches, *sorted(used)]
+    own = len(order)
+    order += alias
+    slot_of = {v: j for j, v in enumerate(order)}
+    lits: List[int] = []
+    ends: List[int] = []
+    for cl in ts.clauses:
+        tc = sorted([(slot_of[l >> 1] << 1) | (l & 1) for l in cl])
+        if len({x >> 1 for x in tc}) < len(tc):
+            raise ValueError("clause %r names a var twice" % (cl,))
+        if tc[-1] >> 1 < own:
+            lits += tc
+            ends.append(len(lits))
+    return {"slot_of": slot_of, "own": own,
+            "latch_src": [slot_of[p] for p in primed],
+            "alias_src": [(slot_of[n >> 1] << 1) | (n & 1)
+                          for n in alias.values()],
+            "lits": lits, "ends": ends}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from mcheck.certify import (FormatError, format_certificate, format_witness,
                             verify_certificate, verify_witness)
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import Ic3Options, check as ic3_check
+from mcheck.satcore import Solver
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert
 
@@ -133,6 +134,32 @@ def test_malformed_certificate_is_rejected_not_raised():
         False, "implausible induction depth 0")
     assert verify_certificate(ts, [(2,)]) == (
         False, "unknown certificate type 'list'")
+
+
+def test_hostile_clauses_keep_their_meaning(monkeypatch):
+    """The check loads its guarded clauses in one batch, and that batch
+    cleans each clause as `Solver.add_clause` does: a repeated literal
+    counts once, and a tautology constrains nothing.  No clause reaches
+    the root loader naming a var twice."""
+    add_root_clauses = Solver.add_root_clauses
+
+    def checked(self, lits, ends):
+        ends = list(ends)
+        for i, j in zip([0] + ends[:-1], ends):
+            assert len({l >> 1 for l in lits[i:j]}) == j - i, lits[i:j]
+        return add_root_clauses(self, lits, ends)
+
+    monkeypatch.setattr(Solver, "add_root_clauses", checked)
+    ts = encode(mod_counter(3, 4, 6))
+    v = ic3_check(ts, Ic3Options(strategy="dynamic"))
+    assert v.is_safe and v.certificate.clauses == [(7,)]
+    x = 2 * mod_counter(3, 4, 6).latches[0].var
+    cases = [([(7,), (x, x)], "base case fails at depth 0: invariant clause 1"),
+             ([(7,), (x, x ^ 1)], "ok"),
+             ([(x, x ^ 1)], "inductive step fails at k=1: bad")]
+    for clauses, reason in cases:
+        assert verify_certificate(ts, InvariantCert(clauses)) == (
+            reason == "ok", reason)
 
 
 def test_kinduction_certificate_roundtrip():

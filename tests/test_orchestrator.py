@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from mcheck import orchestrator
+from mcheck import engines, orchestrator, transys
 from mcheck.aiger import parse_aiger, ref_neg
 from mcheck.orchestrator import (OUTCOMES, EngineConfig, default_configs,
                                  run_config, run_portfolio, verify_verdict)
@@ -116,6 +116,32 @@ def test_portfolio_time_limit_yields_unknown():
     assert time.monotonic() - t0 < 10
     assert r.verdict.status == "unknown"
     assert "time limit" in r.verdict.reason or "no definitive" in r.verdict.reason
+
+
+def test_expired_deadline_compiles_no_frame_template(monkeypatch):
+    """A deadline that passes while the system is built ends the run before
+    config 0 starts, and an unrolling engine whose cancel callback is
+    already set returns before it compiles a frame template."""
+    compiled = []
+    init = transys.FrameTemplate.__init__
+
+    def counted(self, ts):
+        compiled.append(ts)
+        init(self, ts)
+
+    monkeypatch.setattr(transys.FrameTemplate, "__init__", counted)
+    aig = mod_counter(4, 6, 10)
+    cfgs = [EngineConfig("bmc"), EngineConfig("kind")]
+    r = run_portfolio(aig, workers=2, configs=cfgs, time_limit=0)
+    assert r.verdict.status == "unknown"
+    assert r.verdict.reason == "time limit reached"
+    assert [(o.status, o.reason) for o in r.outcomes] == [
+        ("cancelled", "time limit reached"), ("not-started", "")]
+    ts = encode(aig)
+    for engine in (engines.bmc, engines.kind):
+        v = engine(ts, cancel=lambda: True)
+        assert (v.status, v.reason) == ("unknown", "cancelled")
+    assert not compiled
 
 
 def test_portfolio_deep_cex_won_by_bmc():

@@ -10,14 +10,14 @@ from mcheck.ic3 import check as ic3_check
 from mcheck.logic import lit_neg, mklit
 from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
-from mcheck.transys import (Unroller, coi_vars, encode,
+from mcheck.transys import (FrameTemplate, Unroller, coi_vars, encode,
                             extend_with_internal_signals, ref_to_lit,
                             simplify_cnf)
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, AigBuilder,
                       counter_with_reset, mod_counter, padded_mod_counter,
                       random_aig)
-from oracle import bfs_check
+from oracle import bfs_check, compile_frame_template, simplify_fixpoint
 
 
 def _aliased(ts):
@@ -135,6 +135,56 @@ def test_simplify_preserves_reachability_verdict(rng):
             assert sat_depths and min(sat_depths) == res.depth
         else:
             assert not sat_depths
+
+
+def _front_end_systems(rng):
+    """200 seeded random circuits, each encoded in full and over its cone,
+    and `counter_with_reset(16, 8)` both ways."""
+    aigs = [random_aig(rng) for _ in range(200)] + [counter_with_reset(16, 8)]
+    return [encode(aig, cone=cone) for aig in aigs for cone in (False, True)]
+
+
+def test_simplify_matches_the_fixpoint_reference(rng):
+    """The one-pass `simplify_cnf` returns exactly the clauses of the
+    pass-until-no-change reference, order included, and raises where it
+    does when propagation meets an empty clause."""
+    propagated = 0
+    for ts in _front_end_systems(rng):
+        simple = simplify_cnf(ts)
+        assert simple.clauses == simplify_fixpoint(ts.clauses)
+        propagated += len(simple.clauses) < len(ts.clauses)
+    assert propagated > 50  # not only the path that propagates nothing
+    # a unit implies b, and b with the unit empties the last clause
+    ts = encode(counter_with_reset(16, 8))
+    a, b = ts.latch_vars[:2]
+    bad = dataclasses.replace(ts, clauses=ts.clauses + [
+        (mklit(a),), (mklit(a, True), mklit(b)),
+        (mklit(a, True), mklit(b, True))])
+    for simplify in (simplify_cnf, lambda t: simplify_fixpoint(t.clauses)):
+        with pytest.raises(AssertionError, match="contradiction"):
+            simplify(bad)
+
+
+def test_frame_template_matches_the_reference_compile(rng):
+    """The template compiled through one packed literal table equals the
+    reference compiled clause by clause through the slot dict, on the
+    plain, simplified and extended systems; both reject a clause that
+    names a var twice."""
+    for ts in _front_end_systems(rng):
+        for sys_ in (ts, simplify_cnf(ts),
+                     extend_with_internal_signals(ts, ts.source)):
+            t, ref = FrameTemplate(sys_), compile_frame_template(sys_)
+            assert (t.slot_of, t.own, t.latch_src, t.alias_src) == (
+                ref["slot_of"], ref["own"], ref["latch_src"], ref["alias_src"])
+            assert t.lits.tolist() == ref["lits"]
+            assert t.ends.tolist() == ref["ends"]
+    ts = encode(counter_with_reset(16, 8))
+    g = ts.source.ands[0].var
+    twice = dataclasses.replace(ts, clauses=ts.clauses + [
+        (mklit(g), mklit(g, True))])
+    for compile_ in (FrameTemplate, compile_frame_template):
+        with pytest.raises(ValueError, match="names a var twice"):
+            compile_(twice)
 
 
 def test_simplify_and_extension_leave_input_unchanged(rng):
