@@ -93,12 +93,12 @@ def kind(
 
     for k in range(0, max_k + 1):
         if cancel is not None and cancel():
-            break
+            return unknown("cancelled", stats=stats)
         # base: no counterexample at depth k
         ub.grow(k)
         res = sb.solve(assumptions=[ub.reach(k)], cancel_check=cancel)
         if res is None:
-            break
+            return unknown("cancelled", stats=stats)
         if res:
             stats.depth = k
             return unsafe(_extract_trace(sb, ub, ts, k), stats=stats)
@@ -111,7 +111,7 @@ def kind(
         ss.add_clause((lit_neg(us.bad_at(k - 1)),))
         res = ss.solve(assumptions=[us.reach(k)], cancel_check=cancel)
         if res is None:
-            break
+            return unknown("cancelled", stats=stats)
         if res is False:
             stats.depth = k
             return safe(InvariantCert([], k), stats=stats)

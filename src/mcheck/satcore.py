@@ -63,6 +63,13 @@ where a watched clause's reason is the `Clause`; analysis reads an int
 reason r as the clause (r,) without the implied literal.  Literal 0 is a
 valid reason, so a reason is tested only with `is None`.
 
+Values are kept per literal, so reading one is a single index: `vals[l]`
+is 1 when l is true, 0 when false, UNDEF when open.  An assignment writes
+`vals[p] = 1` and `vals[p ^ 1] = 0`, and backtracking resets both; a model
+is `vals[0::2]`.  A clause whose watch turns false takes as its new watch
+the first literal from `lits[2]` on that is not false; a plain scan finds
+it, reading only `lits[2]` in a three-literal clause.
+
 `stats` counts this solver's work; an engine that runs several solvers
 gives them one `SolverStats` object, so a run reports one count.  Nothing
 in the search reads it.
@@ -75,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-UNDEF = 2  # assigns[] sentinel
+UNDEF = 2  # vals[] sentinel
 
 
 class Clause:
@@ -185,7 +192,7 @@ class Solver:
 
     def __init__(self, debug_check_domain: bool = False):
         self.ok = True
-        self.assigns: List[int] = []
+        self.vals: List[int] = []  # per literal: 1 true, 0 false, UNDEF open
         self.polarity: List[bool] = []
         self.vlevel: List[int] = []
         self.reason: List[Union[Clause, int, None]] = []
@@ -221,8 +228,8 @@ class Solver:
 
     def new_vars(self, n: int) -> int:
         """Allocate `n` fresh vars; returns the first."""
-        v = len(self.assigns)
-        self.assigns += [UNDEF] * n
+        v = len(self.vlevel)
+        self.vals += [UNDEF] * (2 * n)
         self.polarity += [False] * n
         self.vlevel += [0] * n
         self.reason += [None] * n
@@ -235,14 +242,13 @@ class Solver:
 
     @property
     def num_vars(self) -> int:
-        return len(self.assigns)
+        return len(self.vlevel)
 
     def decision_level(self) -> int:
         return len(self.trail_lim)
 
     def value_lit(self, lit: int) -> int:
-        a = self.assigns[lit >> 1]
-        return a if a == UNDEF else a ^ (lit & 1)
+        return self.vals[lit]
 
     # -- clause management --------------------------------------------------
 
@@ -267,13 +273,13 @@ class Solver:
             self.add_root_clauses(out, (len(out),))
             return
 
-        assigns = self.assigns
+        vals = self.vals
         kept: List[int] = []
         for l in out:
-            a = assigns[l >> 1]
+            a = vals[l]
             if a == UNDEF:
                 kept.append(l)
-            elif a ^ (l & 1) == 1:
+            elif a == 1:
                 return  # satisfied at root
         # one activation var, reused: learnt clauses that contain its
         # negation are filed with the temporaries and go with them
@@ -305,7 +311,7 @@ class Solver:
         assert not self.trail_lim
         if not self.ok:
             return
-        assigns = self.assigns
+        vals = self.vals
         watches = self.watches
         bins = self.bins
         attached = self.clauses
@@ -316,16 +322,16 @@ class Solver:
         start = 0
         for end in ends:
             i, start = start, end
-            if (end - i != 2 or assigns[lits[i] >> 1] != UNDEF
-                    or assigns[lits[i + 1] >> 1] != UNDEF):
+            if (end - i != 2 or vals[lits[i]] != UNDEF
+                    or vals[lits[i + 1]] != UNDEF):
                 cl = lits[i:end]
                 n = 0  # open literals, moved to the front
                 for l in cl:
-                    a = assigns[l >> 1]
+                    a = vals[l]
                     if a == UNDEF:
                         cl[n] = l
                         n += 1
-                    elif a ^ (l & 1) == 1:
+                    elif a == 1:
                         n = -1  # satisfied at root
                         break
                 if n != 2:
@@ -342,7 +348,8 @@ class Solver:
                     elif n == 1:
                         l = cl[0]  # _enqueue(l, None), inlined
                         v = l >> 1
-                        assigns[v] = l & 1 ^ 1
+                        vals[l] = 1
+                        vals[l ^ 1] = 0
                         vlevel[v] = 0
                         reason[v] = None
                         trail.append(l)
@@ -392,7 +399,7 @@ class Solver:
             self._detach(c)
         self._temp_clauses = []
         self._temp_contra = False
-        if self._temp_act is not None and self.assigns[self._temp_act] != UNDEF:
+        if self._temp_act is not None and self.vals[2 * self._temp_act] != UNDEF:
             self._temp_act = None  # refuted at the root: retire it
 
     # -- domain -------------------------------------------------------------
@@ -403,15 +410,15 @@ class Solver:
         unassigned vars back in the heap; called at decision level 0.
         Returns how many stamped vars are open (a restricted domain names
         each var once), or -1 for the full domain."""
-        assigns = self.assigns
+        vals = self.vals
         present = self.vsids.present
         insert = self.vsids.insert
         if domain is None:
             if not self._domain_full:
                 # a restricted query may have dropped any var from the heap
                 self._domain_full = True
-                for v in range(len(assigns)):
-                    if not present[v] and assigns[v] == UNDEF:
+                for v in range(len(present)):
+                    if not present[v] and vals[2 * v] == UNDEF:
                         insert(v)
             return -1
         self._domain_full = False
@@ -421,7 +428,7 @@ class Solver:
         n_open = 0
         for v in domain:
             stamp[v] = gen
-            if assigns[v] == UNDEF:
+            if vals[2 * v] == UNDEF:
                 n_open += 1
                 if not present[v]:
                     insert(v)
@@ -429,7 +436,7 @@ class Solver:
             v = p >> 1
             if stamp[v] != gen:
                 stamp[v] = gen
-                if assigns[v] == UNDEF:
+                if vals[p] == UNDEF:
                     n_open += 1
         return n_open
 
@@ -440,7 +447,8 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> None:
         v = lit >> 1
-        self.assigns[v] = lit & 1 ^ 1
+        self.vals[lit] = 1
+        self.vals[lit ^ 1] = 0
         self.vlevel[v] = self.decision_level()
         self.reason[v] = reason
         self.trail.append(lit)
@@ -450,7 +458,7 @@ class Solver:
         if len(trail_lim) <= level:
             return
         trail = self.trail
-        assigns = self.assigns
+        vals = self.vals
         polarity = self.polarity
         reason = self.reason
         vsids = self.vsids
@@ -464,9 +472,10 @@ class Solver:
         gen = self._domain_gen
         bound = trail_lim[level]
         for i in range(len(trail) - 1, bound - 1, -1):
-            v = trail[i] >> 1
-            polarity[v] = assigns[v] == 1
-            assigns[v] = UNDEF
+            p = trail[i]
+            v = p >> 1
+            polarity[v] = not p & 1
+            vals[p] = vals[p ^ 1] = UNDEF
             reason[v] = None
             # BucketVsids.insert, for vars of the current domain only
             if not present[v] and (full or stamp[v] == gen):
@@ -480,7 +489,7 @@ class Solver:
     # -- propagation --------------------------------------------------------
 
     def _propagate(self) -> Optional[Clause]:
-        assigns = self.assigns
+        vals = self.vals
         bins = self.bins
         watches = self.watches
         trail = self.trail
@@ -496,16 +505,17 @@ class Solver:
             false_lit = trail[qhead] ^ 1
             qhead += 1
             for other in bins[false_lit]:
-                v = other >> 1
-                a = assigns[v]
+                a = vals[other]
                 if a == UNDEF:
+                    v = other >> 1
                     if bounded and stamp[v] != gen:
                         continue  # left unit: revisited if v is assigned
-                    assigns[v] = other & 1 ^ 1
+                    vals[other] = 1
+                    vals[other ^ 1] = 0
                     vlevel[v] = level
                     reason[v] = false_lit
                     trail.append(other)
-                elif a == other & 1:  # other is false: conflict
+                elif a == 0:  # other is false: conflict
                     self.stats.propagations += qhead - start
                     self.qhead = qhead
                     return Clause([other, false_lit])
@@ -519,39 +529,41 @@ class Solver:
                 if first == false_lit:
                     first = lits[0] = lits[1]
                     lits[1] = false_lit
-                a = assigns[first >> 1]
-                if a != UNDEF and a ^ (first & 1) == 1:
+                a = vals[first]
+                if a == 1:
                     ws[j] = c
                     j += 1
                     continue
-                for k in range(2, len(lits)):
+                k = 2  # the first non-false literal from lits[2] on
+                n = len(lits)
+                while k < n and vals[lits[k]] == 0:
+                    k += 1
+                if k < n:
                     lk = lits[k]
-                    ak = assigns[lk >> 1]
-                    if ak == UNDEF or ak ^ (lk & 1) == 1:
-                        lits[1] = lk
-                        lits[k] = false_lit
-                        wk = watches[lk]
-                        if wk:
-                            wk.append(c)
-                        else:  # lk's first watch
-                            watches[lk] = [c]
-                        break
-                else:
-                    ws[j] = c
-                    j += 1
-                    if a != UNDEF:  # first is false: conflict
-                        del ws[j:i + 1]
-                        self.stats.propagations += qhead - start
-                        self.qhead = qhead
-                        return c
-                    v = first >> 1
-                    if bounded and stamp[v] != gen:
-                        continue  # left unit: revisited only if v is assigned
-                    # _enqueue(first, c), inlined
-                    assigns[v] = first & 1 ^ 1
-                    vlevel[v] = level
-                    reason[v] = c
-                    trail.append(first)
+                    lits[1] = lk
+                    lits[k] = false_lit
+                    wk = watches[lk]
+                    if wk:
+                        wk.append(c)
+                    else:  # lk's first watch
+                        watches[lk] = [c]
+                    continue
+                ws[j] = c
+                j += 1
+                if a != UNDEF:  # first is false: conflict
+                    del ws[j:i + 1]
+                    self.stats.propagations += qhead - start
+                    self.qhead = qhead
+                    return c
+                v = first >> 1
+                if bounded and stamp[v] != gen:
+                    continue  # left unit: revisited only if v is assigned
+                # _enqueue(first, c), inlined
+                vals[first] = 1
+                vals[first ^ 1] = 0
+                vlevel[v] = level
+                reason[v] = c
+                trail.append(first)
             del ws[j:]
         self.stats.propagations += qhead - start
         self.qhead = qhead
@@ -678,14 +690,14 @@ class Solver:
     def _reduce_db(self) -> None:
         """Drop the less active half of the long learnts, and every learnt
         satisfied at the root; clauses that are a current reason stay."""
-        assigns = self.assigns
+        vals = self.vals
         vlevel = self.vlevel
         self.learnts.sort(key=lambda c: c.act)
         keep_from = len(self.learnts) // 2
         kept = []
         for idx, c in enumerate(self.learnts):
             locked = self.reason[c.lits[0] >> 1] is c
-            root_sat = any(vlevel[l >> 1] == 0 and assigns[l >> 1] ^ (l & 1) == 1
+            root_sat = any(vlevel[l >> 1] == 0 and vals[l] == 1
                            for l in c.lits)
             if not locked and (root_sat or (idx < keep_from and len(c.lits) > 2)):
                 self._detach(c)
@@ -782,7 +794,7 @@ class Solver:
         temp_guard = None if self._temp_act is None else 2 * self._temp_act + 1
         n_assume = len(assume)
         one_level = n_open >= 0 and n_assume > 0
-        assigns = self.assigns
+        vals = self.vals
         vlevel = self.vlevel
         polarity = self.polarity
         trail = self.trail
@@ -852,23 +864,23 @@ class Solver:
                 if not dl:
                     trail_lim.append(len(trail))
                     for p in assume:
-                        v = p >> 1
-                        a = assigns[v]
+                        a = vals[p]
                         if a == UNDEF:  # _enqueue(p, None), inlined
-                            assigns[v] = p & 1 ^ 1
-                            vlevel[v] = 1
+                            vals[p] = 1
+                            vals[p ^ 1] = 0
+                            vlevel[p >> 1] = 1
                             trail.append(p)
-                        elif a ^ (p & 1) == 0:
+                        elif a == 0:
                             self._core = self._analyze_final((p,), p)
                             return False
                     continue
             else:
                 while dl < n_assume:
                     p = assume[dl]
-                    a = assigns[p >> 1]
+                    a = vals[p]
                     if a == UNDEF:
                         break
-                    if a ^ (p & 1) == 0:
+                    if a == 0:
                         self._core = self._analyze_final((p,), p)
                         return False
                     trail_lim.append(len(trail))
@@ -876,9 +888,9 @@ class Solver:
                 if dl < n_assume:
                     trail_lim.append(len(trail))
                     # _enqueue(p, None), inlined: an open var's reason is None
-                    v = p >> 1
-                    assigns[v] = p & 1 ^ 1
-                    vlevel[v] = dl + 1
+                    vals[p] = 1
+                    vals[p ^ 1] = 0
+                    vlevel[p >> 1] = dl + 1
                     trail.append(p)
                     continue
 
@@ -886,17 +898,18 @@ class Solver:
             v = (None if len(trail) - root_len == n_open
                  else self.vsids.pop_max(self._decision_eligible, self._popped))
             if v is None:
-                self._model = list(assigns)
+                self._model = vals[0::2]
                 return True
             self.stats.decisions += 1
             trail_lim.append(len(trail))
             p = 2 * v + (0 if polarity[v] else 1)  # _enqueue(p, None), inlined
-            assigns[v] = p & 1 ^ 1
+            vals[p] = 1
+            vals[p ^ 1] = 0
             vlevel[v] = len(trail_lim)
             trail.append(p)
 
     def _decision_eligible(self, v: int) -> bool:
-        return self.assigns[v] == UNDEF and (
+        return self.vals[2 * v] == UNDEF and (
             self._domain_full or self._domain_stamp[v] == self._domain_gen)
 
     # -- results ------------------------------------------------------------

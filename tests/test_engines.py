@@ -10,8 +10,8 @@ from mcheck.satcore import Solver
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import (counter_overflow, induction_gap, padded_mod_counter,
-                      random_aig, shift_register)
+from fixtures import (counter_overflow, induction_gap, mod_counter,
+                      padded_mod_counter, random_aig, shift_register)
 from oracle import bfs_check
 
 
@@ -108,6 +108,37 @@ def test_engines_cancel(cnt2):
     ts = encode(cnt2)
     assert bmc(ts, max_depth=10, cancel=lambda: True).status == "unknown"
     assert kind(ts, max_k=10, cancel=lambda: True).status == "unknown"
+
+
+@pytest.mark.parametrize("where", ["loop", "solve"])
+def test_kind_cancelled_mid_loop_says_so(monkeypatch, where):
+    """A cancel that turns true after the first frame's base query, seen at
+    the top of the next frame or only inside its solve, ends k-induction as
+    "cancelled", not as the bound's reason."""
+    state = {"done": 0, "running": False}
+    solve = Solver.solve
+
+    def tracked(self, *args, **kwargs):
+        state["running"] = True
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            state["running"] = False
+            state["done"] += 1
+
+    monkeypatch.setattr(Solver, "solve", tracked)
+    if where == "loop":
+        def cancel():
+            return state["done"] >= 1
+    else:
+        def cancel():
+            return state["done"] >= 1 and state["running"]
+    ts = encode(mod_counter(4, 6, 10))
+    assert kind(ts, max_k=50).is_safe  # uncancelled, it proves the model
+    state["done"] = 0
+    v = kind(ts, max_k=50, cancel=cancel)
+    assert v.status == "unknown" and v.reason == "cancelled", v.reason
+    assert state["done"] == 1 + (where == "solve")
 
 
 def test_stats_count_every_solver_of_a_run(monkeypatch):

@@ -356,7 +356,7 @@ def test_reduce_db_drops_root_satisfied_learnts(rng):
         s = _solver_for(nv, clauses)
         s.solve()
         in_learnts = sorted({l for c in s.learnts for l in c.lits
-                             if s.assigns[l >> 1] == UNDEF})
+                             if s.value_lit(l) == UNDEF})
         if not s.ok or not in_learnts:
             continue
         unit = rng.choice(in_learnts)
@@ -546,7 +546,7 @@ def test_restricted_queries_match_full_ones_on_gate_circuits(rng):
                 model = [s.model_value(v) for v in range(nv)]
                 assert None not in [model[v] for v in domain], (seq, q)
                 for v in range(nv):
-                    if v not in allowed and s.assigns[v] == UNDEF:
+                    if v not in allowed and s.value_lit(2 * v) == UNDEF:
                         assert model[v] is None, (seq, q, v)
                 # the partial model extends to a full one
                 fixed = [2 * v + (0 if model[v] else 1)
@@ -631,7 +631,7 @@ def test_root_loader_matches_one_clause_at_a_time(rng):
                 batch.append(cl)
             kind = None
             if q == refute_at:
-                open_vars = [v for v in range(nv) if loader.assigns[v] == UNDEF]
+                open_vars = [v for v in range(nv) if loader.value_lit(2 * v) == UNDEF]
                 if rng.random() < 0.5 and len(open_vars) >= 2:
                     kind = "final"
                     x, y = rng.sample(open_vars, 2)
@@ -747,7 +747,7 @@ def test_binary_clauses_match_brute_force(rng):
                         assert any(model[l >> 1] == (not l & 1) for l in cl), (seq, q)
                 if restricted:
                     for c in copies:
-                        assert s.assigns[c] != UNDEF or model[c] is None, (seq, q)
+                        assert s.value_lit(2 * c) != UNDEF or model[c] is None, (seq, q)
             else:
                 unsat += 1
                 core = s.unsat_core()
@@ -854,7 +854,7 @@ def test_only_a_restricted_query_puts_its_assumptions_on_one_level():
         def _propagate(self):
             if self.trail_lim:
                 self.passes.append([self.vlevel[p >> 1]
-                                    if self.assigns[p >> 1] != UNDEF else None
+                                    if self.value_lit(p) != UNDEF else None
                                     for p in assume])
             return super()._propagate()
 
@@ -865,3 +865,74 @@ def test_only_a_restricted_query_puts_its_assumptions_on_one_level():
         s.new_vars(3)
         assert s.solve(assume, domain=domain) is True
         assert s.passes == passes, domain
+
+
+def _check_values(s, where):
+    """Each var's two `vals` entries are both open or complementary, every
+    trail literal reads 1, and only trail vars are assigned."""
+    vals = s.vals
+    assert len(vals) == 2 * s.num_vars, where
+    for v in range(s.num_vars):
+        assert (vals[2 * v], vals[2 * v + 1]) in (
+            (UNDEF, UNDEF), (0, 1), (1, 0)), (where, v)
+    assert all(vals[p] == 1 for p in s.trail), where
+    assert sum(a != UNDEF for a in vals[0::2]) == len(s.trail), where
+
+
+def test_literal_values_stay_complementary(rng):
+    """Seeded incremental sequences: permanent batches through
+    `add_root_clauses` or `add_clause`, temporaries, assumptions, and
+    restricted or full domains.  The value array is checked after each load
+    and each solve, and at every propagation pass inside the search, so an
+    assignment above the root that sets one of a var's entries and not the
+    other shows before backtracking erases it."""
+    seen = {"restricted": 0, "full": 0, "conflicts": 0, "decisions": 0}
+    for seq in range(100):
+        nv = rng.randint(8, 16)
+        planted = [rng.randint(0, 1) for _ in range(nv)]
+        s = Solver()
+        s.new_vars(nv)
+        propagate = s._propagate
+
+        def checked(s=s, propagate=propagate, seq=seq):
+            confl = propagate()
+            _check_values(s, (seq, "propagate"))
+            return confl
+        s._propagate = checked
+        perm = []
+        for q in range(15):
+            batch = []
+            for _ in range(rng.randint(0, 8)):
+                width = 3 if rng.random() < 0.8 else rng.randint(1, 2)
+                cl = [2 * v + rng.randint(0, 1)
+                      for v in rng.sample(range(nv), width)]
+                if all(planted[l >> 1] == l & 1 for l in cl):
+                    cl[0] ^= 1  # keep the planted model
+                batch.append(cl)
+            if rng.random() < 0.5:
+                s.add_root_clauses(*_flat(batch))
+            else:
+                for cl in batch:
+                    s.add_clause(cl)
+            perm += batch
+            _check_values(s, (seq, q, "load"))
+            temps = [[2 * rng.randrange(nv) + rng.randint(0, 1)
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.choice((0, 0, 1, 2)))]
+            for cl in temps:
+                s.add_clause(cl, temporary=True)
+            assume = sorted({2 * rng.randrange(nv) + rng.randint(0, 1)
+                             for _ in range(rng.randint(0, 4))})
+            domain = None
+            if rng.random() < 0.6:
+                seeds = {l >> 1 for cl in temps for l in cl}
+                domain = _clause_closure(seeds | {l >> 1 for l in assume},
+                                         perm + temps)
+            seen["restricted" if domain is not None else "full"] += 1
+            res = s.solve(assume, domain=domain)
+            _check_values(s, (seq, q, "solve"))
+            want = cnf_brute_force(nv, perm + temps, assume)
+            assert res == (want is not None), (seq, q)
+        seen["conflicts"] += s.stats.conflicts
+        seen["decisions"] += s.stats.decisions
+    assert min(seen.values()) >= 100, seen
