@@ -4,7 +4,12 @@ invariant certificate checking, and the text file formats for both.
 The checks here deliberately avoid the engines' solvers: a certificate is
 checked on one solver of its own, over one unrolling of the system, and
 witness replay uses plain gate evaluation on the original and-inverter
-graph.
+graph.  `orchestrator.verify_verdict` hands `verify_certificate` the
+encoding of the certificate's k-step cone.  Frame by frame, its clauses are
+a subset of the full unrolling's, under the same var numbers, so a
+certificate accepted there holds on the whole model; a clause left out
+defines a var that no kept clause and no query reads, so dropping it
+rejects nothing the full check would accept.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ one system; no engine changes a `TranSys` after it is built.
 The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
 the AIG, and every certificate, a k-inductive invariant from any engine, is
-checked against the plain encoding of the whole model.  The portfolio runs
+checked on the encoding of its k-step cone, whose clauses are a subset of
+the whole model's (see `verify_verdict`).  The portfolio runs
 its first configuration alone in the calling thread and starts one thread
 for each of the others only once that search has run for `SOLO_TIME`
 seconds or ended without a verified verdict.  The first definitive
@@ -32,7 +33,7 @@ from . import engines, ic3
 from .certify import verify_certificate, verify_witness
 from .ic3 import CTG, DYNAMIC, EXCTG, STANDARD, Ic3Options
 from .transys import TranSys, encode, simplify_cnf
-from .verdicts import Verdict, unknown
+from .verdicts import InvariantCert, Verdict, unknown
 
 GRACE_PERIOD = 2.0  # seconds a cancelled engine may take to wind down
 SOLO_TIME = 0.02  # seconds the first config searches before the race starts
@@ -119,15 +120,22 @@ def run_config(
 def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, str]:
     """Independent check of a definitive verdict against the model: a
     witness replays on the AIG, and a certificate goes to
-    `verify_certificate` on the plain encoding of the whole model (a proof
-    found over the cone holds there, since logic outside the cone reaches
-    neither bad nor a constraint)."""
+    `verify_certificate` on the encoding of its k-step cone, the logic that
+    can reach bad, a constraint or a var its clauses name within k latch
+    steps.  Each clause of that system is a clause of the whole model's
+    encoding, under the same var numbers, so a certificate it accepts the
+    whole model's check accepts too; the clauses left out define vars that
+    no kept clause and no query reads."""
     if verdict.is_unsafe:
         assert verdict.witness is not None
         return verify_witness(aig, verdict.witness)
     if verdict.is_safe:
-        return verify_certificate(encode(aig, bad_index=bad_index),
-                                  verdict.certificate)
+        cert = verdict.certificate
+        clauses, k = ((cert.clauses, cert.k) if isinstance(cert, InvariantCert)
+                      else ((), 0))
+        ts = encode(aig, bad_index=bad_index, cone=True,
+                    roots={l >> 1 for c in clauses for l in c}, steps=k)
+        return verify_certificate(ts, cert)
     return True, "ok"
 
 

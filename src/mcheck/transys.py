@@ -19,7 +19,11 @@ rule keeps the latch's primed var.
 it from bad and the active constraints through gate fanins and latch
 next-state functions, keeping only the logic that can reach them.  Variable
 numbers stay those of the full encoding, so lemmas and certificates need no
-back-map; only the lists of gates, latches, inputs and clauses shrink.
+back-map; only the lists of gates, latches, inputs and clauses shrink.  The
+certificate check walks from the vars its clauses name as well, for at most
+k latch steps: every clause of that bounded cone is a clause of the full
+encoding, and one left out defines a var that nothing kept reads within k
+steps.
 `widen_witness` turns a trace over the cone back into one over the source
 AIG's latches and inputs.
 """
@@ -31,8 +35,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from .aiger import Aig, AndGate, Latch, WitnessTrace
 from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
@@ -181,14 +185,21 @@ def encode(
     bad_index: int = 0,
     active_constraints: Optional[Sequence[int]] = None,
     cone: bool = False,
+    roots: Collection[int] = (),
+    steps: Optional[int] = None,
 ) -> TranSys:
     """Tseitin-encode the transition relation for one bad property.
 
     `active_constraints` selects a subset of constraint indices (all by
     default); the localization-abstraction loop re-encodes with fewer.
-    With `cone`, only the logic that can reach bad or an active constraint
-    is encoded (`coi_vars` through gate fanins and latch next-state
-    functions).  Variable numbers are those of the full encoding either way.
+    With `cone`, only the logic that can reach bad, an active constraint or
+    a var of `roots` is encoded (`coi_vars` through gate fanins and latch
+    next-state functions); a root on a latch's primed var keeps that latch
+    and its next-state function.  `steps` bounds the walk to that many
+    latch steps: a latch first reached at the last step keeps its primed
+    var with no clauses, so the var is free.  Each clause of such a system
+    is a clause of the full encoding.  Variable numbers are those of the
+    full encoding either way.
     """
     if not aig.bads:
         raise ValueError("model has no bad properties")
@@ -201,10 +212,31 @@ def encode(
 
     ands = aig._ands_by_var
     latches, inputs = aig.latches, aig.inputs
+    # primed var of the j-th AIG latch, whether or not it is encoded, after
+    # the largest defined node
+    top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+               *(g.var for g in aig.ands)])
+    primed = {lt.var: top + 1 + j for j, lt in enumerate(aig.latches)}
+    free: Set[int] = set()  # latches whose primed var has no clauses
     if cone:
         fanin = {g.var: (g.rhs0 >> 1, g.rhs1 >> 1) for g in ands}
-        fanin.update((lt.var, (lt.next >> 1,)) for lt in latches)
-        keep = coi_vars([r >> 1 for r in [bad_ref] + cst_refs], fanin, {})
+        nxt = {lt.var: lt.next >> 1 for lt in latches}
+        if steps is None:
+            fanin.update((v, (n,)) for v, n in nxt.items())
+        latch_of = {primed[v]: v for v in nxt}
+        # latches whose next-state function is walked
+        walked = {latch_of[v] for v in roots if v in latch_of}
+        start = [r >> 1 for r in [bad_ref] + cst_refs]
+        start += [*roots, *walked, *(nxt[v] for v in walked)]
+        keep = coi_vars(start, fanin, {})
+        if steps is not None:
+            for _ in range(steps):  # one latch step each
+                new = [v for v in keep if v in nxt and v not in walked]
+                if not new:
+                    break
+                walked.update(new)
+                keep |= coi_vars([nxt[v] for v in new], fanin, {})
+            free = {v for v in keep if v in nxt} - walked
         ands = [g for g in ands if g.var in keep]
         latches = [lt for lt in latches if lt.var in keep]
         inputs = [v for v in inputs if v in keep]
@@ -216,22 +248,19 @@ def encode(
         _and_clauses(clauses, mklit(g.var), ref_to_lit(g.rhs0), ref_to_lit(g.rhs1))
         dep[g.var] = (g.rhs0 >> 1, g.rhs1 >> 1)
 
-    # primed var of the j-th AIG latch, whether or not it is encoded, after
-    # the largest defined node
-    top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
-               *(g.var for g in aig.ands)])
-    primed = {lt.var: top + 1 + j for j, lt in enumerate(aig.latches)}
     num_vars = top + 1 + len(aig.latches)
     next_map: Dict[int, int] = {}
     init_lits: List[Lit] = []
     for lt in latches:
         p = next_map[lt.var] = primed[lt.var]
+        if lt.init is not None:
+            init_lits.append(mklit(lt.var, lt.init == 0))
+        if lt.var in free:
+            continue
         n = ref_to_lit(lt.next)
         clauses.append(tuple(sorted((mklit(p), lit_neg(n)))))
         clauses.append(tuple(sorted((mklit(p, True), n))))
         dep[p] = (n >> 1,)
-        if lt.init is not None:
-            init_lits.append(mklit(lt.var, lt.init == 0))
 
     bad_raw = ref_to_lit(bad_ref)
     cst_lits = [ref_to_lit(r) for r in cst_refs]

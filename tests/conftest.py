@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 
@@ -9,6 +12,30 @@ from fixtures import CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG
 # One line per acceptance criterion, echoed after the run summary so the
 # PASS/FAIL verdicts survive pytest's output capture.
 ACCEPTANCE_REPORT = []
+
+
+# Seconds one test may take, its setup and teardown included, before the
+# run ends with every thread's traceback; the slowest test takes about 3 s,
+# so only a test that cannot end reaches it.
+TEST_TIME_LIMIT = 120.0
+STDERR_COPY = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # sys.stderr is still the terminal's here; output capture takes it later
+    config.stash[STDERR_COPY] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR_COPY])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True,
+                                      file=item.config.stash[STDERR_COPY])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

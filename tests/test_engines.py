@@ -1,6 +1,6 @@
 import pytest
 
-from mcheck import engines
+from mcheck import certify, engines
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import check as ic3_check
@@ -223,3 +223,27 @@ def test_cone_kinduction_certificate_verifies():
     assert ok, why
     ok, why = verify_verdict(aig, 0, safe(InvariantCert([], 2)))
     assert (ok, why) == (False, "inductive step fails at k=2: bad")
+
+
+def _check_load(aig, monkeypatch):
+    """k-induction through the engine front end, then the portfolio gate's
+    check of its proof; returns the literals that check loads."""
+    loaded = []
+
+    class Recording(certify.Solver):
+        def add_root_clauses(self, lits, ends):
+            loaded.append(len(lits))
+            return super().add_root_clauses(lits, ends)
+
+    v = run_config(aig, EngineConfig("kind"))
+    assert v.is_safe and v.certificate.k == 3
+    monkeypatch.setattr(certify, "Solver", Recording)
+    ok, why = verify_verdict(aig, 0, v)
+    assert ok, why
+    return sum(loaded)
+
+
+def test_kinduction_check_cost_does_not_depend_on_the_pad(monkeypatch):
+    plain = _check_load(padded_mod_counter(3, 4, 6, pad=0), monkeypatch)
+    wide = _check_load(padded_mod_counter(3, 4, 6, pad=200), monkeypatch)
+    assert wide == plain > 0

@@ -1,3 +1,4 @@
+import random
 import threading
 import time
 
@@ -5,9 +6,11 @@ import pytest
 
 from mcheck import engines, orchestrator, transys
 from mcheck.aiger import parse_aiger, ref_neg
+from mcheck.certify import verify_certificate
 from mcheck.orchestrator import (OUTCOMES, EngineConfig, default_configs,
                                  run_config, run_portfolio, verify_verdict)
 from mcheck.transys import default_signal_policy, encode
+from mcheck.verdicts import InvariantCert, safe
 
 from fixtures import AigBuilder, counter_overflow, mod_counter, random_aig
 from oracle import bfs_check
@@ -188,6 +191,63 @@ def test_inn_ignores_gates_outside_the_cone():
         assert v.status == want
         ok, why = verify_verdict(aig, 0, v)
         assert ok, why
+
+
+def _certificate_cases(aig, cert):
+    """(certificate, hostile) pairs: `cert`, every dropped-clause and
+    flipped-literal mutant of it, ~bad alone at k = 1..4, and `cert` plus a
+    unit clause on var 0, on each latch's primed var, on the constraint
+    var or on a var the model does not have."""
+    clauses = list(cert.clauses)
+    yield cert, False
+    for i, c in enumerate(clauses):
+        yield InvariantCert(clauses[:i] + clauses[i + 1:]), False
+        for j in range(len(c)):
+            flipped = c[:j] + (c[j] ^ 1,) + c[j + 1:]
+            yield InvariantCert(clauses[:i] + [flipped] + clauses[i + 1:]), False
+    for k in range(1, 5):
+        yield InvariantCert([], k), False
+    full = encode(aig)
+    vars_ = [0, full.num_vars + 3, *full.next_map.values()]
+    if full.constraints:
+        vars_.append(full.bad >> 1)
+    for v in vars_:
+        for lit in (2 * v, 2 * v + 1):
+            yield InvariantCert(clauses + [(lit,)]), True
+
+
+def test_cone_check_agrees_with_the_full_check(monkeypatch):
+    """`verify_verdict` checks a certificate on the encoding of its k-step
+    cone.  Each clause of that system is one of the full encoding's, and the
+    check answers as `verify_certificate` on the full encoding does: the
+    same reason for IC3's certificates, their mutants and ~bad alone, and
+    the same acceptance once a clause names var 0, a primed var, the
+    constraint var or a var the model does not have."""
+    systems = []
+
+    def recording(*args, **kwargs):
+        systems.append(encode(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(orchestrator, "encode", recording)
+    rng = random.Random(25)
+    pairs = accepted = 0
+    for _ in range(100):
+        aig = random_aig(rng, max_latches=6, max_inputs=2, max_gates=24,
+                         constraint_prob=0.8)
+        v = run_config(aig, EngineConfig("ic3"))
+        if not v.is_safe:
+            continue
+        full = encode(aig)
+        for cert, hostile in _certificate_cases(aig, v.certificate):
+            got = verify_verdict(aig, 0, safe(cert))
+            want = verify_certificate(full, cert)
+            assert (got[0] if hostile else got) == (want[0] if hostile else want)
+            assert set(systems[-1].clauses) <= set(full.clauses)
+            assert systems[-1].num_vars == full.num_vars
+            pairs += 1
+            accepted += got[0]
+    assert pairs > 600 and 0 < accepted < pairs
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ goes through before its first engine query:
 * ``simplify_s``: ``simplify_cnf`` of that encoding
 * ``template_s``: the ``FrameTemplate`` compile of the simplified system
 * ``add_frame_s``: the first ``Unroller.add_frame`` into a fresh solver
+* ``add_frame_nogc_s``: the same with the cyclic garbage collector paused,
+  so the gap to ``add_frame_s`` is what collections cost that frame
 
 Each figure is the best of ``--repeat`` runs.  A phase that is linear in
 the gate count shows as a constant ``*_s`` / ``gates`` ratio down the
@@ -20,6 +22,7 @@ lines.  The chain has no constant, so ``simplify_cnf`` changes no clause.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -57,12 +60,21 @@ def phases(gates: int, repeat: int) -> dict:
     def first_frame():
         Unroller(ts, Solver()).add_frame()
 
+    def first_frame_nogc():
+        gc.disable()
+        try:
+            first_frame()
+        finally:
+            gc.enable()
+
     _, add_frame_s = best(first_frame, repeat)
+    _, add_frame_nogc_s = best(first_frame_nogc, repeat)
     return {"gates": gates, "clauses": len(ts.clauses),
             "parse_s": round(parse_s, 4), "encode_s": round(encode_s, 4),
             "simplify_s": round(simplify_s, 4),
             "template_s": round(template_s, 4),
-            "add_frame_s": round(add_frame_s, 4)}
+            "add_frame_s": round(add_frame_s, 4),
+            "add_frame_nogc_s": round(add_frame_nogc_s, 4)}
 
 
 def main() -> int:
