@@ -9,7 +9,7 @@ on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
 cube whose CTGs never block stays at CTG: extended CTG only adds recursive
 blocks of CTGs, the costliest step.
 
-One-step queries run on a single incremental solver.  A query at frame i
+Every query runs on one incremental solver.  A query at frame i
 takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking clause
 ¬c enters as a temporary clause, the primed cube as assumptions, and the
 frames activate through per-level activation literals.  Decisions and
@@ -17,7 +17,20 @@ propagation are restricted to the cone of influence of the query (closed
 over lemma co-occurrence so a partial model always extends to a full one),
 so a model leaves the vars outside it unassigned.  A domain
 depends only on the cube's var set and the co-occurrence graph, so it is
-cached per var set until a lemma adds an edge to the graph.
+cached per var set.  A new lemma's vars form a clique, so it drops only
+the cached domains that hold some, but not all, of them.
+
+A sat query's model is lifted to a predecessor cube with no further query,
+by justification over `TranSys.defs`: a walk from the constraints and the
+targets, true in the model, to the latches.  A true AND needs all its
+fanins; a false one needs one false fanin, an input or the constant if one
+is false, else the first.  Under the model's input bits, every state in the
+cube of latch literals the walk reaches satisfies the constraints and steps
+into the targets; this is the end ternary simulation serves in the PDR of
+Eén, Mishchenko and Brayton ("Efficient Implementation of Property Directed
+Reachability", FMCAD 2011).  The walk passes through gates and
+pseudo-latches alike, so every cube names only latches of the system, and
+`cube_intersects_init` decides overlap with init exactly.
 
 A push that fails leaves its lemma a counterexample: the state of the sat
 model, kept in `_push_cex` with the length of the lemma log at that time.
@@ -35,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .aiger import WitnessTrace, replay
-from .logic import Cube, lit_neg, negate, subsumes
+from .logic import Cube, negate, subsumes
 from .satcore import Solver, SolverStats
 from .transys import TranSys, coi_vars, encode, extend_with_internal_signals
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
@@ -84,7 +97,7 @@ class Ic3Stats:
     push_skips: int = 0  # pushes known to fail, not counted in solver_calls
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
-    solver: Optional[SolverStats] = None  # the main and lift solvers' count
+    solver: Optional[SolverStats] = None  # the one solver's counts
 
 
 def select_strategy(failed_attempts: int, options: Ic3Options) -> str:
@@ -103,14 +116,13 @@ class _Cancelled(Exception):
 
 
 class _Obligation:
-    __slots__ = ("level", "cube", "inputs", "succ", "state_bits")
+    __slots__ = ("level", "cube", "inputs", "succ")
 
-    def __init__(self, level, cube, inputs, succ, state_bits=None):
+    def __init__(self, level, cube, inputs, succ):
         self.level = level
         self.cube = cube
         self.inputs = inputs  # input bit vector driving the step FROM this state
         self.succ = succ
-        self.state_bits = state_bits  # full latch valuation (cex head only)
 
 
 class IC3:
@@ -119,7 +131,7 @@ class IC3:
 
     With `inn`, the run searches the system extended with pseudo-latches
     (`extend_with_internal_signals`); `_latches` keeps the latches of the
-    system it was given, the ones a witness is made of."""
+    system it was given, the ones every cube and witness is made of."""
 
     def __init__(
         self,
@@ -136,9 +148,6 @@ class IC3:
 
         self.solver = Solver(debug_check_domain=self.options.debug_check_domain)
         ts.load(self.solver, ts.constraints)
-        self.lift_solver = Solver()
-        self.lift_solver.stats = self.solver.stats
-        ts.load(self.lift_solver)
         self.stats = Ic3Stats(mic_calls={STANDARD: 0, CTG: 0, EXCTG: 0},
                               solver=self.solver.stats)
 
@@ -152,7 +161,8 @@ class IC3:
         # lemma co-occurrence between state vars, for domain closure
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
-        self._state_vars = sorted(ts.latch_vars)
+        self._state_vars = sorted(self._latches)
+        self._free = {0, *ts.input_vars}  # the lifting walk's preferred leaves
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
         # per lemma: [level, counterexample state of its last failed push
@@ -192,7 +202,7 @@ class IC3:
                     roots.append(self.ts.next_map[l >> 1])
             if len(self._domains) >= DOMAIN_CACHE_LIMIT:
                 self._domains.clear()
-            domain = self._domains[key] = coi_vars(roots, self.ts.dep, self._adj)
+            domain = self._domains[key] = coi_vars(roots, self.ts.defs, self._adj)
         return domain
 
     def _model_state_cube(self) -> Cube:
@@ -208,9 +218,6 @@ class IC3:
         s = self.solver
         return [int(s.model_value(v, default=False)) for v in self.ts.input_vars]
 
-    def _latch_bits(self, solver: Solver) -> List[int]:
-        return [int(solver.model_value(lv, default=False)) for lv in self._latches]
-
     def _predecessor(self, targets: Sequence[int],
                      state: Optional[Cube] = None) -> Tuple[Cube, List[int]]:
         """The main solver's model as a lifted predecessor of `targets`
@@ -218,9 +225,7 @@ class IC3:
         the model's state cube if the caller has read it already."""
         if state is None:
             state = self._model_state_cube()
-        bits = self._model_inputs()
-        input_lits = [2 * v + 1 - b for v, b in zip(self.ts.input_vars, bits)]
-        return self.lift_predecessor(state, input_lits, targets), bits
+        return self.lift_predecessor(state, targets), self._model_inputs()
 
     # -- queries ------------------------------------------------------------
 
@@ -248,47 +253,42 @@ class IC3:
         kept = tuple(l for l in cube if self.ts.prime(l) in core)
         return False, (kept if kept else cube)
 
-    def lift_predecessor(self, state_cube: Cube, input_lits: Sequence[int],
-                         target_primed: Sequence[int]) -> Cube:
-        """Shrink a predecessor: keep state literals forcing constraints and
-        the target cube after one step, for every completion and any input
-        outside the kept core."""
-        s = self.lift_solver
-        tc = [lit_neg(l) for l in self.ts.constraints]
-        tc.extend(lit_neg(l) for l in target_primed)
-        s.add_clause(tc, temporary=True)
-        res = s.solve(assumptions=list(input_lits) + list(state_cube))
-        assert res is False, "lifting query must be unsat"
-        core = set(s.unsat_core())
-        kept = tuple(l for l in state_cube if l in core)
+    def lift_predecessor(self, state_cube: Cube,
+                         targets: Sequence[int]) -> Cube:
+        """The literals of `state_cube`, the main solver's model, that the
+        justification walk reaches from the constraints and `targets` (see
+        the module docstring), or all of them if it reaches none."""
+        val = self.solver.model_value
+        defs, free = self.ts.defs, self._free
+        stack = [*self.ts.constraints, *targets]  # literals true in the model
+        seen = set()
+        while stack:
+            l = stack.pop()
+            if l in seen:
+                continue
+            seen.add(l)
+            fanins = defs.get(l >> 1)
+            if fanins is None:
+                continue
+            if not l & 1:
+                stack += fanins
+            else:
+                false = [f for f in fanins if val(f >> 1) == (f & 1)]
+                f = next((f for f in false if f >> 1 in free), false[0])
+                stack.append(f ^ 1)
+        kept = tuple(l for l in state_cube if l in seen)
         return kept if kept else state_cube
-
-    def _find_init_state(self, cube: Cube) -> Optional[List[int]]:
-        """Concrete initial state inside `cube`, or None.
-
-        The syntactic overlap check is conservative once pseudo-latches from
-        the internal-signal extension show up in cubes, so candidate
-        counterexample heads are confirmed by a solver query (init ∧ cube
-        under the gate definitions) that also yields the full latch
-        valuation for the witness."""
-        s = self.lift_solver
-        assume = sorted(set(cube) | set(self.ts.init_lits))
-        if s.solve(assumptions=assume) is not True:
-            return None
-        return self._latch_bits(s)
 
     def _repair_init(self, kept: Cube, full: Cube) -> Cube:
         """Core shrinking may re-introduce an init overlap; restore one
         literal of the original cube that is false in every initial state."""
-        if not kept or self.ts.cube_intersects_init(kept):
-            if kept and self._find_init_state(kept) is None:
-                return kept  # overlap was only syntactic
-            iv = self.ts.init_value
-            for l in full:
-                if iv.get(l >> 1) == (l & 1):  # literal false at init
-                    return tuple(sorted(set(kept) | {l}))
-            return full  # caller guarantees `full` excludes init semantically
-        return kept
+        if kept and not self.ts.cube_intersects_init(kept):
+            return kept
+        iv = self.ts.init_value
+        for l in full:
+            if iv.get(l >> 1) == (l & 1):  # literal false at init
+                return tuple(sorted(set(kept) | {l}))
+        return full  # caller guarantees `full` excludes init
 
     def _is_blocked(self, cube: Cube, level: int) -> bool:
         for j in range(level, self.k + 1):
@@ -309,12 +309,17 @@ class IC3:
         self.solver.add_clause(negate(cube) + (2 * self.acts[level] + 1,))
         self.stats.lemmas += 1
         vars_ = [l >> 1 for l in cube]
+        grew = False
         for v in vars_:
             nbrs = self._adj.setdefault(v, set())
             n = len(nbrs)
             nbrs.update(w for w in vars_ if w != v)
-            if len(nbrs) != n:
-                self._domains.clear()  # a new edge can widen any domain
+            grew |= len(nbrs) != n
+        if grew:
+            vs = set(vars_)
+            for key in [k for k, d in self._domains.items()
+                        if not vs <= d and not vs.isdisjoint(d)]:
+                del self._domains[key]
 
     # -- generalization -----------------------------------------------------
 
@@ -522,29 +527,20 @@ class IC3:
 
     def _trace_from_init(self, ob: _Obligation) -> Optional[WitnessTrace]:
         """The witness from `ob` if some initial state lies in its cube."""
-        if not self.ts.cube_intersects_init(ob.cube):
-            return None
-        ob.state_bits = self._find_init_state(ob.cube)
-        return None if ob.state_bits is None else self._trace(ob)
+        return self._trace(ob) if self.ts.cube_intersects_init(ob.cube) else None
 
     def _trace(self, head: _Obligation) -> WitnessTrace:
-        """Assemble the witness from an obligation chain ending at bad."""
-        ts = self.ts
-        init_bits: List[Optional[int]] = []
-        model_bits = head.state_bits or []
+        """Assemble the witness from an obligation chain ending at bad; the
+        head's cube meets init, and a latch outside it starts at its reset
+        value, or 0."""
         cube_val = {l >> 1: 1 - (l & 1) for l in head.cube}
-        for j, lv in enumerate(self._latches):
-            bit = cube_val.get(lv)
-            if (bit is None and ts.init_value.get(lv) is None
-                    and j < len(model_bits)):
-                bit = model_bits[j]
-            init_bits.append(bit)
         frames: List[List[int]] = []
         ob: Optional[_Obligation] = head
         while ob is not None:
             frames.append(ob.inputs)
             ob = ob.succ
-        return ts.widen_witness(init_bits, frames)
+        return self.ts.widen_witness([cube_val.get(lv) for lv in self._latches],
+                                     frames)
 
     def propagate(self) -> Optional[int]:
         """Push lemmas forward; returns the fixpoint level if some frame's
@@ -609,8 +605,8 @@ class IC3:
             if res is None:
                 raise _Cancelled()
             if res:
-                head = _Obligation(0, (), self._model_inputs(), None,
-                                   state_bits=self._latch_bits(self.solver))
+                head = _Obligation(0, self._model_state_cube(),
+                                   self._model_inputs(), None)
                 return unsafe(self._trace(head), stats=self.stats)
 
             while True:

@@ -18,7 +18,7 @@ it enqueues every open one there and propagates once.  A conflict on that
 level ends the query as Unsat, with no clause learnt, and its core is the
 set of assumptions reached backwards from the conflict clause, so it holds
 only what the conflict used, in whatever order the assumptions came.  A
-full-domain query (BMC, k-induction, lifting, certificate checks) gives each
+full-domain query (BMC, k-induction, certificate checks) gives each
 assumption its own level, propagates after each open one, and learns from
 conflicts among them.  On both paths an assumption found false ends the query, and
 its core is that assumption plus the assumptions that falsified it;

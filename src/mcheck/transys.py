@@ -38,7 +38,7 @@ from itertools import accumulate, chain
 from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from .aiger import Aig, AndGate, Latch, WitnessTrace
+from .aiger import Aig, WitnessTrace
 from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
 from .satcore import Solver
 
@@ -55,7 +55,11 @@ class TranSys:
     `extend_with_internal_signals` collapse repeated literals and leave
     tautologies out, and `FrameTemplate` relies on it.  `latch_vars` lists
     every state var; pseudo-latches of `extend_with_internal_signals` come
-    after the system's own latches, and only IC3 adds them."""
+    after the system's own latches, and only IC3 adds them.  `defs` maps
+    each var the system defines to the literals it is the AND of: a gate to
+    its two fanins, a primed var to its next-state literal, the constraint
+    aux var to its conjuncts and a pseudo-latch's primed var to its two
+    fanins.  Latches, inputs and var 0 have no entry."""
 
     num_vars: int
     latch_vars: List[int]
@@ -65,8 +69,8 @@ class TranSys:
     bad: Lit  # effective bad: raw bad AND all active constraints
     constraints: List[Lit]
     clauses: List[Clause]
-    dep: Dict[int, Tuple[int, ...]]
-    init_value: Dict[int, Optional[int]]  # 3-valued node valuation at init
+    defs: Dict[int, Tuple[Lit, ...]]
+    init_value: Dict[int, Optional[int]]  # reset value by latch, None if open
     source: Aig
     bad_index: int = 0
 
@@ -113,7 +117,9 @@ class TranSys:
         return WitnessTrace(self.bad_index, init, frames)
 
     def cube_intersects_init(self, cube: Sequence[Lit]) -> bool:
-        """Syntactic check; True is conservative (may over-report overlap)."""
+        """Whether no literal of `cube` is false in the initial states.  Over
+        latch literals, the only cubes IC3 makes, that is exact: some
+        initial state lies in the cube.  A gate literal can over-report."""
         for l in cube:
             val = self.init_value.get(l >> 1)
             if val is not None and val == (l & 1):
@@ -121,11 +127,11 @@ class TranSys:
         return True
 
 
-def coi_vars(roots: Iterable[int], dep: Mapping[int, Iterable[int]],
+def coi_vars(roots: Iterable[int], defs: Mapping[int, Iterable[Lit]],
              adj: Mapping[int, Iterable[int]]) -> Set[int]:
     """Cone of influence: the vars reachable from the vars `roots` over the
-    edges `dep` (var -> the vars it reads) and `adj` (extra edges, such as
-    IC3's lemma co-occurrence)."""
+    definitions `defs` (var -> the literals it reads) and the var edges
+    `adj` (extra edges, such as IC3's lemma co-occurrence)."""
     stack = list(roots)
     seen: Set[int] = set()
     while stack:
@@ -133,37 +139,13 @@ def coi_vars(roots: Iterable[int], dep: Mapping[int, Iterable[int]],
         if v in seen:
             continue
         seen.add(v)
-        for w in dep.get(v, ()):
-            if w not in seen:
-                stack.append(w)
+        for l in defs.get(v, ()):
+            if l >> 1 not in seen:
+                stack.append(l >> 1)
         for w in adj.get(v, ()):
             if w not in seen:
                 stack.append(w)
     return seen
-
-
-def _init_valuation(inputs: Sequence[int], latches: Sequence[Latch],
-                    ands: Sequence[AndGate]) -> Dict[int, Optional[int]]:
-    """3-valued node values in the initial state (inputs unknown)."""
-    vals: Dict[int, Optional[int]] = {0: 0}
-    for v in inputs:
-        vals[v] = None
-    for lt in latches:
-        vals[lt.var] = lt.init
-
-    def ref_val(ref: int) -> Optional[int]:
-        v = vals.get(ref >> 1)
-        return None if v is None else v ^ (ref & 1)
-
-    for g in ands:
-        a, b = ref_val(g.rhs0), ref_val(g.rhs1)
-        if a == 0 or b == 0:
-            vals[g.var] = 0
-        elif a == 1 and b == 1:
-            vals[g.var] = 1
-        else:
-            vals[g.var] = None
-    return vals
 
 
 def _and_clauses(out: List[Clause], g: Lit, a: Lit, b: Lit) -> None:
@@ -219,10 +201,10 @@ def encode(
     primed = {lt.var: top + 1 + j for j, lt in enumerate(aig.latches)}
     free: Set[int] = set()  # latches whose primed var has no clauses
     if cone:
-        fanin = {g.var: (g.rhs0 >> 1, g.rhs1 >> 1) for g in ands}
+        fanin = {g.var: (g.rhs0, g.rhs1) for g in ands}  # refs as literals
         nxt = {lt.var: lt.next >> 1 for lt in latches}
         if steps is None:
-            fanin.update((v, (n,)) for v, n in nxt.items())
+            fanin.update((lt.var, (lt.next,)) for lt in latches)
         latch_of = {primed[v]: v for v in nxt}
         # latches whose next-state function is walked
         walked = {latch_of[v] for v in roots if v in latch_of}
@@ -242,11 +224,11 @@ def encode(
         inputs = [v for v in inputs if v in keep]
 
     clauses: List[Clause] = [(TRUE_LIT,)]
-    dep: Dict[int, Tuple[int, ...]] = {}
+    defs: Dict[int, Tuple[Lit, ...]] = {}
 
     for g in ands:
-        _and_clauses(clauses, mklit(g.var), ref_to_lit(g.rhs0), ref_to_lit(g.rhs1))
-        dep[g.var] = (g.rhs0 >> 1, g.rhs1 >> 1)
+        a, b = defs[g.var] = ref_to_lit(g.rhs0), ref_to_lit(g.rhs1)
+        _and_clauses(clauses, mklit(g.var), a, b)
 
     num_vars = top + 1 + len(aig.latches)
     next_map: Dict[int, int] = {}
@@ -260,7 +242,7 @@ def encode(
         n = ref_to_lit(lt.next)
         clauses.append(tuple(sorted((mklit(p), lit_neg(n)))))
         clauses.append(tuple(sorted((mklit(p, True), n))))
-        dep[p] = (n >> 1,)
+        defs[p] = (n,)
 
     bad_raw = ref_to_lit(bad_ref)
     cst_lits = [ref_to_lit(r) for r in cst_refs]
@@ -272,7 +254,7 @@ def encode(
             clauses.append(tuple(sorted((mklit(be, True), l))))
         if not any(lit_neg(l) in conj for l in conj):  # else be is false
             clauses.append(tuple(sorted([mklit(be)] + [lit_neg(l) for l in conj])))
-        dep[be] = tuple(sorted({l >> 1 for l in conj}))
+        defs[be] = tuple(conj)
         bad = mklit(be)
     else:
         bad = bad_raw
@@ -286,8 +268,8 @@ def encode(
         bad=bad,
         constraints=cst_lits,
         clauses=clauses,
-        dep=dep,
-        init_value=_init_valuation(inputs, latches, ands),
+        defs=defs,
+        init_value={lt.var: lt.init for lt in latches},
         source=aig,
         bad_index=bad_index,
     )
@@ -405,7 +387,7 @@ class FrameTemplate:
         for lv, p in zip(latches, primed):
             n = nxt.get(lv)
             if (n is not None and uses[2 * p] + uses[2 * p + 1] == 2
-                    and ts.dep.get(p) == (n >> 1,) and n >> 1 not in targets):
+                    and ts.defs.get(p) == (n,) and n >> 1 not in targets):
                 targets.add(n >> 1)
                 alias[p] = n
         used = {l >> 1 for l in uses}
@@ -545,11 +527,11 @@ SIGNAL_MIN_FANOUT = 3  # fanout a gate needs to become a pseudo-latch
 SIGNAL_CAP_FRACTION = 0.10  # pseudo-latches per encoded gate, at most
 
 
-def default_signal_policy(aig: Aig, dep: Mapping[int, Iterable[int]]):
-    """Gates encoded in `dep` (a `TranSys.dep`) with fanout >=
+def default_signal_policy(aig: Aig, defs: Mapping[int, Iterable[Lit]]):
+    """Gates encoded in `defs` (a `TranSys.defs`) with fanout >=
     `SIGNAL_MIN_FANOUT` and an input-free cone, capped at
     `SIGNAL_CAP_FRACTION` of the encoded gates.  A gate's cone is walked over
-    `dep`, which stops at latches."""
+    `defs`, which stops at latches."""
     fanout: Dict[int, int] = {}
     for g in aig.ands:
         fanout[g.rhs0 >> 1] = fanout.get(g.rhs0 >> 1, 0) + 1
@@ -557,13 +539,13 @@ def default_signal_policy(aig: Aig, dep: Mapping[int, Iterable[int]]):
     for lt in aig.latches:
         fanout[lt.next >> 1] = fanout.get(lt.next >> 1, 0) + 1
     inputs = set(aig.inputs)
-    gates = [g for g in aig.ands if g.var in dep]
+    gates = [g for g in aig.ands if g.var in defs]
     cap = max(1, int(SIGNAL_CAP_FRACTION * len(gates)))
     chosen = []
     for g in sorted(gates, key=lambda g: -fanout.get(g.var, 0)):
         if fanout.get(g.var, 0) < SIGNAL_MIN_FANOUT:
             continue
-        cone = coi_vars([g.var], dep, {})
+        cone = coi_vars([g.var], defs, {})
         if cone & inputs:
             continue
         chosen.append(g.var)
@@ -587,13 +569,13 @@ def extend_with_internal_signals(
     system does not have.
     """
     signals = list(policy(aig) if policy else
-                   default_signal_policy(aig, ts.dep))
+                   default_signal_policy(aig, ts.defs))
     if not signals:
         return ts
 
     num_vars = ts.num_vars
     clauses = list(ts.clauses)
-    dep = dict(ts.dep)
+    defs = dict(ts.defs)
     next_map = dict(ts.next_map)
     latch_vars = list(ts.latch_vars)
     primed_of: Dict[int, int] = {0: 0}
@@ -613,7 +595,7 @@ def extend_with_internal_signals(
         a = _shift(ref_to_lit(g.rhs0), primed_copy)
         b = _shift(ref_to_lit(g.rhs1), primed_copy)
         _and_clauses(clauses, mklit(p), a, b)
-        dep[p] = tuple(sorted({a >> 1, b >> 1}))
+        defs[p] = (a, b)
         return p
 
     def _shift(lit: Lit, f) -> Lit:
@@ -629,4 +611,4 @@ def extend_with_internal_signals(
         latch_vars.append(s)
 
     return replace(ts, num_vars=num_vars, latch_vars=latch_vars,
-                   next_map=next_map, clauses=clauses, dep=dep)
+                   next_map=next_map, clauses=clauses, defs=defs)

@@ -244,7 +244,7 @@ def compile_frame_template(ts) -> dict:
     for lv, p in zip(latches, primed):
         n = nxt.get(lv)
         if (n is not None and uses[p] == 2
-                and ts.dep.get(p) == (n >> 1,) and n >> 1 not in targets):
+                and ts.defs.get(p) == (n,) and n >> 1 not in targets):
             targets.add(n >> 1)
             alias[p] = n
     used = set(uses)

@@ -244,6 +244,6 @@ def test_certificate_format_refuses_internal_signals(cnt2):
     ts = encode(cnt2)
     gate_var = next(v for v in range(1, ts.num_vars)
                     if v not in ts.latch_vars and v not in ts.input_vars
-                    and v in ts.dep)
+                    and v in ts.defs)
     with pytest.raises(ValueError):
         format_certificate(InvariantCert([(2 * gate_var,)]), cnt2)

@@ -1,14 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from mcheck.aiger import parse_aiger
+from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, STANDARD,
                         Ic3Options, select_strategy, check as ic3_check)
 from mcheck.transys import (coi_vars, encode, extend_with_internal_signals,
-                            simplify_cnf)
+                            ref_to_lit, simplify_cnf)
 
 from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
                       random_aig)
@@ -219,14 +220,80 @@ def test_deep_counterexample_found():
 
 def test_solver_vars_stay_bounded():
     # one activation var per frame and one reused for the temporaries: the
-    # solvers do not grow with the number of queries
+    # solver does not grow with the number of queries
     engine = IC3(encode(mod_counter(6, 32, 60, enable=True)),
                  Ic3Options(strategy=DYNAMIC))
     assert engine.check().is_safe
     assert engine.stats.solver_calls > 500
     n = engine.ts.num_vars
     assert engine.solver.num_vars <= n + engine.k + 2
-    assert engine.lift_solver.num_vars <= n + 1
+
+
+class _CheckedLifts(IC3):
+    """IC3 that checks each lifted cube by brute force over the source AIG:
+    under the model's input bits, every completion of the latches outside
+    the cube satisfies the constraints and steps into the targets.  No cube
+    that it queries, lifts or keeps may name a pseudo-latch."""
+
+    lifts = 0
+
+    def _latches_only(self, cube):
+        assert {l >> 1 for l in cube} <= set(self._latches), cube
+
+    def solve_relative(self, cube, level, block_self=True):
+        self._latches_only(cube)
+        return super().solve_relative(cube, level, block_self)
+
+    def add_lemma(self, cube, level):
+        self._latches_only(cube)
+        super().add_lemma(cube, level)
+
+    def lift_predecessor(self, state_cube, targets):
+        cube = super().lift_predecessor(state_cube, targets)
+        self._latches_only(cube)
+        self.lifts += 1
+        ts, aig = self.ts, self.ts.source
+        frame = ts.widen_witness([], [self._model_inputs()]).input_frames[0]
+        inputs = dict(zip(aig.inputs, frame))
+        fixed = {l >> 1: 1 - (l & 1) for l in cube}
+        free = [lt.var for lt in aig.latches if lt.var not in fixed]
+        latch_of = {ts.next_map[lt.var]: lt for lt in aig.latches
+                    if lt.var in ts.next_map}
+        bad = [ref_to_lit(aig.bads[ts.bad_index]), *ts.constraints]
+
+        def value(lit):
+            v = lit >> 1
+            if v in latch_of:  # a primed var: its latch one step on
+                nxt = latch_of[v].next
+                x = vals[nxt >> 1] ^ (nxt & 1)
+            elif v == 0:  # the constant var 0 is true
+                x = 1
+            elif v == ts.bad >> 1 and ts.constraints:  # bad and constraints
+                x = int(all(value(l) for l in bad))
+            else:
+                x = vals[v]
+            return x ^ (lit & 1)
+
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            vals = eval_nodes(aig, {**fixed, **dict(zip(free, bits))}, inputs)
+            assert all(value(c) for c in ts.constraints), (cube, bits)
+            assert all(value(t) for t in targets), (cube, bits)
+        return cube
+
+
+def test_lifted_cubes_hold_for_every_completion(rng):
+    lifts = extended = 0
+    for _ in range(300):
+        aig = random_aig(rng, constraint_prob=1.0)
+        if all(lt.init is not None for lt in aig.latches):
+            continue
+        want = bfs_check(aig).status
+        for inn in (False, True):
+            engine = _CheckedLifts(encode(aig), Ic3Options(inn=inn))
+            assert engine.check().status == want
+            lifts += engine.lifts
+            extended += len(engine.ts.latch_vars) > len(engine._latches)
+    assert lifts > 100 and extended > 50
 
 
 class _FreshDomains(IC3):
@@ -244,7 +311,7 @@ class _FreshDomains(IC3):
         if cube is not None:
             roots += [l >> 1 for l in ts.constraints]
             roots += [v for l in cube for v in (l >> 1, ts.next_map[l >> 1])]
-        assert got == coi_vars(roots, ts.dep, self._adj)
+        assert got == coi_vars(roots, ts.defs, self._adj)
         return got
 
 

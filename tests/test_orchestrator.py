@@ -186,7 +186,7 @@ def test_inn_ignores_gates_outside_the_cone():
         b.set_next(d, gate)
     for bad, want in ((b.AND(c0, c1), "safe"), (b.AND(c0, ref_neg(c1)), "unsafe")):
         aig = b.build(bads=[bad])
-        assert default_signal_policy(aig, encode(aig).dep) == [gate >> 1]
+        assert default_signal_policy(aig, encode(aig).defs) == [gate >> 1]
         v = run_config(aig, EngineConfig("ic3", inn=True))
         assert v.status == want
         ok, why = verify_verdict(aig, 0, v)

@@ -190,7 +190,7 @@ def test_frame_template_matches_the_reference_compile(rng):
 def test_simplify_and_extension_leave_input_unchanged(rng):
     """Derived systems share untouched fields with their input; building
     them must not modify the input."""
-    fields = ("latch_vars", "next_map", "clauses", "dep", "init_value")
+    fields = ("latch_vars", "next_map", "clauses", "defs", "init_value")
     aigs = [counter_with_reset(16, 8)] + [random_aig(rng) for _ in range(10)]
     extended = 0
     for aig in aigs:
@@ -355,11 +355,11 @@ def test_coi_restricts_to_support():
     # an input that bad does not read is outside the cone
     free = parse_aiger(b"aag 2 1 1 0 0 1\n2\n4 4\n4\n")
     assert encode(free, cone=True).input_vars == []
-    # over TranSys.dep the walk stops at latches; `adj` adds edges
+    # over TranSys.defs the walk stops at latches; `adj` adds edges
     ts = encode(chain)
-    assert coi_vars([ts.bad >> 1], ts.dep, {}) == {1}
-    assert coi_vars([ts.next_map[1]], ts.dep, {}) == {ts.next_map[1], 2}
-    assert coi_vars([1], ts.dep, {1: {2}}) == {1, 2}
+    assert coi_vars([ts.bad >> 1], ts.defs, {}) == {1}
+    assert coi_vars([ts.next_map[1]], ts.defs, {}) == {ts.next_map[1], 2}
+    assert coi_vars([1], ts.defs, {1: {2}}) == {1, 2}
 
 
 # gate 6 = 2 AND 2 repeats a fanin, gate 8 = 4 AND NOT 4 is constant false
@@ -388,7 +388,7 @@ def test_clauses_are_sorted_and_name_each_var_once():
         assert _well_formed(ts.clauses)
         inputs = set(aig.inputs)
         gates = [g.var for g in aig.ands
-                 if not coi_vars([g.var], ts.dep, {}) & inputs]
+                 if not coi_vars([g.var], ts.defs, {}) & inputs]
         assert gates
         ext = extend_with_internal_signals(ts, aig, policy=lambda a: gates)
         assert _well_formed(ext.clauses)

@@ -15,7 +15,11 @@ moved.  IC3 lines also carry ``push_skips``, the pushes IC3 skipped because
 a stored counterexample showed they would fail, and ``solver_calls``;
 unrolling lines carry ``solver_calls`` no longer, since it always equalled
 ``solves``.  Output from a checkout older than either change differs in
-those keys, so a ``diff`` against it shows every line of that kind.
+those keys, so a ``diff`` against it shows every line of that kind.  IC3
+runs one solver and lifts with no query, so on an IC3 line ``solves``
+equals ``solver_calls``; a checkout whose IC3 also had a lifting solver
+counted its solves there too, so a ``diff`` against it shows every IC3
+line.
 
 Exits 1, after printing every line, if some verdict is ``unknown``, differs
 from the model's known answer, or fails the check; each such verdict is also
