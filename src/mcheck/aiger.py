@@ -19,15 +19,9 @@ class AigerError(Exception):
     """Malformed AIGER input; message carries a line or byte offset."""
 
 
-FALSE_REF = 0
-TRUE_REF = 1
 # A binary file's inputs take no bytes of its body, so nothing in the file
 # backs their count; a larger header is rejected before any allocation.
 MAX_BINARY_INPUTS = 1 << 20
-
-
-def ref_neg(ref: int) -> int:
-    return ref ^ 1
 
 
 @dataclass(frozen=True)
@@ -67,16 +61,6 @@ class Aig:
     def _ands_by_var(self) -> List[AndGate]:
         """Gates in ascending var order, an evaluation order."""
         return sorted(self.ands, key=lambda g: g.var)
-
-    def structurally_equal(self, other: "Aig") -> bool:
-        return (
-            self.max_var == other.max_var
-            and self.inputs == other.inputs
-            and self.latches == other.latches
-            and self.ands == other.ands
-            and self.bads == other.bads
-            and self.constraints == other.constraints
-        )
 
 
 @dataclass

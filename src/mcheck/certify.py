@@ -92,7 +92,10 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     constraints at frames 0..d-1, and bad at frame d folds in frame d's.
     One solver holds one init-free unrolling to frame k, with selector g for
     init at frame 0 and h for P at frames 0..k-1; each condition is one
-    query on a fresh literal that implies ¬P at its frame.
+    query on a fresh literal that implies ¬P at its frame.  A failed
+    condition names the first clause that some path it admits falsifies,
+    one more query per clause, or "bad" if there is none, so the reason
+    depends on the certificate and the model, not on the solver's search.
     """
     if not isinstance(cert, InvariantCert):
         return False, "unknown certificate type %r" % (type(cert).__name__,)
@@ -117,21 +120,16 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     _add_clauses(s, guarded)
 
     for d in range(k + 1):  # base cases 0..k-1, then the step
-        frame = [[un.lit_at(l, d) for l in c] for c in clauses]
         v = 2 * s.new_var()
-        some = [v ^ 1, un.bad_at(d)]  # v -> bad or some clause false
-        pairs = []
-        for c in frame:
-            a = 2 * s.new_var()
-            some.append(a)
-            pairs += [(a ^ 1, x ^ 1) for x in c]
-        _add_clauses(s, pairs + [some])
-        held = [un.held(d - 1)] if d else []
-        if s.solve(assumptions=[h if d == k else g, v] + held) is False:
+        sel = [2 * s.new_var() for _ in clauses]  # sel[i] -> clause i false
+        some = [v ^ 1, un.bad_at(d)] + sel  # v -> bad or some clause false
+        _add_clauses(s, [(a ^ 1, un.lit_at(x, d) ^ 1)
+                         for a, c in zip(sel, clauses) for x in c] + [some])
+        assume = [h if d == k else g, v] + ([un.held(d - 1)] if d else [])
+        if s.solve(assumptions=assume) is False:
             continue
-        why = next(("invariant clause %d" % idx for idx, c in enumerate(frame)
-                    if all(s.model_value(x >> 1) == bool(x & 1) for x in c)),
-                   "bad")
+        why = next(("invariant clause %d" % i for i, a in enumerate(sel)
+                    if s.solve(assumptions=assume + [a])), "bad")
         if d == k:
             return False, "inductive step fails at k=%d: %s" % (k, why)
         return False, "base case fails at depth %d: %s" % (d, why)

@@ -72,8 +72,6 @@ class Ic3Options:
     strategy: str = DYNAMIC  # standard | ctg | exctg | dynamic
     inn: bool = False
     abs_cst: bool = False
-    verify_mic: bool = False
-    debug_check_domain: bool = False
 
 
 @dataclass
@@ -82,7 +80,6 @@ class MicRecord:
     size_in: int
     size_out: int
     level: int
-    verified: Optional[bool] = None
 
 
 @dataclass
@@ -146,7 +143,7 @@ class IC3:
         self.ts = ts
         self.cancel = cancel
 
-        self.solver = Solver(debug_check_domain=self.options.debug_check_domain)
+        self.solver = Solver()
         ts.load(self.solver, ts.constraints)
         self.stats = Ic3Stats(mic_calls={STANDARD: 0, CTG: 0, EXCTG: 0},
                               solver=self.solver.stats)
@@ -345,10 +342,8 @@ class IC3:
                 current = set(res)
         result = tuple(sorted(current))
         if top:
-            rec = MicRecord(strategy, size_in, len(result), level)
-            if self.options.verify_mic:
-                rec.verified = self._verify_relative_inductive(result, level)
-            self.stats.mic_records.append(rec)
+            self.stats.mic_records.append(
+                MicRecord(strategy, size_in, len(result), level))
         return result
 
     def _ctg_down(self, cube: Cube, level: int, rec_depth: int,
@@ -427,21 +422,6 @@ class IC3:
                 heapq.heappush(q, (lvl - 1, pred))
                 heapq.heappush(q, (lvl, c))
         return True
-
-    def _verify_relative_inductive(self, cube: Cube, level: int) -> bool:
-        """Fresh-solver re-check that `cube` is relatively inductive and
-        excludes init (used by tests and the verify_mic option)."""
-        if not cube or self.ts.cube_intersects_init(cube):
-            return False
-        ts = self.ts
-        s = Solver()
-        ts.load(s, ts.constraints + (list(ts.init_lits) if level == 1 else []))
-        if level > 1:
-            for j in range(level - 1, self.k + 1):
-                for d in self.frames[j]:
-                    s.add_clause(negate(d))
-        s.add_clause(negate(cube))
-        return s.solve(sorted(ts.prime(l) for l in cube)) is False
 
     # -- main loop ----------------------------------------------------------
 
@@ -626,23 +606,6 @@ class IC3:
                                        stats=self.stats)
         except _Cancelled:
             return unknown("cancelled", stats=self.stats)
-
-    # -- debug invariants ---------------------------------------------------
-
-    def debug_check_frames(self) -> None:
-        """Frame sanity: lemmas exclude init and are relatively inductive at
-        their level; frames below k exclude bad."""
-        for j in range(1, self.k + 1):
-            for d in self.frames[j]:
-                assert not self.ts.cube_intersects_init(d), \
-                    "lemma %r intersects init" % (d,)
-                assert self._verify_relative_inductive(d, j), \
-                    "lemma %r not inductive at %d" % (d, j)
-        for i in range(1, self.k):
-            self.stats.solver_calls += 1
-            res = self.solver.solve(
-                self._frame_assumptions(i) + [self.ts.bad])
-            assert res is False, "frame %d intersects bad" % i
 
 
 def check(

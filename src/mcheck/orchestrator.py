@@ -141,16 +141,13 @@ def verify_verdict(aig: Aig, bad_index: int, verdict: Verdict) -> Tuple[bool, st
 
 @dataclass
 class Outcome:
-    """How one portfolio config ended.  `status` is one of `OUTCOMES`;
-    `reason` is the rejection, the error message, the engine's own reason
-    for an unknown verdict, or what cancelled the run."""
+    """How one portfolio config ended.  `status` is "won", "rejected",
+    "errored", "no-verdict", "cancelled" or "not-started"; `reason` is the
+    rejection, the error message, the engine's own reason for an unknown
+    verdict, or what cancelled the run."""
     config: EngineConfig
     status: str = "not-started"
     reason: str = ""
-
-
-OUTCOMES = ("won", "rejected", "errored", "no-verdict", "cancelled",
-            "not-started")
 
 
 @dataclass

@@ -178,19 +178,13 @@ class SolverStats:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    domain_checks: int = 0
-    domain_mismatches: int = 0
-
-
-class DomainMismatchError(AssertionError):
-    """Restricted and full-domain solving disagreed (caller contract broken)."""
 
 
 class Solver:
     DECAY_INTERVAL = 256
     LUBY_UNIT = 128
 
-    def __init__(self, debug_check_domain: bool = False):
+    def __init__(self) -> None:
         self.ok = True
         self.vals: List[int] = []  # per literal: 1 true, 0 false, UNDEF open
         self.polarity: List[bool] = []
@@ -207,7 +201,6 @@ class Solver:
         self.vsids = BucketVsids()
         self.stats = SolverStats()  # an engine may share one among its solvers
         self._conflicts = 0  # this solver's own, for the decay schedule
-        self.debug_check_domain = debug_check_domain
 
         self._seen: List[bool] = []
         self._model: List[int] = []
@@ -246,9 +239,6 @@ class Solver:
 
     def decision_level(self) -> int:
         return len(self.trail_lim)
-
-    def value_lit(self, lit: int) -> int:
-        return self.vals[lit]
 
     # -- clause management --------------------------------------------------
 
@@ -731,9 +721,9 @@ class Solver:
         With a restricted domain, decisions and implications above the root
         stay inside it and the assumption vars.  The verdict matches
         full-domain solving provided the domain covers the COI of the
-        assumptions and temporary clauses (caller's obligation, checked when
-        `debug_check_domain` is set).  A Sat model then assigns only domain,
-        assumption and root vars; `model_value` is None for the rest.
+        assumptions and temporary clauses, which the caller guarantees.  A
+        Sat model then assigns only domain, assumption and root vars;
+        `model_value` is None for the rest.
 
         On Unsat, `unsat_core()` holds a subset of the assumptions that the
         clauses, the query's temporaries included, refute: with a restricted
@@ -754,24 +744,7 @@ class Solver:
                 assume.insert(0, 2 * self._temp_act)
 
             n_open = self._activate_domain(domain, assume)
-            result = self._search(assume, cancel_check, n_open)
-
-            if (
-                self.debug_check_domain
-                and domain is not None
-                and result is not None
-            ):
-                self.stats.domain_checks += 1
-                model, core = self._model, self._core
-                self._cancel_until(0)
-                self._activate_domain(None, assume)
-                full = self._search(assume, cancel_check, -1)
-                if full is not None and full != result:
-                    self.stats.domain_mismatches += 1
-                    raise DomainMismatchError(
-                        "restricted=%r full=%r" % (result, full))
-                self._model, self._core = model, core
-            return result
+            return self._search(assume, cancel_check, n_open)
         finally:
             self._cancel_until(0)
             self._popped.clear()

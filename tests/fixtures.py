@@ -10,8 +10,23 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from mcheck.aiger import (Aig, AndGate, FALSE_REF, Latch, TRUE_REF, parse_aiger,
-                          ref_neg, serialize_aiger)
+from mcheck.aiger import Aig, AndGate, Latch, parse_aiger, serialize_aiger
+
+# AIGER node refs: 2*index + complement, with 0 constant false, 1 true
+FALSE_REF = 0
+TRUE_REF = 1
+
+
+def ref_neg(ref: int) -> int:
+    return ref ^ 1
+
+
+def structurally_equal(a: Aig, b: Aig) -> bool:
+    """Same header, inputs, latches, gates, bads and constraints; the
+    trailer and the output section's flag are not compared."""
+    return (a.max_var == b.max_var and a.inputs == b.inputs
+            and a.latches == b.latches and a.ands == b.ands
+            and a.bads == b.bads and a.constraints == b.constraints)
 
 # Tiny fixed models used across the suite.
 SAFE1_AAG = "aag 1 0 1 0 0 1\n2 2\n2\n"        # latch holds 0 forever; bad = latch

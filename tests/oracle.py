@@ -1,7 +1,7 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations and checks used only by the tests.
 
-Nothing here shares code with the package under test beyond the AIG data
-structures themselves:
+The first ones share no code with the package under test beyond the AIG
+data structures themselves:
 
 * ``bfs_check`` — explicit-state breadth-first reachability over the full
   state space, evaluated bit-parallel with big-integer truth tables.
@@ -11,6 +11,15 @@ structures themselves:
   whose output the package's must match exactly.
 * ``ShadowActivity`` — an exact-score mirror of the solver's bucketed
   activity heap, used to audit decision ordering.
+
+The last section holds checks that do use the package's solver, each one
+asking the same question a second way:
+
+* ``DomainCheckingSolver`` — re-solves every cone-restricted query on the
+  full domain and raises ``DomainMismatchError`` when the answers differ.
+* ``relative_inductive`` and ``check_frames`` — re-check an IC3 lemma, or
+  every frame, on a fresh solver; ``MicCheckingIC3`` applies the first to
+  each MIC result.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from mcheck.aiger import Aig
+from mcheck.ic3 import IC3
+from mcheck.logic import Cube, negate
+from mcheck.satcore import Solver, SolverStats
 
 MAX_TABLE_BITS = 22  # refuse truth tables beyond 2^22 rows
 
@@ -321,3 +333,94 @@ class ShadowActivity:
     def note_pop(self, v: int, taken: bool) -> None:
         """Record that the heap consumed `v` (either decided or parked)."""
         self.present[v] = False
+
+
+# ---------------------------------------------------------------------------
+# Second opinions from the package's own solver
+
+
+class DomainMismatchError(AssertionError):
+    """A restricted query and its full-domain re-solve disagreed: the
+    caller's domain did not cover the query's cone."""
+
+
+@dataclass
+class DomainCheckStats(SolverStats):
+    domain_checks: int = 0  # restricted queries re-solved on the full domain
+    domain_mismatches: int = 0
+
+
+class DomainCheckingSolver(Solver):
+    """A `Solver` that solves each restricted query again on the full
+    domain once it has answered, and raises `DomainMismatchError` if the
+    answers differ; the restricted answer, model and core stand.  IC3
+    builds one in place of its solver under `monkeypatch.setattr(ic3,
+    "Solver", ...)`, and its counts then reach `Ic3Stats.solver`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stats = DomainCheckStats()
+
+    def _search(self, assume, cancel_check, n_open):
+        result = super()._search(assume, cancel_check, n_open)
+        if n_open < 0 or result is None:
+            return result
+        self.stats.domain_checks += 1
+        model, core = self._model, self._core
+        self._cancel_until(0)
+        self._activate_domain(None, assume)
+        full = super()._search(assume, cancel_check, -1)
+        if full is not None and full != result:
+            self.stats.domain_mismatches += 1
+            raise DomainMismatchError("restricted=%r full=%r" % (result, full))
+        self._model, self._core = model, core
+        return result
+
+
+def relative_inductive(ic3: IC3, cube: Cube, level: int) -> bool:
+    """Whether `cube` excludes init and is inductive relative to frame
+    `level - 1` of `ic3`, asked of a fresh solver: init for level 1, the
+    lemmas of levels `level - 1` and up otherwise, with the constraints,
+    ¬cube, T and cube′."""
+    ts = ic3.ts
+    if not cube or ts.cube_intersects_init(cube):
+        return False
+    s = Solver()
+    ts.load(s, ts.constraints + (list(ts.init_lits) if level == 1 else []))
+    if level > 1:
+        for j in range(level - 1, ic3.k + 1):
+            for d in ic3.frames[j]:
+                s.add_clause(negate(d))
+    s.add_clause(negate(cube))
+    return s.solve(sorted(ts.prime(l) for l in cube)) is False
+
+
+def check_frames(ic3: IC3) -> None:
+    """Frame sanity of `ic3`: each lemma excludes init and is relatively
+    inductive at its level, and each frame below k excludes bad, which
+    IC3's own solver answers."""
+    for j in range(1, ic3.k + 1):
+        for d in ic3.frames[j]:
+            assert not ic3.ts.cube_intersects_init(d), \
+                "lemma %r intersects init" % (d,)
+            assert relative_inductive(ic3, d, j), \
+                "lemma %r not inductive at %d" % (d, j)
+    for i in range(1, ic3.k):
+        ic3.stats.solver_calls += 1
+        res = ic3.solver.solve(ic3._frame_assumptions(i) + [ic3.ts.bad])
+        assert res is False, "frame %d intersects bad" % i
+
+
+class MicCheckingIC3(IC3):
+    """An `IC3` that re-checks each top-level MIC result with
+    `relative_inductive`; `mic_checks` holds one answer per result."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.mic_checks: List[bool] = []
+
+    def mic(self, cube, level, strategy, rec_depth=1, budget=None):
+        result = super().mic(cube, level, strategy, rec_depth, budget)
+        if rec_depth == 1:
+            self.mic_checks.append(relative_inductive(self, result, level))
+        return result

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from mcheck import ic3
 from mcheck.aiger import parse_aiger, serialize_aiger
 from mcheck.certify import (format_witness, parse_witness, verify_witness)
 from mcheck.engines import bmc, kind
@@ -31,8 +32,9 @@ from mcheck.transys import encode
 
 from fixtures import (SAFE1_AAG, UNSAFE1_AAG, CNT2_AAG, counter_overflow,
                       counter_with_reset, mod_counter, padded_mod_counter,
-                      random_aig)
-from oracle import ShadowActivity, bfs_check, cnf_brute_force
+                      random_aig, structurally_equal)
+from oracle import (DomainCheckingSolver, MicCheckingIC3, ShadowActivity,
+                    bfs_check, cnf_brute_force)
 
 STATIC = (STANDARD, CTG, EXCTG)
 
@@ -118,7 +120,7 @@ def test_criterion_2_certificates_and_witnesses(sweep):
             % (checked, failures))
 
 
-def test_criterion_3_solver_differential():
+def test_criterion_3_solver_differential(monkeypatch):
     rng = random.Random(0xD1FF)
     mismatches = 0
     for _ in range(500):
@@ -135,15 +137,16 @@ def test_criterion_3_solver_differential():
         if res != want:
             mismatches += 1
 
-    # cone-restricted vs full-domain on live queries: the solver re-solves
-    # every restricted query unrestricted and raises on any disagreement
+    # cone-restricted vs full-domain on live queries: IC3's solver, a
+    # `DomainCheckingSolver` here, re-solves every restricted query
+    # unrestricted and raises on any disagreement
+    monkeypatch.setattr(ic3, "Solver", DomainCheckingSolver)
     domain_checks = domain_mismatches = 0
     fixtures = [padded_mod_counter(6, 20, 40, pad=6),
                 padded_mod_counter(7, 40, 80, pad=6)]
     fixtures += [random_aig(random.Random(300 + i)) for i in range(60)]
     for aig in fixtures:
-        v = ic3_check(encode(aig), Ic3Options(strategy=DYNAMIC,
-                                              debug_check_domain=True))
+        v = ic3_check(encode(aig), Ic3Options(strategy=DYNAMIC))
         domain_checks += v.stats.solver.domain_checks
         domain_mismatches += v.stats.solver.domain_mismatches
     ok = mismatches == 0 and domain_checks >= 500 and domain_mismatches == 0
@@ -205,10 +208,11 @@ def mic_harvest():
     for aig in corpus:
         ts = encode(aig)
         for s in STATIC:
-            v = ic3_check(ts, Ic3Options(strategy=s, verify_mic=True))
+            checker = MicCheckingIC3(ts, Ic3Options(strategy=s))
+            v = checker.check()
             for r in v.stats.mic_records:
                 out[s].append(r.size_out)
-                unverified += r.verified is not True
+            unverified += checker.mic_checks.count(False)
     return out, unverified
 
 
@@ -337,7 +341,7 @@ def test_criterion_8_format_fidelity(sweep):
             aiger_failures += 1
         elif serialize_aiger(b2, ascii=False) != bin_blob:
             aiger_failures += 1
-        elif not a2.structurally_equal(aig):
+        elif not structurally_equal(a2, aig):
             aiger_failures += 1
 
     witness_failures = witnesses = 0

@@ -8,14 +8,14 @@ import random
 import pytest
 
 from mcheck import parse_aiger
-from mcheck.aiger import WitnessTrace, ref_neg, replay, simulate
+from mcheck.aiger import WitnessTrace, replay, simulate
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import _first_violated_constraint
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import BAD_THEN_BLOCKED_AAG, AigBuilder, random_aig
+from fixtures import BAD_THEN_BLOCKED_AAG, AigBuilder, random_aig, ref_neg
 from oracle import bfs_check
 
 BMC_STEPS = (1, 2, 3, 10)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mcheck import ic3
 from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
@@ -13,7 +14,8 @@ from mcheck.transys import (coi_vars, encode, extend_with_internal_signals,
 
 from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
                       random_aig)
-from oracle import bfs_check
+from oracle import (DomainCheckingSolver, DomainMismatchError, MicCheckingIC3,
+                    bfs_check, check_frames)
 
 STRATEGIES = (STANDARD, CTG, EXCTG, DYNAMIC)
 
@@ -73,11 +75,31 @@ def test_works_on_simplified_systems(rng):
 def test_mic_outputs_are_relatively_inductive():
     ts = encode(mod_counter(6, 20, 40))
     for strategy in STRATEGIES:
-        v = ic3_check(ts, Ic3Options(strategy=strategy, verify_mic=True))
+        checker = MicCheckingIC3(ts, Ic3Options(strategy=strategy))
+        v = checker.check()
         assert v.is_safe
         assert v.stats.mic_records
-        assert all(r.verified for r in v.stats.mic_records), strategy
+        assert all(checker.mic_checks), strategy
         assert all(1 <= r.size_out <= r.size_in for r in v.stats.mic_records)
+
+
+class _DropsOneMore(IC3):
+    """Each top-level MIC result loses its first literal, one too many."""
+
+    def mic(self, cube, level, strategy, rec_depth=1, budget=None):
+        result = super().mic(cube, level, strategy, rec_depth, budget)
+        return result[1:] if rec_depth == 1 and len(result) > 1 else result
+
+
+class _CheckedDropsOneMore(MicCheckingIC3, _DropsOneMore):
+    pass
+
+
+def test_mic_check_counts_a_result_that_drops_one_literal_too_many():
+    checker = _CheckedDropsOneMore(encode(mod_counter(6, 20, 40)),
+                                   Ic3Options(strategy=STANDARD))
+    checker.check()
+    assert checker.mic_checks.count(False) >= 1
 
 
 def test_dynamic_mode_escalates_through_strategies():
@@ -166,17 +188,17 @@ def test_select_strategy_static_modes_are_constant():
         assert {select_strategy(n, opts) for n in range(10)} == {s}
 
 
-def test_domain_restriction_differential(rng):
-    """COI-restricted queries re-solved unrestricted must agree; the solver
-    raises on any mismatch when the debug flag is set."""
+def test_domain_restriction_differential(rng, monkeypatch):
+    """COI-restricted queries re-solved unrestricted must agree; the
+    domain-checking solver raises on any mismatch."""
     from fixtures import padded_mod_counter
+    monkeypatch.setattr(ic3, "Solver", DomainCheckingSolver)
     checks = 0
     corpus = [random_aig(rng) for _ in range(25)]
     corpus.append(padded_mod_counter(6, 20, 40, pad=6))
     for aig in corpus:
         ts = encode(aig)
-        v = ic3_check(ts, Ic3Options(strategy=DYNAMIC,
-                                     debug_check_domain=True))
+        v = ic3_check(ts, Ic3Options(strategy=DYNAMIC))
         assert v.status in ("safe", "unsafe")
         assert v.stats.solver.domain_mismatches == 0
         checks += v.stats.solver.domain_checks
@@ -189,7 +211,7 @@ def test_frame_invariants_hold_during_search(monkeypatch):
 
     def rec_block_then_check(self, root):
         trace = rec_block(self, root)
-        self.debug_check_frames()
+        check_frames(self)
         checked.append(root)
         return trace
 
@@ -342,14 +364,35 @@ def test_cached_query_domains_match_a_fresh_walk(rng):
                  id="mod(5,24,28,pad=4)"),
     pytest.param(counter_overflow(4), "unsafe", id="overflow(4)"),
 ])
-def test_cached_domains_cover_deep_queries(aig, status):
+def test_cached_domains_cover_deep_queries(aig, status, monkeypatch):
     """Every restricted query on the deep counters, re-solved on the full
     domain, gives the same answer."""
-    v = ic3_check(encode(aig), Ic3Options(strategy=DYNAMIC,
-                                          debug_check_domain=True))
+    monkeypatch.setattr(ic3, "Solver", DomainCheckingSolver)
+    v = ic3_check(encode(aig), Ic3Options(strategy=DYNAMIC))
     assert v.status == status
     assert v.stats.solver.domain_checks > 100
     assert v.stats.solver.domain_mismatches == 0
+
+
+class _NoNextStateCone(IC3):
+    """Leaves the cube's next-state cone out of each relative-induction
+    domain: the primed cube is assumed, but nothing it reads is decided."""
+
+    def _query_domain(self, cube):
+        if cube is None:
+            return super()._query_domain(None)
+        roots = [self.ts.bad >> 1, *(l >> 1 for l in self.ts.constraints),
+                 *(l >> 1 for l in cube)]
+        return coi_vars(roots, self.ts.defs, self._adj)
+
+
+def test_domain_check_catches_a_domain_without_the_next_state_cone(monkeypatch):
+    monkeypatch.setattr(ic3, "Solver", DomainCheckingSolver)
+    engine = _NoNextStateCone(encode(mod_counter(6, 24, 40, enable=True)),
+                              Ic3Options(strategy=DYNAMIC))
+    with pytest.raises(DomainMismatchError):
+        engine.check()
+    assert engine.solver.stats.domain_mismatches == 1
 
 
 def test_zero_step_query_searches_only_the_cone_of_bad():

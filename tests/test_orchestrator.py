@@ -5,14 +5,15 @@ import time
 import pytest
 
 from mcheck import engines, orchestrator, transys
-from mcheck.aiger import parse_aiger, ref_neg
+from mcheck.aiger import parse_aiger
 from mcheck.certify import verify_certificate
-from mcheck.orchestrator import (OUTCOMES, EngineConfig, default_configs,
-                                 run_config, run_portfolio, verify_verdict)
+from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
+                                 run_portfolio, verify_verdict)
 from mcheck.transys import default_signal_policy, encode
 from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import AigBuilder, counter_overflow, mod_counter, random_aig
+from fixtures import (AigBuilder, counter_overflow, mod_counter, random_aig,
+                      ref_neg)
 from oracle import bfs_check
 
 
@@ -248,6 +249,16 @@ def test_cone_check_agrees_with_the_full_check(monkeypatch):
             pairs += 1
             accepted += got[0]
     assert pairs > 600 and 0 < accepted < pairs
+    # model 549 of `random_aig(random.Random(4), ...)` with the arguments
+    # above: when a reason was read off the failing query's model, the cone
+    # check said "bad" and the full check "invariant clause 0"
+    aig = parse_aiger(b"aag 9 0 6 0 3 1 1\n2 8\n4 13\n6 12\n8 10 8\n10 16\n"
+                      b"12 9\n11\n17\n14 7 2\n16 15 7\n18 9 7\n")
+    cert = InvariantCert([(3,)], 1)
+    full = encode(aig)
+    assert verify_verdict(aig, 0, safe(cert)) == verify_certificate(full, cert) == (
+        False, "inductive step fails at k=1: invariant clause 0")
+    assert set(systems[-1].clauses) <= set(full.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +276,11 @@ def _spy_threads(monkeypatch):
 
     monkeypatch.setattr(orchestrator.threading, "Thread", Spy)
     return started
+
+
+# every status an `orchestrator.Outcome` may take
+OUTCOMES = ("won", "rejected", "errored", "no-verdict", "cancelled",
+            "not-started")
 
 
 def _statuses(r):

@@ -356,7 +356,7 @@ def test_reduce_db_drops_root_satisfied_learnts(rng):
         s = _solver_for(nv, clauses)
         s.solve()
         in_learnts = sorted({l for c in s.learnts for l in c.lits
-                             if s.value_lit(l) == UNDEF})
+                             if s.vals[l] == UNDEF})
         if not s.ok or not in_learnts:
             continue
         unit = rng.choice(in_learnts)
@@ -365,7 +365,7 @@ def test_reduce_db_drops_root_satisfied_learnts(rng):
         s.add_clause([unit])
         s._reduce_db()
         for c in s.learnts:
-            root_sat = any(s.vlevel[l >> 1] == 0 and s.value_lit(l) == 1
+            root_sat = any(s.vlevel[l >> 1] == 0 and s.vals[l] == 1
                            for l in c.lits)
             assert not root_sat or s.reason[c.lits[0] >> 1] is c, i
         for c in sat_by_unit:
@@ -546,7 +546,7 @@ def test_restricted_queries_match_full_ones_on_gate_circuits(rng):
                 model = [s.model_value(v) for v in range(nv)]
                 assert None not in [model[v] for v in domain], (seq, q)
                 for v in range(nv):
-                    if v not in allowed and s.value_lit(2 * v) == UNDEF:
+                    if v not in allowed and s.vals[2 * v] == UNDEF:
                         assert model[v] is None, (seq, q, v)
                 # the partial model extends to a full one
                 fixed = [2 * v + (0 if model[v] else 1)
@@ -591,7 +591,7 @@ def test_sat_answer_does_not_drain_the_heap(rng):
 def _root_closed(s, clauses):
     """No clause is false or unit under the root assignment of `s`."""
     for cl in clauses:
-        vals = [s.value_lit(l) for l in cl]
+        vals = [s.vals[l] for l in cl]
         if 1 not in vals and vals.count(UNDEF) < 2:
             return False
     return True
@@ -631,7 +631,7 @@ def test_root_loader_matches_one_clause_at_a_time(rng):
                 batch.append(cl)
             kind = None
             if q == refute_at:
-                open_vars = [v for v in range(nv) if loader.value_lit(2 * v) == UNDEF]
+                open_vars = [v for v in range(nv) if loader.vals[2 * v] == UNDEF]
                 if rng.random() < 0.5 and len(open_vars) >= 2:
                     kind = "final"
                     x, y = rng.sample(open_vars, 2)
@@ -747,7 +747,7 @@ def test_binary_clauses_match_brute_force(rng):
                         assert any(model[l >> 1] == (not l & 1) for l in cl), (seq, q)
                 if restricted:
                     for c in copies:
-                        assert s.value_lit(2 * c) != UNDEF or model[c] is None, (seq, q)
+                        assert s.vals[2 * c] != UNDEF or model[c] is None, (seq, q)
             else:
                 unsat += 1
                 core = s.unsat_core()
@@ -854,7 +854,7 @@ def test_only_a_restricted_query_puts_its_assumptions_on_one_level():
         def _propagate(self):
             if self.trail_lim:
                 self.passes.append([self.vlevel[p >> 1]
-                                    if self.value_lit(p) != UNDEF else None
+                                    if self.vals[p] != UNDEF else None
                                     for p in assume])
             return super()._propagate()
 

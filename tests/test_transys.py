@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcheck.aiger import FALSE_REF, TRUE_REF, eval_nodes, parse_aiger, ref_neg
+from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import check as ic3_check
 from mcheck.logic import lit_neg, mklit
@@ -14,9 +14,9 @@ from mcheck.transys import (FrameTemplate, Unroller, coi_vars, encode,
                             extend_with_internal_signals, ref_to_lit,
                             simplify_cnf)
 
-from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, AigBuilder,
-                      counter_with_reset, mod_counter, padded_mod_counter,
-                      random_aig)
+from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, FALSE_REF, TRUE_REF,
+                      AigBuilder, counter_with_reset, mod_counter,
+                      padded_mod_counter, random_aig, ref_neg)
 from oracle import bfs_check, compile_frame_template, simplify_fixpoint
 
 
