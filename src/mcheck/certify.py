@@ -5,11 +5,12 @@ The checks here deliberately avoid the engines' solvers: a certificate is
 checked on one solver of its own, over one unrolling of the system, and
 witness replay uses plain gate evaluation on the original and-inverter
 graph.  `orchestrator.verify_verdict` hands `verify_certificate` the
-encoding of the certificate's k-step cone.  Frame by frame, its clauses are
-a subset of the full unrolling's, under the same var numbers, so a
-certificate accepted there holds on the whole model; a clause left out
-defines a var that no kept clause and no query reads, so dropping it
-rejects nothing the full check would accept.
+encoding of the certificate's k-step cone.  Frame by frame, its
+definitions are a subset of the full unrolling's, under the same var
+numbers, and each folds alike, since a gate's fold reads only its own cone;
+so a certificate accepted there holds on the whole model.  A definition
+left out defines a var that no kept definition and no query reads, so
+dropping it rejects nothing the full check would accept.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ def _add_clauses(s: Solver, clauses: Iterable[Sequence[Lit]]) -> None:
     """Add `clauses` to `s` in one `Solver.add_root_clauses` batch, each
     cleaned as `Solver.add_clause` cleans one: sorted, a repeated literal
     kept once, a tautology left out.  Each clause here holds the negation
-    of a guard var that no clause loaded before it names positively, so a
-    unit can only be such a negation, and the solver ends as one
-    `add_clause` per clause would leave it."""
+    of a guard var that no clause loaded before it names positively.  A
+    frame literal can be a constant, but var 0 is already true at the root
+    (the unrolling's first frame loads its unit), so the loader drops a
+    false one and skips a clause with a true one; a unit can still only be
+    a guard's negation, and the solver ends as one `add_clause` per clause
+    would leave it."""
     lits: List[Lit] = []
     ends: List[int] = []
     for c in clauses:

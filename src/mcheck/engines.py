@@ -3,17 +3,20 @@
 Both engines grow `transys.Unroller` frames on a single incremental solver
 instead of re-encoding per depth.  BMC checks a window of new frames per
 solve using a fresh selector variable, so "a counterexample of some length
-in [lo, hi]" is one query.  Witnesses are widened to the source AIG's
-latches and inputs.
+in [lo, hi]" is one query.  The unroller folds the logic that the reset
+state fixes, so a window whose every `reach` literal is the constant false
+needs no query, and neither does such a k-induction base case.  A frame-0
+literal can be a constant, so witnesses read each literal's value with its
+sign, and are widened to the source AIG's latches and inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from .aiger import WitnessTrace
-from .logic import lit_neg
+from .logic import FALSE_LIT, Lit, lit_neg
 from .satcore import Solver, SolverStats
 from .transys import TranSys, Unroller
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
@@ -25,13 +28,17 @@ class UnrollStats:
     solver: Optional[SolverStats] = None  # every solver of the run
 
 
+def _value(s: Solver, lit: Lit, default: Optional[bool] = None) -> Optional[int]:
+    """The model's bit for `lit`, or None if its var is unassigned and
+    `default` is None."""
+    val = s.model_value(lit >> 1, default)
+    return None if val is None else int(val) ^ (lit & 1)
+
+
 def _extract_trace(s: Solver, un: Unroller, ts: TranSys, depth: int) -> WitnessTrace:
-    init_bits: List[Optional[int]] = []
-    for lv in ts.latch_vars:
-        val = s.model_value(un.lit_at(2 * lv, 0) >> 1)
-        init_bits.append(None if val is None else int(val))
-    frames = [[int(s.model_value(un.lit_at(2 * iv, t) >> 1, default=False))
-               for iv in ts.input_vars] for t in range(depth + 1)]
+    init_bits = [_value(s, un.lit_at(2 * lv, 0)) for lv in ts.latch_vars]
+    frames = [[_value(s, un.lit_at(2 * iv, t), False) for iv in ts.input_vars]
+              for t in range(depth + 1)]
     return ts.widen_witness(init_bits, frames)
 
 
@@ -56,18 +63,19 @@ def bmc(
             return unknown("cancelled", stats=stats)
         hi = min(lo + step - 1, max_depth)
         un.grow(hi)
-        sel = s.new_var()
-        s.add_clause([2 * sel + 1] + [un.reach(d) for d in range(lo, hi + 1)])
-        res = s.solve(assumptions=[2 * sel], cancel_check=cancel)
-        if res is None:
-            return unknown("cancelled", stats=stats)
-        if res:
-            depth = next(d for d in range(lo, hi + 1)
-                         if s.model_value(un.reach(d) >> 1, default=False)
-                         != bool(un.reach(d) & 1))
-            stats.depth = depth
-            return unsafe(_extract_trace(s, un, ts, depth), stats=stats)
-        s.add_clause((2 * sel + 1,))  # retire the window selector
+        reach = [un.reach(d) for d in range(lo, hi + 1)]
+        if any(r != FALSE_LIT for r in reach):
+            sel = s.new_var()
+            s.add_clause([2 * sel + 1] + reach)
+            res = s.solve(assumptions=[2 * sel], cancel_check=cancel)
+            if res is None:
+                return unknown("cancelled", stats=stats)
+            if res:
+                depth = next(d for d in range(lo, hi + 1)
+                             if _value(s, un.reach(d), False))
+                stats.depth = depth
+                return unsafe(_extract_trace(s, un, ts, depth), stats=stats)
+            s.add_clause((2 * sel + 1,))  # retire the window selector
         stats.depth = hi
         lo = hi + 1
     return unknown("no counterexample up to depth %d" % max_depth, stats=stats)
@@ -96,12 +104,13 @@ def kind(
             return unknown("cancelled", stats=stats)
         # base: no counterexample at depth k
         ub.grow(k)
-        res = sb.solve(assumptions=[ub.reach(k)], cancel_check=cancel)
-        if res is None:
-            return unknown("cancelled", stats=stats)
-        if res:
-            stats.depth = k
-            return unsafe(_extract_trace(sb, ub, ts, k), stats=stats)
+        if ub.reach(k) != FALSE_LIT:
+            res = sb.solve(assumptions=[ub.reach(k)], cancel_check=cancel)
+            if res is None:
+                return unknown("cancelled", stats=stats)
+            if res:
+                stats.depth = k
+                return unsafe(_extract_trace(sb, ub, ts, k), stats=stats)
 
         if k == 0:
             continue

@@ -16,6 +16,7 @@ Cube = Tuple[int, ...]
 Clause = Tuple[int, ...]
 
 TRUE_LIT: Lit = 0  # x0
+FALSE_LIT: Lit = 1  # NOT x0
 
 
 def mklit(var: int, negated: bool = False) -> Lit:

@@ -11,9 +11,10 @@ Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
 Beyond", 2011): a counterexample of length d is a path from an initial state
 on which every constraint holds at steps 0..d and bad holds at step d;
 nothing is required after step d.  `Unroller` is the one place that builds
-timed frames and encodes this.  A frame maps a latch to the previous frame's
-next-state literal, with no var of its own, unless `FrameTemplate`'s alias
-rule keeps the latch's primed var.
+timed frames and encodes this.  It builds each frame from `defs`, gate by
+gate, folding constants: a frame maps a latch to the previous frame's
+next-state literal, an initial frame maps a reset latch to a constant, and
+only a gate left open gets a var and clauses.
 
 `coi_vars` is the one cone-of-influence walk.  `encode(..., cone=True)` walks
 it from bad and the active constraints through gate fanins and latch
@@ -30,16 +31,14 @@ AIG's latches and inputs.
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from .aiger import Aig, WitnessTrace
-from .logic import TRUE_LIT, Clause, Lit, lit_neg, mklit
+from .logic import FALSE_LIT, TRUE_LIT, Clause, Lit, lit_neg, mklit
 from .satcore import Solver
 
 
@@ -53,13 +52,15 @@ class TranSys:
     """A transition system in CNF.  Every entry of `clauses` is a sorted
     tuple that names each var at most once: `encode` and
     `extend_with_internal_signals` collapse repeated literals and leave
-    tautologies out, and `FrameTemplate` relies on it.  `latch_vars` lists
-    every state var; pseudo-latches of `extend_with_internal_signals` come
-    after the system's own latches, and only IC3 adds them.  `defs` maps
-    each var the system defines to the literals it is the AND of: a gate to
-    its two fanins, a primed var to its next-state literal, the constraint
-    aux var to its conjuncts and a pseudo-latch's primed var to its two
-    fanins.  Latches, inputs and var 0 have no entry."""
+    tautologies out.  `TranSys.load` reads `clauses`; `FrameTemplate`
+    reads `defs` instead.  `latch_vars` lists every state var;
+    pseudo-latches of `extend_with_internal_signals` come after the
+    system's own latches, and only IC3 adds them.  `defs` maps each var the
+    system defines to the literals it is the AND of, in an evaluation
+    order: a gate to its two fanins, a primed var to its next-state
+    literal, the constraint aux var to its conjuncts and a pseudo-latch's
+    primed var to its two fanins.  Latches, inputs and var 0 have no entry,
+    and neither has a primed var that a bounded cone leaves free."""
 
     num_vars: int
     latch_vars: List[int]
@@ -346,107 +347,90 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 
 
 class FrameTemplate:
-    """A system's clauses compiled once for `Unroller`, over frame slots.
+    """A system's frame logic compiled once for `Unroller`, over frame slots.
 
-    Slot 0 is the constant var 0.  Then come the latches, the other vars
-    the system uses in var order, and last the aliased primed vars.  A
-    latch's primed var is aliased when its only clauses are the two
-    equivalence clauses with its next-state literal (`encode` writes them),
-    that literal is not constant, and no earlier aliased latch has the same
-    next-state var.  The clauses are stored flat: `lits` holds them one
-    after the other as packed ints `(slot << 1) | sign`, less the
-    equivalence clauses of the aliased primed vars, and clause i ends before
-    index `ends[i]`, the layout `Solver.add_root_clauses` reads.
+    Slot 0 is the constant var 0.  Then come the latches, the free vars
+    (the inputs, and any primed var with no definition), and last the vars
+    of `TranSys.defs`, in its order, which is an evaluation order: the
+    definitions of at most two literals (gates, primed vars), then the
+    wider ones (the constraint aux var).  A pseudo-latch of
+    `extend_with_internal_signals` has a definition, so a frame computes it
+    as a gate instead of reading it from the frame before.
 
-    A frame maps each slot to a solver literal: slot 0 to var 0, each latch
-    slot to the literal of its primed slot in the frame before (the first
-    frame gives it a fresh var), each aliased primed slot to the literal of
-    its next-state slot in the same frame, sign included, and every other
-    slot to a fresh positive var, allocated in slot order.  The latch
-    literals of one frame thus name distinct vars, and so does every mapped
-    clause; the loader reads no order, so a mapped clause need not be
-    sorted.
+    The compile keeps what a frame needs: `latch_src`, the slot of each
+    latch's primed var; `reset`, each latch's literal in an initial state
+    (the constant of its reset value, or None for an open latch); the count
+    of free vars; and the gate program.  `gates` holds, per definition of at
+    most two literals, those literals as packed ints `(slot << 1) | sign`,
+    smaller first; a primed var's one next-state literal is read twice, so
+    the AND folds it to that literal.  `wide` holds the longer definitions.
+    A definition that reads a later slot raises `IndexError` in the first
+    frame, so the order needs no check of its own.
 
-    That holds only if no two latches share a primed var and none is primed
-    to the constant; the template checks this once, and that each clause
-    names each var at most once, and raises `ValueError` otherwise.  Frames
-    then load their clauses without per-clause cleanup.
+    No two latches may share a primed var, and none may be primed to the
+    constant; the template checks this once and raises `ValueError`.
     """
 
     def __init__(self, ts: TranSys):
-        latches = ts.latch_vars
+        defs = ts.defs
+        latches = [lv for lv in ts.latch_vars if lv not in defs]
         primed = [ts.next_map[lv] for lv in latches]
         if 0 in primed or len(set(primed)) < len(primed):
             raise ValueError("two latches share a primed var, or one is "
                              "primed to the constant")
-        uses = Counter(chain.from_iterable(ts.clauses))  # by literal
-        # a pseudo-latch has no source latch, so it is never aliased
-        nxt = {lt.var: ref_to_lit(lt.next) for lt in ts.source.latches}
-        alias: Dict[int, Lit] = {}  # aliased primed var -> next-state literal
-        targets = {0}  # next-state vars taken, the constant's from the start
-        for lv, p in zip(latches, primed):
-            n = nxt.get(lv)
-            if (n is not None and uses[2 * p] + uses[2 * p + 1] == 2
-                    and ts.defs.get(p) == (n,) and n >> 1 not in targets):
-                targets.add(n >> 1)
-                alias[p] = n
-        used = {l >> 1 for l in uses}
-        used.update(ts.input_vars, primed)
-        used.update(l >> 1 for l in ts.constraints + [ts.bad])
-        used.difference_update(latches, alias)
-        used.discard(0)
-        order = [0, *latches, *sorted(used)]
-        self.own = len(order)  # slots before the aliased ones
-        order += alias
+        free = [v for v in chain(ts.input_vars, primed) if v not in defs]
+        narrow = [v for v, f in defs.items() if len(f) < 3]
+        wide = [v for v, f in defs.items() if len(f) > 2]
+        order = [0, *latches, *free, *narrow, *wide]
         self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
         self.latch_src = [slot_of[p] for p in primed]
-        self.alias_src = [(slot_of[n >> 1] << 1) | (n & 1)
-                          for n in alias.values()]
-        packed = [0] * (2 * ts.num_vars)  # packed template literal by literal
-        for v, j in slot_of.items():
-            packed[2 * v] = 2 * j
-            packed[2 * v + 1] = 2 * j + 1
-        flat = list(map(packed.__getitem__, chain.from_iterable(ts.clauses)))
-        lits: List[int] = []
-        ends: List[int] = []
-        own = self.own
-        i = 0
-        for k, j in enumerate(accumulate(map(len, ts.clauses))):
-            tc = flat[i:j]
-            i = j
-            tc.sort()
-            top = -1  # a var's two literals sort next to each other
-            for x in tc:
-                if x >> 1 == top:
-                    raise ValueError("clause %r names a var twice"
-                                     % (ts.clauses[k],))
-                top = x >> 1
-            if top < own:  # else an aliased primed var's equivalence
-                lits += tc
-                ends.append(len(lits))
-        self.lits = array("i", lits)
-        self.ends = array("i", ends)
+        reset = {l >> 1: TRUE_LIT ^ (l & 1) for l in ts.init_lits}
+        self.reset = [reset.get(lv) for lv in latches]
+        self.free = len(free)
+
+        def pack(l: Lit) -> int:
+            return (slot_of[l >> 1] << 1) | (l & 1)
+
+        self.gates: List[Tuple[int, int]] = []
+        for v in narrow:
+            f = defs[v]
+            a, b = pack(f[0]), pack(f[-1])
+            self.gates.append((a, b) if a <= b else (b, a))
+        self.wide = [sorted(map(pack, defs[v])) for v in wide]
 
 
 class Unroller:
     """Timed copies of the transition relation, written into `solver`.
 
-    Frame d+1 maps each latch to the literal of its primed var in frame d:
-    for an aliased latch, frame d's literal of its next-state function
-    itself (Biere, Cimatti, Clarke and Zhu, "Symbolic Model Checking
-    without BDDs", 1999).  Solver var 0 stays the shared constant; each
-    frame maps only the vars the system uses.  The system's `FrameTemplate`
-    (see there) is compiled once per `TranSys`, and a frame allocates its
-    vars with one `Solver.new_vars` call, maps the template through a flat
-    literal list and loads the clauses with one `Solver.add_root_clauses`
-    call.  With `init`, frame 0 starts in an initial state.
+    Frame d+1 maps each latch to the literal of its primed var in frame d,
+    which is frame d's next-state literal itself (Biere, Cimatti, Clarke and
+    Zhu, "Symbolic Model Checking without BDDs", 1999).  Solver var 0 stays
+    the shared constant, true by a unit in the first frame's load.  With
+    `init`, frame 0 maps each reset latch to the constant of its reset
+    value; every other latch of frame 0 and every free var of each frame
+    gets a fresh var.
+
+    A frame then runs the system's `FrameTemplate` program gate by gate and
+    folds constants as it goes (Kuehlmann, Paruthi, Krohm and Ganai,
+    "Robust Boolean Reasoning for Equivalence Checking and Functional
+    Property Verification", TCAD 2002): an AND with a false fanin, or with
+    complementary fanins, is false; one with a true fanin, or with the same
+    literal twice, is its other fanin.  Only a gate left open gets a fresh
+    var and its three clauses, `(x, -g)`, `(y, -g)`, `(-x, -y, g)` with the
+    fanins in slot order, so no clause names a var twice.  A frame
+    allocates the vars of its latches, free vars and gates with one
+    `Solver.new_vars` call, in slot order, and loads its clauses with one
+    `Solver.add_root_clauses` call.  Logic the reset state fixes thus costs
+    no var, no clause and no query.
 
     Constraints are those of AIGER 1.9: bad at depth d needs them at frames
-    0..d and at no frame after d.  `held(d)` implies C_0..C_d, and
-    `reach(d)`, the literal to query for a counterexample of length d,
-    implies bad at frame d (already folded with C_d) and `held(d-1)`.
-    Without constraints both are plain literals and no var is allocated.
+    0..d and at no frame after d.  `held(d)` is the AND of C_0..C_d, and
+    `reach(d)`, the literal to query for a counterexample of length d, the
+    AND of bad at frame d (already folded with C_d) and `held(d-1)`.  Both
+    fold as gates do: without constraints `held` is true and `reach` is the
+    bad literal, with no var, and a `reach` that folds to false needs no
+    query.
     """
 
     def __init__(self, ts: TranSys, solver: Solver, init: bool = True):
@@ -467,40 +451,73 @@ class Unroller:
     def add_frame(self) -> None:
         """Append one frame and write its clauses into the solver."""
         ts, s, t = self.ts, self.solver, self.template
-        fm = [0]
+        nv = s.num_vars  # the next fresh var
+        lits: List[Lit] = []
+        ends: List[int] = []
         if self._frames:
             prev = self._frames[-1]
-            fm += [prev[j] for j in t.latch_src]
-        fresh = t.own - len(fm)
-        first = s.new_vars(fresh)
-        fm += range(2 * first, 2 * (first + fresh), 2)
-        fm += [fm[x >> 1] ^ (x & 1) for x in t.alias_src]
-        self._frames.append(fm)
+            fm = [0] + [prev[j] for j in t.latch_src]
+        else:
+            lits.append(TRUE_LIT)  # the constant's unit
+            ends.append(1)
+            fm = [0]
+            for r in t.reset if self.init else [None] * len(t.latch_src):
+                if r is None:
+                    r = 2 * nv
+                    nv += 1
+                fm.append(r)
+        fm += range(2 * nv, 2 * (nv + t.free), 2)
         lm = [0] * (2 * len(fm))  # frame literal by packed template literal
         lm[0::2] = fm
         lm[1::2] = [x ^ 1 for x in fm]
-        lits = [lm[x] for x in t.lits]
-        batch: List[List[Lit]] = []  # clauses beyond the template's
+        g = 2 * (nv + t.free)  # the next open gate's literal
+        for a, b in t.gates:  # literals 0 and 1 are the constants
+            x, y = lm[a], lm[b]
+            if x > 1 and y > 1 and x ^ y > 1:
+                ng = g + 1
+                lits += (x, ng, y, ng, lm[a ^ 1], lm[b ^ 1], g)
+                k = len(lits)
+                ends += (k - 5, k - 3, k)
+                lm += (g, ng)
+                g += 2
+            elif x == y or y == TRUE_LIT:
+                lm += (x, x ^ 1)
+            elif x == TRUE_LIT:
+                lm += (y, y ^ 1)
+            else:  # a false fanin, or x AND NOT x
+                lm += (FALSE_LIT, TRUE_LIT)
+        s.new_vars(g // 2 - s.num_vars)
+        tail: List[List[Lit]] = []  # clauses of the vars allocated one by one
+        for f in t.wide:
+            x = self._and([lm[a] for a in f], tail)
+            lm += (x, x ^ 1)
+        self._frames.append(lm[0::2])
         d = self.depth
-        if self.init and not d:
-            batch += [[self.lit_at(l, 0)] for l in ts.init_lits]
-        held, reach = TRUE_LIT, self.bad_at(d)
-        if ts.constraints:
-            held = 2 * s.new_var()
-            for c in ts.constraints:
-                batch.append(sorted((held ^ 1, self.lit_at(c, d))))
-            if d:
-                batch.append(sorted((held ^ 1, self._held[-1])))
-                reach = 2 * s.new_var()
-                batch.append(sorted((reach ^ 1, self.bad_at(d))))
-                batch.append(sorted((reach ^ 1, self._held[-1])))
-        ends = t.ends.tolist()
-        for cl in batch:
+        prior = self._held[-1:]  # held(d-1), if there is a frame before
+        self._held.append(self._and(
+            [self.lit_at(c, d) for c in ts.constraints] + prior, tail))
+        self._reach.append(self._and([self.bad_at(d)] + prior, tail))
+        for cl in tail:
             lits += cl
             ends.append(len(lits))
         s.add_root_clauses(lits, ends)
-        self._held.append(held)
-        self._reach.append(reach)
+
+    def _and(self, lits: List[Lit], out: List[List[Lit]]) -> Lit:
+        """The AND of the solver literals `lits`, folded as `add_frame`
+        folds a gate; if two or more stay open, a fresh var g, with the
+        clauses that define it appended to `out`."""
+        kept: List[Lit] = []
+        for l in lits:
+            if l == FALSE_LIT or l ^ 1 in kept:
+                return FALSE_LIT
+            if l != TRUE_LIT and l not in kept:
+                kept.append(l)
+        if len(kept) < 2:
+            return kept[0] if kept else TRUE_LIT
+        g = 2 * self.solver.new_var()
+        out += [[l, g ^ 1] for l in kept]
+        out.append([l ^ 1 for l in kept] + [g])
+        return g
 
     def grow(self, depth: int) -> None:
         while self.depth < depth:

@@ -6,8 +6,7 @@ data structures themselves:
 * ``bfs_check`` — explicit-state breadth-first reachability over the full
   state space, evaluated bit-parallel with big-integer truth tables.
 * ``cnf_brute_force`` — exhaustive truth-table satisfiability for small CNFs.
-* ``simplify_fixpoint`` and ``compile_frame_template`` — the earlier,
-  plainer forms of ``simplify_cnf`` and the ``FrameTemplate`` compile,
+* ``simplify_fixpoint`` — the earlier, plainer form of ``simplify_cnf``,
   whose output the package's must match exactly.
 * ``ShadowActivity`` — an exact-score mirror of the solver's bucketed
   activity heap, used to audit decision ordering.
@@ -25,7 +24,6 @@ asking the same question a second way:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from mcheck.aiger import Aig
@@ -236,52 +234,6 @@ def simplify_fixpoint(clauses: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...
             seen.add(t)
             final.append(t)
     return final
-
-
-def compile_frame_template(ts) -> dict:
-    """``FrameTemplate``'s fields for the system ``ts``, compiled clause by
-    clause through a dict of slots: ``slot_of``, ``own``, ``latch_src``,
-    ``alias_src``, ``lits`` and ``ends`` (the last two as lists).  Raises
-    ``ValueError`` where the template must."""
-    latches = ts.latch_vars
-    primed = [ts.next_map[lv] for lv in latches]
-    if 0 in primed or len(set(primed)) < len(primed):
-        raise ValueError("two latches share a primed var, or one is "
-                         "primed to the constant")
-    uses = Counter([l >> 1 for cl in ts.clauses for l in cl])
-    nxt = {lt.var: lt.next ^ 1 if lt.next < 2 else lt.next
-           for lt in ts.source.latches}
-    alias: Dict[int, int] = {}
-    targets = {0}
-    for lv, p in zip(latches, primed):
-        n = nxt.get(lv)
-        if (n is not None and uses[p] == 2
-                and ts.defs.get(p) == (n,) and n >> 1 not in targets):
-            targets.add(n >> 1)
-            alias[p] = n
-    used = set(uses)
-    used.update(ts.input_vars, primed)
-    used.update(l >> 1 for l in ts.constraints + [ts.bad])
-    used.difference_update(latches, alias)
-    used.discard(0)
-    order = [0, *latches, *sorted(used)]
-    own = len(order)
-    order += alias
-    slot_of = {v: j for j, v in enumerate(order)}
-    lits: List[int] = []
-    ends: List[int] = []
-    for cl in ts.clauses:
-        tc = sorted([(slot_of[l >> 1] << 1) | (l & 1) for l in cl])
-        if len({x >> 1 for x in tc}) < len(tc):
-            raise ValueError("clause %r names a var twice" % (cl,))
-        if tc[-1] >> 1 < own:
-            lits += tc
-            ends.append(len(lits))
-    return {"slot_of": slot_of, "own": own,
-            "latch_src": [slot_of[p] for p in primed],
-            "alias_src": [(slot_of[n >> 1] << 1) | (n & 1)
-                          for n in alias.values()],
-            "lits": lits, "ends": ends}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from mcheck.satcore import Solver
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import (counter_overflow, induction_gap, mod_counter,
-                      padded_mod_counter, random_aig, shift_register)
+from fixtures import (AigBuilder, counter_overflow, induction_gap,
+                      mod_counter, padded_mod_counter, random_aig, ref_neg)
 from oracle import bfs_check
 
 
@@ -53,6 +53,58 @@ def test_bmc_deep_counterexample():
     aig = counter_overflow(6)
     v = bmc(encode(aig), max_depth=80, step=16)
     assert v.is_unsafe and v.stats.depth == 64
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+
+
+def test_bmc_folds_a_run_the_reset_state_fixes(monkeypatch):
+    """`counter_overflow(8)` has no input, so from its reset state every
+    frame folds to constants: BMC makes one query, at depth 256, on a
+    solver of a few vars, and the witness replays."""
+    solvers = []
+
+    class Recording(engines.Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(engines, "Solver", Recording)
+    aig = counter_overflow(8)
+    v = bmc(build_transys(aig), max_depth=300)
+    assert v.is_unsafe and v.stats.depth == 256
+    assert v.stats.solver.solves == 1
+    (solver,) = solvers
+    assert solver.num_vars < 10
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+
+
+def test_bmc_searches_at_depth():
+    """The enable input keeps every frame of the counter open, so BMC must
+    search: bad at step 30 needs the enable high on every cycle."""
+    aig = padded_mod_counter(6, 60, 30, pad=0, enable=True)
+    v = bmc(build_transys(aig), max_depth=40)
+    assert v.is_unsafe and v.stats.depth == 30
+    assert v.stats.solver.conflicts > 0
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+
+
+@pytest.mark.parametrize("engine", [bmc, kind], ids=["bmc", "kind"])
+def test_witness_reads_constant_frame0_literals(engine):
+    """At an initial frame 0, latches reset to 1 and 0 are the constants
+    true and false, and one with no reset is a var: the witness reads each
+    literal with its sign."""
+    b = AigBuilder()
+    x = b.new_input()
+    a, m, c = b.new_latch(1), b.new_latch(None), b.new_latch(0)
+    b.set_next(a, a)
+    b.set_next(m, m)
+    b.set_next(c, x)
+    aig = b.build(bads=[b.conj([a, m, c])])
+    v = engine(encode(aig), 5)
+    assert v.is_unsafe and v.stats.depth == 1
+    assert v.witness.init_state == [1, 1, 0]
     ok, why = verify_witness(aig, v.witness)
     assert ok, why
 
@@ -112,9 +164,10 @@ def test_engines_cancel(cnt2):
 
 @pytest.mark.parametrize("where", ["loop", "solve"])
 def test_kind_cancelled_mid_loop_says_so(monkeypatch, where):
-    """A cancel that turns true after the first frame's base query, seen at
-    the top of the next frame or only inside its solve, ends k-induction as
-    "cancelled", not as the bound's reason."""
+    """A cancel that turns true after the first query, seen at the top of
+    the next frame or only inside its solve, ends k-induction as
+    "cancelled", not as the bound's reason.  The counter has no input, so
+    its base cases fold to constants and the first query is k = 1's step."""
     state = {"done": 0, "running": False}
     solve = Solver.solve
 
@@ -157,9 +210,17 @@ def test_stats_count_every_solver_of_a_run(monkeypatch):
     assert v.stats.solver.solves == len(calls)
     assert len(set(map(id, calls))) == 1
     calls.clear()
-    v = kind(encode(shift_register(3)), max_k=12)
-    assert v.is_safe and v.certificate.k == 3
-    assert v.stats.solver.solves == len(calls)
+    # a' = x and c' = (x AND y) OR (x AND NOT y) agree, so bad = a AND NOT c
+    # is 1-inductive; the input keeps depth 1 from folding to a constant,
+    # so the base solver is queried as well as the step solver
+    b = AigBuilder()
+    x, y = b.new_input(), b.new_input()
+    a, c = b.new_latch(0), b.new_latch(0)
+    b.set_next(a, x)
+    b.set_next(c, b.OR(b.AND(x, y), b.AND(x, ref_neg(y))))
+    v = kind(encode(b.build(bads=[b.AND(a, ref_neg(c))])), max_k=12)
+    assert v.is_safe and v.certificate.k == 1
+    assert v.stats.solver.solves == len(calls) == 2
     assert len(set(map(id, calls))) == 2
 
 

@@ -7,23 +7,17 @@ import pytest
 from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import check as ic3_check
-from mcheck.logic import lit_neg, mklit
+from mcheck.logic import FALSE_LIT, TRUE_LIT, lit_neg, mklit
 from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
-from mcheck.transys import (FrameTemplate, Unroller, coi_vars, encode,
+from mcheck.transys import (Unroller, coi_vars, encode,
                             extend_with_internal_signals, ref_to_lit,
                             simplify_cnf)
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, FALSE_REF, TRUE_REF,
                       AigBuilder, counter_with_reset, mod_counter,
                       padded_mod_counter, random_aig, ref_neg)
-from oracle import bfs_check, compile_frame_template, simplify_fixpoint
-
-
-def _aliased(ts):
-    """The latches whose primed var the frame template aliases."""
-    t = ts.frame_template
-    return {lv for lv in ts.latch_vars if t.slot_of[ts.next_map[lv]] >= t.own}
+from oracle import bfs_check, simplify_fixpoint
 
 
 def _lit_value(s, lit):
@@ -165,26 +159,88 @@ def test_simplify_matches_the_fixpoint_reference(rng):
             simplify(bad)
 
 
-def test_frame_template_matches_the_reference_compile(rng):
-    """The template compiled through one packed literal table equals the
-    reference compiled clause by clause through the slot dict, on the
-    plain, simplified and extended systems; both reject a clause that
-    names a var twice."""
-    for ts in _front_end_systems(rng):
-        for sys_ in (ts, simplify_cnf(ts),
-                     extend_with_internal_signals(ts, ts.source)):
-            t, ref = FrameTemplate(sys_), compile_frame_template(sys_)
-            assert (t.slot_of, t.own, t.latch_src, t.alias_src) == (
-                ref["slot_of"], ref["own"], ref["latch_src"], ref["alias_src"])
-            assert t.lits.tolist() == ref["lits"]
-            assert t.ends.tolist() == ref["ends"]
-    ts = encode(counter_with_reset(16, 8))
-    g = ts.source.ands[0].var
-    twice = dataclasses.replace(ts, clauses=ts.clauses + [
-        (mklit(g), mklit(g, True))])
-    for compile_ in (FrameTemplate, compile_frame_template):
-        with pytest.raises(ValueError, match="names a var twice"):
-            compile_(twice)
+def _simulate(aig, latch_vals, stimulus):
+    """Node values of `aig` at each step from the latch values `latch_vals`
+    (latch var -> bit) under the input vectors `stimulus`."""
+    steps = []
+    for frame in stimulus:
+        vals = eval_nodes(aig, latch_vals, dict(zip(aig.inputs, frame)))
+        steps.append(vals)
+        latch_vals = {lt.var: vals[lt.next >> 1] ^ (lt.next & 1)
+                      for lt in aig.latches}
+    return steps
+
+
+def test_folded_frames_match_simulation(rng):
+    """Seeded differential of the folded frames against `eval_nodes`.  On
+    random circuits with constraints, encoded in full, over the cone and
+    with pseudo-latches, with init and without, every var a frame maps
+    takes its simulated value under a fixed start state and stimulus,
+    constant literals included: a node its value, a primed var its latch's
+    next state, a pseudo-latch's primed var the gate's value one step on,
+    and the aux var bad and the constraints together.  `held(d)` and
+    `reach(d)` can hold exactly when the simulation says so."""
+    folded = kept = 0
+    for _ in range(60):
+        aig = random_aig(rng, constraint_prob=0.6)
+        depth = rng.randint(1, 4)
+        stimulus = [[rng.randint(0, 1) for _ in aig.inputs]
+                    for _ in range(depth + 2)]
+        start = {lt.var: rng.randint(0, 1) if lt.init is None else lt.init
+                 for lt in aig.latches}
+        steps = _simulate(aig, start, stimulus)
+
+        def value(ref, t):
+            return steps[t][ref >> 1] ^ (ref & 1)
+
+        held = [all(value(c, u) for c in aig.constraints for u in range(t + 1))
+                for t in range(depth + 1)]
+        full = encode(aig)
+        for ts in (full, build_transys(aig),
+                   extend_with_internal_signals(full, aig)):
+            primed = {p: lv for lv, p in ts.next_map.items()}
+            nxt = {lt.var: lt.next for lt in aig.latches}
+            for init in (True, False):
+                s = Solver()
+                un = Unroller(ts, s, init=init)
+                un.grow(depth)
+                fix = [un.lit_at(mklit(v, start[v] == 0), 0)
+                       for v in ts.latch_vars if v in start]
+                col = {v: j for j, v in enumerate(aig.inputs)}
+                fix += [un.lit_at(mklit(v, stimulus[t][col[v]] == 0), t)
+                        for t in range(depth + 1) for v in ts.input_vars]
+                assert s.solve(fix) is True
+                if init:  # a reset latch starts as the constant of its value
+                    assert [un.lit_at(2 * lt.var, 0) for lt in aig.latches
+                            if lt.var in un.template.slot_of
+                            and lt.init is not None] == [
+                        FALSE_LIT if lt.init == 0 else TRUE_LIT
+                        for lt in aig.latches
+                        if lt.var in un.template.slot_of
+                        and lt.init is not None]
+                for t in range(depth + 1):
+                    for v in un.template.slot_of:
+                        if v == 0:  # true in CNF, false as an AIGER node
+                            want = 1
+                        elif v in primed and primed[v] in nxt:
+                            want = value(nxt[primed[v]], t)
+                        elif v in primed:  # a pseudo-latch's primed var
+                            want = steps[t + 1][primed[v]]
+                        elif v == ts.bad >> 1 and ts.constraints:
+                            want = int(value(aig.bads[0], t) and all(
+                                value(c, t) for c in aig.constraints))
+                        elif v in steps[t]:  # an input, latch or gate
+                            want = steps[t][v]
+                        else:
+                            continue  # a copy inside a pseudo-latch's cone
+                        lit = un.lit_at(2 * v, t)
+                        assert _lit_value(s, lit) == want, (t, v, init)
+                        folded += v and lit < 2
+                        kept += lit > 1
+                    assert s.solve(fix + [un.held(t)]) is held[t]
+                    assert s.solve(fix + [un.reach(t)]) is (
+                        held[t] and bool(value(aig.bads[0], t)))
+    assert folded > 500 and kept > 500
 
 
 def test_simplify_and_extension_leave_input_unchanged(rng):
@@ -207,32 +263,33 @@ def test_simplify_and_extension_leave_input_unchanged(rng):
 
 
 def test_unroller_grows_frames_into_its_solver(cnt2):
+    """From its reset state the 2-bit counter is fixed, so every frame
+    folds whole: no var but the constant, and reach is false until bad
+    holds at depth 3.  Without init, frame 0 allocates the two latches and
+    the three gates, and each later frame its three gates only."""
     ts = encode(cnt2)
-    used = {l >> 1 for cl in ts.clauses for l in cl} - {0}
-    shared = len(ts.latch_vars)
-    assert _aliased(ts) == set(ts.latch_vars)
+    assert len(ts.latch_vars) == 2 and len(cnt2.ands) == 3
     for init in (True, False):
         s = Solver()
         un = Unroller(ts, s, init=init)
         un.grow(4)
         assert un.depth == 4
-        # var 0 is shared; no frame allocates an aliased primed var, and a
-        # frame after the first allocates no latch var either
-        assert s.num_vars == 1 + 5 * (len(used) - 2 * shared) + shared == 18
+        assert s.num_vars == (1 if init else 1 + 2 + 5 * 3)
         for k in range(4):
             for lv in ts.latch_vars:
                 assert un.lit_at(2 * lv, k + 1) == \
                     un.lit_at(2 * ts.next_map[lv], k)
         # no constraints: no extra var, and reach is the plain bad literal
         assert [un.reach(d) for d in range(5)] == [un.bad_at(d) for d in range(5)]
+        if init:
+            assert [un.reach(d) for d in range(5)] == [
+                FALSE_LIT, FALSE_LIT, FALSE_LIT, TRUE_LIT, FALSE_LIT]
         off_init = [lit_neg(un.lit_at(l, 0)) for l in ts.init_lits]
         assert s.solve(off_init) is (not init)
 
 
-def test_every_frame_allocates_in_slot_order(monkeypatch):
-    """Every frame allocates its fresh vars in slot order, and no mapped
-    clause names a var twice.  The enable input comes before the latches in
-    var order but after them in slot order."""
+def _recorded_batches(monkeypatch):
+    """Every `Solver.add_root_clauses` batch from now on, as clause lists."""
     batches = []
     add_root_clauses = Solver.add_root_clauses
 
@@ -242,27 +299,42 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
         return add_root_clauses(self, lits, ends)
 
     monkeypatch.setattr(Solver, "add_root_clauses", recorded)
+    return batches
+
+
+def test_every_frame_allocates_in_slot_order(monkeypatch):
+    """Every frame allocates its fresh vars in slot order, in one batch that
+    holds three clauses per gate left open (and frame 0 the constant's
+    unit), none of which names a var twice; with init and without.  The
+    enable input comes before the latches in var order but after them in
+    slot order."""
+    batches = _recorded_batches(monkeypatch)
     ts = encode(mod_counter(4, 6, 10, enable=True))
-    t = ts.frame_template
-    slot_of = t.slot_of
-    assert sorted(slot_of, key=slot_of.get) != sorted(slot_of)
-    assert _aliased(ts) == set(ts.latch_vars)
-    s = Solver()
-    un = Unroller(ts, s, init=False)
-    un.grow(3)
-    assert len(batches) == 4
-    own = sorted((v for v in slot_of if slot_of[v] < t.own), key=slot_of.get)
-    assert [un.lit_at(2 * v, 0) for v in own] == [2 * slot_of[v] for v in own]
-    fresh = [v for v in own[1:] if v not in ts.latch_vars]
-    top = s.num_vars - 3 * len(fresh)  # the vars after frame 0's
-    for d in (1, 2, 3):
-        assert [un.lit_at(2 * v, d) for v in fresh] == [
-            2 * (top + j) for j in range((d - 1) * len(fresh), d * len(fresh))]
-    for batch in batches:
-        # the two equivalence clauses of each aliased primed var are gone
-        assert len(batch) == len(ts.clauses) - 2 * len(ts.latch_vars)
-        for cl in batch:
-            assert len({l >> 1 for l in cl}) == len(cl)
+    slot_of = ts.frame_template.slot_of
+    order = sorted(slot_of, key=slot_of.get)
+    assert order != sorted(slot_of)
+    for init in (True, False):
+        batches.clear()
+        s = Solver()
+        un = Unroller(ts, s, init=init)
+        un.grow(3)
+        assert len(batches) == 4
+        top = 1  # the first var of the frame
+        for d, batch in enumerate(batches):
+            new = list(dict.fromkeys(v for v in (un.lit_at(2 * x, d) >> 1
+                                                 for x in order) if v >= top))
+            assert new == list(range(top, top + len(new)))
+            gates = len(new) - len(ts.input_vars)
+            if d == 0 and not init:
+                gates -= len(ts.latch_vars)
+            unit = [[TRUE_LIT]] if d == 0 else []
+            assert batch[:len(unit)] == unit
+            assert sorted(map(len, batch[len(unit):])) == (
+                [2] * 2 * gates + [3] * gates)
+            for cl in batch:
+                assert len({l >> 1 for l in cl}) == len(cl)
+            top += len(new)
+        assert top == s.num_vars
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
@@ -278,15 +350,19 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     # var numbers are the full encoding's: the kept clauses are a subset
     assert len(ts.clauses) < len(full.clauses)
     assert set(ts.clauses) <= set(full.clauses)
-    # an unrolled frame maps only the vars the clauses use
-    s = Solver()
-    un = Unroller(ts, s)
-    un.add_frame()
+    # an unrolled frame maps only the vars the clauses use; no primed var
+    # gets a var of its own, and with init no reset latch does either
     used = {l >> 1 for cl in ts.clauses for l in cl}
-    assert set(un.template.slot_of) == used
-    # var 0 is shared, and every latch's primed var is aliased
-    assert _aliased(ts) == set(cnt)
-    assert s.num_vars == len(used) - len(cnt)
+    for init in (False, True):
+        s = Solver()
+        un = Unroller(ts, s, init=init)
+        un.add_frame()
+        assert set(un.template.slot_of) == used
+        if init:
+            assert [un.lit_at(2 * v, 0) for v in cnt] == [FALSE_LIT] * 4
+            assert s.num_vars < len(used) - 2 * len(cnt)
+        else:
+            assert s.num_vars == len(used) - len(cnt)
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
     cut, whole = encode(bare, cone=True), encode(bare)
@@ -413,8 +489,10 @@ def test_unroller_rejects_latches_sharing_a_primed_var(cnt2):
 
 @pytest.mark.parametrize("init", [True, False])
 def test_frames_load_without_per_clause_calls(monkeypatch, init):
-    """A constraint-free frame loads in one batch: not one `add_clause`
-    call per clause, nor one per init unit."""
+    """A constraint-free frame loads in one `add_root_clauses` batch, with
+    no `add_clause` call.  `counter_with_reset(16, 8)` has no input, so with
+    init every frame folds whole; without, frame 0 allocates the latches
+    and every later frame the same vars."""
     calls = []
     add_clause = Solver.add_clause
 
@@ -423,13 +501,25 @@ def test_frames_load_without_per_clause_calls(monkeypatch, init):
         return add_clause(self, lits, temporary)
 
     monkeypatch.setattr(Solver, "add_clause", counted)
+    batches = _recorded_batches(monkeypatch)
     ts = build_transys(counter_with_reset(16, 8))
     assert not ts.constraints
     s = Solver()
-    Unroller(ts, s, init=init).grow(6)
-    assert calls == []
-    # the frames did load; permanent binary clauses sit in the binary lists
-    assert len(s.clauses) + s.num_bins > 6 * len(ts.latch_vars)
+    un = Unroller(ts, s, init=init)
+    sizes = []  # vars each frame allocates
+    for _ in range(7):
+        top = s.num_vars
+        un.add_frame()
+        sizes.append(s.num_vars - top)
+    assert calls == [] and len(batches) == 7
+    if init:
+        assert sizes == [0] * 7 and s.num_vars == 1
+        assert batches == [[[TRUE_LIT]]] + [[]] * 6
+    else:
+        assert sizes[0] == sizes[1] + len(ts.latch_vars)
+        assert sizes[1:] == [sizes[1]] * 6
+        # the frames did load; binary clauses sit in the binary lists
+        assert len(s.clauses) + s.num_bins > 6 * len(ts.latch_vars)
 
 
 def _check_unrolling_engines(aig, max_depth=10):
@@ -461,23 +551,23 @@ def test_unrolling_engines_match_the_oracle(rng):
 
 
 def _twin(opposite):
-    # a' = x and c' = x (or NOT x): the two share a next-state var, so only
-    # a is aliased; bad = a AND NOT c, which needs them to differ
+    # a' = x and c' = x (or NOT x): the two share a next-state var; bad =
+    # a AND NOT c, which needs them to differ
     b = AigBuilder()
     x = b.new_input()
     a, c = b.new_latch(0), b.new_latch(1)
     b.set_next(a, x)
     b.set_next(c, ref_neg(x) if opposite else x)
-    return b.build(bads=[b.AND(a, ref_neg(c))]), {a}
+    return b.build(bads=[b.AND(a, ref_neg(c))])
 
 
 def _constant(value):
-    # c' = value is never aliased; the toggle m' = NOT m is
+    # c' = value, a constant; the toggle m' = NOT m
     b = AigBuilder()
     c, m = b.new_latch(1), b.new_latch(0)
     b.set_next(c, value)
     b.set_next(m, ref_neg(m))
-    return b.build(bads=[b.AND(ref_neg(c), m)]), {m}
+    return b.build(bads=[b.AND(ref_neg(c), m)])
 
 
 def _self_loop(init):
@@ -486,7 +576,7 @@ def _self_loop(init):
     l, t = b.new_latch(init), b.new_latch(0)
     b.set_next(l, l)
     b.set_next(t, ref_neg(t))
-    return b.build(bads=[b.AND(l, t)]), {l, t}
+    return b.build(bads=[b.AND(l, t)])
 
 
 def _johnson(bad_state):
@@ -497,7 +587,7 @@ def _johnson(bad_state):
     b.set_next(m, a)
     b.set_next(c, m)
     bits = [r if bit else ref_neg(r) for r, bit in zip((a, m, c), bad_state)]
-    return b.build(bads=[b.conj(bits)]), {a, m, c}
+    return b.build(bads=[b.conj(bits)])
 
 
 def _from_input(shift):
@@ -507,7 +597,7 @@ def _from_input(shift):
     a, m = b.new_latch(0), b.new_latch(0)
     b.set_next(a, x)
     b.set_next(m, a if shift else b.AND(a, m))
-    return b.build(bads=[m]), {a, m}
+    return b.build(bads=[m])
 
 
 ALIAS_CASES = {
@@ -526,10 +616,12 @@ ALIAS_CASES = {
 
 @pytest.mark.parametrize("case", list(ALIAS_CASES))
 def test_alias_edge_cases(monkeypatch, case):
-    """The template aliases exactly the latches the rule allows, and BMC
-    and k-induction decide the model as the oracle does, with verdicts that
-    pass the independent check.  No clause that reaches the root loader
-    names a var twice."""
+    """Every frame after the first reads each latch as the frame before's
+    next-state literal, sign included, whether that literal is shared with
+    another latch, constant, the latch itself or an input; with init and
+    without, in full and over the cone.  BMC and k-induction decide the
+    model as the oracle does, with verdicts that pass the independent
+    check.  No clause that reaches the root loader names a var twice."""
     add_root_clauses = Solver.add_root_clauses
 
     def checked(self, lits, ends):
@@ -539,8 +631,14 @@ def test_alias_edge_cases(monkeypatch, case):
         return add_root_clauses(self, lits, ends)
 
     monkeypatch.setattr(Solver, "add_root_clauses", checked)
-    (aig, allowed), status = ALIAS_CASES[case]
-    want = {r >> 1 for r in allowed}
-    assert _aliased(encode(aig)) == want
-    assert _aliased(build_transys(aig)) == want
+    aig, status = ALIAS_CASES[case]
+    nxt = {lt.var: ref_to_lit(lt.next) for lt in aig.latches}
+    for ts in (encode(aig), build_transys(aig)):
+        for init in (True, False):
+            un = Unroller(ts, Solver(), init=init)
+            un.grow(3)
+            for d in range(3):
+                for lv in ts.latch_vars:
+                    assert un.lit_at(2 * lv, d + 1) == un.lit_at(
+                        2 * ts.next_map[lv], d) == un.lit_at(nxt[lv], d)
     assert _check_unrolling_engines(aig) == status
