@@ -1,8 +1,8 @@
 """Bit-level hardware safety model checker for AIGER models.
 
-Engines: IC3 (with CTG / extended-CTG / dynamic generalization and an
-optional internal-signal state extension), bounded model checking, and
-k-induction, combined by a parallel portfolio.  Safe verdicts carry
+Engines: IC3 (with CTG / extended-CTG / dynamic generalization and
+constraint localization), bounded model checking, and k-induction,
+combined by a parallel portfolio.  Safe verdicts carry
 self-verified k-inductive invariant certificates; unsafe verdicts carry
 replayable counterexample witnesses.
 """

@@ -49,14 +49,7 @@ class Aig:
     bads_from_outputs: bool = False  # parsed via the pre-1.9 O section
     trailer: bytes = b""  # opaque symbol table / comment section
 
-    def gate(self, var: int) -> Optional[AndGate]:
-        return self._and_map.get(var)
-
-    # computed on first use, so parsing pays for neither
-    @cached_property
-    def _and_map(self) -> Dict[int, AndGate]:
-        return {a.var: a for a in self.ands}
-
+    # computed on first use, so parsing does not pay for it
     @cached_property
     def _ands_by_var(self) -> List[AndGate]:
         """Gates in ascending var order, an evaluation order."""

@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="IC3: escalate generalization dynamically (default)")
     g.add_argument("--standard", action="store_true",
                    help="IC3: plain drop-literal generalization")
-    p.add_argument("--inn", action="store_true",
-                   help="IC3: extend the state with internal signals")
     p.add_argument("--abs-cst", action="store_true",
                    help="IC3: localize invariant constraints by refinement")
     p.add_argument("--bmc-max", type=_at_least(0), default=1000, metavar="N",
@@ -95,7 +93,7 @@ def _strategy(args: argparse.Namespace) -> str:
 
 def _single_config(args: argparse.Namespace) -> EngineConfig:
     if args.engine == "ic3":
-        return EngineConfig("ic3", strategy=_strategy(args), inn=args.inn,
+        return EngineConfig("ic3", strategy=_strategy(args),
                             abs_cst=args.abs_cst)
     if args.engine == "bmc":
         return EngineConfig("bmc", bmc_step=args.bmc_step,

@@ -28,9 +28,8 @@ is false, else the first.  Under the model's input bits, every state in the
 cube of latch literals the walk reaches satisfies the constraints and steps
 into the targets; this is the end ternary simulation serves in the PDR of
 Eén, Mishchenko and Brayton ("Efficient Implementation of Property Directed
-Reachability", FMCAD 2011).  The walk passes through gates and
-pseudo-latches alike, so every cube names only latches of the system, and
-`cube_intersects_init` decides overlap with init exactly.
+Reachability", FMCAD 2011).  Every cube names only latches of the system,
+so `cube_intersects_init` decides overlap with init exactly.
 
 A push that fails leaves its lemma a counterexample: the state of the sat
 model, kept in `_push_cex` with the length of the lemma log at that time.
@@ -50,7 +49,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from .aiger import WitnessTrace, replay
 from .logic import Cube, negate, subsumes
 from .satcore import Solver, SolverStats
-from .transys import TranSys, coi_vars, encode, extend_with_internal_signals
+from .transys import TranSys, coi_vars, encode
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
 
 STANDARD = "standard"
@@ -70,7 +69,6 @@ DYNAMIC_T2 = 6  # failed blocks before it may escalate to extended CTG
 @dataclass
 class Ic3Options:
     strategy: str = DYNAMIC  # standard | ctg | exctg | dynamic
-    inn: bool = False
     abs_cst: bool = False
 
 
@@ -124,11 +122,7 @@ class _Obligation:
 
 class IC3:
     """One IC3 run over a fixed constraint set; see `check` for the CEGAR
-    wrapper that re-runs with constraints localized.
-
-    With `inn`, the run searches the system extended with pseudo-latches
-    (`extend_with_internal_signals`); `_latches` keeps the latches of the
-    system it was given, the ones every cube and witness is made of."""
+    wrapper that re-runs with constraints localized."""
 
     def __init__(
         self,
@@ -137,9 +131,6 @@ class IC3:
         cancel: Optional[Callable[[], bool]] = None,
     ):
         self.options = options or Ic3Options()
-        self._latches = list(ts.latch_vars)
-        if self.options.inn:
-            ts = extend_with_internal_signals(ts, ts.source)
         self.ts = ts
         self.cancel = cancel
 
@@ -158,7 +149,7 @@ class IC3:
         # lemma co-occurrence between state vars, for domain closure
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
-        self._state_vars = sorted(self._latches)
+        self._state_vars = sorted(ts.latch_vars)
         self._free = {0, *ts.input_vars}  # the lifting walk's preferred leaves
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
@@ -519,8 +510,8 @@ class IC3:
         while ob is not None:
             frames.append(ob.inputs)
             ob = ob.succ
-        return self.ts.widen_witness([cube_val.get(lv) for lv in self._latches],
-                                     frames)
+        return self.ts.widen_witness(
+            [cube_val.get(lv) for lv in self.ts.latch_vars], frames)
 
     def propagate(self) -> Optional[int]:
         """Push lemmas forward; returns the fixpoint level if some frame's

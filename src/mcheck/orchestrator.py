@@ -43,7 +43,6 @@ SOLO_TIME = 0.02  # seconds the first config searches before the race starts
 class EngineConfig:
     engine: str = "ic3"  # ic3 | bmc | kind
     strategy: str = DYNAMIC
-    inn: bool = False
     abs_cst: bool = False
     bmc_step: int = 1
     bmc_max: int = 1000
@@ -52,8 +51,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("ic3", "bmc", "kind"):
             raise ValueError("unknown engine %r" % self.engine)
-        if self.engine != "ic3" and (self.inn or self.abs_cst):
-            raise ValueError("inn/abs-cst are IC3-only flags")
+        if self.engine != "ic3" and self.abs_cst:
+            raise ValueError("abs-cst is an IC3-only flag")
         if self.strategy not in (STANDARD, CTG, EXCTG, DYNAMIC):
             raise ValueError("unknown strategy %r" % self.strategy)
         if self.bmc_step < 1 or self.bmc_max < 0 or self.kind_max < 0:
@@ -64,8 +63,6 @@ class EngineConfig:
     def name(self) -> str:
         if self.engine == "ic3":
             parts = ["ic3", self.strategy]
-            if self.inn:
-                parts.append("inn")
             if self.abs_cst:
                 parts.append("abs-cst")
             return "+".join(parts)
@@ -75,14 +72,13 @@ class EngineConfig:
 
 
 def default_configs(workers: int) -> List[EngineConfig]:
-    """The first `workers` of seven distinct configurations (at least one);
+    """The first `workers` of six distinct configurations (at least one);
     the search is deterministic, so a repeated configuration adds nothing.
     BMC comes third, so the default four workers also hunt deep bugs."""
     base = [
         EngineConfig("ic3", strategy="dynamic"),
         EngineConfig("ic3", strategy="ctg"),
         EngineConfig("bmc", bmc_step=1),
-        EngineConfig("ic3", strategy="dynamic", inn=True),
         EngineConfig("ic3", strategy="dynamic", abs_cst=True),
         EngineConfig("kind"),
         EngineConfig("bmc", bmc_step=10),
@@ -108,8 +104,7 @@ def run_config(
     if ts is None:
         ts = build_transys(aig, bad_index)
     if config.engine == "ic3":
-        opts = Ic3Options(strategy=config.strategy, inn=config.inn,
-                          abs_cst=config.abs_cst)
+        opts = Ic3Options(strategy=config.strategy, abs_cst=config.abs_cst)
         return ic3.check(ts, opts, cancel)
     if config.engine == "bmc":
         return engines.bmc(ts, max_depth=config.bmc_max, step=config.bmc_step,
@@ -178,10 +173,12 @@ def run_portfolio(
     callback verifies their verdicts as they come in.  Losers are cancelled
     and must wind down within `GRACE_PERIOD` seconds.  The clock of
     `time_limit` starts on entry, and if it runs out while the system is
-    built, no config starts."""
+    built, no config starts.  An empty `configs` raises `ValueError`."""
     if configs is None:
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
+    if not configs:
+        raise ValueError("empty lineup: run_portfolio needs a config")
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     ts = build_transys(aig, bad_index)

@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .aiger import Aig, WitnessTrace
 from .logic import FALSE_LIT, TRUE_LIT, Clause, Lit, lit_neg, mklit
@@ -50,17 +50,14 @@ def ref_to_lit(ref: int) -> Lit:
 @dataclass
 class TranSys:
     """A transition system in CNF.  Every entry of `clauses` is a sorted
-    tuple that names each var at most once: `encode` and
-    `extend_with_internal_signals` collapse repeated literals and leave
-    tautologies out.  `TranSys.load` reads `clauses`; `FrameTemplate`
-    reads `defs` instead.  `latch_vars` lists every state var;
-    pseudo-latches of `extend_with_internal_signals` come after the
-    system's own latches, and only IC3 adds them.  `defs` maps each var the
-    system defines to the literals it is the AND of, in an evaluation
-    order: a gate to its two fanins, a primed var to its next-state
-    literal, the constraint aux var to its conjuncts and a pseudo-latch's
-    primed var to its two fanins.  Latches, inputs and var 0 have no entry,
-    and neither has a primed var that a bounded cone leaves free."""
+    tuple that names each var at most once: `encode` collapses repeated
+    literals and leaves tautologies out.  `TranSys.load` reads `clauses`;
+    `FrameTemplate` reads `defs` instead.  `latch_vars` lists every state
+    var.  `defs` maps each var the system defines to the literals it is the
+    AND of, in an evaluation order: a gate to its two fanins, a primed var
+    to its next-state literal and the constraint aux var to its conjuncts.
+    Latches, inputs and var 0 have no entry, and neither has a primed var
+    that a bounded cone leaves free."""
 
     num_vars: int
     latch_vars: List[int]
@@ -100,8 +97,7 @@ class TranSys:
 
     def widen_witness(self, init_bits: Sequence[Optional[int]],
                       input_frames: Sequence[Sequence[int]]) -> WitnessTrace:
-        """Witness over the source AIG from bits over the leading entries of
-        `latch_vars` (pseudo-latches come last, and need no bits) and over
+        """Witness over the source AIG from bits over `latch_vars` and over
         the inputs.  An input outside the system is 0; a latch outside it,
         or one left open (None), takes its reset value, or 0 if it has none."""
         own = dict(zip(self.latch_vars, init_bits))
@@ -118,9 +114,8 @@ class TranSys:
         return WitnessTrace(self.bad_index, init, frames)
 
     def cube_intersects_init(self, cube: Sequence[Lit]) -> bool:
-        """Whether no literal of `cube` is false in the initial states.  Over
-        latch literals, the only cubes IC3 makes, that is exact: some
-        initial state lies in the cube.  A gate literal can over-report."""
+        """Whether no literal of `cube`, a cube over latches, is false in the
+        initial states, that is, whether some initial state lies in it."""
         for l in cube:
             val = self.init_value.get(l >> 1)
             if val is not None and val == (l & 1):
@@ -353,9 +348,7 @@ class FrameTemplate:
     (the inputs, and any primed var with no definition), and last the vars
     of `TranSys.defs`, in its order, which is an evaluation order: the
     definitions of at most two literals (gates, primed vars), then the
-    wider ones (the constraint aux var).  A pseudo-latch of
-    `extend_with_internal_signals` has a definition, so a frame computes it
-    as a gate instead of reading it from the frame before.
+    wider ones (the constraint aux var).
 
     The compile keeps what a frame needs: `latch_src`, the slot of each
     latch's primed var; `reset`, each latch's literal in an initial state
@@ -372,8 +365,7 @@ class FrameTemplate:
     """
 
     def __init__(self, ts: TranSys):
-        defs = ts.defs
-        latches = [lv for lv in ts.latch_vars if lv not in defs]
+        defs, latches = ts.defs, ts.latch_vars
         primed = [ts.next_map[lv] for lv in latches]
         if 0 in primed or len(set(primed)) < len(primed):
             raise ValueError("two latches share a primed var, or one is "
@@ -534,98 +526,3 @@ class Unroller:
 
     def reach(self, frame: int) -> Lit:
         return self._reach[frame]
-
-
-# ---------------------------------------------------------------------------
-# Internal-signal extension
-
-
-SIGNAL_MIN_FANOUT = 3  # fanout a gate needs to become a pseudo-latch
-SIGNAL_CAP_FRACTION = 0.10  # pseudo-latches per encoded gate, at most
-
-
-def default_signal_policy(aig: Aig, defs: Mapping[int, Iterable[Lit]]):
-    """Gates encoded in `defs` (a `TranSys.defs`) with fanout >=
-    `SIGNAL_MIN_FANOUT` and an input-free cone, capped at
-    `SIGNAL_CAP_FRACTION` of the encoded gates.  A gate's cone is walked over
-    `defs`, which stops at latches."""
-    fanout: Dict[int, int] = {}
-    for g in aig.ands:
-        fanout[g.rhs0 >> 1] = fanout.get(g.rhs0 >> 1, 0) + 1
-        fanout[g.rhs1 >> 1] = fanout.get(g.rhs1 >> 1, 0) + 1
-    for lt in aig.latches:
-        fanout[lt.next >> 1] = fanout.get(lt.next >> 1, 0) + 1
-    inputs = set(aig.inputs)
-    gates = [g for g in aig.ands if g.var in defs]
-    cap = max(1, int(SIGNAL_CAP_FRACTION * len(gates)))
-    chosen = []
-    for g in sorted(gates, key=lambda g: -fanout.get(g.var, 0)):
-        if fanout.get(g.var, 0) < SIGNAL_MIN_FANOUT:
-            continue
-        cone = coi_vars([g.var], defs, {})
-        if cone & inputs:
-            continue
-        chosen.append(g.var)
-        if len(chosen) >= cap:
-            break
-    return chosen
-
-
-def extend_with_internal_signals(
-    ts: TranSys,
-    aig: Aig,
-    policy: Optional[Callable[[Aig], Sequence[int]]] = None,
-) -> TranSys:
-    """Turn selected internal gates into pseudo-latches.
-
-    Each selected gate keeps its current-step var and gains a primed var
-    constrained to the gate's next-step function (the gate cone rebuilt over
-    primed latch vars).  Reachability verdicts are unchanged; the state
-    vocabulary for lemma learning grows.  The default policy picks only
-    gates the system encodes: one outside a cone may read latches the
-    system does not have.
-    """
-    signals = list(policy(aig) if policy else
-                   default_signal_policy(aig, ts.defs))
-    if not signals:
-        return ts
-
-    num_vars = ts.num_vars
-    clauses = list(ts.clauses)
-    defs = dict(ts.defs)
-    next_map = dict(ts.next_map)
-    latch_vars = list(ts.latch_vars)
-    primed_of: Dict[int, int] = {0: 0}
-    for lv in ts.latch_vars:
-        primed_of[lv] = ts.next_map[lv]
-
-    def primed_copy(var: int) -> int:
-        nonlocal num_vars
-        if var in primed_of:
-            return primed_of[var]
-        g = aig.gate(var)
-        if g is None:
-            raise ValueError("gate cone contains input %d; bad policy" % var)
-        p = num_vars
-        num_vars += 1
-        primed_of[var] = p
-        a = _shift(ref_to_lit(g.rhs0), primed_copy)
-        b = _shift(ref_to_lit(g.rhs1), primed_copy)
-        _and_clauses(clauses, mklit(p), a, b)
-        defs[p] = (a, b)
-        return p
-
-    def _shift(lit: Lit, f) -> Lit:
-        v = lit >> 1
-        if v == 0:
-            return lit
-        return (f(v) << 1) | (lit & 1)
-
-    for s in signals:
-        if s in next_map:
-            continue
-        next_map[s] = primed_copy(s)
-        latch_vars.append(s)
-
-    return replace(ts, num_vars=num_vars, latch_vars=latch_vars,
-                   next_map=next_map, clauses=clauses, defs=defs)

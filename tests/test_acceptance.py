@@ -73,8 +73,6 @@ def sweep():
         for strategy in (STANDARD, CTG, EXCTG, DYNAMIC):
             verdicts.append(("ic3+" + strategy,
                              ic3_check(ts, Ic3Options(strategy=strategy))))
-        verdicts.append(("ic3+dynamic+inn",
-                         ic3_check(ts, Ic3Options(strategy=DYNAMIC, inn=True))))
         verdicts.append(("ic3+dynamic+abs-cst",
                          ic3_check(ts, Ic3Options(strategy=DYNAMIC,
                                                   abs_cst=True))))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mcheck.aiger import WitnessTrace, parse_aiger
@@ -5,12 +7,15 @@ from mcheck.certify import (FormatError, format_certificate, format_witness,
                             parse_certificate, parse_witness,
                             verify_certificate, verify_witness)
 from mcheck.engines import bmc, kind
-from mcheck.ic3 import Ic3Options, check as ic3_check
+from mcheck.ic3 import (CTG, DYNAMIC, EXCTG, STANDARD, Ic3Options,
+                        check as ic3_check)
+from mcheck.orchestrator import build_transys
 from mcheck.satcore import Solver
 from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert
 
-from fixtures import induction_gap, mod_counter, shift_register
+from fixtures import (induction_gap, mod_counter, padded_mod_counter,
+                      random_aig, shift_register)
 from oracle import bfs_check
 
 
@@ -216,14 +221,31 @@ def test_witness_format_rejects(text):
 
 
 def test_certificate_format_roundtrip():
-    aig = mod_counter(6, 20, 40)
-    ts, cert = _safe_cert(aig)
-    text = format_certificate(cert, aig)
-    assert text.splitlines()[0] == "inv %d %d" % (len(cert.clauses), 6)
-    again = parse_certificate(text, aig)
-    assert sorted(again.clauses) == sorted(cert.clauses)
-    ok, why = verify_certificate(ts, again)
-    assert ok, why
+    """Every IC3 proof is inductive (k = 1) and names latches only, so the
+    clause file format takes each one: it writes, parses back to the same
+    clauses and passes the check on the whole model's encoding."""
+    models = [mod_counter(6, 20, 40), mod_counter(4, 6, 10, enable=True),
+              padded_mod_counter(4, 12, 14, pad=3, enable=True)]
+    models += [random_aig(random.Random(7_000 + i)) for i in range(30)]
+    options = [Ic3Options(strategy=s) for s in (STANDARD, CTG, EXCTG, DYNAMIC)]
+    options.append(Ic3Options(abs_cst=True))
+    proofs = 0
+    for aig in models:
+        ts = encode(aig)
+        for opts in options:
+            v = ic3_check(build_transys(aig), opts)
+            if not v.is_safe:
+                continue
+            cert = v.certificate
+            text = format_certificate(cert, aig)
+            assert text.splitlines()[0] == "inv %d %d" % (
+                len(cert.clauses), len(aig.latches))
+            again = parse_certificate(text, aig)
+            assert sorted(again.clauses) == sorted(cert.clauses)
+            ok, why = verify_certificate(ts, again)
+            assert ok, why
+            proofs += 1
+    assert proofs >= 50
 
 
 @pytest.mark.parametrize("text", [

@@ -9,8 +9,7 @@ from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, STANDARD,
                         Ic3Options, select_strategy, check as ic3_check)
-from mcheck.transys import (coi_vars, encode, extend_with_internal_signals,
-                            ref_to_lit, simplify_cnf)
+from mcheck.transys import coi_vars, encode, ref_to_lit, simplify_cnf
 
 from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
                       random_aig)
@@ -37,12 +36,6 @@ def test_strategies_agree_with_oracle(strategy, rng):
     for _ in range(40):
         aig = random_aig(rng)
         _agree(aig, Ic3Options(strategy=strategy), bfs_check(aig))
-
-
-def test_inn_variant_agrees_with_oracle(rng):
-    for _ in range(30):
-        aig = random_aig(rng)
-        _agree(aig, Ic3Options(strategy=DYNAMIC, inn=True), bfs_check(aig))
 
 
 def test_abs_cst_variant_agrees_with_oracle(rng):
@@ -254,25 +247,12 @@ def test_solver_vars_stay_bounded():
 class _CheckedLifts(IC3):
     """IC3 that checks each lifted cube by brute force over the source AIG:
     under the model's input bits, every completion of the latches outside
-    the cube satisfies the constraints and steps into the targets.  No cube
-    that it queries, lifts or keeps may name a pseudo-latch."""
+    the cube satisfies the constraints and steps into the targets."""
 
     lifts = 0
 
-    def _latches_only(self, cube):
-        assert {l >> 1 for l in cube} <= set(self._latches), cube
-
-    def solve_relative(self, cube, level, block_self=True):
-        self._latches_only(cube)
-        return super().solve_relative(cube, level, block_self)
-
-    def add_lemma(self, cube, level):
-        self._latches_only(cube)
-        super().add_lemma(cube, level)
-
     def lift_predecessor(self, state_cube, targets):
         cube = super().lift_predecessor(state_cube, targets)
-        self._latches_only(cube)
         self.lifts += 1
         ts, aig = self.ts, self.ts.source
         frame = ts.widen_witness([], [self._model_inputs()]).input_frames[0]
@@ -304,18 +284,17 @@ class _CheckedLifts(IC3):
 
 
 def test_lifted_cubes_hold_for_every_completion(rng):
-    lifts = extended = 0
+    lifts = 0
     for _ in range(300):
         aig = random_aig(rng, constraint_prob=1.0)
         if all(lt.init is not None for lt in aig.latches):
             continue
         want = bfs_check(aig).status
-        for inn in (False, True):
-            engine = _CheckedLifts(encode(aig), Ic3Options(inn=inn))
+        for strategy in (DYNAMIC, EXCTG):
+            engine = _CheckedLifts(encode(aig), Ic3Options(strategy=strategy))
             assert engine.check().status == want
             lifts += engine.lifts
-            extended += len(engine.ts.latch_vars) > len(engine._latches)
-    assert lifts > 100 and extended > 50
+    assert lifts > 100
 
 
 class _FreshDomains(IC3):

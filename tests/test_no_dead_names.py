@@ -1,10 +1,13 @@
-"""Every name `src/mcheck` defines is used by `src/mcheck` itself.
+"""Every name `src/mcheck` defines or imports is used by `src/mcheck` itself.
 
 The test parses each module and collects what it defines: module-level
 functions, classes and constants, and each class's methods and fields.
 Every one of them must be named somewhere in `src/mcheck` outside its own
 definition, or be exported in `mcheck.__all__`.  A name only the tests or
-the tools read belongs in `tests/` or `tools/`, not in the package.
+the tools read belongs in `tests/` or `tools/`, not in the package.  Every
+name a module-level import binds must be named in that module, or, in
+`mcheck/__init__`, be exported in `__all__`; `from __future__` imports are
+exempt.
 
 A use is an identifier: a name, an attribute or a keyword argument.  An
 import is no use.  Dunder names are called by Python itself and are not
@@ -63,11 +66,15 @@ def _uses(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             yield node.arg, node.lineno
 
 
+def _trees(src: Path) -> Dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(src.glob("*.py"))}
+
+
 def unused_names(src: Path) -> List[str]:
     """Qualified `module.name` of each definition in the package at `src`
     that nothing outside its own definition names."""
-    trees = {p.stem: ast.parse(p.read_text(), str(p))
-             for p in sorted(src.glob("*.py"))}
+    trees = _trees(src)
     used: Dict[str, Set[Tuple[str, int]]] = defaultdict(set)
     for module, tree in trees.items():
         for name, line in _uses(tree):
@@ -87,6 +94,26 @@ def unused_names(src: Path) -> List[str]:
     return out
 
 
+def unused_imports(src: Path) -> List[str]:
+    """`module.name` of each name a module-level import of the package at
+    `src` binds that its module never names."""
+    out = []
+    for module, tree in _trees(src).items():
+        used = {name for name, _ in _uses(tree)}
+        if module == "__init__":
+            used |= set(mcheck.__all__)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    out.append("%s.%s" % (module, name))
+    return out
+
+
 def test_every_name_in_the_package_is_used_by_the_package():
     unused = set(unused_names(SRC))
     dead = sorted(unused - set(BENCH_ONLY))
@@ -94,3 +121,8 @@ def test_every_name_in_the_package_is_used_by_the_package():
     # an entry whose name the package now uses, or no longer defines, goes
     stale = sorted(set(BENCH_ONLY) - unused)
     assert not stale, "stale BENCH_ONLY entries: " + ", ".join(stale)
+
+
+def test_every_import_in_the_package_is_used_by_its_module():
+    unused = unused_imports(SRC)
+    assert not unused, "imported and never named: " + ", ".join(unused)

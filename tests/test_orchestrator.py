@@ -9,19 +9,16 @@ from mcheck.aiger import parse_aiger
 from mcheck.certify import verify_certificate
 from mcheck.orchestrator import (EngineConfig, default_configs, run_config,
                                  run_portfolio, verify_verdict)
-from mcheck.transys import default_signal_policy, encode
+from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, safe
 
-from fixtures import (AigBuilder, counter_overflow, mod_counter, random_aig,
-                      ref_neg)
+from fixtures import counter_overflow, mod_counter, random_aig
 from oracle import bfs_check
 
 
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(engine="magic")
-    with pytest.raises(ValueError):
-        EngineConfig(engine="bmc", inn=True)
     with pytest.raises(ValueError):
         EngineConfig(engine="kind", abs_cst=True)
     for bad in (dict(strategy="bogus"), dict(engine="bmc", bmc_step=0),
@@ -33,7 +30,8 @@ def test_engine_config_validation():
 
 
 def test_engine_config_names():
-    assert EngineConfig("ic3", strategy="dynamic", inn=True).name == "ic3+dynamic+inn"
+    assert (EngineConfig("ic3", strategy="dynamic", abs_cst=True).name
+            == "ic3+dynamic+abs-cst")
     assert EngineConfig("bmc", bmc_step=10).name == "bmc(step=10)"
     assert EngineConfig("kind").name == "kind"
 
@@ -41,11 +39,11 @@ def test_engine_config_names():
 def test_default_configs_shape():
     assert len(default_configs(1)) == 1
     assert len(default_configs(4)) == 4
-    # past the seven base configs nothing is repeated: the search is
+    # past the six base configs nothing is repeated: the search is
     # deterministic, so a copy would only redo a worker's run
     nine = default_configs(9)
-    assert nine == default_configs(7)
-    assert len({cfg.name for cfg in nine}) == len(nine) == 7
+    assert nine == default_configs(6)
+    assert len({cfg.name for cfg in nine}) == len(nine) == 6
     # ic3 leads the lineup, and the default four workers include BMC
     assert default_configs(4)[0].engine == "ic3"
     assert any(cfg.engine == "bmc" for cfg in default_configs(4))
@@ -99,6 +97,13 @@ def test_portfolio_encodes_once(workers, monkeypatch, rng):
 def test_portfolio_single_worker(cnt2):
     r = run_portfolio(cnt2, workers=1)
     assert r.verdict.is_unsafe
+
+
+def test_portfolio_rejects_an_empty_lineup(safe1):
+    # an empty lineup has no first config to run, with or without workers
+    for workers in (1, 4):
+        with pytest.raises(ValueError, match="empty lineup"):
+            run_portfolio(safe1, workers=workers, configs=[])
 
 
 def test_portfolio_custom_configs():
@@ -160,38 +165,6 @@ def test_verify_verdict_rejects_foreign_witness(cnt2, unsafe1):
     v = run_config(unsafe1, EngineConfig("bmc"))
     ok, _ = verify_verdict(cnt2, 0, v)
     assert not ok
-
-
-def test_inn_verdict_on_latchless_model_verifies():
-    # gate 4 (constant true) has fanout 3 and an input-free cone, so --inn
-    # turns it into a pseudo-latch of a model that has no real latch
-    aig = parse_aiger(b"aag 5 1 0 0 4 1\n2\n10\n4 1 1\n6 4 2\n8 5 4\n10 7 4\n")
-    v = run_config(aig, EngineConfig("ic3", inn=True))
-    assert v.is_unsafe
-    assert v.witness.init_state == []
-    ok, why = verify_verdict(aig, 0, v)
-    assert ok, why
-
-
-def test_inn_ignores_gates_outside_the_cone():
-    # the gate AND(~d0, ~d1) has fanout 3 and an input-free cone, but it
-    # only feeds the latches d0..d2 that bad never reads; promoting it would
-    # need d0 and d1, which the cone system does not have
-    b = AigBuilder()
-    c0, c1 = b.new_latch(0), b.new_latch(0)
-    dead = [b.new_latch(0) for _ in range(3)]
-    b.set_next(c0, ref_neg(c0))
-    b.set_next(c1, c0)
-    gate = b.AND(ref_neg(dead[0]), ref_neg(dead[1]))
-    for d in dead:
-        b.set_next(d, gate)
-    for bad, want in ((b.AND(c0, c1), "safe"), (b.AND(c0, ref_neg(c1)), "unsafe")):
-        aig = b.build(bads=[bad])
-        assert default_signal_policy(aig, encode(aig).defs) == [gate >> 1]
-        v = run_config(aig, EngineConfig("ic3", inn=True))
-        assert v.status == want
-        ok, why = verify_verdict(aig, 0, v)
-        assert ok, why
 
 
 def _certificate_cases(aig, cert):

@@ -10,9 +10,7 @@ from mcheck.ic3 import check as ic3_check
 from mcheck.logic import FALSE_LIT, TRUE_LIT, lit_neg, mklit
 from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
-from mcheck.transys import (Unroller, coi_vars, encode,
-                            extend_with_internal_signals, ref_to_lit,
-                            simplify_cnf)
+from mcheck.transys import Unroller, coi_vars, encode, ref_to_lit, simplify_cnf
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, FALSE_REF, TRUE_REF,
                       AigBuilder, counter_with_reset, mod_counter,
@@ -173,12 +171,11 @@ def _simulate(aig, latch_vals, stimulus):
 
 def test_folded_frames_match_simulation(rng):
     """Seeded differential of the folded frames against `eval_nodes`.  On
-    random circuits with constraints, encoded in full, over the cone and
-    with pseudo-latches, with init and without, every var a frame maps
-    takes its simulated value under a fixed start state and stimulus,
-    constant literals included: a node its value, a primed var its latch's
-    next state, a pseudo-latch's primed var the gate's value one step on,
-    and the aux var bad and the constraints together.  `held(d)` and
+    random circuits with constraints, encoded in full and over the cone,
+    with init and without, every var a frame maps takes its simulated value
+    under a fixed start state and stimulus, constant literals included: a
+    node its value, a primed var its latch's next state, and the aux var
+    bad and the constraints together.  `held(d)` and
     `reach(d)` can hold exactly when the simulation says so."""
     folded = kept = 0
     for _ in range(60):
@@ -195,9 +192,7 @@ def test_folded_frames_match_simulation(rng):
 
         held = [all(value(c, u) for c in aig.constraints for u in range(t + 1))
                 for t in range(depth + 1)]
-        full = encode(aig)
-        for ts in (full, build_transys(aig),
-                   extend_with_internal_signals(full, aig)):
+        for ts in (encode(aig), build_transys(aig)):
             primed = {p: lv for lv, p in ts.next_map.items()}
             nxt = {lt.var: lt.next for lt in aig.latches}
             for init in (True, False):
@@ -222,17 +217,13 @@ def test_folded_frames_match_simulation(rng):
                     for v in un.template.slot_of:
                         if v == 0:  # true in CNF, false as an AIGER node
                             want = 1
-                        elif v in primed and primed[v] in nxt:
+                        elif v in primed:
                             want = value(nxt[primed[v]], t)
-                        elif v in primed:  # a pseudo-latch's primed var
-                            want = steps[t + 1][primed[v]]
                         elif v == ts.bad >> 1 and ts.constraints:
                             want = int(value(aig.bads[0], t) and all(
                                 value(c, t) for c in aig.constraints))
-                        elif v in steps[t]:  # an input, latch or gate
+                        else:  # an input, latch or gate
                             want = steps[t][v]
-                        else:
-                            continue  # a copy inside a pseudo-latch's cone
                         lit = un.lit_at(2 * v, t)
                         assert _lit_value(s, lit) == want, (t, v, init)
                         folded += v and lit < 2
@@ -243,23 +234,16 @@ def test_folded_frames_match_simulation(rng):
     assert folded > 500 and kept > 500
 
 
-def test_simplify_and_extension_leave_input_unchanged(rng):
-    """Derived systems share untouched fields with their input; building
-    them must not modify the input."""
+def test_simplify_leaves_input_unchanged(rng):
+    """A simplified system shares untouched fields with its input; building
+    it must not modify the input."""
     fields = ("latch_vars", "next_map", "clauses", "defs", "init_value")
     aigs = [counter_with_reset(16, 8)] + [random_aig(rng) for _ in range(10)]
-    extended = 0
     for aig in aigs:
         ts = encode(aig)
         before = copy.deepcopy({f: getattr(ts, f) for f in fields})
-        simple = simplify_cnf(ts)
+        simplify_cnf(ts)
         assert {f: getattr(ts, f) for f in fields} == before
-        mid = copy.deepcopy({f: getattr(simple, f) for f in fields})
-        ext = extend_with_internal_signals(simple, aig)
-        assert {f: getattr(simple, f) for f in fields} == mid
-        assert {f: getattr(ts, f) for f in fields} == before
-        extended += len(ext.latch_vars) > len(simple.latch_vars)
-    assert extended  # the extension ran on some model, not only the no-op path
 
 
 def test_unroller_grows_frames_into_its_solver(cnt2):
@@ -369,42 +353,6 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     assert (cut.latch_vars, cut.input_vars) == (whole.latch_vars, whole.input_vars)
 
 
-def test_internal_signal_extension_preserves_verdicts(rng):
-    from mcheck.ic3 import Ic3Options, check as ic3_check
-    for _ in range(30):
-        aig = random_aig(rng, max_latches=8, max_gates=50)
-        res = bfs_check(aig)
-        ts = extend_with_internal_signals(encode(aig), aig)
-        v = ic3_check(ts, Ic3Options(strategy="dynamic"))
-        assert v.status == res.status
-
-
-def test_internal_signal_extension_adds_pseudo_latches():
-    aig = counter_with_reset(16, 8)
-    ts = encode(aig)
-    # force promotion of one concrete gate to check the plumbing
-    target = aig.ands[0].var
-    ts_inn = extend_with_internal_signals(ts, aig, policy=lambda a: [target])
-    assert ts_inn.latch_vars == ts.latch_vars + [target]
-    assert target in ts_inn.next_map
-
-
-def test_internal_signal_extension_keeps_latches_as_prefix(rng):
-    # IC3 and `widen_witness` read a witness's bits off the leading latches
-    extended = 0
-    for _ in range(20):
-        aig = random_aig(rng, max_latches=8, max_gates=50)
-        for ts in (encode(aig), encode(aig, cone=True)):
-            ts_inn = extend_with_internal_signals(ts, aig)
-            n = len(ts.latch_vars)
-            assert ts_inn.latch_vars[:n] == ts.latch_vars
-            assert all(ts_inn.next_map[v] == ts.next_map[v]
-                       for v in ts.latch_vars)
-            assert not set(ts_inn.latch_vars[n:]) & set(aig.inputs)
-            extended += len(ts_inn.latch_vars) > n
-    assert extended >= 5
-
-
 def test_header_m_does_not_size_the_encoding():
     # primed vars follow the largest defined node, whatever M the header says
     body = b" 1 1 0 1 1\n2\n4 6\n6\n6 2 4\n"
@@ -413,14 +361,6 @@ def test_header_m_does_not_size_the_encoding():
     assert small.num_vars == 5
     assert (huge.num_vars, huge.next_map, huge.clauses) == (
         small.num_vars, small.next_map, small.clauses)
-
-
-def test_internal_signal_cap():
-    aig = counter_with_reset(16, 8)
-    ts = encode(aig)
-    ts_inn = extend_with_internal_signals(ts, aig)
-    pseudo = len(ts_inn.latch_vars) - len(ts.latch_vars)
-    assert pseudo <= max(1, int(0.10 * len(aig.ands)))
 
 
 def test_coi_restricts_to_support():
@@ -443,7 +383,7 @@ REPEATED_FANIN_AAG = "aag 4 1 1 0 2 1\n2\n4 6\n8\n6 2 2\n8 4 5\n"
 SHAPE_AAGS = [
     REPEATED_FANIN_AAG,
     "aag 4 1 1 0 2 1\n2\n4 6\n4\n6 2 2\n8 4 5\n",  # bad is the latch
-    # latch-only gates, so the extension primes a repeated fanin too
+    # latch-only gates, one with a repeated fanin
     "aag 3 0 1 0 2 1\n2 4\n6\n4 2 2\n6 4 3\n",
 ]
 
@@ -460,15 +400,7 @@ def test_clauses_are_sorted_and_name_each_var_once():
     for text in SHAPE_AAGS:
         aig = parse_aiger(text.encode())
         want = bfs_check(aig)
-        ts = encode(aig)
-        assert _well_formed(ts.clauses)
-        inputs = set(aig.inputs)
-        gates = [g.var for g in aig.ands
-                 if not coi_vars([g.var], ts.defs, {}) & inputs]
-        assert gates
-        ext = extend_with_internal_signals(ts, aig, policy=lambda a: gates)
-        assert _well_formed(ext.clauses)
-        assert ic3_check(ext).status == want.status
+        assert _well_formed(encode(aig).clauses)
         assert ic3_check(build_transys(aig)).status == want.status
         v = bmc(build_transys(aig), max_depth=4)
         if want.status == "unsafe":
