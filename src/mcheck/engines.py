@@ -5,9 +5,12 @@ instead of re-encoding per depth.  BMC checks a window of new frames per
 solve using a fresh selector variable, so "a counterexample of some length
 in [lo, hi]" is one query.  The unroller folds the logic that the reset
 state fixes, so a window whose every `reach` literal is the constant false
-needs no query, and neither does such a k-induction base case.  A frame-0
-literal can be a constant, so witnesses read each literal's value with its
-sign, and are widened to the source AIG's latches and inputs.
+needs no query, and neither does such a k-induction base case; nor does
+such a frame load the logic that only bad and the constraints read.  A
+witness reads frame 0's latches and each frame's inputs, which every frame
+keeps.  A frame-0 literal can be a constant, so witnesses read each
+literal's value with its sign, and are widened to the source AIG's latches
+and inputs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .aiger import Aig
@@ -170,10 +170,13 @@ def run_portfolio(
     The first config runs in the calling thread.  After `SOLO_TIME` seconds
     of its search, or as soon as it ends without a verdict that passes, the
     others start, one daemon thread each; the first config's cancel
-    callback verifies their verdicts as they come in.  Losers are cancelled
-    and must wind down within `GRACE_PERIOD` seconds.  The clock of
-    `time_limit` starts on entry, and if it runs out while the system is
-    built, no config starts.  An empty `configs` raises `ValueError`."""
+    callback verifies their verdicts as they come in.  On a model without
+    constraints an abs-cst config whose plain twin comes earlier in the
+    lineup runs that twin's search, so it is not started, and its outcome's
+    reason names the twin.  Losers are cancelled and must wind down within
+    `GRACE_PERIOD` seconds.  The clock of `time_limit` starts on entry, and
+    if it runs out while the system is built, no config starts.  An empty
+    `configs` raises `ValueError`."""
     if configs is None:
         configs = default_configs(workers)
     configs = list(configs)[: max(1, workers)]
@@ -185,6 +188,12 @@ def run_portfolio(
     stop = threading.Event()
     results: "queue.Queue[Tuple[int, Verdict, bool]]" = queue.Queue()
     outcomes = [Outcome(cfg) for cfg in configs]
+    for j, cfg in enumerate(configs):
+        if cfg.abs_cst and not aig.constraints:  # `ic3.check` runs plain IC3
+            plain = replace(cfg, abs_cst=False)
+            if plain in configs[:j]:
+                outcomes[j].reason = "same search as %s: no constraints" % plain.name
+    rivals = [j for j in range(1, len(configs)) if not outcomes[j].reason]
     threads: List[threading.Thread] = []
     running = {0}  # configs started and not yet settled
     winner: Optional[int] = None
@@ -203,7 +212,7 @@ def run_portfolio(
     def race() -> None:
         if threads:
             return
-        for j in range(1, len(configs)):
+        for j in rivals:
             threads.append(threading.Thread(target=worker, args=(j,), daemon=True))
             running.add(j)
         for t in threads:

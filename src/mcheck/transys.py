@@ -14,7 +14,10 @@ nothing is required after step d.  `Unroller` is the one place that builds
 timed frames and encodes this.  It builds each frame from `defs`, gate by
 gate, folding constants: a frame maps a latch to the previous frame's
 next-state literal, an initial frame maps a reset latch to a constant, and
-only a gate left open gets a var and clauses.
+only a gate left open gets a var and clauses.  The gates come in two parts,
+the cone of the latches' next states and then the logic that only bad and
+the constraints read; an unroller built with init leaves the second part
+out of a frame that no query will read.
 
 `coi_vars` is the one cone-of-influence walk.  `encode(..., cone=True)` walks
 it from bad and the active constraints through gate fanins and latch
@@ -346,19 +349,25 @@ class FrameTemplate:
 
     Slot 0 is the constant var 0.  Then come the latches, the free vars
     (the inputs, and any primed var with no definition), and last the vars
-    of `TranSys.defs`, in its order, which is an evaluation order: the
-    definitions of at most two literals (gates, primed vars), then the
-    wider ones (the constraint aux var).
+    of `TranSys.defs` in two parts, each in `defs` order, which is an
+    evaluation order.  The next-state part is the cone of the primed vars:
+    the definitions a latch's next state reads.  The property part is every
+    other definition, the logic that only bad and the constraints read:
+    first the definitions of at most two literals, then the wider ones (the
+    constraint aux var).  The next-state part reads no property slot, so
+    the slot order stays an evaluation order, and the property part is a
+    suffix of it that a frame can leave out whole.
 
     The compile keeps what a frame needs: `latch_src`, the slot of each
     latch's primed var; `reset`, each latch's literal in an initial state
     (the constant of its reset value, or None for an open latch); the count
-    of free vars; and the gate program.  `gates` holds, per definition of at
-    most two literals, those literals as packed ints `(slot << 1) | sign`,
-    smaller first; a primed var's one next-state literal is read twice, so
-    the AND folds it to that literal.  `wide` holds the longer definitions.
-    A definition that reads a later slot raises `IndexError` in the first
-    frame, so the order needs no check of its own.
+    of free vars; `bad` and `constraints`, as packed ints `(slot << 1) |
+    sign`; and the gate program.  `gates` (the next-state part) and `prop`
+    (the property part) hold, per definition of at most two literals, those
+    literals packed, smaller first; a primed var's one next-state literal
+    is read twice, so the AND folds it to that literal.  `wide` holds the
+    longer definitions.  A definition that reads a later slot raises
+    `IndexError` in the first frame, so the order needs no check of its own.
 
     No two latches may share a primed var, and none may be primed to the
     constant; the template checks this once and raises `ValueError`.
@@ -371,9 +380,13 @@ class FrameTemplate:
             raise ValueError("two latches share a primed var, or one is "
                              "primed to the constant")
         free = [v for v in chain(ts.input_vars, primed) if v not in defs]
-        narrow = [v for v, f in defs.items() if len(f) < 3]
-        wide = [v for v, f in defs.items() if len(f) > 2]
-        order = [0, *latches, *free, *narrow, *wide]
+        cone = coi_vars(primed, defs, {})
+        narrow: List[int] = []
+        prop: List[int] = []
+        wide: List[int] = []
+        for v, f in defs.items():
+            (wide if len(f) > 2 else narrow if v in cone else prop).append(v)
+        order = [0, *latches, *free, *narrow, *prop, *wide]
         self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
         self.latch_src = [slot_of[p] for p in primed]
@@ -384,12 +397,29 @@ class FrameTemplate:
         def pack(l: Lit) -> int:
             return (slot_of[l >> 1] << 1) | (l & 1)
 
-        self.gates: List[Tuple[int, int]] = []
-        for v in narrow:
-            f = defs[v]
-            a, b = pack(f[0]), pack(f[-1])
-            self.gates.append((a, b) if a <= b else (b, a))
+        pairs = [(pack(defs[v][0]), pack(defs[v][-1])) for v in narrow + prop]
+        gates = [(a, b) if a <= b else (b, a) for a, b in pairs]
+        self.gates, self.prop = gates[:len(narrow)], gates[len(narrow):]
         self.wide = [sorted(map(pack, defs[v])) for v in wide]
+        self.bad = pack(ts.bad)
+        self.constraints = [pack(c) for c in ts.constraints]
+
+
+def _and(lits: Iterable[Lit], g: Lit, out: List[List[Lit]]) -> Lit:
+    """The AND of the solver literals `lits`, folded as `Unroller.add_frame`
+    folds a gate; if two or more stay open, the fresh literal `g`, with the
+    clauses that define it appended to `out`."""
+    kept: List[Lit] = []
+    for l in lits:
+        if l == FALSE_LIT or l ^ 1 in kept:
+            return FALSE_LIT
+        if l != TRUE_LIT and l not in kept:
+            kept.append(l)
+    if len(kept) < 2:
+        return kept[0] if kept else TRUE_LIT
+    out += [[l, g ^ 1] for l in kept]
+    out.append([l ^ 1 for l in kept] + [g])
+    return g
 
 
 class Unroller:
@@ -423,6 +453,14 @@ class Unroller:
     fold as gates do: without constraints `held` is true and `reach` is the
     bad literal, with no var, and a `reach` that folds to false needs no
     query.
+
+    With `init`, a frame whose `reach(d)` folds to false and whose
+    `held(d)` folds to a constant leaves out the template's property part:
+    no query and no later frame reads it.  It is folded, then cut off
+    before anything of it is allocated, and `lit_at` on one of its vars
+    raises `ValueError`.  BMC and the k-induction base case read only
+    `reach`, frame 0's latches and the inputs; the init-free unrollers of
+    the k-induction step and the certificate check keep every frame whole.
     """
 
     def __init__(self, ts: TranSys, solver: Solver, init: bool = True):
@@ -442,7 +480,7 @@ class Unroller:
 
     def add_frame(self) -> None:
         """Append one frame and write its clauses into the solver."""
-        ts, s, t = self.ts, self.solver, self.template
+        s, t = self.solver, self.template
         nv = s.num_vars  # the next fresh var
         lits: List[Lit] = []
         ends: List[int] = []
@@ -463,60 +501,66 @@ class Unroller:
         lm[0::2] = fm
         lm[1::2] = [x ^ 1 for x in fm]
         g = 2 * (nv + t.free)  # the next open gate's literal
-        for a, b in t.gates:  # literals 0 and 1 are the constants
-            x, y = lm[a], lm[b]
-            if x > 1 and y > 1 and x ^ y > 1:
-                ng = g + 1
-                lits += (x, ng, y, ng, lm[a ^ 1], lm[b ^ 1], g)
-                k = len(lits)
-                ends += (k - 5, k - 3, k)
-                lm += (g, ng)
+        for part in t.gates, t.prop:
+            # where the property part starts, to cut it off
+            cut = len(lits), len(ends), len(lm), g
+            for a, b in part:  # literals 0 and 1 are the constants
+                x, y = lm[a], lm[b]
+                if x > 1 and y > 1 and x ^ y > 1:
+                    ng = g + 1
+                    lits += (x, ng, y, ng, lm[a ^ 1], lm[b ^ 1], g)
+                    k = len(lits)
+                    ends += (k - 5, k - 3, k)
+                    lm += (g, ng)
+                    g += 2
+                elif x == y or y == TRUE_LIT:
+                    lm += (x, x ^ 1)
+                elif x == TRUE_LIT:
+                    lm += (y, y ^ 1)
+                else:  # a false fanin, or x AND NOT x
+                    lm += (FALSE_LIT, TRUE_LIT)
+        tail: List[List[Lit]] = []  # clauses of the wide ANDs, held and reach
+
+        def conj(ls: List[Lit]) -> Lit:
+            nonlocal g
+            x = _and(ls, g, tail)
+            if x == g:
                 g += 2
-            elif x == y or y == TRUE_LIT:
-                lm += (x, x ^ 1)
-            elif x == TRUE_LIT:
-                lm += (y, y ^ 1)
-            else:  # a false fanin, or x AND NOT x
-                lm += (FALSE_LIT, TRUE_LIT)
-        s.new_vars(g // 2 - s.num_vars)
-        tail: List[List[Lit]] = []  # clauses of the vars allocated one by one
+            return x
+
         for f in t.wide:
-            x = self._and([lm[a] for a in f], tail)
+            x = conj([lm[a] for a in f])
             lm += (x, x ^ 1)
-        self._frames.append(lm[0::2])
-        d = self.depth
         prior = self._held[-1:]  # held(d-1), if there is a frame before
-        self._held.append(self._and(
-            [self.lit_at(c, d) for c in ts.constraints] + prior, tail))
-        self._reach.append(self._and([self.bad_at(d)] + prior, tail))
+        held = conj([lm[c] for c in t.constraints] + prior)
+        reach = conj([lm[t.bad]] + prior)
+        if self.init and reach == FALSE_LIT and held < 2:
+            # no query reads this frame's property logic, and no later
+            # frame does either: leave it out before anything is allocated
+            del lits[cut[0]:], ends[cut[1]:], lm[cut[2]:], tail[:]
+            g = cut[3]
+        s.new_vars(g // 2 - s.num_vars)
         for cl in tail:
             lits += cl
             ends.append(len(lits))
+        self._frames.append(lm[0::2])
+        self._held.append(held)
+        self._reach.append(reach)
         s.add_root_clauses(lits, ends)
-
-    def _and(self, lits: List[Lit], out: List[List[Lit]]) -> Lit:
-        """The AND of the solver literals `lits`, folded as `add_frame`
-        folds a gate; if two or more stay open, a fresh var g, with the
-        clauses that define it appended to `out`."""
-        kept: List[Lit] = []
-        for l in lits:
-            if l == FALSE_LIT or l ^ 1 in kept:
-                return FALSE_LIT
-            if l != TRUE_LIT and l not in kept:
-                kept.append(l)
-        if len(kept) < 2:
-            return kept[0] if kept else TRUE_LIT
-        g = 2 * self.solver.new_var()
-        out += [[l, g ^ 1] for l in kept]
-        out.append([l ^ 1 for l in kept] + [g])
-        return g
 
     def grow(self, depth: int) -> None:
         while self.depth < depth:
             self.add_frame()
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
-        return self._frames[frame][self.template.slot_of[lit >> 1]] ^ (lit & 1)
+        """The solver literal of `lit` in `frame`; `ValueError` if the frame
+        left out the property logic that defines it."""
+        row = self._frames[frame]
+        j = self.template.slot_of[lit >> 1]
+        if j >= len(row):
+            raise ValueError("var %d has no literal in frame %d: the frame "
+                             "left out its property logic" % (lit >> 1, frame))
+        return row[j] ^ (lit & 1)
 
     def bad_at(self, frame: int) -> Lit:
         return self.lit_at(self.ts.bad, frame)

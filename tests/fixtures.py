@@ -227,6 +227,23 @@ def shift_register(n: int) -> Aig:
     return b.build(bads=[s[-1]])
 
 
+def shift_lock(width: int, code: int) -> Aig:
+    """Shift register of `width` latches reset to 0 and fed by one input
+    (s0' = input, s_j' = s_{j-1}); bad = every latch s_j equals bit j of
+    `code`, whose oldest bit, j = width - 1, is set to 1.  So the shortest
+    counterexample has depth exactly `width`: the first input has to reach
+    the oldest latch."""
+    b = AigBuilder()
+    din = b.new_input()
+    reg = [b.new_latch(0) for _ in range(width)]
+    b.set_next(reg[0], din)
+    for j in range(1, width):
+        b.set_next(reg[j], reg[j - 1])
+    code |= 1 << (width - 1)
+    return b.build(bads=[b.conj([r if code >> j & 1 else ref_neg(r)
+                                 for j, r in enumerate(reg)])])
+
+
 def and_chain(n: int, inputs: int = 8) -> Aig:
     """`n` AND gates in a chain over one latch and `inputs` inputs: gate j
     ANDs gate j-1 (the latch, for j = 0) with input j mod (`inputs` + 1),

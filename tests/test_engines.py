@@ -11,7 +11,8 @@ from mcheck.transys import encode
 from mcheck.verdicts import InvariantCert, safe
 
 from fixtures import (AigBuilder, counter_overflow, induction_gap,
-                      mod_counter, padded_mod_counter, random_aig, ref_neg)
+                      mod_counter, padded_mod_counter, random_aig, ref_neg,
+                      shift_lock)
 from oracle import bfs_check
 
 
@@ -57,10 +58,8 @@ def test_bmc_deep_counterexample():
     assert ok, why
 
 
-def test_bmc_folds_a_run_the_reset_state_fixes(monkeypatch):
-    """`counter_overflow(8)` has no input, so from its reset state every
-    frame folds to constants: BMC makes one query, at depth 256, on a
-    solver of a few vars, and the witness replays."""
+def _record_solvers(monkeypatch):
+    """Every solver the engines make from now on."""
     solvers = []
 
     class Recording(engines.Solver):
@@ -69,6 +68,14 @@ def test_bmc_folds_a_run_the_reset_state_fixes(monkeypatch):
             solvers.append(self)
 
     monkeypatch.setattr(engines, "Solver", Recording)
+    return solvers
+
+
+def test_bmc_folds_a_run_the_reset_state_fixes(monkeypatch):
+    """`counter_overflow(8)` has no input, so from its reset state every
+    frame folds to constants: BMC makes one query, at depth 256, on a
+    solver of a few vars, and the witness replays."""
+    solvers = _record_solvers(monkeypatch)
     aig = counter_overflow(8)
     v = bmc(build_transys(aig), max_depth=300)
     assert v.is_unsafe and v.stats.depth == 256
@@ -230,19 +237,31 @@ def test_stats_count_every_solver_of_a_run(monkeypatch):
 def _bmc_counts(aig, monkeypatch):
     """BMC through the engine front end; returns the verdict and the search
     figures that must not depend on logic outside the cone."""
-    solvers = []
-
-    class Recording(engines.Solver):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solvers.append(self)
-
-    monkeypatch.setattr(engines, "Solver", Recording)
+    solvers = _record_solvers(monkeypatch)
     v = run_config(aig, EngineConfig("bmc"))
     st = v.stats.solver
     (solver,) = solvers
     return v, (st.solves, st.conflicts, st.decisions, st.propagations,
                solver.num_vars)
+
+
+@pytest.mark.parametrize("width", [20, 40, 80])
+def test_bmc_loads_no_property_logic_it_never_queries(monkeypatch, width):
+    """Before depth `width` the lock's oldest latch is the constant 0, so
+    every `reach` folds to false, and BMC loads none of those frames'
+    comparator gates.  Only the frame it queries holds its `width` - 1
+    gates, so the solver's clauses stay linear in `width`: 3 per gate, 1
+    window clause, and no clause for the shifts, which fold to the
+    previous frame's literals.  Loading every frame's comparator would take
+    about 1.5 * width**2."""
+    solvers = _record_solvers(monkeypatch)
+    aig = shift_lock(width, 0x5A5A5A5A5A5A5A5A5A5A)
+    v = run_config(aig, EngineConfig("bmc"))
+    assert v.is_unsafe and v.stats.depth == width
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+    (solver,) = solvers
+    assert len(solver.clauses) + solver.num_bins <= 3 * width + 1
 
 
 def test_bmc_cost_does_not_depend_on_the_pad(monkeypatch):

@@ -297,6 +297,31 @@ def test_portfolio_race_starts_at_once_after_unknown(monkeypatch, safe1):
     assert r.outcomes[0].reason
 
 
+def test_portfolio_starts_no_abs_cst_twin_without_constraints(monkeypatch, safe1):
+    """Without constraints, ic3+dynamic+abs-cst runs ic3+dynamic's search:
+    when the race starts after the first config, it is not started, and
+    its reason names that config.  Alone, or on a constrained model, it
+    starts."""
+    monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
+    started = _spy_threads(monkeypatch)
+    cfgs = [EngineConfig("bmc", bmc_max=2), EngineConfig("ic3"),
+            EngineConfig("ic3", abs_cst=True)]
+    r = run_portfolio(safe1, workers=3, configs=cfgs)
+    assert r.verdict.is_safe and r.winner is cfgs[1]
+    assert len(started) == 1
+    assert _statuses(r) == ["no-verdict", "won", "not-started"]
+    assert r.outcomes[2].reason == "same search as ic3+dynamic: no constraints"
+    started.clear()
+    r = run_portfolio(safe1, workers=2, configs=[cfgs[0], cfgs[2]])
+    assert r.verdict.is_safe and r.winner is cfgs[2] and len(started) == 1
+    # the constraint pins the latch at 0, so the toggling bad is unreachable
+    constrained = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
+    started.clear()
+    r = run_portfolio(constrained, workers=3, configs=cfgs)
+    assert r.verdict.is_safe and len(started) == 2
+    assert _statuses(r)[2] in ("won", "cancelled")
+
+
 def test_portfolio_engine_error_in_first_config(monkeypatch, safe1):
     monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
     cfgs = [EngineConfig("kind"), EngineConfig("ic3")]

@@ -14,13 +14,24 @@ from mcheck.transys import Unroller, coi_vars, encode, ref_to_lit, simplify_cnf
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, FALSE_REF, TRUE_REF,
                       AigBuilder, counter_with_reset, mod_counter,
-                      padded_mod_counter, random_aig, ref_neg)
+                      padded_mod_counter, random_aig, ref_neg, shift_lock)
 from oracle import bfs_check, simplify_fixpoint
 
 
 def _lit_value(s, lit):
     v = s.model_value(lit >> 1, default=False)
     return int(v) ^ (lit & 1)
+
+
+def _left_out(un, d):
+    """The vars frame d of `un` must leave out: the property part, every
+    definition outside the cone of the latches' next states, in a frame
+    built from init whose reach folded to false and whose held folded to a
+    constant; no var in any other frame."""
+    ts = un.ts
+    if un.init and un.reach(d) == FALSE_LIT and un.held(d) < 2:
+        return set(ts.defs) - coi_vars(ts.next_map.values(), ts.defs, {})
+    return set()
 
 
 def test_unrolling_matches_concrete_simulation(rng):
@@ -59,7 +70,12 @@ def test_unrolling_matches_concrete_simulation(rng):
                 assert got == vals[aig.latches[j].var], (t, j)
             bad_ref = aig.bads[0]
             want_bad = vals[bad_ref >> 1] ^ (bad_ref & 1)
-            assert _lit_value(s, un.bad_at(t)) == want_bad, t
+            if ts.bad >> 1 in _left_out(un, t):  # reach(t), bad here, is false
+                with pytest.raises(ValueError, match="frame %d" % t):
+                    un.bad_at(t)
+                assert want_bad == 0, t
+            else:
+                assert _lit_value(s, un.bad_at(t)) == want_bad, t
             latch_vals = {lt.var: vals[lt.next >> 1] ^ (lt.next & 1)
                           for lt in aig.latches}
 
@@ -175,9 +191,10 @@ def test_folded_frames_match_simulation(rng):
     with init and without, every var a frame maps takes its simulated value
     under a fixed start state and stimulus, constant literals included: a
     node its value, a primed var its latch's next state, and the aux var
-    bad and the constraints together.  `held(d)` and
+    bad and the constraints together.  A frame maps every var but those
+    `_left_out` names, and `lit_at` raises on those.  `held(d)` and
     `reach(d)` can hold exactly when the simulation says so."""
-    folded = kept = 0
+    folded = kept = dropped = 0
     for _ in range(60):
         aig = random_aig(rng, constraint_prob=0.6)
         depth = rng.randint(1, 4)
@@ -214,7 +231,13 @@ def test_folded_frames_match_simulation(rng):
                         if lt.var in un.template.slot_of
                         and lt.init is not None]
                 for t in range(depth + 1):
+                    gone = _left_out(un, t)
                     for v in un.template.slot_of:
+                        if v in gone:
+                            with pytest.raises(ValueError, match="var %d " % v):
+                                un.lit_at(2 * v, t)
+                            dropped += 1
+                            continue
                         if v == 0:  # true in CNF, false as an AIGER node
                             want = 1
                         elif v in primed:
@@ -231,7 +254,7 @@ def test_folded_frames_match_simulation(rng):
                     assert s.solve(fix + [un.held(t)]) is held[t]
                     assert s.solve(fix + [un.reach(t)]) is (
                         held[t] and bool(value(aig.bads[0], t)))
-    assert folded > 500 and kept > 500
+    assert folded > 500 and kept > 500 and dropped > 500
 
 
 def test_simplify_leaves_input_unchanged(rng):
@@ -291,7 +314,9 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
     holds three clauses per gate left open (and frame 0 the constant's
     unit), none of which names a var twice; with init and without.  The
     enable input comes before the latches in var order but after them in
-    slot order."""
+    slot order.  From init, bad = 10 folds to false at depths 0..3, so each
+    of those frames leaves out its property part: `lit_at` raises there,
+    and the batch holds no clause of it."""
     batches = _recorded_batches(monkeypatch)
     ts = encode(mod_counter(4, 6, 10, enable=True))
     slot_of = ts.frame_template.slot_of
@@ -305,8 +330,14 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
         assert len(batches) == 4
         top = 1  # the first var of the frame
         for d, batch in enumerate(batches):
+            gone = _left_out(un, d)
+            for x in gone:
+                with pytest.raises(ValueError, match="frame %d" % d):
+                    un.lit_at(2 * x, d)
+            assert bool(gone) is init  # bad is unreachable from reset
             new = list(dict.fromkeys(v for v in (un.lit_at(2 * x, d) >> 1
-                                                 for x in order) if v >= top))
+                                                 for x in order
+                                                 if x not in gone) if v >= top))
             assert new == list(range(top, top + len(new)))
             gates = len(new) - len(ts.input_vars)
             if d == 0 and not init:
@@ -319,6 +350,36 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
                 assert len({l >> 1 for l in cl}) == len(cl)
             top += len(new)
         assert top == s.num_vars
+
+
+def test_left_out_literals_raise():
+    """From init, `shift_lock(8, ...)`'s bad folds to false at depths 0..7,
+    so those frames leave out its 7 comparator gates, the whole property
+    part: `lit_at` and `bad_at` on one of them raise `ValueError` naming the
+    var and the frame, and no var was allocated for them.  Frame 8, where
+    the lock can open, keeps them, and so does every frame of an init-free
+    unroller."""
+    ts = build_transys(shift_lock(8, 0b1011))
+    prop = set(ts.defs) - coi_vars(ts.next_map.values(), ts.defs, {})
+    assert ts.bad >> 1 in prop and len(prop) == 7
+    s = Solver()
+    un = Unroller(ts, s)
+    un.grow(8)
+    for d in range(8):
+        assert un.reach(d) == FALSE_LIT and un.held(d) == TRUE_LIT
+        with pytest.raises(ValueError, match="var %d has no literal in frame %d"
+                           % (ts.bad >> 1, d)):
+            un.bad_at(d)
+        for v in prop:
+            with pytest.raises(ValueError, match="var %d .* frame %d" % (v, d)):
+                un.lit_at(2 * v + 1, d)
+    assert un.reach(8) == un.bad_at(8) > TRUE_LIT
+    assert {un.lit_at(2 * v, 8) >> 1 for v in prop} == set(range(10, 17))
+    assert s.num_vars == 1 + 9 + 7  # var 0, one input per frame, the gates
+    free = Unroller(ts, Solver(), init=False)
+    free.grow(8)
+    for d in range(9):
+        assert all(free.lit_at(2 * v, d) > TRUE_LIT for v in prop)
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
