@@ -28,27 +28,49 @@ is false, else the first.  Under the model's input bits, every state in the
 cube of latch literals the walk reaches satisfies the constraints and steps
 into the targets; this is the end ternary simulation serves in the PDR of
 Eén, Mishchenko and Brayton ("Efficient Implementation of Property Directed
-Reachability", FMCAD 2011).  Every cube names only latches of the system,
-so `cube_intersects_init` decides overlap with init exactly.
+Reachability", FMCAD 2011).  A walk that reaches no latch gives the empty
+cube: every state, an initial one too, steps into the targets.  Every cube
+names only latches of the system, so `cube_intersects_init` decides overlap
+with init exactly.
+
+A state is held as two int masks over the latches, of the ones it makes
+true and of the ones it makes false, and each lemma enters a log as its
+level and the masks of its positive and negative literals; a state refutes
+a lemma, so satisfies its clause, if one of its literals is false there.
 
 A push that fails leaves its lemma a counterexample: the state of the sat
 model, kept in `_push_cex` with the length of the lemma log at that time.
 The next push of that lemma from the same level is skipped while the state
 refutes every lemma logged since at that level or above: the old model
 still satisfies F_i ∧ T ∧ c′, so the query would answer sat again.  An
-entry goes when its lemma leaves its level, and the log is cut after each
-propagation pass to the lemmas the oldest entry has not yet seen.
+entry goes when its lemma leaves its level.
+
+Each sat answer of `solve_relative` also enters a ring of the last
+`MODEL_RING`, as its level, its state and next-state masks, its model and
+the length of the lemma log.  A query at level i on cube c is answered from
+the newest stored model that satisfies it as it stands, with no solver
+call: one recorded at a level <= i, whose next state lies in c, whose state
+lies outside c if the query blocks c, whose state refutes every lemma logged
+since at level i-1 or above (the push memo's test), and that assigns every
+var of the query's domain, so that lifting reads no open var.  That model
+becomes the current one, which `_model_state_cube`, `_model_inputs` and the
+lifting walk read.  The memo keeps its per-lemma entries beside the ring:
+on long runs a failed push's state is often older than the last 32 answers.
+The log is cut after each propagation pass to the lemmas that the oldest
+memo or ring entry has not yet seen.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Deque, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .aiger import WitnessTrace, replay
 from .logic import Cube, negate, subsumes
-from .satcore import Solver, SolverStats
+from .satcore import UNDEF, Solver, SolverStats
 from .transys import TranSys, coi_vars, encode
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
 
@@ -62,8 +84,14 @@ CTG_DEPTH = 1  # recursion depth of CTG blocking inside MIC
 CTG_LIMIT = 3  # CTGs blocked per candidate before joining
 EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
 DOMAIN_CACHE_LIMIT = 1024  # cached query domains before the cache starts over
+MODEL_RING = 32  # last sat answers a relative-induction query may reuse
 DYNAMIC_T1 = 3  # failed blocks before a dynamic cube escalates to CTG
 DYNAMIC_T2 = 6  # failed blocks before it may escalate to extended CTG
+
+# translations of a model byte to 1 where the var is true (_TRUE) or false
+# (_FALSE), and to 0 elsewhere
+_TRUE = bytes.maketrans(bytes((0, 1, UNDEF)), bytes((0, 1, 0)))
+_FALSE = bytes.maketrans(bytes((0, 1, UNDEF)), bytes((1, 0, 0)))
 
 
 @dataclass
@@ -90,6 +118,7 @@ class Ic3Stats:
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
     push_skips: int = 0  # pushes known to fail, not counted in solver_calls
+    ring_answers: int = 0  # queries a stored model answered, not in solver_calls
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
     solver: Optional[SolverStats] = None  # the one solver's counts
@@ -150,15 +179,26 @@ class IC3:
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
+        self._primed_vars = [ts.next_map[v] for v in self._state_vars]
+        self._bit = {v: 1 << 8 * i for i, v in enumerate(self._state_vars)}
         self._free = {0, *ts.input_vars}  # the lifting walk's preferred leaves
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
-        # per lemma: [level, counterexample state of its last failed push
-        # from there, absolute lemma-log length when it was read]
+        # per lemma: [level, true and false masks of the counterexample state
+        # of its last failed push from there, absolute lemma-log length when
+        # it was read]
         self._push_cex: Dict[Cube, list] = {}
-        # (level, cube) of each lemma added since absolute position _log_base
-        self._lemma_log: List[Tuple[int, Cube]] = []
+        # (level, positive mask, negative mask) of each lemma added since
+        # absolute position _log_base
+        self._lemma_log: List[Tuple[int, int, int]] = []
         self._log_base = 0
+        # the current model, one byte per var (1 true, 0 false, UNDEF open),
+        # and the last sat answers of solve_relative, newest first:
+        # (level, next-state true and false masks, state true and false
+        # masks, model, lemma-log length)
+        self._model = b""
+        self._ring: Deque[tuple] = deque(maxlen=MODEL_RING)
+        self._answer: tuple = ()  # the ring entry of the current model
 
     # -- plumbing -----------------------------------------------------------
 
@@ -194,21 +234,34 @@ class IC3:
         return domain
 
     def _model_state_cube(self) -> Cube:
-        s = self.solver
-        out = []
-        for v in self._state_vars:
-            val = s.model_value(v)
-            if val is not None:
-                out.append(2 * v + (0 if val else 1))
-        return tuple(out)
+        m = self._model
+        return tuple(2 * v + (m[v] ^ 1) for v in self._state_vars if m[v] != UNDEF)
 
     def _model_inputs(self) -> List[int]:
-        s = self.solver
-        return [int(s.model_value(v, default=False)) for v in self.ts.input_vars]
+        m = self._model
+        return [m[v] & 1 for v in self.ts.input_vars]  # an open input reads 0
+
+    def _masks(self, vars_: Sequence[int]) -> Tuple[int, int]:
+        """Masks, by latch position, of the vars the current model makes true
+        and of those it makes false."""
+        b = bytes(map(self._model.__getitem__, vars_))
+        return (int.from_bytes(b.translate(_TRUE), "little"),
+                int.from_bytes(b.translate(_FALSE), "little"))
+
+    def _cube_masks(self, cube: Cube) -> Tuple[int, int]:
+        """Masks of the positive and of the negative literals of a cube."""
+        bit = self._bit
+        pos = neg = 0
+        for l in cube:
+            if l & 1:
+                neg |= bit[l >> 1]
+            else:
+                pos |= bit[l >> 1]
+        return pos, neg
 
     def _predecessor(self, targets: Sequence[int],
                      state: Optional[Cube] = None) -> Tuple[Cube, List[int]]:
-        """The main solver's model as a lifted predecessor of `targets`
+        """The current model as a lifted predecessor of `targets`
         (literals one step on) and the input bits of that step; `state` is
         the model's state cube if the caller has read it already."""
         if state is None:
@@ -217,25 +270,47 @@ class IC3:
 
     # -- queries ------------------------------------------------------------
 
+    def _solve(self, assume: List[int], domain: Set[int]) -> bool:
+        """One query on the solver; a sat model becomes the current one."""
+        self.stats.solver_calls += 1
+        res = self.solver.solve(assume, domain=domain, cancel_check=self.cancel)
+        if res is None:
+            raise _Cancelled()
+        if res:
+            self._model = self.solver.model()
+        return res
+
     def solve_relative(self, cube: Cube, level: int, block_self: bool = True):
         """F_{level-1} ∧ constraints ∧ [¬cube] ∧ T ∧ cube′.
 
         Returns (False, kept_cube) on unsat (cube literals whose primed
-        assumption made it into the core) or (True, None) on sat; the model
-        stays readable on the main solver.
+        assumption made it into the core) or (True, None) on sat; a sat
+        model, the solver's or one from the ring, becomes the current one.
         """
         assert level >= 1
-        self.stats.solver_calls += 1
+        pos, neg = self._cube_masks(cube)
+        domain = None
+        for e in self._ring:
+            e_level, nt, nf, st, sf, model, since = e
+            if (pos & nt == pos and neg & nf == neg and e_level <= level
+                    and (not block_self or pos & sf or neg & st)
+                    and self._holds_since(st, sf, since, level - 1)):
+                if domain is None:
+                    domain = self._query_domain(cube)
+                if UNDEF not in bytes(map(model.__getitem__, domain)):
+                    self.stats.ring_answers += 1
+                    self._model, self._answer = model, e
+                    return True, None
         s = self.solver
         if block_self:
             s.add_clause(negate(cube), temporary=True)
         primed = sorted(self.ts.prime(l) for l in cube)
-        assume = self._frame_assumptions(level - 1) + primed
-        res = s.solve(assume, domain=self._query_domain(cube),
-                      cancel_check=self.cancel)
-        if res is None:
-            raise _Cancelled()
-        if res:
+        if self._solve(self._frame_assumptions(level - 1) + primed,
+                       domain or self._query_domain(cube)):
+            self._answer = (level, *self._masks(self._primed_vars),
+                            *self._masks(self._state_vars), self._model,
+                            self._log_end())
+            self._ring.appendleft(self._answer)
             return True, None
         core = set(s.unsat_core())
         kept = tuple(l for l in cube if self.ts.prime(l) in core)
@@ -243,10 +318,10 @@ class IC3:
 
     def lift_predecessor(self, state_cube: Cube,
                          targets: Sequence[int]) -> Cube:
-        """The literals of `state_cube`, the main solver's model, that the
+        """The literals of `state_cube`, the current model's state, that the
         justification walk reaches from the constraints and `targets` (see
-        the module docstring), or all of them if it reaches none."""
-        val = self.solver.model_value
+        the module docstring); none if it reaches no latch."""
+        m = self._model
         defs, free = self.ts.defs, self._free
         stack = [*self.ts.constraints, *targets]  # literals true in the model
         seen = set()
@@ -261,11 +336,10 @@ class IC3:
             if not l & 1:
                 stack += fanins
             else:
-                false = [f for f in fanins if val(f >> 1) == (f & 1)]
+                false = [f for f in fanins if m[f >> 1] == (f & 1)]
                 f = next((f for f in false if f >> 1 in free), false[0])
                 stack.append(f ^ 1)
-        kept = tuple(l for l in state_cube if l in seen)
-        return kept if kept else state_cube
+        return tuple(l for l in state_cube if l in seen)
 
     def _repair_init(self, kept: Cube, full: Cube) -> Cube:
         """Core shrinking may re-introduce an init overlap; restore one
@@ -293,7 +367,7 @@ class IC3:
                 frame.discard(d)
                 self._push_cex.pop(d, None)
         self.frames[level].add(cube)
-        self._lemma_log.append((level, cube))
+        self._lemma_log.append((level, *self._cube_masks(cube)))
         self.solver.add_clause(negate(cube) + (2 * self.acts[level] + 1,))
         self.stats.lemmas += 1
         vars_ = [l >> 1 for l in cube]
@@ -418,14 +492,8 @@ class IC3:
 
     def get_bad(self) -> Optional[_Obligation]:
         """Solve F_k ∧ constraints ∧ bad; on sat, return a lifted obligation."""
-        self.stats.solver_calls += 1
-        s = self.solver
-        assume = self._frame_assumptions(self.k) + [self.ts.bad]
-        res = s.solve(assume, domain=self._query_domain(None),
-                      cancel_check=self.cancel)
-        if res is None:
-            raise _Cancelled()
-        if not res:
+        if not self._solve(self._frame_assumptions(self.k) + [self.ts.bad],
+                           self._query_domain(None)):
             return None
         cube, bits = self._predecessor([self.ts.bad])
         return _Obligation(self.k, cube, bits, None)
@@ -464,7 +532,7 @@ class IC3:
                 while j < self.k:
                     r2, _ = self.solve_relative(g, j + 1)
                     if r2 is not False:
-                        cex = [j, set(self._model_state_cube()), since]
+                        cex = [j, *self._answer[3:5], since]
                         break
                     j += 1
                 self.add_lemma(g, j)
@@ -531,11 +599,11 @@ class IC3:
                     self._push_cex.pop(cube, None)
                     self.add_lemma(self._repair_init(kept, cube), i + 1)
                 else:
-                    self._push_cex[cube] = [i, set(self._model_state_cube()), since]
-        # every entry was read or refreshed in this pass: drop the log
-        # prefix that no entry still has to check
-        start = min((m[2] for m in self._push_cex.values()),
-                    default=self._log_end())
+                    self._push_cex[cube] = [i, *self._answer[3:5], since]
+        # every memo entry was read or refreshed in this pass: drop the log
+        # prefix that no memo or ring entry still has to check
+        start = min([m[3] for m in self._push_cex.values()]
+                    + [e[6] for e in self._ring], default=self._log_end())
         del self._lemma_log[:start - self._log_base]
         self._log_base = start
         for i in range(1, self.k):
@@ -546,19 +614,24 @@ class IC3:
     def _log_end(self) -> int:
         return self._log_base + len(self._lemma_log)
 
+    def _holds_since(self, st: int, sf: int, since: int, level: int) -> bool:
+        """Whether the state whose true and false latches are `st` and `sf`
+        refutes every lemma logged from absolute position `since` on at a
+        level >= `level`, so that it still satisfies the lemmas of F_level
+        it satisfied then.  A latch the model left open refutes nothing."""
+        for lv, pos, neg in self._lemma_log[since - self._log_base:]:
+            if lv >= level and not (pos & sf or neg & st):
+                return False
+        return True
+
     def _push_fails_again(self, cube: Cube, i: int) -> bool:
         """Whether the counterexample state of the last failed push of
-        `cube` from level i refutes every lemma logged since at a level >= i,
-        so that it still satisfies F_i and the push would fail again.  A var
-        the old model left unassigned refutes nothing."""
+        `cube` from level i still satisfies F_i, so that the push would fail
+        again."""
         memo = self._push_cex.get(cube)
-        if memo is None or memo[0] != i:
+        if memo is None or memo[0] != i or not self._holds_since(*memo[1:], i):
             return False
-        state = memo[1]
-        for level, d in self._lemma_log[memo[2] - self._log_base:]:
-            if level >= i and not any(l ^ 1 in state for l in d):
-                return False
-        memo[2] = self._log_end()
+        memo[3] = self._log_end()
         return True
 
     def _invariant(self, fixpoint: int) -> InvariantCert:
@@ -569,13 +642,8 @@ class IC3:
         try:
             self._new_frame()  # k = 1
             # 0-step case: init ∧ constraints ∧ bad
-            self.stats.solver_calls += 1
-            res = self.solver.solve(
-                self._frame_assumptions(0) + [self.ts.bad],
-                domain=self._query_domain(None), cancel_check=self.cancel)
-            if res is None:
-                raise _Cancelled()
-            if res:
+            if self._solve(self._frame_assumptions(0) + [self.ts.bad],
+                           self._query_domain(None)):
                 head = _Obligation(0, self._model_state_cube(),
                                    self._model_inputs(), None)
                 return unsafe(self._trace(head), stats=self.stats)

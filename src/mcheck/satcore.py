@@ -893,5 +893,9 @@ class Solver:
             return default
         return a == 1
 
+    def model(self) -> bytes:
+        """The last Sat answer's value per var: 1 true, 0 false, UNDEF open."""
+        return bytes(self._model)
+
     def unsat_core(self) -> Tuple[int, ...]:
         return self._core

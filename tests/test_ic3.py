@@ -7,8 +7,11 @@ from mcheck import ic3
 from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, STANDARD,
-                        Ic3Options, select_strategy, check as ic3_check)
+from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, MODEL_RING,
+                        STANDARD, Ic3Options, select_strategy,
+                        check as ic3_check)
+from mcheck.logic import negate
+from mcheck.satcore import UNDEF
 from mcheck.transys import coi_vars, encode, ref_to_lit, simplify_cnf
 
 from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
@@ -142,7 +145,8 @@ class _EscalationIC3(IC3):
 def escalations():
     given = []
     for aig in (mod_counter(6, 20, 40), mod_counter(6, 24, 40, enable=True),
-                mod_counter(6, 20, 33, enable=True), mod_counter(6, 20, 33)):
+                mod_counter(6, 20, 33, enable=True), mod_counter(6, 20, 33),
+                mod_counter(6, 32, 60)):
         engine = _EscalationIC3(encode(aig), Ic3Options(strategy=DYNAMIC))
         assert engine.check().is_safe
         given += engine.given
@@ -236,7 +240,7 @@ def test_deep_counterexample_found():
 def test_solver_vars_stay_bounded():
     # one activation var per frame and one reused for the temporaries: the
     # solver does not grow with the number of queries
-    engine = IC3(encode(mod_counter(6, 32, 60, enable=True)),
+    engine = IC3(encode(mod_counter(6, 48, 60, enable=True)),
                  Ic3Options(strategy=DYNAMIC))
     assert engine.check().is_safe
     assert engine.stats.solver_calls > 500
@@ -244,16 +248,34 @@ def test_solver_vars_stay_bounded():
     assert engine.solver.num_vars <= n + engine.k + 2
 
 
-class _CheckedLifts(IC3):
+class _RingTracking(IC3):
+    """Notes whether the current model came from the ring of stored sat
+    answers (`from_ring`) or from the solver."""
+
+    from_ring = False
+
+    def solve_relative(self, cube, level, block_self=True):
+        before = self.stats.ring_answers
+        out = super().solve_relative(cube, level, block_self)
+        self.from_ring = self.stats.ring_answers > before
+        return out
+
+    def get_bad(self):
+        self.from_ring = False
+        return super().get_bad()
+
+
+class _CheckedLifts(_RingTracking):
     """IC3 that checks each lifted cube by brute force over the source AIG:
     under the model's input bits, every completion of the latches outside
     the cube satisfies the constraints and steps into the targets."""
 
-    lifts = 0
+    lifts = ring_lifts = 0
 
     def lift_predecessor(self, state_cube, targets):
         cube = super().lift_predecessor(state_cube, targets)
         self.lifts += 1
+        self.ring_lifts += self.from_ring
         ts, aig = self.ts, self.ts.source
         frame = ts.widen_witness([], [self._model_inputs()]).input_frames[0]
         inputs = dict(zip(aig.inputs, frame))
@@ -284,7 +306,7 @@ class _CheckedLifts(IC3):
 
 
 def test_lifted_cubes_hold_for_every_completion(rng):
-    lifts = 0
+    lifts = ring_lifts = 0
     for _ in range(300):
         aig = random_aig(rng, constraint_prob=1.0)
         if all(lt.init is not None for lt in aig.latches):
@@ -294,7 +316,42 @@ def test_lifted_cubes_hold_for_every_completion(rng):
             engine = _CheckedLifts(encode(aig), Ic3Options(strategy=strategy))
             assert engine.check().status == want
             lifts += engine.lifts
+            ring_lifts += engine.ring_lifts
     assert lifts > 100
+    # the random circuits rarely lift a model the ring answered with; the
+    # enable counters, whose blocks and CTG checks fail often, do
+    for aig in (mod_counter(6, 20, 33, enable=True),
+                mod_counter(5, 24, 28, enable=True)):
+        for strategy in (DYNAMIC, EXCTG):
+            engine = _CheckedLifts(encode(aig), Ic3Options(strategy=strategy))
+            assert engine.check().is_safe
+            ring_lifts += engine.ring_lifts
+    assert ring_lifts > 100
+
+
+class _RecordedLifts(IC3):
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.lifted = []
+
+    def lift_predecessor(self, state_cube, targets):
+        cube = super().lift_predecessor(state_cube, targets)
+        self.lifted.append(cube)
+        return cube
+
+
+def test_lift_that_reaches_no_latch_is_the_empty_cube():
+    # latch a reads input x, latch b reads a, bad = b: the step into a is
+    # justified by x alone, so every state is a predecessor, an initial one
+    # too, and the obligation is traced from init at once
+    aig = parse_aiger(b"aag 3 1 2 0 0 1\n2\n4 2\n6 4\n6\n")
+    engine = _RecordedLifts(encode(aig), Ic3Options(strategy=DYNAMIC))
+    v = engine.check()
+    assert v.is_unsafe
+    assert () in engine.lifted
+    ok, why = verify_verdict(aig, 0, v)
+    assert ok, why
+    assert len(v.witness.input_frames) == 3
 
 
 class _FreshDomains(IC3):
@@ -338,9 +395,9 @@ def test_cached_query_domains_match_a_fresh_walk(rng):
     pytest.param(mod_counter(6, 20, 33, enable=True), "safe", id="mod(6,20,33)"),
     pytest.param(padded_mod_counter(6, 20, 33, pad=6, enable=True), "safe",
                  id="mod(6,20,33,pad=6)"),
-    pytest.param(mod_counter(5, 24, 28, enable=True), "safe", id="mod(5,24,28)"),
-    pytest.param(padded_mod_counter(5, 24, 28, pad=4, enable=True), "safe",
-                 id="mod(5,24,28,pad=4)"),
+    pytest.param(mod_counter(5, 20, 30, enable=True), "safe", id="mod(5,20,30)"),
+    pytest.param(padded_mod_counter(5, 20, 30, pad=4, enable=True), "safe",
+                 id="mod(5,20,30,pad=4)"),
     pytest.param(counter_overflow(4), "unsafe", id="overflow(4)"),
 ])
 def test_cached_domains_cover_deep_queries(aig, status, monkeypatch):
@@ -417,6 +474,54 @@ def test_skipped_pushes_would_fail(strategy, rng):
     assert rechecked > 0
 
 
+class _CheckedRing(_RingTracking):
+    """Re-solves on the solver each query the ring answers, with the stored
+    model's state literals and input bits as extra assumptions, so that the
+    model the search goes on with is checked, not only the answer; and
+    checks that the model assigns the query's whole domain, which the
+    lifting walk reads."""
+
+    rechecked = 0
+
+    def solve_relative(self, cube, level, block_self=True):
+        out = super().solve_relative(cube, level, block_self)
+        if self.from_ring:
+            model = self._model
+            assert all(model[v] != UNDEF for v in self._query_domain(cube))
+            ts, s = self.ts, self.solver
+            if block_self:
+                s.add_clause(negate(cube), temporary=True)
+            inputs = [2 * v + 1 - b
+                      for v, b in zip(ts.input_vars, self._model_inputs())]
+            assume = (self._frame_assumptions(level - 1)
+                      + [ts.prime(l) for l in cube]
+                      + list(self._model_state_cube()) + inputs)
+            assert s.solve(assume) is True, (cube, level, block_self)
+            self.rechecked += 1
+        return out
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_ring_answers_are_models_of_their_queries(strategy, rng):
+    models = [random_aig(rng) for _ in range(30)]
+    models += [mod_counter(6, 20, 33, enable=True),
+               mod_counter(5, 24, 28, enable=True)]
+    # here a new lemma widens a query's domain past the vars a stored model
+    # assigns, so the ring must pass over that model
+    models.append(random_aig(random.Random(40_133), max_latches=10,
+                             max_gates=80))
+    rechecked = 0
+    for aig in models:
+        engine = _CheckedRing(encode(aig), Ic3Options(strategy=strategy))
+        v = engine.check()
+        assert v.status in ("safe", "unsafe"), v.reason
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why
+        assert engine.rechecked == v.stats.ring_answers
+        rechecked += engine.rechecked
+    assert rechecked > 0
+
+
 def test_push_memo_skips_pushes_on_an_enable_counter():
     v = ic3_check(encode(mod_counter(6, 20, 33, enable=True)),
                   Ic3Options(strategy=DYNAMIC))
@@ -425,24 +530,27 @@ def test_push_memo_skips_pushes_on_an_enable_counter():
 
 
 class _BoundedMemo(IC3):
-    """Checks that each memo entry belongs to a live lemma at its level, and
-    that after a propagation pass the lemma log holds no lemma older than
-    the pass."""
+    """Checks that each memo entry belongs to a live lemma at its level,
+    that the ring of stored models never exceeds `MODEL_RING`, and that
+    after a propagation pass the lemma log starts at the oldest position a
+    memo or ring entry still reads."""
 
     def _check_memo(self):
         assert len(self._push_cex) <= sum(len(f) for f in self.frames)
-        for cube, (level, _, _) in self._push_cex.items():
+        for cube, (level, _, _, _) in self._push_cex.items():
             assert cube in self.frames[level]
+        assert len(self._ring) <= MODEL_RING
 
     def add_lemma(self, cube, level):
         super().add_lemma(cube, level)
         self._check_memo()
 
     def propagate(self):
-        before = self.stats.lemmas
         out = super().propagate()
         self._check_memo()
-        assert len(self._lemma_log) <= self.stats.lemmas - before
+        since = [m[3] for m in self._push_cex.values()]
+        since += [e[6] for e in self._ring]
+        assert self._log_base == min(since, default=self._log_end())
         return out
 
 

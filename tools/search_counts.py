@@ -1,6 +1,7 @@
 """Per-model search counts of one benchmark workload, one JSON line each.
 
     python3 tools/search_counts.py --workload bmc-deep --seed 1
+    python3 tools/search_counts.py --workload ic3-deep --seed 1 --relabel 8
 
 Builds the seeded corpus of ``bench/corpus.py`` (read only), decides every
 model with the workload's engine configuration, ``bmc(step=1)`` for
@@ -19,17 +20,31 @@ those keys, so a ``diff`` against it shows every line of that kind.  IC3
 runs one solver and lifts with no query, so on an IC3 line ``solves``
 equals ``solver_calls``; a checkout whose IC3 also had a lifting solver
 counted its solves there too, so a ``diff`` against it shows every IC3
-line.
+line.  IC3 lines also carry ``ring_answers``, the relative-induction
+queries answered from a stored sat model with no solver call (so not in
+``solver_calls``); against output from before that key, a ``diff`` shows
+every IC3 line.
+
+With ``--relabel R``, each model also runs under the labellings r = 1 to
+R-1: its inputs and latches shuffled by ``random.Random(r)`` and renumbered
+by ``aiger.reindex``, an isomorphic copy whose search moves the way any
+renumbering moves it.  Each such line carries ``"relabel": r``; the line of
+the model as built carries none, so the default output is unchanged.  One
+labelling cannot tell a better search from a luckier one, and the median
+and worst over several can.
 
 Exits 1, after printing every line, if some verdict is ``unknown``, differs
-from the model's known answer, or fails the check; each such verdict is also
-named on stderr.  A line without counts is a model the gate left unknown.
+from the model's known answer, or fails the check, under any labelling; each
+such verdict is also named on stderr.  A line without counts is a model the
+gate left unknown.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -39,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import corpus  # noqa: E402
-from mcheck.aiger import parse_aiger  # noqa: E402
+from mcheck.aiger import Aig, parse_aiger, reindex  # noqa: E402
 from mcheck.orchestrator import (EngineConfig, default_configs,  # noqa: E402
                                  run_portfolio)
 
@@ -52,6 +67,16 @@ def configs_for(workload: str) -> List[EngineConfig]:
     return default_configs(2)
 
 
+def relabel(aig: Aig, r: int) -> Aig:
+    """`aig` with its inputs and latches shuffled by `random.Random(r)`, then
+    renumbered in that order by `reindex`."""
+    rng = random.Random(r)
+    inputs, latches = list(aig.inputs), list(aig.latches)
+    rng.shuffle(inputs)
+    rng.shuffle(latches)
+    return reindex(dataclasses.replace(aig, inputs=inputs, latches=latches))
+
+
 def counts(verdict) -> dict:
     st = verdict.stats
     out = {"verdict": verdict.status}
@@ -59,7 +84,7 @@ def counts(verdict) -> dict:
         return out
     if hasattr(st, "lemmas"):  # Ic3Stats
         out.update(frames=st.frames, lemmas=st.lemmas, push_skips=st.push_skips,
-                   solver_calls=st.solver_calls)
+                   ring_answers=st.ring_answers, solver_calls=st.solver_calls)
     else:  # UnrollStats
         out["depth"] = st.depth
     for k in ("solves", "conflicts", "decisions", "propagations"):
@@ -71,25 +96,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(corpus.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--relabel", type=int, default=1, metavar="R",
+                    help="also run labellings 1..R-1 of each model")
     args = ap.parse_args(argv)
     wrong = 0
     for m in corpus.build(args.workload, args.seed):
-        aig = parse_aiger(corpus.to_aig_bytes(m))
-        for cfg in configs_for(args.workload):
-            result = run_portfolio(aig, configs=[cfg])
-            verdict = result.verdict
-            line = {"model": m.name, "config": cfg.name}
-            line.update(counts(verdict))
-            print(json.dumps(line))
-            if verdict.status == "unknown" or (
-                    m.expected is not None and verdict.status != m.expected):
-                wrong += 1
-                print("%s %s: %s, expected %s" % (m.name, cfg.name,
-                                                  verdict.status, m.expected),
-                      file=sys.stderr)
-            for _, reason in result.rejected:
-                print("%s %s: verdict rejected: %s" % (m.name, cfg.name, reason),
-                      file=sys.stderr)
+        built = parse_aiger(corpus.to_aig_bytes(m))
+        for r in range(max(args.relabel, 1)):
+            aig = relabel(built, r) if r else built
+            name = "%s relabel %d" % (m.name, r) if r else m.name
+            for cfg in configs_for(args.workload):
+                result = run_portfolio(aig, configs=[cfg])
+                verdict = result.verdict
+                line = {"model": m.name, "config": cfg.name}
+                if r:
+                    line["relabel"] = r
+                line.update(counts(verdict))
+                print(json.dumps(line))
+                if verdict.status == "unknown" or (
+                        m.expected is not None and verdict.status != m.expected):
+                    wrong += 1
+                    print("%s %s: %s, expected %s" % (name, cfg.name,
+                                                      verdict.status, m.expected),
+                          file=sys.stderr)
+                for _, reason in result.rejected:
+                    print("%s %s: verdict rejected: %s" % (name, cfg.name, reason),
+                          file=sys.stderr)
     return 1 if wrong else 0
 
 
