@@ -141,6 +141,10 @@ def _write(path: Optional[str], text: Optional[str], code: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    used = [f for f in ("ctg", "exctg", "dynamic", "standard", "abs_cst")
+            if getattr(args, f)]
+    if used and args.engine != "ic3":
+        parser.error("--%s needs --engine ic3" % used[0].replace("_", "-"))
 
     try:
         with open(args.file, "rb") as f:

@@ -38,26 +38,24 @@ true and of the ones it makes false, and each lemma enters a log as its
 level and the masks of its positive and negative literals; a state refutes
 a lemma, so satisfies its clause, if one of its literals is false there.
 
-A push that fails leaves its lemma a counterexample: the state of the sat
-model, kept in `_push_cex` with the length of the lemma log at that time.
-The next push of that lemma from the same level is skipped while the state
-refutes every lemma logged since at that level or above: the old model
-still satisfies F_i ∧ T ∧ c′, so the query would answer sat again.  An
-entry goes when its lemma leaves its level.
-
-Each sat answer of `solve_relative` also enters a ring of the last
+Each sat answer of `solve_relative` enters a ring of the last
 `MODEL_RING`, as its level, its state and next-state masks, its model and
-the length of the lemma log.  A query at level i on cube c is answered from
-the newest stored model that satisfies it as it stands, with no solver
-call: one recorded at a level <= i, whose next state lies in c, whose state
-lies outside c if the query blocks c, whose state refutes every lemma logged
-since at level i-1 or above (the push memo's test), and that assigns every
-var of the query's domain, so that lifting reads no open var.  That model
-becomes the current one, which `_model_state_cube`, `_model_inputs` and the
-lifting walk read.  The memo keeps its per-lemma entries beside the ring:
-on long runs a failed push's state is often older than the last 32 answers.
-The log is cut after each propagation pass to the lemmas that the oldest
-memo or ring entry has not yet seen.
+the length of the lemma log.  A lemma's last failed push also leaves its
+answer in `_push_cex`, an entry of the same form: on long runs that state
+is often older than the last `MODEL_RING` answers.  A query at level i on
+cube c is answered with no solver call from c's own entry, else from the
+newest ring entry, that satisfies it as it stands: one recorded at a level
+<= i, whose next state lies in c, whose state lies outside c if the query
+blocks c, whose state refutes every lemma logged since at level i-1 or
+above, and that assigns every var of the query's domain, so that lifting
+reads no open var.  That model becomes the current one, which
+`_model_state_cube`, `_model_inputs` and the lifting walk read.  A lemma's
+entry takes the level of the push query it answered and the log length of
+that time, also when a lower entry answered it: the new length passes over
+lemmas logged below the query's frame, which the state was never checked
+against, so a lower level would let a lower query reuse it unsoundly.  An
+entry goes when its lemma leaves its level.  The log is cut after each
+propagation pass to the lemmas that the oldest stored entry has not yet seen.
 """
 
 from __future__ import annotations
@@ -117,7 +115,6 @@ class Ic3Stats:
     obligations: int = 0
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
-    push_skips: int = 0  # pushes known to fail, not counted in solver_calls
     ring_answers: int = 0  # queries a stored model answered, not in solver_calls
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
@@ -184,10 +181,8 @@ class IC3:
         self._free = {0, *ts.input_vars}  # the lifting walk's preferred leaves
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
-        # per lemma: [level, true and false masks of the counterexample state
-        # of its last failed push from there, absolute lemma-log length when
-        # it was read]
-        self._push_cex: Dict[Cube, list] = {}
+        # per lemma: the ring-format entry of its last failed push
+        self._push_cex: Dict[Cube, tuple] = {}
         # (level, positive mask, negative mask) of each lemma added since
         # absolute position _log_base
         self._lemma_log: List[Tuple[int, int, int]] = []
@@ -285,12 +280,13 @@ class IC3:
 
         Returns (False, kept_cube) on unsat (cube literals whose primed
         assumption made it into the core) or (True, None) on sat; a sat
-        model, the solver's or one from the ring, becomes the current one.
+        model, the solver's or a stored one, becomes the current one.
         """
         assert level >= 1
         pos, neg = self._cube_masks(cube)
+        own = self._push_cex.get(cube)
         domain = None
-        for e in self._ring:
+        for e in self._ring if own is None else (own, *self._ring):
             e_level, nt, nf, st, sf, model, since = e
             if (pos & nt == pos and neg & nf == neg and e_level <= level
                     and (not block_self or pos & sf or neg & st)
@@ -527,18 +523,12 @@ class IC3:
                 if self.stats.ctg_blocks > ctg_blocks:
                     self._escalation.setdefault(cube, [0, False])[1] = True
                 j = level
-                cex = None
-                since = self._log_end()
-                while j < self.k:
-                    r2, _ = self.solve_relative(g, j + 1)
-                    if r2 is not False:
-                        cex = [j, *self._answer[3:5], since]
-                        break
+                while j < self.k and not self.solve_relative(g, j + 1)[0]:
                     j += 1
+                since = self._log_end()
                 self.add_lemma(g, j)
-                if cex is not None:
-                    self._push_cex[g] = cex
-                if j < self.k:
+                if j < self.k:  # the push to j + 1 failed
+                    self._push_cex[g] = (j + 1, *self._answer[1:6], since)
                     counter += 1
                     heapq.heappush(q, (j + 1, cube, counter, ob))
             else:
@@ -589,21 +579,18 @@ class IC3:
                 if cube not in self.frames[i]:
                     continue  # dropped by subsumption during this pass
                 self._check_cancel()
-                if self._push_fails_again(cube, i):
-                    self.stats.push_skips += 1
-                    continue
-                since = self._log_end()
                 r, kept = self.solve_relative(cube, i + 1, block_self=False)
                 if r is False:
                     self.frames[i].discard(cube)
                     self._push_cex.pop(cube, None)
                     self.add_lemma(self._repair_init(kept, cube), i + 1)
                 else:
-                    self._push_cex[cube] = [i, *self._answer[3:5], since]
-        # every memo entry was read or refreshed in this pass: drop the log
-        # prefix that no memo or ring entry still has to check
-        start = min([m[3] for m in self._push_cex.values()]
-                    + [e[6] for e in self._ring], default=self._log_end())
+                    self._push_cex[cube] = (i + 1, *self._answer[1:6],
+                                            self._log_end())
+        # every lemma's entry was read or renewed in this pass: drop the log
+        # prefix that no stored entry still has to check
+        start = min([e[6] for e in (*self._push_cex.values(), *self._ring)],
+                    default=self._log_end())
         del self._lemma_log[:start - self._log_base]
         self._log_base = start
         for i in range(1, self.k):
@@ -622,16 +609,6 @@ class IC3:
         for lv, pos, neg in self._lemma_log[since - self._log_base:]:
             if lv >= level and not (pos & sf or neg & st):
                 return False
-        return True
-
-    def _push_fails_again(self, cube: Cube, i: int) -> bool:
-        """Whether the counterexample state of the last failed push of
-        `cube` from level i still satisfies F_i, so that the push would fail
-        again."""
-        memo = self._push_cex.get(cube)
-        if memo is None or memo[0] != i or not self._holds_since(*memo[1:], i):
-            return False
-        memo[3] = self._log_end()
         return True
 
     def _invariant(self, fixpoint: int) -> InvariantCert:

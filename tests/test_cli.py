@@ -170,15 +170,25 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+IC3_FLAGS = ("--ctg", "--exctg", "--dynamic", "--standard", "--abs-cst")
+
+
 @pytest.mark.parametrize("option, value", [
     ("--bmc-step", "0"), ("--bmc-max", "-3"), ("--kind-max", "-1"),
     ("--workers", "-2"), ("--workers", "0"), ("--time-limit", "-0.5"),
     ("--time-limit", "nan"), ("--bmc-step", "two"),
+    # an IC3 flag given with another engine, the value, which ignores it
+    *[(flag, engine) for flag in IC3_FLAGS
+      for engine in ("bmc", "kind", "portfolio")],
 ])
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, option, value):
     path = _write(tmp_path, "m.aag", CNT2_AAG)
+    if option in IC3_FLAGS:
+        argv = [path, "--engine", value, "--workers", "1", option]
+    else:
+        argv = [path, "--engine", "bmc", option + "=" + value]
     with pytest.raises(SystemExit) as exc:
-        main([path, "--engine", "bmc", option + "=" + value])
+        main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""

@@ -389,9 +389,9 @@ def test_cached_query_domains_match_a_fresh_walk(rng):
 
 
 @pytest.mark.parametrize("aig, status", [
-    pytest.param(mod_counter(6, 24, 40, enable=True), "safe", id="mod(6,24,40)"),
-    pytest.param(padded_mod_counter(6, 24, 40, pad=8, enable=True), "safe",
-                 id="mod(6,24,40,pad=8)"),
+    pytest.param(mod_counter(6, 28, 50, enable=True), "safe", id="mod(6,28,50)"),
+    pytest.param(padded_mod_counter(6, 28, 50, pad=8, enable=True), "safe",
+                 id="mod(6,28,50,pad=8)"),
     pytest.param(mod_counter(6, 20, 33, enable=True), "safe", id="mod(6,20,33)"),
     pytest.param(padded_mod_counter(6, 20, 33, pad=6, enable=True), "safe",
                  id="mod(6,20,33,pad=6)"),
@@ -442,50 +442,21 @@ def test_zero_step_query_searches_only_the_cone_of_bad():
     assert v.stats.solver.decisions <= 2
 
 
-class _CheckedSkips(IC3):
-    """Re-runs on the solver every push the counterexample memo skips."""
-
-    rechecked = 0
-
-    def _push_fails_again(self, cube, i):
-        skip = super()._push_fails_again(cube, i)
-        if skip:
-            r, _ = self.solve_relative(cube, i + 1, block_self=False)
-            assert r is True, "skipped push of %r from %d is unsat" % (cube, i)
-            self.rechecked += 1
-        return skip
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_skipped_pushes_would_fail(strategy, rng):
-    # a memo that ignored the lemmas added since a failed push would skip
-    # pushes that now succeed
-    models = [random_aig(rng) for _ in range(30)]
-    models += [mod_counter(6, 20, 33, enable=True),
-               mod_counter(5, 24, 28, enable=True)]
-    rechecked = 0
-    for aig in models:
-        engine = _CheckedSkips(encode(aig), Ic3Options(strategy=strategy))
-        v = engine.check()
-        assert v.status in ("safe", "unsafe"), v.reason
-        ok, why = verify_verdict(aig, 0, v)
-        assert ok, why
-        rechecked += engine.rechecked
-    assert rechecked > 0
-
-
 class _CheckedRing(_RingTracking):
-    """Re-solves on the solver each query the ring answers, with the stored
+    """Re-solves on the solver each query a stored model answers, with the
     model's state literals and input bits as extra assumptions, so that the
     model the search goes on with is checked, not only the answer; and
     checks that the model assigns the query's whole domain, which the
-    lifting walk reads."""
+    lifting walk reads.  Counts in `own` the answers that came from the
+    queried cube's own entry, a failed push of that lemma."""
 
-    rechecked = 0
+    rechecked = own = 0
 
     def solve_relative(self, cube, level, block_self=True):
+        own = self._push_cex.get(cube)
         out = super().solve_relative(cube, level, block_self)
         if self.from_ring:
+            self.own += self._answer is own
             model = self._model
             assert all(model[v] != UNDEF for v in self._query_domain(cube))
             ts, s = self.ts, self.solver
@@ -499,6 +470,32 @@ class _CheckedRing(_RingTracking):
             assert s.solve(assume) is True, (cube, level, block_self)
             self.rechecked += 1
         return out
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_skipped_pushes_would_fail(strategy, rng):
+    # a lemma's own entry kept past the lemmas added since its failed push
+    # would answer pushes that now succeed; _CheckedRing re-solves each
+    # push it answers
+    models = [random_aig(rng) for _ in range(30)]
+    models += [mod_counter(6, 20, 33, enable=True),
+               mod_counter(5, 24, 28, enable=True)]
+    own = 0
+    for aig in models:
+        engine = _CheckedRing(encode(aig), Ic3Options(strategy=strategy))
+        v = engine.check()
+        assert v.status in ("safe", "unsafe"), v.reason
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why
+        own += engine.own
+    assert own > 0
+
+
+def test_push_memo_skips_pushes_on_an_enable_counter():
+    engine = _CheckedRing(encode(mod_counter(6, 20, 33, enable=True)),
+                          Ic3Options(strategy=DYNAMIC))
+    assert engine.check().is_safe
+    assert engine.own > 0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -522,23 +519,20 @@ def test_ring_answers_are_models_of_their_queries(strategy, rng):
     assert rechecked > 0
 
 
-def test_push_memo_skips_pushes_on_an_enable_counter():
-    v = ic3_check(encode(mod_counter(6, 20, 33, enable=True)),
-                  Ic3Options(strategy=DYNAMIC))
-    assert v.is_safe
-    assert v.stats.push_skips > 0
-
-
 class _BoundedMemo(IC3):
-    """Checks that each memo entry belongs to a live lemma at its level,
-    that the ring of stored models never exceeds `MODEL_RING`, and that
-    after a propagation pass the lemma log starts at the oldest position a
-    memo or ring entry still reads."""
+    """Checks that each lemma's entry belongs to a live lemma one level
+    below the entry's own, the level of the push query it answered; that
+    the ring of stored models never exceeds `MODEL_RING`; and that after a
+    propagation pass the lemma log starts at the oldest position a stored
+    entry still reads."""
+
+    entries = 0
 
     def _check_memo(self):
         assert len(self._push_cex) <= sum(len(f) for f in self.frames)
-        for cube, (level, _, _, _) in self._push_cex.items():
-            assert cube in self.frames[level]
+        for cube, e in self._push_cex.items():
+            assert cube in self.frames[e[0] - 1]
+        self.entries += len(self._push_cex)
         assert len(self._ring) <= MODEL_RING
 
     def add_lemma(self, cube, level):
@@ -548,8 +542,7 @@ class _BoundedMemo(IC3):
     def propagate(self):
         out = super().propagate()
         self._check_memo()
-        since = [m[3] for m in self._push_cex.values()]
-        since += [e[6] for e in self._ring]
+        since = [e[6] for e in (*self._push_cex.values(), *self._ring)]
         assert self._log_base == min(since, default=self._log_end())
         return out
 
@@ -560,4 +553,4 @@ def test_push_memo_is_bounded_by_live_lemmas(strategy):
                 mod_counter(6, 32, 60, enable=True)):
         engine = _BoundedMemo(encode(aig), Ic3Options(strategy=strategy))
         assert engine.check().is_safe
-        assert engine.stats.push_skips > 0
+        assert engine.entries > 0

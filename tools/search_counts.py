@@ -2,6 +2,7 @@
 
     python3 tools/search_counts.py --workload bmc-deep --seed 1
     python3 tools/search_counts.py --workload ic3-deep --seed 1 --relabel 8
+    python3 tools/search_counts.py --deep
 
 Builds the seeded corpus of ``bench/corpus.py`` (read only), decides every
 model with the workload's engine configuration, ``bmc(step=1)`` for
@@ -12,18 +13,23 @@ decided by ``run_portfolio`` with a lineup of one, the gate the CLI uses, so
 every witness and certificate is checked, not just the verdict's status.
 The search is deterministic, so two checkouts that search alike print the
 same lines, and ``diff`` of two outputs shows every model whose search
-moved.  IC3 lines also carry ``push_skips``, the pushes IC3 skipped because
-a stored counterexample showed they would fail, and ``solver_calls``;
-unrolling lines carry ``solver_calls`` no longer, since it always equalled
-``solves``.  Output from a checkout older than either change differs in
-those keys, so a ``diff`` against it shows every line of that kind.  IC3
-runs one solver and lifts with no query, so on an IC3 line ``solves``
-equals ``solver_calls``; a checkout whose IC3 also had a lifting solver
-counted its solves there too, so a ``diff`` against it shows every IC3
-line.  IC3 lines also carry ``ring_answers``, the relative-induction
-queries answered from a stored sat model with no solver call (so not in
-``solver_calls``); against output from before that key, a ``diff`` shows
-every IC3 line.
+moved.  IC3 lines carry ``solver_calls`` and ``ring_answers``, the
+relative-induction queries answered from a stored sat model with no solver
+call (so not in ``solver_calls``); unrolling lines carry ``solver_calls`` no
+longer, since it always equalled ``solves``.  IC3 runs one solver and lifts
+with no query, so on an IC3 line ``solves`` equals ``solver_calls``.  Output
+from a checkout whose lines carried other keys (``push_skips`` on IC3 lines,
+``solver_calls`` on unrolling ones) differs in every line of that kind.
+
+With ``--deep`` in place of ``--workload``, it decides a fixed set of
+longer IC3 runs that no workload holds, counters built by
+``corpus.mod_counter``: ``(8,100,200)``, ``(8,120,200)`` and ``(7,64,120)``
+with enable under standard and dynamic IC3, and ``(9,300,400)`` and
+``(8,200,250)`` without enable under standard IC3, each up to about a
+hundred frames and some thousands of solver calls.  There a lemma's failed
+push is often older than the last sat answers IC3 keeps, so these lines
+show what its per-lemma stored answers save.  ``--seed`` does not apply to
+this set; ``--relabel`` does.
 
 With ``--relabel R``, each model also runs under the labellings r = 1 to
 R-1: its inputs and latches shuffled by ``random.Random(r)`` and renumbered
@@ -47,7 +53,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -67,6 +73,16 @@ def configs_for(workload: str) -> List[EngineConfig]:
     return default_configs(2)
 
 
+def deep_runs() -> List[Tuple[corpus.Model, List[EngineConfig]]]:
+    """The ``--deep`` set: each model with the IC3 configurations it runs."""
+    std, dyn = EngineConfig("ic3", strategy="standard"), EngineConfig("ic3")
+    runs = [(corpus.mod_counter(*a, enable=True), [std, dyn])
+            for a in ((8, 100, 200), (8, 120, 200), (7, 64, 120))]
+    runs += [(corpus.mod_counter(*a, enable=False), [std])
+             for a in ((9, 300, 400), (8, 200, 250))]
+    return runs
+
+
 def relabel(aig: Aig, r: int) -> Aig:
     """`aig` with its inputs and latches shuffled by `random.Random(r)`, then
     renumbered in that order by `reindex`."""
@@ -83,7 +99,7 @@ def counts(verdict) -> dict:
     if st is None:  # the gate's own unknown: no search to count
         return out
     if hasattr(st, "lemmas"):  # Ic3Stats
-        out.update(frames=st.frames, lemmas=st.lemmas, push_skips=st.push_skips,
+        out.update(frames=st.frames, lemmas=st.lemmas,
                    ring_answers=st.ring_answers, solver_calls=st.solver_calls)
     else:  # UnrollStats
         out["depth"] = st.depth
@@ -94,18 +110,26 @@ def counts(verdict) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=sorted(corpus.WORKLOADS))
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload", choices=sorted(corpus.WORKLOADS))
+    which.add_argument("--deep", action="store_true",
+                       help="decide the fixed set of long IC3 runs instead")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--relabel", type=int, default=1, metavar="R",
                     help="also run labellings 1..R-1 of each model")
     args = ap.parse_args(argv)
+    if args.deep:
+        runs = deep_runs()
+    else:
+        cfgs = configs_for(args.workload)
+        runs = [(m, cfgs) for m in corpus.build(args.workload, args.seed)]
     wrong = 0
-    for m in corpus.build(args.workload, args.seed):
+    for m, cfgs in runs:
         built = parse_aiger(corpus.to_aig_bytes(m))
         for r in range(max(args.relabel, 1)):
             aig = relabel(built, r) if r else built
             name = "%s relabel %d" % (m.name, r) if r else m.name
-            for cfg in configs_for(args.workload):
+            for cfg in cfgs:
                 result = run_portfolio(aig, configs=[cfg])
                 verdict = result.verdict
                 line = {"model": m.name, "config": cfg.name}
