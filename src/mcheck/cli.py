@@ -49,23 +49,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="model file, ASCII (.aag) or binary (.aig)")
     p.add_argument("--engine", choices=["ic3", "bmc", "kind", "portfolio"],
                    default="portfolio")
+    # an engine's own options default to absent, so EngineConfig's
+    # defaults apply and `main` can tell that one was given
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--ctg", action="store_true",
-                   help="IC3: fixed CTG generalization")
-    g.add_argument("--exctg", action="store_true",
-                   help="IC3: fixed extended-CTG generalization")
-    g.add_argument("--dynamic", action="store_true",
-                   help="IC3: escalate generalization dynamically (default)")
-    g.add_argument("--standard", action="store_true",
-                   help="IC3: plain drop-literal generalization")
-    p.add_argument("--abs-cst", action="store_true",
+    for name, text in (("ctg", "fixed CTG generalization"),
+                       ("exctg", "fixed extended-CTG generalization"),
+                       ("dynamic", "escalate generalization dynamically "
+                                   "(default)"),
+                       ("standard", "plain drop-literal generalization")):
+        g.add_argument("--" + name, dest="strategy", action="store_const",
+                       const=name, default=argparse.SUPPRESS,
+                       help="IC3: " + text)
+    p.add_argument("--abs-cst", action="store_true", default=argparse.SUPPRESS,
                    help="IC3: localize invariant constraints by refinement")
-    p.add_argument("--bmc-max", type=_at_least(0), default=1000, metavar="N",
-                   help="BMC depth bound (default 1000)")
-    p.add_argument("--bmc-step", type=_at_least(1), default=1, metavar="N",
+    p.add_argument("--bmc-max", type=_at_least(0), default=argparse.SUPPRESS,
+                   metavar="N", help="BMC depth bound (default 1000)")
+    p.add_argument("--bmc-step", type=_at_least(1), default=argparse.SUPPRESS,
+                   metavar="N",
                    help="BMC frames per incremental query (default 1)")
-    p.add_argument("--kind-max", type=_at_least(0), default=50, metavar="N",
-                   help="k-induction depth bound (default 50)")
+    p.add_argument("--kind-max", type=_at_least(0), default=argparse.SUPPRESS,
+                   metavar="N", help="k-induction depth bound (default 50)")
     p.add_argument("--workers", type=_at_least(1), default=4, metavar="N",
                    help="portfolio size: the first config runs alone for "
                         "%g ms, then each other one in its own thread "
@@ -81,24 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _strategy(args: argparse.Namespace) -> str:
-    if args.ctg:
-        return "ctg"
-    if args.exctg:
-        return "exctg"
-    if args.standard:
-        return "standard"
-    return "dynamic"
-
-
-def _single_config(args: argparse.Namespace) -> EngineConfig:
-    if args.engine == "ic3":
-        return EngineConfig("ic3", strategy=_strategy(args),
-                            abs_cst=args.abs_cst)
-    if args.engine == "bmc":
-        return EngineConfig("bmc", bmc_step=args.bmc_step,
-                            bmc_max=args.bmc_max)
-    return EngineConfig("kind", kind_max=args.kind_max)
+# the engine that reads each engine-specific option, by its argparse dest
+_OWNER = {"strategy": "ic3", "abs_cst": "ic3", "bmc_max": "bmc",
+          "bmc_step": "bmc", "kind_max": "kind"}
 
 
 def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace) -> int:
@@ -141,10 +129,11 @@ def _write(path: Optional[str], text: Optional[str], code: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    used = [f for f in ("ctg", "exctg", "dynamic", "standard", "abs_cst")
-            if getattr(args, f)]
-    if used and args.engine != "ic3":
-        parser.error("--%s needs --engine ic3" % used[0].replace("_", "-"))
+    opts = {k: v for k, v in vars(args).items() if k in _OWNER}
+    for k, v in opts.items():
+        if args.engine != _OWNER[k]:
+            flag = v if k == "strategy" else k.replace("_", "-")
+            parser.error("--%s needs --engine %s" % (flag, _OWNER[k]))
 
     try:
         with open(args.file, "rb") as f:
@@ -165,7 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               % (args.bad_index, len(aig.bads)), file=sys.stderr)
         return EXIT_USAGE
 
-    configs = None if args.engine == "portfolio" else [_single_config(args)]
+    configs = (None if args.engine == "portfolio"
+               else [EngineConfig(args.engine, **opts)])
     result = run_portfolio(aig, bad_index=args.bad_index, workers=args.workers,
                            configs=configs, time_limit=args.time_limit)
     if not result.verdict.definitive and result.rejected:

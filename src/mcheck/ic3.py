@@ -9,9 +9,11 @@ on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
 cube whose CTGs never block stays at CTG: extended CTG only adds recursive
 blocks of CTGs, the costliest step.
 
-Every query runs on one incremental solver.  A query at frame i
-takes the shape F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′: the blocking clause
-¬c enters as a temporary clause, the primed cube as assumptions, and the
+Every query runs on one incremental solver, which holds the system's own
+clauses and nothing per latch.  A query at frame i takes the shape
+F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′, with c′ over the next-state functions
+themselves: the blocking clause ¬c enters as a temporary clause, the
+next-state literals of c (`TranSys.prime`) as assumptions, and the
 frames activate through per-level activation literals.  Decisions and
 propagation are restricted to the cone of influence of the query (closed
 over lemma co-occurrence so a partial model always extends to a full one),
@@ -40,9 +42,11 @@ a lemma, so satisfies its clause, if one of its literals is false there.
 
 Each sat answer of `solve_relative` enters a ring of the last
 `MODEL_RING`, as its level, its state and next-state masks, its model and
-the length of the lemma log.  A lemma's last failed push also leaves its
-answer in `_push_cex`, an entry of the same form: on long runs that state
-is often older than the last `MODEL_RING` answers.  A query at level i on
+the length of the lemma log; the next-state masks hold the values of the
+next-state literals, so a negated one swaps its var's bits.  A lemma's
+last failed push also leaves its answer in `_push_cex`, an entry of the
+same form: on long runs that state is often older than the last
+`MODEL_RING` answers.  A query at level i on
 cube c is answered with no solver call from c's own entry, else from the
 newest ring entry, that satisfies it as it stands: one recorded at a level
 <= i, whose next state lies in c, whose state lies outside c if the query
@@ -176,8 +180,12 @@ class IC3:
         self._adj: Dict[int, Set[int]] = {}
         self._domains: Dict[Optional[FrozenSet[int]], Set[int]] = {}
         self._state_vars = sorted(ts.latch_vars)
-        self._primed_vars = [ts.next_map[v] for v in self._state_vars]
         self._bit = {v: 1 << 8 * i for i, v in enumerate(self._state_vars)}
+        nexts = [ts.next_map[v] for v in self._state_vars]
+        self._next_vars = [l >> 1 for l in nexts]
+        # the mask, by latch position, of the negated next-state literals
+        self._next_neg = sum(self._bit[v] for v, l
+                             in zip(self._state_vars, nexts) if l & 1)
         self._free = {0, *ts.input_vars}  # the lifting walk's preferred leaves
         # per obligation cube: [failed blocks, whether a MIC on it blocked a CTG]
         self._escalation: Dict[Cube, list] = {}
@@ -222,7 +230,7 @@ class IC3:
                 roots.extend(l >> 1 for l in self.ts.constraints)
                 for l in cube:
                     roots.append(l >> 1)
-                    roots.append(self.ts.next_map[l >> 1])
+                    roots.append(self.ts.next_map[l >> 1] >> 1)
             if len(self._domains) >= DOMAIN_CACHE_LIMIT:
                 self._domains.clear()
             domain = self._domains[key] = coi_vars(roots, self.ts.defs, self._adj)
@@ -278,7 +286,7 @@ class IC3:
     def solve_relative(self, cube: Cube, level: int, block_self: bool = True):
         """F_{level-1} ∧ constraints ∧ [¬cube] ∧ T ∧ cube′.
 
-        Returns (False, kept_cube) on unsat (cube literals whose primed
+        Returns (False, kept_cube) on unsat (cube literals whose next-state
         assumption made it into the core) or (True, None) on sat; a sat
         model, the solver's or a stored one, becomes the current one.
         """
@@ -300,10 +308,12 @@ class IC3:
         s = self.solver
         if block_self:
             s.add_clause(negate(cube), temporary=True)
-        primed = sorted(self.ts.prime(l) for l in cube)
-        if self._solve(self._frame_assumptions(level - 1) + primed,
+        nxt = sorted(self.ts.prime(l) for l in cube)
+        if self._solve(self._frame_assumptions(level - 1) + nxt,
                        domain or self._query_domain(cube)):
-            self._answer = (level, *self._masks(self._primed_vars),
+            t, f = self._masks(self._next_vars)
+            d = (t ^ f) & self._next_neg  # a negated next-state literal swaps
+            self._answer = (level, t ^ d, f ^ d,
                             *self._masks(self._state_vars), self._model,
                             self._log_end())
             self._ring.appendleft(self._answer)

@@ -51,8 +51,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("ic3", "bmc", "kind"):
             raise ValueError("unknown engine %r" % self.engine)
-        if self.engine != "ic3" and self.abs_cst:
-            raise ValueError("abs-cst is an IC3-only flag")
+        if self.engine != "ic3" and (self.abs_cst or self.strategy != DYNAMIC):
+            raise ValueError("abs-cst and strategy are IC3-only settings")
         if self.strategy not in (STANDARD, CTG, EXCTG, DYNAMIC):
             raise ValueError("unknown strategy %r" % self.strategy)
         if self.bmc_step < 1 or self.bmc_max < 0 or self.kind_max < 0:

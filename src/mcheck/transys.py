@@ -1,11 +1,12 @@
 """CNF transition-system representation built from an and-inverter graph.
 
 Variable layout: CNF var i corresponds to AIG node i (var 0 is the reserved
-constant, asserted true by a unit clause).  One primed var per latch
-follows the largest node the AIG defines, not the header's M, so an
-oversized header does not size the solvers; then come any auxiliary
-definition vars.  The effective bad literal folds the invariant
-constraints in: a bad state satisfies them.
+constant, asserted true by a unit clause).  A latch's next state is the
+AIG's own next-state literal, with no var of its own, so a query over the
+next states assumes those literals.  The one auxiliary definition var, for
+constraints, follows the largest node the AIG defines, not the header's M,
+so an oversized header does not size the solvers.  The effective bad
+literal folds the invariant constraints in: a bad state satisfies them.
 
 Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
 Beyond", 2011): a counterexample of length d is a path from an initial state
@@ -56,11 +57,12 @@ class TranSys:
     tuple that names each var at most once: `encode` collapses repeated
     literals and leaves tautologies out.  `TranSys.load` reads `clauses`;
     `FrameTemplate` reads `defs` instead.  `latch_vars` lists every state
-    var.  `defs` maps each var the system defines to the literals it is the
-    AND of, in an evaluation order: a gate to its two fanins, a primed var
-    to its next-state literal and the constraint aux var to its conjuncts.
-    Latches, inputs and var 0 have no entry, and neither has a primed var
-    that a bounded cone leaves free."""
+    var, and `next_map` maps each to its next-state literal, which two
+    latches may share.  `defs` maps each var the system defines to the
+    literals it is the AND of, in an evaluation order: a gate to its two
+    fanins and the constraint aux var to its conjuncts.  Latches, inputs
+    and var 0 have no entry, and neither has a gate that a bounded cone
+    leaves out."""
 
     num_vars: int
     latch_vars: List[int]
@@ -96,7 +98,8 @@ class TranSys:
         solver.add_root_clauses(lits, ends)
 
     def prime(self, lit: Lit) -> Lit:
-        return (self.next_map[lit >> 1] << 1) | (lit & 1)
+        """The next-state literal of `lit`, a literal over a latch."""
+        return self.next_map[lit >> 1] ^ (lit & 1)
 
     def widen_witness(self, init_bits: Sequence[Optional[int]],
                       input_frames: Sequence[Sequence[int]]) -> WitnessTrace:
@@ -175,12 +178,12 @@ def encode(
     default); the localization-abstraction loop re-encodes with fewer.
     With `cone`, only the logic that can reach bad, an active constraint or
     a var of `roots` is encoded (`coi_vars` through gate fanins and latch
-    next-state functions); a root on a latch's primed var keeps that latch
-    and its next-state function.  `steps` bounds the walk to that many
-    latch steps: a latch first reached at the last step keeps its primed
-    var with no clauses, so the var is free.  Each clause of such a system
-    is a clause of the full encoding.  Variable numbers are those of the
-    full encoding either way.
+    next-state functions).  `steps` bounds the walk to that many latch
+    steps: a latch first reached at the last step keeps its next-state
+    literal, but the logic behind it is left out, so a frame reads that
+    literal's var as a free one.  Each clause of such a system is a clause
+    of the full encoding.  Variable numbers are those of the full encoding
+    either way.
     """
     if not aig.bads:
         raise ValueError("model has no bad properties")
@@ -193,56 +196,33 @@ def encode(
 
     ands = aig._ands_by_var
     latches, inputs = aig.latches, aig.inputs
-    # primed var of the j-th AIG latch, whether or not it is encoded, after
-    # the largest defined node
-    top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
-               *(g.var for g in aig.ands)])
-    primed = {lt.var: top + 1 + j for j, lt in enumerate(aig.latches)}
-    free: Set[int] = set()  # latches whose primed var has no clauses
     if cone:
         fanin = {g.var: (g.rhs0, g.rhs1) for g in ands}  # refs as literals
         nxt = {lt.var: lt.next >> 1 for lt in latches}
         if steps is None:
             fanin.update((lt.var, (lt.next,)) for lt in latches)
-        latch_of = {primed[v]: v for v in nxt}
-        # latches whose next-state function is walked
-        walked = {latch_of[v] for v in roots if v in latch_of}
-        start = [r >> 1 for r in [bad_ref] + cst_refs]
-        start += [*roots, *walked, *(nxt[v] for v in walked)]
-        keep = coi_vars(start, fanin, {})
-        if steps is not None:
-            for _ in range(steps):  # one latch step each
-                new = [v for v in keep if v in nxt and v not in walked]
-                if not new:
-                    break
-                walked.update(new)
-                keep |= coi_vars([nxt[v] for v in new], fanin, {})
-            free = {v for v in keep if v in nxt} - walked
+        keep = coi_vars([*(r >> 1 for r in [bad_ref] + cst_refs), *roots],
+                        fanin, {})
+        walked: Set[int] = set()  # latches whose next-state function is kept
+        for _ in range(steps or 0):  # one latch step each
+            new = [v for v in keep if v in nxt and v not in walked]
+            if not new:
+                break
+            walked.update(new)
+            keep |= coi_vars([nxt[v] for v in new], fanin, {})
         ands = [g for g in ands if g.var in keep]
         latches = [lt for lt in latches if lt.var in keep]
         inputs = [v for v in inputs if v in keep]
 
     clauses: List[Clause] = [(TRUE_LIT,)]
     defs: Dict[int, Tuple[Lit, ...]] = {}
-
     for g in ands:
         a, b = defs[g.var] = ref_to_lit(g.rhs0), ref_to_lit(g.rhs1)
         _and_clauses(clauses, mklit(g.var), a, b)
 
-    num_vars = top + 1 + len(aig.latches)
-    next_map: Dict[int, int] = {}
-    init_lits: List[Lit] = []
-    for lt in latches:
-        p = next_map[lt.var] = primed[lt.var]
-        if lt.init is not None:
-            init_lits.append(mklit(lt.var, lt.init == 0))
-        if lt.var in free:
-            continue
-        n = ref_to_lit(lt.next)
-        clauses.append(tuple(sorted((mklit(p), lit_neg(n)))))
-        clauses.append(tuple(sorted((mklit(p, True), n))))
-        defs[p] = (n,)
-
+    # after the largest defined node, not the header's M
+    num_vars = 1 + max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+                        *(g.var for g in aig.ands)])
     bad_raw = ref_to_lit(bad_ref)
     cst_lits = [ref_to_lit(r) for r in cst_refs]
     if cst_lits:
@@ -262,8 +242,9 @@ def encode(
         num_vars=num_vars,
         latch_vars=[lt.var for lt in latches],
         input_vars=list(inputs),
-        next_map=next_map,
-        init_lits=tuple(sorted(init_lits)),
+        next_map={lt.var: ref_to_lit(lt.next) for lt in latches},
+        init_lits=tuple(sorted(mklit(lt.var, lt.init == 0) for lt in latches
+                               if lt.init is not None)),
         bad=bad,
         constraints=cst_lits,
         clauses=clauses,
@@ -347,40 +328,40 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 class FrameTemplate:
     """A system's frame logic compiled once for `Unroller`, over frame slots.
 
-    Slot 0 is the constant var 0.  Then come the latches, the free vars
-    (the inputs, and any primed var with no definition), and last the vars
-    of `TranSys.defs` in two parts, each in `defs` order, which is an
-    evaluation order.  The next-state part is the cone of the primed vars:
-    the definitions a latch's next state reads.  The property part is every
-    other definition, the logic that only bad and the constraints read:
-    first the definitions of at most two literals, then the wider ones (the
-    constraint aux var).  The next-state part reads no property slot, so
-    the slot order stays an evaluation order, and the property part is a
-    suffix of it that a frame can leave out whole.
+    Slot 0 is the constant var 0.  Then come the latches, the free vars (the
+    inputs, and the var of any next-state literal that a bounded cone leaves
+    undefined), and last the vars of `TranSys.defs` in two parts, each in
+    `defs` order, which is an evaluation order.  The next-state part is the
+    cone of the next-state literals: the definitions a latch's next state
+    reads.  The property part is every other definition, the logic that only
+    bad and the constraints read: first the definitions of at most two
+    literals, then the wider ones (the constraint aux var).  The next-state
+    part reads no property slot, so the slot order stays an evaluation order,
+    and the property part is a suffix of it that a frame can leave out whole.
 
-    The compile keeps what a frame needs: `latch_src`, the slot of each
-    latch's primed var; `reset`, each latch's literal in an initial state
+    The compile keeps what a frame needs: `latch_src`, each latch's
+    next-state literal; `reset`, each latch's literal in an initial state
     (the constant of its reset value, or None for an open latch); the count
-    of free vars; `bad` and `constraints`, as packed ints `(slot << 1) |
-    sign`; and the gate program.  `gates` (the next-state part) and `prop`
-    (the property part) hold, per definition of at most two literals, those
-    literals packed, smaller first; a primed var's one next-state literal
-    is read twice, so the AND folds it to that literal.  `wide` holds the
-    longer definitions.  A definition that reads a later slot raises
-    `IndexError` in the first frame, so the order needs no check of its own.
-
-    No two latches may share a primed var, and none may be primed to the
-    constant; the template checks this once and raises `ValueError`.
+    of free vars; `bad` and `constraints`; and the gate program, every
+    literal packed as `(slot << 1) | sign`.  Two latches may share a
+    next-state literal, and it may be a constant, a latch or an input.
+    `gates` (the next-state part) and `prop` (the property part) hold, per
+    definition of at most two literals, those literals, smaller first; a
+    definition of one literal (an aux var whose conjuncts are all one
+    literal) reads it twice, so the AND folds it to that literal.  `wide`
+    holds the longer definitions.  A definition that reads a later slot
+    raises `IndexError` in the first frame, so the order needs no check of
+    its own.
     """
 
     def __init__(self, ts: TranSys):
         defs, latches = ts.defs, ts.latch_vars
-        primed = [ts.next_map[lv] for lv in latches]
-        if 0 in primed or len(set(primed)) < len(primed):
-            raise ValueError("two latches share a primed var, or one is "
-                             "primed to the constant")
-        free = [v for v in chain(ts.input_vars, primed) if v not in defs]
-        cone = coi_vars(primed, defs, {})
+        nexts = [ts.next_map[lv] for lv in latches]
+        next_vars = [l >> 1 for l in nexts]
+        known = {0, *latches, *defs}
+        free = [v for v in dict.fromkeys(chain(ts.input_vars, next_vars))
+                if v not in known]
+        cone = coi_vars(next_vars, defs, {})
         narrow: List[int] = []
         prop: List[int] = []
         wide: List[int] = []
@@ -389,13 +370,14 @@ class FrameTemplate:
         order = [0, *latches, *free, *narrow, *prop, *wide]
         self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
-        self.latch_src = [slot_of[p] for p in primed]
-        reset = {l >> 1: TRUE_LIT ^ (l & 1) for l in ts.init_lits}
-        self.reset = [reset.get(lv) for lv in latches]
-        self.free = len(free)
 
         def pack(l: Lit) -> int:
             return (slot_of[l >> 1] << 1) | (l & 1)
+
+        self.latch_src = [pack(l) for l in nexts]
+        reset = {l >> 1: TRUE_LIT ^ (l & 1) for l in ts.init_lits}
+        self.reset = [reset.get(lv) for lv in latches]
+        self.free = len(free)
 
         pairs = [(pack(defs[v][0]), pack(defs[v][-1])) for v in narrow + prop]
         gates = [(a, b) if a <= b else (b, a) for a, b in pairs]
@@ -425,9 +407,9 @@ def _and(lits: Iterable[Lit], g: Lit, out: List[List[Lit]]) -> Lit:
 class Unroller:
     """Timed copies of the transition relation, written into `solver`.
 
-    Frame d+1 maps each latch to the literal of its primed var in frame d,
-    which is frame d's next-state literal itself (Biere, Cimatti, Clarke and
-    Zhu, "Symbolic Model Checking without BDDs", 1999).  Solver var 0 stays
+    Frame d+1 maps each latch to its next-state literal in frame d, sign
+    included (Biere, Cimatti, Clarke and Zhu, "Symbolic Model Checking
+    without BDDs", 1999).  Solver var 0 stays
     the shared constant, true by a unit in the first frame's load.  With
     `init`, frame 0 maps each reset latch to the constant of its reset
     value; every other latch of frame 0 and every free var of each frame
@@ -486,7 +468,7 @@ class Unroller:
         ends: List[int] = []
         if self._frames:
             prev = self._frames[-1]
-            fm = [0] + [prev[j] for j in t.latch_src]
+            fm = [0] + [prev[j >> 1] ^ (j & 1) for j in t.latch_src]
         else:
             lits.append(TRUE_LIT)  # the constant's unit
             ends.append(1)

@@ -127,11 +127,11 @@ def test_certificate_rejection_reasons(aag, clauses, reason):
 
 
 def test_malformed_certificate_is_rejected_not_raised():
-    # the encoding has vars 0..18: var 999, var 19, and the var -1 that the
+    # the encoding has vars 0..15: var 999, var 16, and the var -1 that the
     # literal -2 would index from the end, are none of them
     ts = encode(mod_counter(3, 4, 6))
-    assert ts.num_vars == 19
-    for lit, var in ((1998, 999), (38, 19), (-2, -1)):
+    assert ts.num_vars == 16
+    for lit, var in ((1998, 999), (32, 16), (-2, -1)):
         assert verify_certificate(ts, InvariantCert([(lit,)])) == (
             False, "invariant clause 0 names var %d, which the model does "
                    "not have" % var)

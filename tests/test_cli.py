@@ -171,20 +171,28 @@ def test_usage_errors(tmp_path, capsys):
 
 
 IC3_FLAGS = ("--ctg", "--exctg", "--dynamic", "--standard", "--abs-cst")
+# the engine that reads each numeric option, with a value in its range
+ENGINE_OPTIONS = {"--bmc-max": ("bmc", "5"), "--bmc-step": ("bmc", "5"),
+                  "--kind-max": ("kind", "3")}
+ENGINES = ("ic3", "bmc", "kind", "portfolio")
 
 
 @pytest.mark.parametrize("option, value", [
     ("--bmc-step", "0"), ("--bmc-max", "-3"), ("--kind-max", "-1"),
     ("--workers", "-2"), ("--workers", "0"), ("--time-limit", "-0.5"),
     ("--time-limit", "nan"), ("--bmc-step", "two"),
-    # an IC3 flag given with another engine, the value, which ignores it
-    *[(flag, engine) for flag in IC3_FLAGS
-      for engine in ("bmc", "kind", "portfolio")],
+    # an engine's own option given with another engine, the value, which
+    # ignores it
+    *[(flag, engine) for flag in IC3_FLAGS for engine in ENGINES[1:]],
+    *[(flag, engine) for flag, (own, _) in ENGINE_OPTIONS.items()
+      for engine in ENGINES if engine != own],
 ])
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, option, value):
     path = _write(tmp_path, "m.aag", CNT2_AAG)
     if option in IC3_FLAGS:
         argv = [path, "--engine", value, "--workers", "1", option]
+    elif value in ENGINES:
+        argv = [path, "--engine", value, option, ENGINE_OPTIONS[option][1]]
     else:
         argv = [path, "--engine", "bmc", option + "=" + value]
     with pytest.raises(SystemExit) as exc:

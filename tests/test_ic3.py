@@ -146,7 +146,8 @@ def escalations():
     given = []
     for aig in (mod_counter(6, 20, 40), mod_counter(6, 24, 40, enable=True),
                 mod_counter(6, 20, 33, enable=True), mod_counter(6, 20, 33),
-                mod_counter(6, 32, 60)):
+                mod_counter(6, 32, 60), mod_counter(6, 20, 32),
+                mod_counter(6, 20, 32, enable=True)):
         engine = _EscalationIC3(encode(aig), Ic3Options(strategy=DYNAMIC))
         assert engine.check().is_safe
         given += engine.given
@@ -281,16 +282,11 @@ class _CheckedLifts(_RingTracking):
         inputs = dict(zip(aig.inputs, frame))
         fixed = {l >> 1: 1 - (l & 1) for l in cube}
         free = [lt.var for lt in aig.latches if lt.var not in fixed]
-        latch_of = {ts.next_map[lt.var]: lt for lt in aig.latches
-                    if lt.var in ts.next_map}
         bad = [ref_to_lit(aig.bads[ts.bad_index]), *ts.constraints]
 
         def value(lit):
             v = lit >> 1
-            if v in latch_of:  # a primed var: its latch one step on
-                nxt = latch_of[v].next
-                x = vals[nxt >> 1] ^ (nxt & 1)
-            elif v == 0:  # the constant var 0 is true
+            if v == 0:  # the constant var 0 is true
                 x = 1
             elif v == ts.bad >> 1 and ts.constraints:  # bad and constraints
                 x = int(all(value(l) for l in bad))
@@ -368,7 +364,8 @@ class _FreshDomains(IC3):
         roots = [ts.bad >> 1]
         if cube is not None:
             roots += [l >> 1 for l in ts.constraints]
-            roots += [v for l in cube for v in (l >> 1, ts.next_map[l >> 1])]
+            roots += [v for l in cube
+                      for v in (l >> 1, ts.next_map[l >> 1] >> 1)]
         assert got == coi_vars(roots, ts.defs, self._adj)
         return got
 
@@ -412,7 +409,8 @@ def test_cached_domains_cover_deep_queries(aig, status, monkeypatch):
 
 class _NoNextStateCone(IC3):
     """Leaves the cube's next-state cone out of each relative-induction
-    domain: the primed cube is assumed, but nothing it reads is decided."""
+    domain: the cube's next-state literals are assumed, but nothing they
+    read is decided."""
 
     def _query_domain(self, cube):
         if cube is None:

@@ -22,7 +22,9 @@ def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(engine="kind", abs_cst=True)
     for bad in (dict(strategy="bogus"), dict(engine="bmc", bmc_step=0),
-                dict(engine="bmc", bmc_max=-1), dict(engine="kind", kind_max=-1)):
+                dict(engine="bmc", bmc_max=-1), dict(engine="kind", kind_max=-1),
+                dict(engine="bmc", strategy="ctg"),
+                dict(engine="kind", strategy="standard")):
         with pytest.raises(ValueError):
             EngineConfig(**bad)
     EngineConfig("bmc", bmc_step=1, bmc_max=0)
@@ -170,7 +172,7 @@ def test_verify_verdict_rejects_foreign_witness(cnt2, unsafe1):
 def _certificate_cases(aig, cert):
     """(certificate, hostile) pairs: `cert`, every dropped-clause and
     flipped-literal mutant of it, ~bad alone at k = 1..4, and `cert` plus a
-    unit clause on var 0, on each latch's primed var, on the constraint
+    unit clause on var 0, on each latch's next-state var, on the constraint
     var or on a var the model does not have."""
     clauses = list(cert.clauses)
     yield cert, False
@@ -182,7 +184,7 @@ def _certificate_cases(aig, cert):
     for k in range(1, 5):
         yield InvariantCert([], k), False
     full = encode(aig)
-    vars_ = [0, full.num_vars + 3, *full.next_map.values()]
+    vars_ = [0, full.num_vars + 3, *(l >> 1 for l in full.next_map.values())]
     if full.constraints:
         vars_.append(full.bad >> 1)
     for v in vars_:
@@ -195,7 +197,7 @@ def test_cone_check_agrees_with_the_full_check(monkeypatch):
     cone.  Each clause of that system is one of the full encoding's, and the
     check answers as `verify_certificate` on the full encoding does: the
     same reason for IC3's certificates, their mutants and ~bad alone, and
-    the same acceptance once a clause names var 0, a primed var, the
+    the same acceptance once a clause names var 0, a next-state var, the
     constraint var or a var the model does not have."""
     systems = []
 

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from mcheck.aiger import eval_nodes, parse_aiger
+from mcheck.aiger import Aig, AndGate, Latch, eval_nodes, parse_aiger
 from mcheck.engines import bmc, kind
-from mcheck.ic3 import check as ic3_check
+from mcheck.ic3 import IC3, check as ic3_check
 from mcheck.logic import FALSE_LIT, TRUE_LIT, lit_neg, mklit
 from mcheck.orchestrator import build_transys, verify_verdict
 from mcheck.satcore import Solver
@@ -30,7 +30,8 @@ def _left_out(un, d):
     constant; no var in any other frame."""
     ts = un.ts
     if un.init and un.reach(d) == FALSE_LIT and un.held(d) < 2:
-        return set(ts.defs) - coi_vars(ts.next_map.values(), ts.defs, {})
+        return set(ts.defs) - coi_vars([l >> 1 for l in ts.next_map.values()],
+                                       ts.defs, {})
     return set()
 
 
@@ -145,10 +146,30 @@ def test_simplify_preserves_reachability_verdict(rng):
             assert not sat_depths
 
 
+def _unfolded_aig(rng):
+    """A random circuit whose gates may read a constant, one fanin twice, or
+    a literal and its negation, as an AIGER file may but `AigBuilder`, which
+    folds such gates, never builds: CNF propagation has work to do there."""
+    ni, nl = rng.randint(0, 3), rng.randint(1, 6)
+    refs = [0, 1] + list(range(2, 2 * (ni + nl + 1)))
+    ands = []
+    for v in range(ni + nl + 1, ni + nl + rng.randint(3, 20)):
+        pair = (rng.sample(refs, 2) if rng.random() < 0.9
+                else [rng.choice(refs)] * 2)
+        ands.append(AndGate(v, max(pair), min(pair)))
+        refs += [2 * v, 2 * v + 1]
+    return Aig(max_var=ands[-1].var, inputs=list(range(1, ni + 1)),
+               latches=[Latch(v, rng.choice(refs), rng.choice([0, 1, None]))
+                        for v in range(ni + 1, ni + nl + 1)],
+               ands=ands, bads=[rng.choice(refs)],
+               constraints=rng.sample(refs, rng.randint(0, 2)))
+
+
 def _front_end_systems(rng):
-    """200 seeded random circuits, each encoded in full and over its cone,
-    and `counter_with_reset(16, 8)` both ways."""
+    """200 seeded random circuits, 100 unfolded ones and
+    `counter_with_reset(16, 8)`, each encoded in full and over its cone."""
     aigs = [random_aig(rng) for _ in range(200)] + [counter_with_reset(16, 8)]
+    aigs += [_unfolded_aig(rng) for _ in range(100)]
     return [encode(aig, cone=cone) for aig in aigs for cone in (False, True)]
 
 
@@ -190,10 +211,10 @@ def test_folded_frames_match_simulation(rng):
     random circuits with constraints, encoded in full and over the cone,
     with init and without, every var a frame maps takes its simulated value
     under a fixed start state and stimulus, constant literals included: a
-    node its value, a primed var its latch's next state, and the aux var
-    bad and the constraints together.  A frame maps every var but those
-    `_left_out` names, and `lit_at` raises on those.  `held(d)` and
-    `reach(d)` can hold exactly when the simulation says so."""
+    node its value, and the aux var bad and the constraints together.  A
+    frame maps every var but those `_left_out` names, and `lit_at` raises
+    on those.  `held(d)` and `reach(d)` can hold exactly when the
+    simulation says so."""
     folded = kept = dropped = 0
     for _ in range(60):
         aig = random_aig(rng, constraint_prob=0.6)
@@ -210,8 +231,6 @@ def test_folded_frames_match_simulation(rng):
         held = [all(value(c, u) for c in aig.constraints for u in range(t + 1))
                 for t in range(depth + 1)]
         for ts in (encode(aig), build_transys(aig)):
-            primed = {p: lv for lv, p in ts.next_map.items()}
-            nxt = {lt.var: lt.next for lt in aig.latches}
             for init in (True, False):
                 s = Solver()
                 un = Unroller(ts, s, init=init)
@@ -240,8 +259,6 @@ def test_folded_frames_match_simulation(rng):
                             continue
                         if v == 0:  # true in CNF, false as an AIGER node
                             want = 1
-                        elif v in primed:
-                            want = value(nxt[primed[v]], t)
                         elif v == ts.bad >> 1 and ts.constraints:
                             want = int(value(aig.bads[0], t) and all(
                                 value(c, t) for c in aig.constraints))
@@ -285,7 +302,7 @@ def test_unroller_grows_frames_into_its_solver(cnt2):
         for k in range(4):
             for lv in ts.latch_vars:
                 assert un.lit_at(2 * lv, k + 1) == \
-                    un.lit_at(2 * ts.next_map[lv], k)
+                    un.lit_at(ts.next_map[lv], k)
         # no constraints: no extra var, and reach is the plain bad literal
         assert [un.reach(d) for d in range(5)] == [un.bad_at(d) for d in range(5)]
         if init:
@@ -360,7 +377,8 @@ def test_left_out_literals_raise():
     the lock can open, keeps them, and so does every frame of an init-free
     unroller."""
     ts = build_transys(shift_lock(8, 0b1011))
-    prop = set(ts.defs) - coi_vars(ts.next_map.values(), ts.defs, {})
+    prop = set(ts.defs) - coi_vars([l >> 1 for l in ts.next_map.values()],
+                                   ts.defs, {})
     assert ts.bad >> 1 in prop and len(prop) == 7
     s = Solver()
     un = Unroller(ts, s)
@@ -395,8 +413,8 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     # var numbers are the full encoding's: the kept clauses are a subset
     assert len(ts.clauses) < len(full.clauses)
     assert set(ts.clauses) <= set(full.clauses)
-    # an unrolled frame maps only the vars the clauses use; no primed var
-    # gets a var of its own, and with init no reset latch does either
+    # an unrolled frame maps only the vars the clauses use, and with init
+    # no reset latch gets a var of its own
     used = {l >> 1 for cl in ts.clauses for l in cl}
     for init in (False, True):
         s = Solver()
@@ -405,9 +423,9 @@ def test_cone_drops_logic_that_cannot_reach_bad():
         assert set(un.template.slot_of) == used
         if init:
             assert [un.lit_at(2 * v, 0) for v in cnt] == [FALSE_LIT] * 4
-            assert s.num_vars < len(used) - 2 * len(cnt)
+            assert s.num_vars < len(used) - len(cnt)
         else:
-            assert s.num_vars == len(used) - len(cnt)
+            assert s.num_vars == len(used)
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
     cut, whole = encode(bare, cone=True), encode(bare)
@@ -415,11 +433,11 @@ def test_cone_drops_logic_that_cannot_reach_bad():
 
 
 def test_header_m_does_not_size_the_encoding():
-    # primed vars follow the largest defined node, whatever M the header says
+    # the vars end at the largest defined node, whatever M the header says
     body = b" 1 1 0 1 1\n2\n4 6\n6\n6 2 4\n"
     small = encode(parse_aiger(b"aag 3" + body))
     huge = encode(parse_aiger(b"aag 1000000000" + body))
-    assert small.num_vars == 5
+    assert small.num_vars == 4
     assert (huge.num_vars, huge.next_map, huge.clauses) == (
         small.num_vars, small.next_map, small.clauses)
 
@@ -435,8 +453,29 @@ def test_coi_restricts_to_support():
     # over TranSys.defs the walk stops at latches; `adj` adds edges
     ts = encode(chain)
     assert coi_vars([ts.bad >> 1], ts.defs, {}) == {1}
-    assert coi_vars([ts.next_map[1]], ts.defs, {}) == {ts.next_map[1], 2}
+    assert coi_vars([ts.next_map[1] >> 1], ts.defs, {}) == {2}
     assert coi_vars([1], ts.defs, {1: {2}}) == {1, 2}
+
+
+def test_a_latch_next_state_is_its_next_state_literal(rng):
+    """The encoding states each latch's next state once, as the AIG's own
+    literal: no var past the largest defined node but the constraint aux
+    var, no definition but the gates' and the aux var's, and IC3's solver
+    adds only the frame-0 activation var."""
+    aigs = [random_aig(rng) for _ in range(40)]
+    aigs += [padded_mod_counter(4, 12, 6, pad=3, enable=True)]
+    assert any(aig.constraints for aig in aigs)
+    for aig in aigs:
+        top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+                   *(g.var for g in aig.ands)])
+        for ts in (encode(aig), build_transys(aig)):
+            aux = {top + 1} if aig.constraints else set()
+            assert ts.num_vars == top + 1 + len(aux)
+            assert all(ts.next_map[lt.var] == ref_to_lit(lt.next)
+                       for lt in aig.latches if lt.var in ts.next_map)
+            assert set(ts.defs) <= {g.var for g in aig.ands} | aux
+            assert aux <= set(ts.defs)
+            assert IC3(ts).solver.num_vars == ts.num_vars + 1
 
 
 # gate 6 = 2 AND 2 repeats a fanin, gate 8 = 4 AND NOT 4 is constant false
@@ -468,16 +507,6 @@ def test_clauses_are_sorted_and_name_each_var_once():
             assert v.is_unsafe and v.stats.depth == want.depth
         else:
             assert not v.definitive
-
-
-def test_unroller_rejects_latches_sharing_a_primed_var(cnt2):
-    ts = encode(cnt2)
-    l0, l1 = ts.latch_vars
-    shared = dataclasses.replace(
-        ts, next_map={l0: ts.next_map[l0], l1: ts.next_map[l0]})
-    with pytest.raises(ValueError):
-        Unroller(shared, Solver())
-    Unroller(ts, Solver()).grow(2)  # the system it was derived from loads
 
 
 @pytest.mark.parametrize("init", [True, False])
@@ -627,11 +656,12 @@ def test_alias_edge_cases(monkeypatch, case):
     aig, status = ALIAS_CASES[case]
     nxt = {lt.var: ref_to_lit(lt.next) for lt in aig.latches}
     for ts in (encode(aig), build_transys(aig)):
+        assert ts.next_map == {lv: nxt[lv] for lv in ts.latch_vars}
         for init in (True, False):
             un = Unroller(ts, Solver(), init=init)
             un.grow(3)
             for d in range(3):
                 for lv in ts.latch_vars:
                     assert un.lit_at(2 * lv, d + 1) == un.lit_at(
-                        2 * ts.next_map[lv], d) == un.lit_at(nxt[lv], d)
+                        ts.next_map[lv], d)
     assert _check_unrolling_engines(aig) == status

@@ -37,7 +37,11 @@ by ``aiger.reindex``, an isomorphic copy whose search moves the way any
 renumbering moves it.  Each such line carries ``"relabel": r``; the line of
 the model as built carries none, so the default output is unchanged.  One
 labelling cannot tell a better search from a luckier one, and the median
-and worst over several can.
+and worst over several can: with R >= 2 the output ends with one summary
+line per config, ``{"summary": config, "relabel": R, ...}``, holding the
+median and the worst (largest), over the R labellings, of ``solver_calls``
+and ``frames`` summed over the models, for the configs whose lines carry
+them.
 
 Exits 1, after printing every line, if some verdict is ``unknown``, differs
 from the model's known answer, or fails the check, under any labelling; each
@@ -51,7 +55,9 @@ import argparse
 import dataclasses
 import json
 import random
+import statistics
 import sys
+from collections import defaultdict
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -124,6 +130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfgs = configs_for(args.workload)
         runs = [(m, cfgs) for m in corpus.build(args.workload, args.seed)]
     wrong = 0
+    # per config and labelling: solver_calls and frames summed over models
+    sums: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
     for m, cfgs in runs:
         built = parse_aiger(corpus.to_aig_bytes(m))
         for r in range(max(args.relabel, 1)):
@@ -137,6 +145,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     line["relabel"] = r
                 line.update(counts(verdict))
                 print(json.dumps(line))
+                for k in ("solver_calls", "frames"):
+                    if k in line:
+                        sums[cfg.name][k][r] += line[k]
                 if verdict.status == "unknown" or (
                         m.expected is not None and verdict.status != m.expected):
                     wrong += 1
@@ -146,6 +157,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for _, reason in result.rejected:
                     print("%s %s: verdict rejected: %s" % (name, cfg.name, reason),
                           file=sys.stderr)
+    if args.relabel >= 2:
+        for name, by_key in sums.items():
+            line = {"summary": name, "relabel": args.relabel}
+            for k, per_r in by_key.items():
+                line[k + "_median"] = statistics.median(per_r.values())
+                line[k + "_worst"] = max(per_r.values())
+            print(json.dumps(line))
     return 1 if wrong else 0
 
 
