@@ -15,10 +15,10 @@ dropping it rejects nothing the full check would accept.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .aiger import Aig, WitnessTrace, replay
-from .logic import Clause, Lit, lit_var
+from .logic import Clause, lit_var
 from .satcore import Solver
 from .transys import TranSys, Unroller
 from .verdicts import InvariantCert
@@ -65,27 +65,6 @@ def verify_witness(aig: Aig, trace: WitnessTrace) -> Tuple[bool, str]:
 # Certificate checking
 
 
-def _add_clauses(s: Solver, clauses: Iterable[Sequence[Lit]]) -> None:
-    """Add `clauses` to `s` in one `Solver.add_root_clauses` batch, each
-    cleaned as `Solver.add_clause` cleans one: sorted, a repeated literal
-    kept once, a tautology left out.  Each clause here holds the negation
-    of a guard var that no clause loaded before it names positively.  A
-    frame literal can be a constant, but var 0 is already true at the root
-    (the unrolling's first frame loads its unit), so the loader drops a
-    false one and skips a clause with a true one; a unit can still only be
-    a guard's negation, and the solver ends as one `add_clause` per clause
-    would leave it."""
-    lits: List[Lit] = []
-    ends: List[int] = []
-    for c in clauses:
-        c = sorted(set(c))
-        if any(x ^ y == 1 for x, y in zip(c, c[1:])):
-            continue  # a var's two literals sort next to each other
-        lits += c
-        ends.append(len(lits))
-    s.add_root_clauses(lits, ends)
-
-
 def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     """Check a Safe certificate against the transition system.
 
@@ -117,18 +96,20 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     un = Unroller(ts, s, init=False)
     un.grow(k)
     g, h = 2 * s.new_var(), 2 * s.new_var()
-    guarded = [(g ^ 1, un.lit_at(l, 0)) for l in ts.init_lits]
+    for l in ts.init_lits:
+        s.add_clause((g ^ 1, un.lit_at(l, 0)))
     for d in range(k):
-        guarded += [[h ^ 1] + [un.lit_at(l, d) for l in c] for c in clauses]
-        guarded.append((h ^ 1, un.bad_at(d) ^ 1))
-    _add_clauses(s, guarded)
+        for c in clauses:
+            s.add_clause([h ^ 1] + [un.lit_at(l, d) for l in c])
+        s.add_clause((h ^ 1, un.bad_at(d) ^ 1))
 
     for d in range(k + 1):  # base cases 0..k-1, then the step
         v = 2 * s.new_var()
         sel = [2 * s.new_var() for _ in clauses]  # sel[i] -> clause i false
-        some = [v ^ 1, un.bad_at(d)] + sel  # v -> bad or some clause false
-        _add_clauses(s, [(a ^ 1, un.lit_at(x, d) ^ 1)
-                         for a, c in zip(sel, clauses) for x in c] + [some])
+        for a, c in zip(sel, clauses):
+            for x in c:
+                s.add_clause((a ^ 1, un.lit_at(x, d) ^ 1))
+        s.add_clause([v ^ 1, un.bad_at(d)] + sel)  # v -> bad or one false
         assume = [h if d == k else g, v] + ([un.held(d - 1)] if d else [])
         if s.solve(assumptions=assume) is False:
             continue

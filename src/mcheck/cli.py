@@ -69,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="BMC frames per incremental query (default 1)")
     p.add_argument("--kind-max", type=_at_least(0), default=argparse.SUPPRESS,
                    metavar="N", help="k-induction depth bound (default 50)")
-    p.add_argument("--workers", type=_at_least(1), default=4, metavar="N",
+    p.add_argument("--workers", type=_at_least(1), default=argparse.SUPPRESS,
+                   metavar="N",
                    help="portfolio size: the first config runs alone for "
                         "%g ms, then each other one in its own thread "
-                        "(default 4)" % (SOLO_TIME * 1000))
+                        "(default 3)" % (SOLO_TIME * 1000))
     p.add_argument("--time-limit", type=_at_least(0, float), default=None,
                    metavar="SECS", help="time bound, counted after parsing")
     p.add_argument("--bad-index", type=int, default=0, metavar="I",
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # the engine that reads each engine-specific option, by its argparse dest
 _OWNER = {"strategy": "ic3", "abs_cst": "ic3", "bmc_max": "bmc",
-          "bmc_step": "bmc", "kind_max": "kind"}
+          "bmc_step": "bmc", "kind_max": "kind", "workers": "portfolio"}
 
 
 def _report(verdict: Verdict, aig: Aig, args: argparse.Namespace) -> int:
@@ -154,10 +155,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               % (args.bad_index, len(aig.bads)), file=sys.stderr)
         return EXIT_USAGE
 
-    configs = (None if args.engine == "portfolio"
-               else [EngineConfig(args.engine, **opts)])
-    result = run_portfolio(aig, bad_index=args.bad_index, workers=args.workers,
-                           configs=configs, time_limit=args.time_limit)
+    # `workers` is the portfolio's one option; an engine is a lineup of one
+    lineup = (opts if args.engine == "portfolio"
+              else {"configs": [EngineConfig(args.engine, **opts)]})
+    result = run_portfolio(aig, bad_index=args.bad_index,
+                           time_limit=args.time_limit, **lineup)
     if not result.verdict.definitive and result.rejected:
         for cfg, reason in result.rejected:
             print("verification of the %s verdict failed: %s"

@@ -9,7 +9,9 @@ The cone keeps the AIG's variable numbers, and the engines widen their
 witnesses back to the full model's latches and inputs.  Witnesses replay on
 the AIG, and every certificate, a k-inductive invariant from any engine, is
 checked on the encoding of its k-step cone, whose clauses are a subset of
-the whole model's (see `verify_verdict`).  The portfolio runs
+the whole model's (see `verify_verdict`).  The portfolio's lineup alone
+decides what runs: the configs it is given, whole, or the first `workers`
+of `default_configs`.  It runs
 its first configuration alone in the calling thread and starts one thread
 for each of the others only once that search has run for `SOLO_TIME`
 seconds or ended without a verified verdict.  The first definitive
@@ -25,7 +27,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .aiger import Aig
@@ -72,14 +74,13 @@ class EngineConfig:
 
 
 def default_configs(workers: int) -> List[EngineConfig]:
-    """The first `workers` of six distinct configurations (at least one);
+    """The first `workers` of five distinct configurations (at least one);
     the search is deterministic, so a repeated configuration adds nothing.
-    BMC comes third, so the default four workers also hunt deep bugs."""
+    BMC comes third, so the default three workers also hunt deep bugs."""
     base = [
         EngineConfig("ic3", strategy="dynamic"),
         EngineConfig("ic3", strategy="ctg"),
         EngineConfig("bmc", bmc_step=1),
-        EngineConfig("ic3", strategy="dynamic", abs_cst=True),
         EngineConfig("kind"),
         EngineConfig("bmc", bmc_step=10),
     ]
@@ -161,25 +162,21 @@ class PortfolioResult:
 def run_portfolio(
     aig: Aig,
     bad_index: int = 0,
-    workers: int = 4,
+    workers: int = 3,
     configs: Optional[Sequence[EngineConfig]] = None,
     time_limit: Optional[float] = None,
 ) -> PortfolioResult:
     """First definitive verdict that passes `verify_verdict` wins.
 
-    The first config runs in the calling thread.  After `SOLO_TIME` seconds
+    The lineup is `configs`, run whole, or else `default_configs(workers)`.
+    Its first config runs in the calling thread.  After `SOLO_TIME` seconds
     of its search, or as soon as it ends without a verdict that passes, the
     others start, one daemon thread each; the first config's cancel
-    callback verifies their verdicts as they come in.  On a model without
-    constraints an abs-cst config whose plain twin comes earlier in the
-    lineup runs that twin's search, so it is not started, and its outcome's
-    reason names the twin.  Losers are cancelled and must wind down within
-    `GRACE_PERIOD` seconds.  The clock of `time_limit` starts on entry, and
-    if it runs out while the system is built, no config starts.  An empty
-    `configs` raises `ValueError`."""
-    if configs is None:
-        configs = default_configs(workers)
-    configs = list(configs)[: max(1, workers)]
+    callback verifies their verdicts as they come in.  Losers are cancelled
+    and must wind down within `GRACE_PERIOD` seconds.  The clock of
+    `time_limit` starts on entry, and if it runs out while the system is
+    built, no config starts.  An empty `configs` raises `ValueError`."""
+    configs = list(default_configs(workers) if configs is None else configs)
     if not configs:
         raise ValueError("empty lineup: run_portfolio needs a config")
 
@@ -188,12 +185,6 @@ def run_portfolio(
     stop = threading.Event()
     results: "queue.Queue[Tuple[int, Verdict, bool]]" = queue.Queue()
     outcomes = [Outcome(cfg) for cfg in configs]
-    for j, cfg in enumerate(configs):
-        if cfg.abs_cst and not aig.constraints:  # `ic3.check` runs plain IC3
-            plain = replace(cfg, abs_cst=False)
-            if plain in configs[:j]:
-                outcomes[j].reason = "same search as %s: no constraints" % plain.name
-    rivals = [j for j in range(1, len(configs)) if not outcomes[j].reason]
     threads: List[threading.Thread] = []
     running = {0}  # configs started and not yet settled
     winner: Optional[int] = None
@@ -212,7 +203,7 @@ def run_portfolio(
     def race() -> None:
         if threads:
             return
-        for j in rivals:
+        for j in range(1, len(configs)):
             threads.append(threading.Thread(target=worker, args=(j,), daemon=True))
             running.add(j)
         for t in threads:

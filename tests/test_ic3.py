@@ -7,8 +7,8 @@ from mcheck import ic3
 from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
-from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T2, EXCTG, IC3, MODEL_RING,
-                        STANDARD, Ic3Options, select_strategy,
+from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T1, DYNAMIC_T2, EXCTG, IC3,
+                        MODEL_RING, STANDARD, Ic3Options, select_strategy,
                         check as ic3_check)
 from mcheck.logic import negate
 from mcheck.satcore import UNDEF
@@ -160,6 +160,30 @@ def test_dynamic_exctg_waits_for_a_ctg_block(escalations):
     assert not [g for g in escalations if g[0] == EXCTG and not g[2]]
     assert [g for g in escalations if g[0] == CTG and g[1] >= DYNAMIC_T2
             and not g[2]]
+
+
+# (failed blocks, whether a CTG MIC on the cube blocked a CTG, dynamic's pick)
+DYNAMIC_PICKS = [
+    (0, False, STANDARD), (DYNAMIC_T1 - 1, True, STANDARD),
+    (DYNAMIC_T1, False, CTG), (DYNAMIC_T1, True, CTG),
+    (DYNAMIC_T2 - 1, True, CTG), (DYNAMIC_T2, False, CTG),
+    (DYNAMIC_T2, True, EXCTG), (DYNAMIC_T2 + 10, False, CTG),
+    (DYNAMIC_T2 + 10, True, EXCTG),
+]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategy_for_waits_for_a_ctg_block(strategy):
+    # the escalation state set by hand, so no search has to reach it; a
+    # static mode hands out its own strategy whatever the state
+    engine = IC3(encode(mod_counter(3, 5, 6)), Ic3Options(strategy=strategy))
+    cube = (2, 5)
+    assert engine._strategy_for(cube) == (
+        STANDARD if strategy == DYNAMIC else strategy)
+    for fails, paid, pick in DYNAMIC_PICKS:
+        engine._escalation[cube] = [fails, paid]
+        assert engine._strategy_for(cube) == (
+            pick if strategy == DYNAMIC else strategy), (fails, paid)
 
 
 def test_dynamic_cube_with_a_ctg_block_escalates_at_t2(escalations):

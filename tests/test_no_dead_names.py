@@ -29,7 +29,7 @@ SRC = Path(mcheck.__file__).resolve().parent
 
 BENCH_ONLY = {
     "ic3.MicRecord.size_out":
-        "bench/worker.py:123 sums it; ROADMAP item 14 replaces mic_records",
+        "bench/worker.py:123 sums it; ROADMAP item 5 replaces mic_records",
 }
 
 

@@ -40,15 +40,15 @@ def test_engine_config_names():
 
 def test_default_configs_shape():
     assert len(default_configs(1)) == 1
-    assert len(default_configs(4)) == 4
-    # past the six base configs nothing is repeated: the search is
+    # past the five base configs nothing is repeated: the search is
     # deterministic, so a copy would only redo a worker's run
     nine = default_configs(9)
-    assert nine == default_configs(6)
-    assert len({cfg.name for cfg in nine}) == len(nine) == 6
-    # ic3 leads the lineup, and the default four workers include BMC
-    assert default_configs(4)[0].engine == "ic3"
-    assert any(cfg.engine == "bmc" for cfg in default_configs(4))
+    assert nine == default_configs(5)
+    assert len({cfg.name for cfg in nine}) == len(nine) == 5
+    assert not any(cfg.abs_cst for cfg in nine)
+    # the default three workers: two IC3 searches, and BMC for deep bugs
+    assert [cfg.name for cfg in default_configs(3)] == [
+        "ic3+dynamic", "ic3+ctg", "bmc(step=1)"]
 
 
 def test_run_config_each_engine(cnt2, safe1):
@@ -299,29 +299,21 @@ def test_portfolio_race_starts_at_once_after_unknown(monkeypatch, safe1):
     assert r.outcomes[0].reason
 
 
-def test_portfolio_starts_no_abs_cst_twin_without_constraints(monkeypatch, safe1):
-    """Without constraints, ic3+dynamic+abs-cst runs ic3+dynamic's search:
-    when the race starts after the first config, it is not started, and
-    its reason names that config.  Alone, or on a constrained model, it
-    starts."""
+def test_portfolio_runs_a_given_lineup_whole(monkeypatch, safe1):
+    """`workers` sizes only the default lineup: a given lineup runs whole,
+    and without one the portfolio runs dynamic IC3, CTG IC3 and BMC."""
     monkeypatch.setattr(orchestrator, "SOLO_TIME", 60.0)
     started = _spy_threads(monkeypatch)
-    cfgs = [EngineConfig("bmc", bmc_max=2), EngineConfig("ic3"),
-            EngineConfig("ic3", abs_cst=True)]
-    r = run_portfolio(safe1, workers=3, configs=cfgs)
-    assert r.verdict.is_safe and r.winner is cfgs[1]
-    assert len(started) == 1
-    assert _statuses(r) == ["no-verdict", "won", "not-started"]
-    assert r.outcomes[2].reason == "same search as ic3+dynamic: no constraints"
-    started.clear()
-    r = run_portfolio(safe1, workers=2, configs=[cfgs[0], cfgs[2]])
-    assert r.verdict.is_safe and r.winner is cfgs[2] and len(started) == 1
-    # the constraint pins the latch at 0, so the toggling bad is unreachable
-    constrained = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
-    started.clear()
-    r = run_portfolio(constrained, workers=3, configs=cfgs)
-    assert r.verdict.is_safe and len(started) == 2
-    assert _statuses(r)[2] in ("won", "cancelled")
+    cfgs = [EngineConfig("bmc", bmc_max=2),
+            EngineConfig("bmc", bmc_step=10, bmc_max=2), EngineConfig("ic3")]
+    r = run_portfolio(safe1, workers=1, configs=cfgs)
+    assert r.verdict.is_safe and r.winner is cfgs[2]
+    assert len(started) == 2
+    assert [o.config for o in r.outcomes] == cfgs
+    assert _statuses(r)[0::2] == ["no-verdict", "won"]
+    assert _statuses(r)[1] in ("no-verdict", "cancelled")
+    r = run_portfolio(safe1)
+    assert [o.config for o in r.outcomes] == default_configs(3)
 
 
 def test_portfolio_engine_error_in_first_config(monkeypatch, safe1):
