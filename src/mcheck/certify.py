@@ -72,7 +72,8 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     k-inductive (Sheeran, Singh and Stålmarck, FMCAD 2000): no path from
     init leaves P at a depth d < k (base case), and no path of k frames in
     P leaves it at frame k (inductive step).  A path to frame d assumes the
-    constraints at frames 0..d-1, and bad at frame d folds in frame d's.
+    constraints at frames 0..d-1 (`held(d-1)`), and bad at frame d is read
+    as `reach(d)`, which adds frame d's.
     One solver holds one init-free unrolling to frame k, with selector g for
     init at frame 0 and h for P at frames 0..k-1; each condition is one
     query on a fresh literal that implies ¬P at its frame.  A failed
@@ -101,7 +102,7 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     for d in range(k):
         for c in clauses:
             s.add_clause([h ^ 1] + [un.lit_at(l, d) for l in c])
-        s.add_clause((h ^ 1, un.bad_at(d) ^ 1))
+        s.add_clause((h ^ 1, un.reach(d) ^ 1))
 
     for d in range(k + 1):  # base cases 0..k-1, then the step
         v = 2 * s.new_var()
@@ -109,7 +110,7 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
         for a, c in zip(sel, clauses):
             for x in c:
                 s.add_clause((a ^ 1, un.lit_at(x, d) ^ 1))
-        s.add_clause([v ^ 1, un.bad_at(d)] + sel)  # v -> bad or one false
+        s.add_clause([v ^ 1, un.reach(d)] + sel)  # v -> bad or one false
         assume = [h if d == k else g, v] + ([un.held(d - 1)] if d else [])
         if s.solve(assumptions=assume) is False:
             continue

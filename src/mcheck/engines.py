@@ -117,10 +117,10 @@ def kind(
 
         if k == 0:
             continue
-        # step: ¬bad at 0..k-1 (permanent units, monotone in k) and the
-        # constraints at 0..k ⊢ ¬bad at k
+        # step: ¬reach at 0..k-1 (permanent units, monotone in k; ¬bad under
+        # the constraints) and the constraints at 0..k ⊢ ¬bad at k
         us.grow(k)
-        ss.add_clause((lit_neg(us.bad_at(k - 1)),))
+        ss.add_clause((lit_neg(us.reach(k - 1)),))
         res = ss.solve(assumptions=[us.reach(k)], cancel_check=cancel)
         if res is None:
             return unknown("cancelled", stats=stats)

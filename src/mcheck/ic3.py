@@ -10,7 +10,9 @@ cube whose CTGs never block stays at CTG: extended CTG only adds recursive
 blocks of CTGs, the costliest step.
 
 Every query runs on one incremental solver, which holds the system's own
-clauses and nothing per latch.  A query at frame i takes the shape
+clauses, the constraints as root units and nothing per latch.  Get-bad at
+frame k assumes F_k and the AIG's bad literal; F_0 is init, so the first
+get-bad, at k = 0, is the 0-step query.  A query at frame i takes the shape
 F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′, with c′ over the next-state functions
 themselves: the blocking clause ¬c enters as a temporary clause, the
 next-state literals of c (`TranSys.prime`) as assumptions, and the
@@ -221,13 +223,15 @@ class IC3:
 
     def _query_domain(self, cube: Optional[Cube]) -> Set[int]:
         """Decision domain of a relative-induction query on `cube`, or of
-        get-bad for None; cached per cube var set until `_adj` grows."""
+        get-bad for None; cached per cube var set until `_adj` grows.  Every
+        domain holds the cones of bad and the constraints: the constraints
+        are root units, and a model that left their gates open might not
+        extend to a full one."""
         key = None if cube is None else frozenset(l >> 1 for l in cube)
         domain = self._domains.get(key)
         if domain is None:
-            roots = [self.ts.bad >> 1]
+            roots = [l >> 1 for l in (self.ts.bad, *self.ts.constraints)]
             if cube is not None:
-                roots.extend(l >> 1 for l in self.ts.constraints)
                 for l in cube:
                     roots.append(l >> 1)
                     roots.append(self.ts.next_map[l >> 1] >> 1)
@@ -627,14 +631,6 @@ class IC3:
 
     def check(self) -> Verdict:
         try:
-            self._new_frame()  # k = 1
-            # 0-step case: init ∧ constraints ∧ bad
-            if self._solve(self._frame_assumptions(0) + [self.ts.bad],
-                           self._query_domain(None)):
-                head = _Obligation(0, self._model_state_cube(),
-                                   self._model_inputs(), None)
-                return unsafe(self._trace(head), stats=self.stats)
-
             while True:
                 self._check_cancel()
                 ob = self.get_bad()

@@ -3,16 +3,18 @@
 Variable layout: CNF var i corresponds to AIG node i (var 0 is the reserved
 constant, asserted true by a unit clause).  A latch's next state is the
 AIG's own next-state literal, with no var of its own, so a query over the
-next states assumes those literals.  The one auxiliary definition var, for
-constraints, follows the largest node the AIG defines, not the header's M,
-so an oversized header does not size the solvers.  The effective bad
-literal folds the invariant constraints in: a bad state satisfies them.
+next states assumes those literals.  `num_vars` follows the largest node
+the AIG defines, not the header's M, so an oversized header does not size
+the solvers.  Every var the system defines is an AND gate of the AIG, and
+bad is the AIG's own bad literal.
 
 Constraints follow AIGER 1.9 (Biere, Heljanko and Wieringa, "AIGER 1.9 and
 Beyond", 2011): a counterexample of length d is a path from an initial state
 on which every constraint holds at steps 0..d and bad holds at step d;
-nothing is required after step d.  `Unroller` is the one place that builds
-timed frames and encodes this.  It builds each frame from `defs`, gate by
+nothing is required after step d.  Constraints meet bad in two places
+only: `Unroller`, the one place that builds timed frames, conjoins them in
+`held` and `reach`, and IC3 loads them as root units of its one solver.
+`Unroller` builds each frame from `defs`, gate by
 gate, folding constants: a frame maps a latch to the previous frame's
 next-state literal, an initial frame maps a reset latch to a constant, and
 only a gate left open gets a var and clauses.  The gates come in two parts,
@@ -42,7 +44,7 @@ from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from .aiger import Aig, WitnessTrace
-from .logic import FALSE_LIT, TRUE_LIT, Clause, Lit, lit_neg, mklit
+from .logic import FALSE_LIT, TRUE_LIT, Clause, Lit, mklit
 from .satcore import Solver
 
 
@@ -58,18 +60,18 @@ class TranSys:
     literals and leaves tautologies out.  `TranSys.load` reads `clauses`;
     `FrameTemplate` reads `defs` instead.  `latch_vars` lists every state
     var, and `next_map` maps each to its next-state literal, which two
-    latches may share.  `defs` maps each var the system defines to the
-    literals it is the AND of, in an evaluation order: a gate to its two
-    fanins and the constraint aux var to its conjuncts.  Latches, inputs
-    and var 0 have no entry, and neither has a gate that a bounded cone
-    leaves out."""
+    latches may share.  `defs` maps each gate the system defines to its two
+    fanins, in an evaluation order.  Latches, inputs and var 0 have no
+    entry, and neither has a gate that a bounded cone leaves out.  `bad`
+    and `constraints` are the AIG's own literals: bad does not fold the
+    constraints in."""
 
     num_vars: int
     latch_vars: List[int]
     input_vars: List[int]
     next_map: Dict[int, int]
     init_lits: Tuple[Lit, ...]  # cube over latches; uninitialized bits absent
-    bad: Lit  # effective bad: raw bad AND all active constraints
+    bad: Lit  # the AIG's bad literal
     constraints: List[Lit]
     clauses: List[Clause]
     defs: Dict[int, Tuple[Lit, ...]]
@@ -220,33 +222,17 @@ def encode(
         a, b = defs[g.var] = ref_to_lit(g.rhs0), ref_to_lit(g.rhs1)
         _and_clauses(clauses, mklit(g.var), a, b)
 
-    # after the largest defined node, not the header's M
-    num_vars = 1 + max([0, *aig.inputs, *(lt.var for lt in aig.latches),
-                        *(g.var for g in aig.ands)])
-    bad_raw = ref_to_lit(bad_ref)
-    cst_lits = [ref_to_lit(r) for r in cst_refs]
-    if cst_lits:
-        be = num_vars
-        num_vars += 1
-        conj = list(dict.fromkeys([bad_raw] + cst_lits))
-        for l in conj:
-            clauses.append(tuple(sorted((mklit(be, True), l))))
-        if not any(lit_neg(l) in conj for l in conj):  # else be is false
-            clauses.append(tuple(sorted([mklit(be)] + [lit_neg(l) for l in conj])))
-        defs[be] = tuple(conj)
-        bad = mklit(be)
-    else:
-        bad = bad_raw
-
     return TranSys(
-        num_vars=num_vars,
+        # after the largest defined node, not the header's M
+        num_vars=1 + max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+                          *(g.var for g in aig.ands)]),
         latch_vars=[lt.var for lt in latches],
         input_vars=list(inputs),
         next_map={lt.var: ref_to_lit(lt.next) for lt in latches},
         init_lits=tuple(sorted(mklit(lt.var, lt.init == 0) for lt in latches
                                if lt.init is not None)),
-        bad=bad,
-        constraints=cst_lits,
+        bad=ref_to_lit(bad_ref),
+        constraints=[ref_to_lit(r) for r in cst_refs],
         clauses=clauses,
         defs=defs,
         init_value={lt.var: lt.init for lt in latches},
@@ -332,12 +318,11 @@ class FrameTemplate:
     inputs, and the var of any next-state literal that a bounded cone leaves
     undefined), and last the vars of `TranSys.defs` in two parts, each in
     `defs` order, which is an evaluation order.  The next-state part is the
-    cone of the next-state literals: the definitions a latch's next state
-    reads.  The property part is every other definition, the logic that only
-    bad and the constraints read: first the definitions of at most two
-    literals, then the wider ones (the constraint aux var).  The next-state
-    part reads no property slot, so the slot order stays an evaluation order,
-    and the property part is a suffix of it that a frame can leave out whole.
+    cone of the next-state literals: the gates a latch's next state reads.
+    The property part is every other gate, the logic that only bad and the
+    constraints read.  The next-state part reads no property slot, so the
+    slot order stays an evaluation order, and the property part is a suffix
+    of it that a frame can leave out whole.
 
     The compile keeps what a frame needs: `latch_src`, each latch's
     next-state literal; `reset`, each latch's literal in an initial state
@@ -345,11 +330,8 @@ class FrameTemplate:
     of free vars; `bad` and `constraints`; and the gate program, every
     literal packed as `(slot << 1) | sign`.  Two latches may share a
     next-state literal, and it may be a constant, a latch or an input.
-    `gates` (the next-state part) and `prop` (the property part) hold, per
-    definition of at most two literals, those literals, smaller first; a
-    definition of one literal (an aux var whose conjuncts are all one
-    literal) reads it twice, so the AND folds it to that literal.  `wide`
-    holds the longer definitions.  A definition that reads a later slot
+    `gates` (the next-state part) and `prop` (the property part) hold each
+    gate's two fanins, smaller first.  A gate that reads a later slot
     raises `IndexError` in the first frame, so the order needs no check of
     its own.
     """
@@ -362,12 +344,9 @@ class FrameTemplate:
         free = [v for v in dict.fromkeys(chain(ts.input_vars, next_vars))
                 if v not in known]
         cone = coi_vars(next_vars, defs, {})
-        narrow: List[int] = []
-        prop: List[int] = []
-        wide: List[int] = []
-        for v, f in defs.items():
-            (wide if len(f) > 2 else narrow if v in cone else prop).append(v)
-        order = [0, *latches, *free, *narrow, *prop, *wide]
+        narrow = [v for v in defs if v in cone]
+        prop = [v for v in defs if v not in cone]
+        order = [0, *latches, *free, *narrow, *prop]
         self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
 
@@ -379,10 +358,9 @@ class FrameTemplate:
         self.reset = [reset.get(lv) for lv in latches]
         self.free = len(free)
 
-        pairs = [(pack(defs[v][0]), pack(defs[v][-1])) for v in narrow + prop]
+        pairs = [(pack(a), pack(b)) for a, b in map(defs.get, narrow + prop)]
         gates = [(a, b) if a <= b else (b, a) for a, b in pairs]
         self.gates, self.prop = gates[:len(narrow)], gates[len(narrow):]
-        self.wide = [sorted(map(pack, defs[v])) for v in wide]
         self.bad = pack(ts.bad)
         self.constraints = [pack(c) for c in ts.constraints]
 
@@ -431,10 +409,10 @@ class Unroller:
     Constraints are those of AIGER 1.9: bad at depth d needs them at frames
     0..d and at no frame after d.  `held(d)` is the AND of C_0..C_d, and
     `reach(d)`, the literal to query for a counterexample of length d, the
-    AND of bad at frame d (already folded with C_d) and `held(d-1)`.  Both
-    fold as gates do: without constraints `held` is true and `reach` is the
-    bad literal, with no var, and a `reach` that folds to false needs no
-    query.
+    AND of bad at frame d and `held(d)`.  Both fold as gates do: without
+    constraints `held` is true and `reach` is the bad literal, with no var,
+    and a `reach` that folds to false needs no query.  Under `held(d)`,
+    `reach(d)` is bad at frame d.
 
     With `init`, a frame whose `reach(d)` folds to false and whose
     `held(d)` folds to a constant leaves out the template's property part:
@@ -501,7 +479,7 @@ class Unroller:
                     lm += (y, y ^ 1)
                 else:  # a false fanin, or x AND NOT x
                     lm += (FALSE_LIT, TRUE_LIT)
-        tail: List[List[Lit]] = []  # clauses of the wide ANDs, held and reach
+        tail: List[List[Lit]] = []  # clauses of held and reach
 
         def conj(ls: List[Lit]) -> Lit:
             nonlocal g
@@ -510,12 +488,9 @@ class Unroller:
                 g += 2
             return x
 
-        for f in t.wide:
-            x = conj([lm[a] for a in f])
-            lm += (x, x ^ 1)
         prior = self._held[-1:]  # held(d-1), if there is a frame before
         held = conj([lm[c] for c in t.constraints] + prior)
-        reach = conj([lm[t.bad]] + prior)
+        reach = conj([lm[t.bad], held])
         if self.init and reach == FALSE_LIT and held < 2:
             # no query reads this frame's property logic, and no later
             # frame does either: leave it out before anything is allocated
@@ -543,9 +518,6 @@ class Unroller:
             raise ValueError("var %d has no literal in frame %d: the frame "
                              "left out its property logic" % (lit >> 1, frame))
         return row[j] ^ (lit & 1)
-
-    def bad_at(self, frame: int) -> Lit:
-        return self.lit_at(self.ts.bad, frame)
 
     def held(self, frame: int) -> Lit:
         return self._held[frame]

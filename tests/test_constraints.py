@@ -58,6 +58,28 @@ def test_certificate_check_assumes_constraints_before_the_checked_frame(
         False, reason)
 
 
+# input i; bad i; constraint ~i: bad needs the input, which the constraint
+# forbids at every step
+FORBIDDEN_AAG = b"aag 1 1 0 0 0 1 1\n2\n2\n3\n"
+
+
+@pytest.mark.parametrize("config", [
+    *(EngineConfig("ic3", strategy=s)
+      for s in ("standard", "ctg", "exctg", "dynamic")),
+    EngineConfig("ic3", abs_cst=True),
+    EngineConfig("kind"),
+    EngineConfig("bmc", bmc_max=5),
+], ids=lambda c: c.name)
+def test_a_bad_the_constraints_forbid_is_proved(config):
+    """Every engine but BMC proves it, and the 1-inductive certificate of
+    bad alone is accepted: bad at a frame needs that frame's constraint."""
+    aig = parse_aiger(FORBIDDEN_AAG)
+    v = run_config(aig, config)
+    assert v.status == ("unknown" if config.engine == "bmc" else "safe")
+    assert verify_verdict(aig, 0, v) == (True, "ok")
+    assert verify_verdict(aig, 0, safe(InvariantCert([], 1))) == (True, "ok")
+
+
 def _constrained_models(n):
     """Seeded small random circuits, most with one or two constraints."""
     return [random_aig(random.Random(61_000 + i), max_latches=5, max_inputs=2,

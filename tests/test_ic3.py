@@ -12,7 +12,7 @@ from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T1, DYNAMIC_T2, EXCTG, IC3,
                         check as ic3_check)
 from mcheck.logic import negate
 from mcheck.satcore import UNDEF
-from mcheck.transys import coi_vars, encode, ref_to_lit, simplify_cnf
+from mcheck.transys import coi_vars, encode, simplify_cnf
 
 from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
                       random_aig)
@@ -306,16 +306,9 @@ class _CheckedLifts(_RingTracking):
         inputs = dict(zip(aig.inputs, frame))
         fixed = {l >> 1: 1 - (l & 1) for l in cube}
         free = [lt.var for lt in aig.latches if lt.var not in fixed]
-        bad = [ref_to_lit(aig.bads[ts.bad_index]), *ts.constraints]
 
         def value(lit):
-            v = lit >> 1
-            if v == 0:  # the constant var 0 is true
-                x = 1
-            elif v == ts.bad >> 1 and ts.constraints:  # bad and constraints
-                x = int(all(value(l) for l in bad))
-            else:
-                x = vals[v]
+            x = vals[lit >> 1] if lit > 1 else 1  # the constant var 0 is true
             return x ^ (lit & 1)
 
         for bits in itertools.product((0, 1), repeat=len(free)):
@@ -385,9 +378,8 @@ class _FreshDomains(IC3):
         self.hits += key in self._domains
         got = super()._query_domain(cube)
         ts = self.ts
-        roots = [ts.bad >> 1]
+        roots = [ts.bad >> 1] + [l >> 1 for l in ts.constraints]
         if cube is not None:
-            roots += [l >> 1 for l in ts.constraints]
             roots += [v for l in cube
                       for v in (l >> 1, ts.next_map[l >> 1] >> 1)]
         assert got == coi_vars(roots, ts.defs, self._adj)

@@ -73,10 +73,10 @@ def test_unrolling_matches_concrete_simulation(rng):
             want_bad = vals[bad_ref >> 1] ^ (bad_ref & 1)
             if ts.bad >> 1 in _left_out(un, t):  # reach(t), bad here, is false
                 with pytest.raises(ValueError, match="frame %d" % t):
-                    un.bad_at(t)
+                    un.lit_at(ts.bad, t)
                 assert want_bad == 0, t
             else:
-                assert _lit_value(s, un.bad_at(t)) == want_bad, t
+                assert _lit_value(s, un.lit_at(ts.bad, t)) == want_bad, t
             latch_vals = {lt.var: vals[lt.next >> 1] ^ (lt.next & 1)
                           for lt in aig.latches}
 
@@ -104,12 +104,27 @@ def test_reach_needs_constraints_up_to_its_depth_only():
     assert s.solve([un.held(2)]) is False
 
 
-def test_effective_bad_includes_constraints():
+def test_reach_holds_exactly_when_bad_and_constraints_do(rng):
+    """Bad is the AIG's bad literal, constraints or not, and `reach(d)`
+    holds exactly when bad at frame d and C_0..C_d do: it implies each of
+    them, and they imply it."""
     aig = parse_aiger(b"aag 1 0 1 0 0 1 1\n2 3\n2\n3\n")
     ts = encode(aig)
-    # bad and raw bad differ when constraints exist
-    assert ts.bad != ref_to_lit(aig.bads[0])
-    assert len(ts.constraints) == 1
+    assert ts.bad == ref_to_lit(aig.bads[0])
+    assert ts.constraints == [ref_to_lit(aig.constraints[0])]
+    for _ in range(40):
+        aig = random_aig(rng, constraint_prob=1.0)
+        ts = encode(aig)
+        assert aig.constraints and ts.bad == ref_to_lit(aig.bads[0])
+        s = Solver()
+        un = Unroller(ts, s, init=False)
+        un.grow(3)
+        for d in range(4):
+            parts = [un.lit_at(ts.bad, d)] + [
+                un.lit_at(c, t) for c in ts.constraints for t in range(d + 1)]
+            for x in parts:
+                assert s.solve([un.reach(d), x ^ 1]) is False, (d, x)
+            assert s.solve(parts + [un.reach(d) ^ 1]) is False, d
 
 
 def test_cube_intersects_init(cnt2):
@@ -211,10 +226,9 @@ def test_folded_frames_match_simulation(rng):
     random circuits with constraints, encoded in full and over the cone,
     with init and without, every var a frame maps takes its simulated value
     under a fixed start state and stimulus, constant literals included: a
-    node its value, and the aux var bad and the constraints together.  A
-    frame maps every var but those `_left_out` names, and `lit_at` raises
-    on those.  `held(d)` and `reach(d)` can hold exactly when the
-    simulation says so."""
+    node its value.  A frame maps every var but those `_left_out` names,
+    and `lit_at` raises on those.  `held(d)` and `reach(d)` can hold
+    exactly when the simulation says so."""
     folded = kept = dropped = 0
     for _ in range(60):
         aig = random_aig(rng, constraint_prob=0.6)
@@ -259,9 +273,6 @@ def test_folded_frames_match_simulation(rng):
                             continue
                         if v == 0:  # true in CNF, false as an AIGER node
                             want = 1
-                        elif v == ts.bad >> 1 and ts.constraints:
-                            want = int(value(aig.bads[0], t) and all(
-                                value(c, t) for c in aig.constraints))
                         else:  # an input, latch or gate
                             want = steps[t][v]
                         lit = un.lit_at(2 * v, t)
@@ -304,7 +315,8 @@ def test_unroller_grows_frames_into_its_solver(cnt2):
                 assert un.lit_at(2 * lv, k + 1) == \
                     un.lit_at(ts.next_map[lv], k)
         # no constraints: no extra var, and reach is the plain bad literal
-        assert [un.reach(d) for d in range(5)] == [un.bad_at(d) for d in range(5)]
+        assert [un.reach(d) for d in range(5)] == [
+            un.lit_at(ts.bad, d) for d in range(5)]
         if init:
             assert [un.reach(d) for d in range(5)] == [
                 FALSE_LIT, FALSE_LIT, FALSE_LIT, TRUE_LIT, FALSE_LIT]
@@ -372,10 +384,10 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
 def test_left_out_literals_raise():
     """From init, `shift_lock(8, ...)`'s bad folds to false at depths 0..7,
     so those frames leave out its 7 comparator gates, the whole property
-    part: `lit_at` and `bad_at` on one of them raise `ValueError` naming the
-    var and the frame, and no var was allocated for them.  Frame 8, where
-    the lock can open, keeps them, and so does every frame of an init-free
-    unroller."""
+    part: `lit_at` on one of them, bad included, raises `ValueError`
+    naming the var and the frame, and no var was allocated for them.
+    Frame 8, where the lock can open, keeps them, and so does every frame
+    of an init-free unroller."""
     ts = build_transys(shift_lock(8, 0b1011))
     prop = set(ts.defs) - coi_vars([l >> 1 for l in ts.next_map.values()],
                                    ts.defs, {})
@@ -387,11 +399,11 @@ def test_left_out_literals_raise():
         assert un.reach(d) == FALSE_LIT and un.held(d) == TRUE_LIT
         with pytest.raises(ValueError, match="var %d has no literal in frame %d"
                            % (ts.bad >> 1, d)):
-            un.bad_at(d)
+            un.lit_at(ts.bad, d)
         for v in prop:
             with pytest.raises(ValueError, match="var %d .* frame %d" % (v, d)):
                 un.lit_at(2 * v + 1, d)
-    assert un.reach(8) == un.bad_at(8) > TRUE_LIT
+    assert un.reach(8) == un.lit_at(ts.bad, 8) > TRUE_LIT
     assert {un.lit_at(2 * v, 8) >> 1 for v in prop} == set(range(10, 17))
     assert s.num_vars == 1 + 9 + 7  # var 0, one input per frame, the gates
     free = Unroller(ts, Solver(), init=False)
@@ -459,9 +471,8 @@ def test_coi_restricts_to_support():
 
 def test_a_latch_next_state_is_its_next_state_literal(rng):
     """The encoding states each latch's next state once, as the AIG's own
-    literal: no var past the largest defined node but the constraint aux
-    var, no definition but the gates' and the aux var's, and IC3's solver
-    adds only the frame-0 activation var."""
+    literal: no var past the largest defined node, no definition but the
+    gates', and IC3's solver adds only the frame-0 activation var."""
     aigs = [random_aig(rng) for _ in range(40)]
     aigs += [padded_mod_counter(4, 12, 6, pad=3, enable=True)]
     assert any(aig.constraints for aig in aigs)
@@ -469,13 +480,29 @@ def test_a_latch_next_state_is_its_next_state_literal(rng):
         top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
                    *(g.var for g in aig.ands)])
         for ts in (encode(aig), build_transys(aig)):
-            aux = {top + 1} if aig.constraints else set()
-            assert ts.num_vars == top + 1 + len(aux)
+            assert ts.num_vars == top + 1
             assert all(ts.next_map[lt.var] == ref_to_lit(lt.next)
                        for lt in aig.latches if lt.var in ts.next_map)
-            assert set(ts.defs) <= {g.var for g in aig.ands} | aux
-            assert aux <= set(ts.defs)
+            assert set(ts.defs) <= {g.var for g in aig.ands}
             assert IC3(ts).solver.num_vars == ts.num_vars + 1
+
+
+def test_every_definition_is_a_two_fanin_gate(rng):
+    """On constrained random circuits, encoded in full and over the cone,
+    `encode` defines no var above the largest AIG node, and every
+    definition is a gate's own two fanins: the constraints fold into no
+    definition."""
+    for _ in range(60):
+        aig = random_aig(rng, constraint_prob=1.0)
+        assert aig.constraints
+        top = max([0, *aig.inputs, *(lt.var for lt in aig.latches),
+                   *(g.var for g in aig.ands)])
+        fanins = {g.var: (ref_to_lit(g.rhs0), ref_to_lit(g.rhs1))
+                  for g in aig.ands}
+        for ts in (encode(aig), encode(aig, cone=True)):
+            assert ts.num_vars == top + 1
+            assert all(len(f) == 2 for f in ts.defs.values())
+            assert all(ts.defs[v] == fanins[v] for v in ts.defs)
 
 
 # gate 6 = 2 AND 2 repeats a fanin, gate 8 = 4 AND NOT 4 is constant false
