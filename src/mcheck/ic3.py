@@ -1,7 +1,7 @@
-"""IC3 engine: delta-encoded frames, proof-obligation queue, predecessor
-lifting, MIC generalization (standard / CTG / extended-CTG) with dynamic
-strategy escalation, forward propagation, and constraint localization
-abstraction.
+"""IC3 engine: a bit-parallel simulation stage, delta-encoded frames,
+proof-obligation queue, predecessor lifting, MIC generalization (standard /
+CTG / extended-CTG) with dynamic strategy escalation, forward propagation,
+and constraint localization abstraction.
 
 In dynamic mode each obligation cube starts at standard MIC and moves up
 on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
@@ -9,10 +9,20 @@ on failed blocks: to CTG after `DYNAMIC_T1`, to extended CTG after
 cube whose CTGs never block stays at CTG: extended CTG only adds recursive
 blocks of CTGs, the costliest step.
 
+Before its first query, a run simulates the system: `SIM_LANES` random
+traces at once, as the bits of Python ints (`TranSys.simulate`), for at
+most `SIM_STEPS` steps and `SIM_WORK` node evaluations in all, so a system
+of more than `SIM_WORK` nodes is not simulated.  A lane that reaches bad,
+with the constraints held at every step up to it, is the run's
+counterexample, with no solver call; `Ic3Stats.sim_depth` holds its depth.
+So a shallow bug that random inputs reach costs no query, and the search
+below runs only when every lane missed.
+
 Every query runs on one incremental solver, which holds the system's own
 clauses, the constraints as root units and nothing per latch.  Get-bad at
 frame k assumes F_k and the AIG's bad literal; F_0 is init, so the first
-get-bad, at k = 0, is the 0-step query.  A query at frame i takes the shape
+get-bad, at k = 0, is the 0-step query; it runs only when no lane of the
+simulation stage hit bad.  A query at frame i takes the shape
 F_{i-1} ∧ constraints ∧ ¬c ∧ T ∧ c′, with c′ over the next-state functions
 themselves: the blocking clause ¬c enters as a temporary clause, the
 next-state literals of c (`TranSys.prime`) as assumptions, and the
@@ -89,6 +99,9 @@ CTG_LIMIT = 3  # CTGs blocked per candidate before joining
 EXCTG_BUDGET = 200  # relative-induction queries per extended-CTG MIC call
 DOMAIN_CACHE_LIMIT = 1024  # cached query domains before the cache starts over
 MODEL_RING = 32  # last sat answers a relative-induction query may reuse
+SIM_LANES = 256  # random traces the simulation stage runs side by side
+SIM_STEPS = 64  # steps it runs at most
+SIM_WORK = 4096  # node evaluations it makes at most, over all its steps
 DYNAMIC_T1 = 3  # failed blocks before a dynamic cube escalates to CTG
 DYNAMIC_T2 = 6  # failed blocks before it may escalate to extended CTG
 
@@ -122,6 +135,7 @@ class Ic3Stats:
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
     ring_answers: int = 0  # queries a stored model answered, not in solver_calls
+    sim_depth: Optional[int] = None  # depth of a simulated counterexample
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
     solver: Optional[SolverStats] = None  # the one solver's counts
@@ -630,6 +644,10 @@ class IC3:
                               for d in sorted(self.frames[j])])
 
     def check(self) -> Verdict:
+        trace = self.ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
+        if trace is not None:
+            self.stats.sim_depth = len(trace.input_frames) - 1
+            return unsafe(trace, stats=self.stats)
         try:
             while True:
                 self._check_cancel()

@@ -32,11 +32,13 @@ k latch steps: every clause of that bounded cone is a clause of the full
 encoding, and one left out defines a var that nothing kept reads within k
 steps.
 `widen_witness` turns a trace over the cone back into one over the source
-AIG's latches and inputs.
+AIG's latches and inputs; `simulate` runs random traces over `defs`, many
+at once, and widens the first that reaches bad.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -120,6 +122,56 @@ class TranSys:
         frames: List[List[Optional[int]]] = [
             [0 if j is None else f[j] for j in cols] for f in input_frames]
         return WitnessTrace(self.bad_index, init, frames)
+
+    def simulate(self, lanes: int, steps: int,
+                 work: int) -> Optional[WitnessTrace]:
+        """A witness from `lanes` random traces run side by side, lane j in
+        bit j of one int per var (the bit-parallel simulation of Mishchenko,
+        Chatterjee, Jiang and Brayton, "FRAIGs: A Unifying Representation
+        for Logic Synthesis and Verification", 2005), or None if no lane
+        reaches bad.  A reset latch starts at its reset value, an open one
+        and every input at each step at random bits of a fixed seed, so two
+        runs give the same witness.  A lane drops out at the first step
+        where a constraint fails, so bad at step d counts only if the
+        constraints held at steps 0..d.  The run takes at most `steps`
+        steps and `work` node evaluations, a gate, latch or input each: a
+        system of more than `work` nodes is not simulated at all."""
+        nodes = len(self.defs) + len(self.latch_vars) + len(self.input_vars)
+        steps = min(steps, work // max(nodes, 1))
+        if not steps:
+            return None
+        full = (1 << lanes) - 1
+        flip = (0, full)  # by literal sign: the XOR that reads a literal
+        gates = [(g, a >> 1, flip[a & 1], b >> 1, flip[b & 1])
+                 for g, (a, b) in self.defs.items()]
+        rng = random.Random(0)
+        state = [rng.getrandbits(lanes) if iv is None else full * iv
+                 for iv in map(self.init_value.get, self.latch_vars)]
+        nexts = [self.next_map[v] for v in self.latch_vars]
+        init, frames = state, []
+        val = [0] * self.num_vars
+        val[0] = full  # var 0 is the constant true
+        alive = full  # the lanes whose constraints held so far
+        for _ in range(steps):
+            for v, x in zip(self.latch_vars, state):
+                val[v] = x
+            frames.append([rng.getrandbits(lanes) for _ in self.input_vars])
+            for v, x in zip(self.input_vars, frames[-1]):
+                val[v] = x
+            for g, a, fa, b, fb in gates:
+                val[g] = (val[a] ^ fa) & (val[b] ^ fb)
+            for c in self.constraints:
+                alive &= val[c >> 1] ^ flip[c & 1]
+            hit = alive & (val[self.bad >> 1] ^ flip[self.bad & 1])
+            if hit:
+                j = (hit & -hit).bit_length() - 1  # the lowest lane that hit
+                return self.widen_witness([x >> j & 1 for x in init],
+                                          [[x >> j & 1 for x in f]
+                                           for f in frames])
+            if not alive:
+                return None
+            state = [val[l >> 1] ^ flip[l & 1] for l in nexts]
+        return None
 
     def cube_intersects_init(self, cube: Sequence[Lit]) -> bool:
         """Whether no literal of `cube`, a cube over latches, is false in the

@@ -132,13 +132,16 @@ def counter_with_reset(nbits: int, reset_bits: int) -> Aig:
     return b.build(bads=[cnt[nbits - 1]])
 
 
-def counter_overflow(nbits: int = 8) -> Aig:
+def counter_overflow(nbits: int = 8, enables: int = 0) -> Aig:
     """Free-running nbits-bit counter with a sticky overflow flag; the bad
-    flag first holds at step 2**nbits."""
+    flag first holds at step 2**nbits.  With `enables` inputs, the counter
+    steps only when all of them are 1: the shortest counterexample is then
+    one input run out of 2**(enables * 2**nbits), which random inputs miss."""
     b = AigBuilder()
+    ens = [b.new_input() for _ in range(enables)]
     cnt = [b.new_latch(0) for _ in range(nbits)]
     flag = b.new_latch(0)
-    carry = TRUE_REF
+    carry = b.conj(ens)
     for j in range(nbits):
         b.set_next(cnt[j], b.XOR(cnt[j], carry))
         carry = b.AND(carry, cnt[j])

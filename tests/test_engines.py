@@ -212,7 +212,9 @@ def test_stats_count_every_solver_of_a_run(monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(Solver, "solve", counted)
-    v = ic3_check(encode(counter_overflow(4)))
+    # the counter steps only when 20 inputs are 1, so the simulation stage
+    # misses the overflow and IC3's own search finds it
+    v = ic3_check(encode(counter_overflow(4, enables=20)))
     assert v.is_unsafe
     assert v.stats.solver.solves == len(calls)
     assert len(set(map(id, calls))) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,14 +9,14 @@ from mcheck.aiger import eval_nodes, parse_aiger
 from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T1, DYNAMIC_T2, EXCTG, IC3,
-                        MODEL_RING, STANDARD, Ic3Options, select_strategy,
-                        check as ic3_check)
+                        MODEL_RING, SIM_LANES, SIM_STEPS, SIM_WORK, STANDARD,
+                        Ic3Options, select_strategy, check as ic3_check)
 from mcheck.logic import negate
 from mcheck.satcore import UNDEF
 from mcheck.transys import coi_vars, encode, simplify_cnf
 
-from fixtures import (counter_overflow, mod_counter, padded_mod_counter,
-                      random_aig)
+from fixtures import (TRUE_REF, AigBuilder, counter_overflow, mod_counter,
+                      padded_mod_counter, random_aig, ref_neg, shift_lock)
 from oracle import (DomainCheckingSolver, DomainMismatchError, MicCheckingIC3,
                     bfs_check, check_frames)
 
@@ -35,10 +36,16 @@ def _agree(aig, options, res):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategies_agree_with_oracle(strategy, rng):
+def test_strategies_agree_with_oracle(strategy, rng, monkeypatch):
     for _ in range(40):
         aig = random_aig(rng)
-        _agree(aig, Ic3Options(strategy=strategy), bfs_check(aig))
+        res = bfs_check(aig)
+        _agree(aig, Ic3Options(strategy=strategy), res)
+        # the simulation stage settles most unsafe circuits: with it off,
+        # IC3's own counterexamples meet the oracle too
+        with monkeypatch.context() as m:
+            m.setattr(ic3, "SIM_STEPS", 0)
+            _agree(aig, Ic3Options(strategy=strategy), res)
 
 
 def test_abs_cst_variant_agrees_with_oracle(rng):
@@ -251,8 +258,9 @@ def test_cancel_gives_unknown():
 
 
 def test_deep_counterexample_found():
-    from fixtures import counter_overflow
-    aig = counter_overflow(4)
+    # 20 enable inputs keep the overflow from the simulation stage, so the
+    # obligation queue finds it
+    aig = counter_overflow(4, enables=20)
     ts = encode(aig)
     v = ic3_check(ts, Ic3Options(strategy=DYNAMIC))
     assert v.is_unsafe
@@ -354,10 +362,16 @@ class _RecordedLifts(IC3):
 
 
 def test_lift_that_reaches_no_latch_is_the_empty_cube():
-    # latch a reads input x, latch b reads a, bad = b: the step into a is
-    # justified by x alone, so every state is a predecessor, an initial one
-    # too, and the obligation is traced from init at once
-    aig = parse_aiger(b"aag 3 1 2 0 0 1\n2\n4 2\n6 4\n6\n")
+    # latch a reads the AND of 24 inputs, latch b reads a, bad = b: the step
+    # into a is justified by the inputs alone, so every state is a
+    # predecessor, an initial one too, and the obligation is traced from
+    # init at once; random inputs miss the AND, so IC3's search runs
+    b = AigBuilder()
+    xs = [b.new_input() for _ in range(24)]
+    a, c = b.new_latch(0), b.new_latch(0)
+    b.set_next(a, b.conj(xs))
+    b.set_next(c, a)
+    aig = b.build(bads=[c])
     engine = _RecordedLifts(encode(aig), Ic3Options(strategy=DYNAMIC))
     v = engine.check()
     assert v.is_unsafe
@@ -411,7 +425,9 @@ def test_cached_query_domains_match_a_fresh_walk(rng):
     pytest.param(mod_counter(5, 20, 30, enable=True), "safe", id="mod(5,20,30)"),
     pytest.param(padded_mod_counter(5, 20, 30, pad=4, enable=True), "safe",
                  id="mod(5,20,30,pad=4)"),
-    pytest.param(counter_overflow(4), "unsafe", id="overflow(4)"),
+    # the enables keep the overflow from the simulation stage
+    pytest.param(counter_overflow(5, enables=20), "unsafe",
+                 id="overflow(5,enables=20)"),
 ])
 def test_cached_domains_cover_deep_queries(aig, status, monkeypatch):
     """Every restricted query on the deep counters, re-solved on the full
@@ -446,14 +462,98 @@ def test_domain_check_catches_a_domain_without_the_next_state_cone(monkeypatch):
 
 
 def test_zero_step_query_searches_only_the_cone_of_bad():
-    # bad is input 1 of 2^16: the 0-step query decides bad's cone, not
-    # every var the encoding allocated
-    aig = parse_aiger(b"aig 65536 65536 0 1 0\n2\n")
+    # bad is the AND of 24 of 2^16 inputs, which random inputs miss: the
+    # 0-step query decides bad's cone, not every var the encoding allocated
+    b = AigBuilder()
+    xs = [b.new_input() for _ in range(1 << 16)]
+    aig = b.build(bads=[b.conj(xs[:24])])
     v = run_config(aig, EngineConfig("ic3"))
-    assert v.is_unsafe
+    assert v.is_unsafe and v.stats.sim_depth is None
     ok, why = verify_verdict(aig, 0, v)
     assert ok, why
     assert v.stats.solver.decisions <= 2
+
+
+# -- the simulation stage -----------------------------------------------------
+
+
+def _simulate(ts):
+    return ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulation_finds_the_overflow_with_no_query(strategy):
+    aig = counter_overflow(4)
+    v = ic3_check(encode(aig), Ic3Options(strategy=strategy))
+    assert v.is_unsafe
+    assert v.stats.solver_calls == 0 and v.stats.solver.solves == 0
+    assert v.stats.sim_depth == 16
+    assert len(v.witness.input_frames) == 17  # steps 0..16
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
+
+
+def _bad_past_a_failed_constraint():
+    """x' = i, bad = x, constraint NOT i: x rises only after a step that
+    violates the constraint."""
+    b = AigBuilder()
+    i = b.new_input()
+    x = b.new_latch(0)
+    b.set_next(x, i)
+    return b.build(bads=[x], constraints=[ref_neg(i)])
+
+
+def _bad_where_the_constraint_fails():
+    """x' = 1, bad = x AND NOT i, constraint i: from step 1 on, a step
+    with bad is exactly a step where the constraint fails."""
+    b = AigBuilder()
+    i = b.new_input()
+    x = b.new_latch(0)
+    b.set_next(x, TRUE_REF)
+    return b.build(bads=[b.AND(x, ref_neg(i))], constraints=[i])
+
+
+@pytest.mark.parametrize("aig", [
+    pytest.param(_bad_past_a_failed_constraint(), id="before bad"),
+    pytest.param(_bad_where_the_constraint_fails(), id="at bad"),
+])
+def test_simulation_counts_bad_only_where_the_constraints_held(aig):
+    ts = encode(aig)
+    # the lanes do reach bad, each on a step where some constraint failed
+    assert _simulate(dataclasses.replace(ts, constraints=[])) is not None
+    assert _simulate(ts) is None
+    assert bfs_check(aig).status == "safe"
+    for strategy in STRATEGIES:
+        v = ic3_check(ts, Ic3Options(strategy=strategy))
+        assert v.is_safe and v.stats.sim_depth is None
+
+
+def test_simulation_gives_the_same_witness_twice():
+    # the lock needs one 6-bit input run, which some lane hits at a depth
+    # and with inputs that only the seed decides
+    aig = shift_lock(6, 0b101101)
+    v1, v2 = (ic3_check(encode(aig)) for _ in range(2))
+    assert v1.stats.sim_depth is not None and v1.stats.solver_calls == 0
+    assert v1.witness == v2.witness
+    ok, why = verify_witness(aig, v1.witness)
+    assert ok, why
+
+
+def test_a_system_past_the_work_bound_is_left_to_the_search():
+    # bad is NOT the AND of SIM_WORK + 2 inputs, SIM_WORK + 1 gates: it
+    # holds at depth 0 for almost every input, but the simulation stage
+    # does not run on so large a system
+    b = AigBuilder()
+    xs = [b.new_input() for _ in range(SIM_WORK + 2)]
+    aig = b.build(bads=[ref_neg(b.conj(xs))])
+    assert len(aig.ands) > SIM_WORK
+    ts = encode(aig)
+    assert _simulate(ts) is None
+    v = ic3_check(ts)
+    assert v.is_unsafe and v.stats.sim_depth is None
+    assert v.stats.solver_calls >= 1
+    ok, why = verify_witness(aig, v.witness)
+    assert ok, why
 
 
 class _CheckedRing(_RingTracking):
