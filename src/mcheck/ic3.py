@@ -72,6 +72,21 @@ lemmas logged below the query's frame, which the state was never checked
 against, so a lower level would let a lower query reuse it unsoundly.  An
 entry goes when its lemma leaves its level.  The log is cut after each
 propagation pass to the lemmas that the oldest stored entry has not yet seen.
+
+A query the ring misses goes to the bank, the simulation stage's lanes kept
+as reachable states, before the solver.  A query at level i on cube c is
+sat if some lane meets three conditions: the constraints held at steps
+0..d-1, with 1 <= d <= i; its step-d state lies in c; and, if the query
+blocks c, its step d-1 state lies outside c.  F_{i-1} holds every state
+reachable in <= i-1 steps with the constraints held, so the lane's step d-1
+valuation, inputs included, becomes the current model.  It is a full
+valuation, so lifting reads no open var, and no `_holds_since` test is
+needed.  The bank keeps one int per latch literal over all (step, lane)
+bits, so the test is |c| ANDs, one shift for the block-self rule and one
+mask per level; the lowest set bit is the shallowest hit.  It is built at
+the first query the ring misses, each literal's int when a query first
+reads it, and a hit is counted in `Ic3Stats.bank_answers`.  The solver
+itself is loaded only once the simulation stage has missed.
 """
 
 from __future__ import annotations
@@ -85,7 +100,7 @@ from typing import (Callable, Deque, Dict, FrozenSet, List, Optional, Sequence,
 from .aiger import WitnessTrace, replay
 from .logic import Cube, negate, subsumes
 from .satcore import UNDEF, Solver, SolverStats
-from .transys import TranSys, coi_vars, encode
+from .transys import Simulation, TranSys, coi_vars, encode
 from .verdicts import InvariantCert, Verdict, safe, unknown, unsafe
 
 STANDARD = "standard"
@@ -135,6 +150,7 @@ class Ic3Stats:
     ctg_blocks: int = 0
     abstraction_refinements: int = 0
     ring_answers: int = 0  # queries a stored model answered, not in solver_calls
+    bank_answers: int = 0  # queries a simulated lane answered, in neither count
     sim_depth: Optional[int] = None  # depth of a simulated counterexample
     mic_calls: Dict[str, int] = field(default_factory=dict)
     mic_records: List[MicRecord] = field(default_factory=list)
@@ -166,6 +182,62 @@ class _Obligation:
         self.succ = succ
 
 
+class _Bank:
+    """The lanes of the simulation stage as reachable states: one int per
+    latch literal over every (step, lane) bit, step d at bits d*w and up,
+    set where the literal holds; built for a latch when a query first
+    reads it."""
+
+    def __init__(self, ts: TranSys, sim: Simulation):
+        self.ts, self.sim = ts, sim
+        self.nb = (sim.lanes + 7) // 8  # bytes per step
+        self.w = 8 * self.nb
+        self.ones = (1 << len(sim.states) * self.w) - 1
+        self.cols = dict(zip(ts.latch_vars, zip(*sim.states)))
+        self.lits: Dict[int, int] = {}
+        # the bits of each step d >= 1 whose lane was alive at step d-1
+        self.reach = self._pack(sim.alive[:len(sim.states) - 1]) << self.w
+
+    def _pack(self, xs: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(self.nb, "little")
+                                       for x in xs), "little")
+
+    def _lit(self, l: int) -> int:
+        x = self.lits.get(l)
+        if x is None:
+            t = self._pack(self.cols[l >> 1])
+            self.lits[l & ~1], self.lits[l | 1] = t, t ^ self.ones
+            x = self.lits[l]
+        return x
+
+    def answer(self, cube: Cube, level: int, block_self: bool) -> Optional[bytes]:
+        """A model of the query at `level` on `cube` (see the module
+        docstring), the step before the shallowest hit, or None: a full
+        valuation, re-evaluated over `defs` for the one lane."""
+        if not self.reach:
+            return None
+        w = self.w
+        c = (1 << (level + 1) * w) - 1  # the steps d <= level
+        for l in cube:
+            c &= self._lit(l)
+        hit = c & self.reach
+        if block_self:
+            hit &= ~c << w  # the step before lies outside the cube
+        if not hit:
+            return None
+        d, j = divmod((hit & -hit).bit_length() - 1, w)
+        ts, sim = self.ts, self.sim
+        m = bytearray(ts.num_vars)
+        m[0] = 1  # var 0 is the constant true
+        for vars_, xs in ((ts.latch_vars, sim.states[d - 1]),
+                          (ts.input_vars, sim.inputs[d - 1])):
+            for v, x in zip(vars_, xs):
+                m[v] = x >> j & 1
+        for g, (a, b) in ts.defs.items():
+            m[g] = (m[a >> 1] ^ a & 1) & (m[b >> 1] ^ b & 1)
+        return bytes(m)
+
+
 class IC3:
     """One IC3 run over a fixed constraint set; see `check` for the CEGAR
     wrapper that re-runs with constraints localized."""
@@ -180,15 +252,10 @@ class IC3:
         self.ts = ts
         self.cancel = cancel
 
-        self.solver = Solver()
-        ts.load(self.solver, ts.constraints)
+        self.solver = Solver()  # empty until `_load`
         self.stats = Ic3Stats(mic_calls={STANDARD: 0, CTG: 0, EXCTG: 0},
                               solver=self.solver.stats)
-
-        # frame 0 = init, activated like a lemma set
-        self.acts: List[int] = [self.solver.new_var()]
-        for l in ts.init_lits:
-            self.solver.add_clause((l, 2 * self.acts[0] + 1))
+        self.acts: List[int] = []  # by frame, its activation var
         self.frames: List[Set[Cube]] = [set()]
         self.k = 0
 
@@ -218,12 +285,24 @@ class IC3:
         self._model = b""
         self._ring: Deque[tuple] = deque(maxlen=MODEL_RING)
         self._answer: tuple = ()  # the ring entry of the current model
+        # the simulation stage's lanes, and the bank built from them at the
+        # first query the ring misses
+        self._sim = Simulation(0)
+        self._bank: Optional[_Bank] = None
 
     # -- plumbing -----------------------------------------------------------
 
     def _check_cancel(self) -> None:
         if self.cancel is not None and self.cancel():
             raise _Cancelled()
+
+    def _load(self) -> None:
+        """Load the system into the solver, with frame 0, init, activated
+        like a lemma set."""
+        self.ts.load(self.solver, self.ts.constraints)
+        self.acts.append(self.solver.new_var())
+        for l in self.ts.init_lits:
+            self.solver.add_clause((l, 2 * self.acts[0] + 1))
 
     def _new_frame(self) -> None:
         self.acts.append(self.solver.new_var())
@@ -323,22 +402,34 @@ class IC3:
                     self.stats.ring_answers += 1
                     self._model, self._answer = model, e
                     return True, None
+        if self._bank is None:
+            self._bank = _Bank(self.ts, self._sim)
+        model = self._bank.answer(cube, level, block_self)
+        if model is not None:
+            self.stats.bank_answers += 1
+            self._model = model
+            self._record(level)
+            return True, None
         s = self.solver
         if block_self:
             s.add_clause(negate(cube), temporary=True)
         nxt = sorted(self.ts.prime(l) for l in cube)
         if self._solve(self._frame_assumptions(level - 1) + nxt,
                        domain or self._query_domain(cube)):
-            t, f = self._masks(self._next_vars)
-            d = (t ^ f) & self._next_neg  # a negated next-state literal swaps
-            self._answer = (level, t ^ d, f ^ d,
-                            *self._masks(self._state_vars), self._model,
-                            self._log_end())
-            self._ring.appendleft(self._answer)
+            self._ring.appendleft(self._record(level))
             return True, None
         core = set(s.unsat_core())
         kept = tuple(l for l in cube if self.ts.prime(l) in core)
         return False, (kept if kept else cube)
+
+    def _record(self, level: int) -> tuple:
+        """The current model as the ring entry of a sat query at `level`,
+        which becomes the current answer."""
+        t, f = self._masks(self._next_vars)
+        d = (t ^ f) & self._next_neg  # a negated next-state literal swaps
+        self._answer = (level, t ^ d, f ^ d, *self._masks(self._state_vars),
+                        self._model, self._log_end())
+        return self._answer
 
     def lift_predecessor(self, state_cube: Cube,
                          targets: Sequence[int]) -> Cube:
@@ -644,10 +735,12 @@ class IC3:
                               for d in sorted(self.frames[j])])
 
     def check(self) -> Verdict:
-        trace = self.ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
-        if trace is not None:
-            self.stats.sim_depth = len(trace.input_frames) - 1
-            return unsafe(trace, stats=self.stats)
+        sim = self.ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
+        if sim.witness is not None:
+            self.stats.sim_depth = len(sim.witness.input_frames) - 1
+            return unsafe(sim.witness, stats=self.stats)
+        self._sim = sim
+        self._load()
         try:
             while True:
                 self._check_cancel()

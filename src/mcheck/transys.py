@@ -33,13 +33,13 @@ encoding, and one left out defines a var that nothing kept reads within k
 steps.
 `widen_witness` turns a trace over the cone back into one over the source
 AIG's latches and inputs; `simulate` runs random traces over `defs`, many
-at once, and widens the first that reaches bad.
+at once, widens the first that reaches bad, and returns its lanes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
@@ -48,6 +48,22 @@ from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
 from .aiger import Aig, WitnessTrace
 from .logic import FALSE_LIT, TRUE_LIT, Clause, Lit, mklit
 from .satcore import Solver
+
+
+@dataclass
+class Simulation:
+    """The lanes of `TranSys.simulate`, lane j in bit j of each int: by
+    step d, `states[d]` holds the latches' values (in `latch_vars` order),
+    `inputs[d]` the inputs' and `alive[d]` the lanes whose constraints held
+    at steps 0..d.  `states` holds one step more than `alive`, the state
+    the last step leads to, unless every lane dropped out.  `witness` is
+    the trace of the first lane that reached bad, where the run stopped."""
+
+    lanes: int
+    states: List[List[int]] = field(default_factory=list)
+    inputs: List[List[int]] = field(default_factory=list)
+    alive: List[int] = field(default_factory=list)
+    witness: Optional[WitnessTrace] = None
 
 
 def ref_to_lit(ref: int) -> Lit:
@@ -123,23 +139,23 @@ class TranSys:
             [0 if j is None else f[j] for j in cols] for f in input_frames]
         return WitnessTrace(self.bad_index, init, frames)
 
-    def simulate(self, lanes: int, steps: int,
-                 work: int) -> Optional[WitnessTrace]:
-        """A witness from `lanes` random traces run side by side, lane j in
-        bit j of one int per var (the bit-parallel simulation of Mishchenko,
-        Chatterjee, Jiang and Brayton, "FRAIGs: A Unifying Representation
-        for Logic Synthesis and Verification", 2005), or None if no lane
-        reaches bad.  A reset latch starts at its reset value, an open one
-        and every input at each step at random bits of a fixed seed, so two
-        runs give the same witness.  A lane drops out at the first step
-        where a constraint fails, so bad at step d counts only if the
-        constraints held at steps 0..d.  The run takes at most `steps`
+    def simulate(self, lanes: int, steps: int, work: int) -> Simulation:
+        """`lanes` random traces run side by side, lane j in bit j of one int
+        per var (the bit-parallel simulation of Mishchenko, Chatterjee, Jiang
+        and Brayton, "FRAIGs: A Unifying Representation for Logic Synthesis
+        and Verification", 2005), with the witness of the first lane that
+        reaches bad, if one does.  A reset latch starts at its reset value,
+        an open one and every input at each step at random bits of a fixed
+        seed, so two runs give the same witness.  A lane drops out at the
+        first step where a constraint fails, so bad at step d counts only if
+        the constraints held at steps 0..d.  The run takes at most `steps`
         steps and `work` node evaluations, a gate, latch or input each: a
         system of more than `work` nodes is not simulated at all."""
         nodes = len(self.defs) + len(self.latch_vars) + len(self.input_vars)
         steps = min(steps, work // max(nodes, 1))
+        sim = Simulation(lanes)
         if not steps:
-            return None
+            return sim
         full = (1 << lanes) - 1
         flip = (0, full)  # by literal sign: the XOR that reads a literal
         gates = [(g, a >> 1, flip[a & 1], b >> 1, flip[b & 1])
@@ -148,30 +164,33 @@ class TranSys:
         state = [rng.getrandbits(lanes) if iv is None else full * iv
                  for iv in map(self.init_value.get, self.latch_vars)]
         nexts = [self.next_map[v] for v in self.latch_vars]
-        init, frames = state, []
         val = [0] * self.num_vars
         val[0] = full  # var 0 is the constant true
         alive = full  # the lanes whose constraints held so far
         for _ in range(steps):
+            sim.states.append(state)
             for v, x in zip(self.latch_vars, state):
                 val[v] = x
-            frames.append([rng.getrandbits(lanes) for _ in self.input_vars])
-            for v, x in zip(self.input_vars, frames[-1]):
+            sim.inputs.append([rng.getrandbits(lanes) for _ in self.input_vars])
+            for v, x in zip(self.input_vars, sim.inputs[-1]):
                 val[v] = x
             for g, a, fa, b, fb in gates:
                 val[g] = (val[a] ^ fa) & (val[b] ^ fb)
             for c in self.constraints:
                 alive &= val[c >> 1] ^ flip[c & 1]
+            sim.alive.append(alive)
             hit = alive & (val[self.bad >> 1] ^ flip[self.bad & 1])
             if hit:
                 j = (hit & -hit).bit_length() - 1  # the lowest lane that hit
-                return self.widen_witness([x >> j & 1 for x in init],
-                                          [[x >> j & 1 for x in f]
-                                           for f in frames])
+                sim.witness = self.widen_witness(
+                    [x >> j & 1 for x in sim.states[0]],
+                    [[x >> j & 1 for x in f] for f in sim.inputs])
+                return sim
             if not alive:
-                return None
+                return sim
             state = [val[l >> 1] ^ flip[l & 1] for l in nexts]
-        return None
+        sim.states.append(state)
+        return sim
 
     def cube_intersects_init(self, cube: Sequence[Lit]) -> bool:
         """Whether no literal of `cube`, a cube over latches, is false in the

@@ -273,7 +273,7 @@ def test_deep_counterexample_found():
 def test_solver_vars_stay_bounded():
     # one activation var per frame and one reused for the temporaries: the
     # solver does not grow with the number of queries
-    engine = IC3(encode(mod_counter(6, 48, 60, enable=True)),
+    engine = IC3(encode(mod_counter(7, 64, 120, enable=True)),
                  Ic3Options(strategy=DYNAMIC))
     assert engine.check().is_safe
     assert engine.stats.solver_calls > 500
@@ -478,7 +478,7 @@ def test_zero_step_query_searches_only_the_cone_of_bad():
 
 
 def _simulate(ts):
-    return ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
+    return ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK).witness
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -668,3 +668,100 @@ def test_push_memo_is_bounded_by_live_lemmas(strategy):
         engine = _BoundedMemo(encode(aig), Ic3Options(strategy=strategy))
         assert engine.check().is_safe
         assert engine.entries > 0
+
+
+# -- the bank of simulated states ----------------------------------------------
+
+
+class _CheckedBank(IC3):
+    """Re-solves on the solver each query a simulated lane answers, with the
+    lane's state literals and input bits as extra assumptions, so that the
+    model the search goes on with is checked, not only the answer."""
+
+    rechecked = 0
+
+    def solve_relative(self, cube, level, block_self=True):
+        before = self.stats.bank_answers
+        out = super().solve_relative(cube, level, block_self)
+        if self.stats.bank_answers > before:
+            assert out == (True, None)
+            ts, s = self.ts, self.solver
+            state = self._model_state_cube()
+            assert len(state) == len(ts.latch_vars)  # a full valuation
+            if block_self:
+                s.add_clause(negate(cube), temporary=True)
+            inputs = [2 * v + 1 - b
+                      for v, b in zip(ts.input_vars, self._model_inputs())]
+            assume = (self._frame_assumptions(level - 1)
+                      + [ts.prime(l) for l in cube] + list(state) + inputs)
+            assert s.solve(assume) is True, (cube, level, block_self)
+            self.rechecked += 1
+        return out
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bank_answers_are_models_of_their_queries(strategy, rng):
+    # the constraints drop lanes from the bank; the enable counters make
+    # many queries that only a deep lane answers
+    models = [random_aig(rng, constraint_prob=1.0) for _ in range(200)]
+    counters = [mod_counter(6, 20, 33, enable=True),
+                mod_counter(5, 24, 28, enable=True),
+                padded_mod_counter(5, 20, 30, pad=4, enable=True)]
+    rechecked = {}
+    for aig in models + counters:
+        engine = _CheckedBank(encode(aig), Ic3Options(strategy=strategy))
+        v = engine.check()
+        assert v.status == bfs_check(aig).status, v.reason
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why
+        assert engine.rechecked == v.stats.bank_answers
+        rechecked[aig in counters] = (rechecked.get(aig in counters, 0)
+                                      + engine.rechecked)
+    assert rechecked[False] > 0 and rechecked[True] > 20
+
+
+def _loaded(ts, frames):
+    """A `_CheckedBank` on `ts` with the simulation stage's lanes, its
+    solver loaded and `frames` frames past init, none holding a lemma."""
+    engine = _CheckedBank(ts)
+    engine._sim = ts.simulate(SIM_LANES, SIM_STEPS, SIM_WORK)
+    assert engine._sim.witness is None
+    engine._load()
+    for _ in range(frames):
+        engine._new_frame()
+    return engine
+
+
+def test_bank_passes_over_lanes_that_violated_a_constraint():
+    # x' = i under the constraint NOT i: lanes do reach x, each one only
+    # past a step where the constraint failed, so no query on x is theirs
+    ts = encode(_bad_past_a_failed_constraint())
+    engine = _loaded(ts, 3)
+    assert any(s[0] for s in engine._sim.states[1:])
+    x = 2 * ts.latch_vars[0]
+    for level in (1, 2, 3):
+        for block_self in (True, False):
+            assert engine.solve_relative((x,), level, block_self)[0] is False
+    assert engine.stats.bank_answers == 0
+
+
+def test_bank_answers_only_from_a_step_before_the_query_level():
+    # x1' = i, x2' = x1, x3' = x2 and y' = 1, all reset to 0; bad = x3 AND
+    # NOT y is unreachable, so every lane misses it
+    b = AigBuilder()
+    i = b.new_input()
+    x1, x2, x3, y = (b.new_latch(0) for _ in range(4))
+    for lt, nxt in ((x1, i), (x2, x1), (x3, x2), (y, TRUE_REF)):
+        b.set_next(lt, nxt)
+    engine = _loaded(encode(b.build(bads=[b.AND(x3, ref_neg(y))])), 2)
+    for cube, level, block_self, sat in [
+        ((x3,), 1, True, False),  # x3 takes three steps, past level 1
+        ((ref_neg(y),), 1, False, False),  # NOT y holds only at step 0
+        # every step-1 state with NOT x3 steps from one with NOT x3 ...
+        ((ref_neg(x3),), 1, True, False),
+        ((ref_neg(x3),), 1, False, True),  # ... which this query allows
+        ((x2,), 2, True, True),
+    ]:
+        assert engine.solve_relative(cube, level, block_self)[0] is sat, cube
+    assert engine.stats.bank_answers == engine.rechecked == 2
+    assert engine.stats.solver_calls == 3

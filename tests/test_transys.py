@@ -484,7 +484,9 @@ def test_a_latch_next_state_is_its_next_state_literal(rng):
             assert all(ts.next_map[lt.var] == ref_to_lit(lt.next)
                        for lt in aig.latches if lt.var in ts.next_map)
             assert set(ts.defs) <= {g.var for g in aig.ands}
-            assert IC3(ts).solver.num_vars == ts.num_vars + 1
+            engine = IC3(ts)
+            engine._load()
+            assert engine.solver.num_vars == ts.num_vars + 1
 
 
 def test_every_definition_is_a_two_fanin_gate(rng):

@@ -13,17 +13,19 @@ decided by ``run_portfolio`` with a lineup of one, the gate the CLI uses, so
 every witness and certificate is checked, not just the verdict's status.
 The search is deterministic, so two checkouts that search alike print the
 same lines, and ``diff`` of two outputs shows every model whose search
-moved.  IC3 lines carry ``solver_calls`` and ``ring_answers``, the
+moved.  IC3 lines carry ``solver_calls``, ``ring_answers``, the
 relative-induction queries answered from a stored sat model with no solver
-call (so not in ``solver_calls``); unrolling lines carry ``solver_calls`` no
-longer, since it always equalled ``solves``.  IC3 runs one solver and lifts
-with no query, so on an IC3 line ``solves`` equals ``solver_calls``.  An IC3
+call, and ``bank_answers``, those answered from a lane of the simulation
+stage with no solver call; neither count is in ``solver_calls``, nor in the
+other.  Unrolling lines carry ``solver_calls`` no longer, since it always
+equalled ``solves``.  IC3 runs one solver and lifts with no query, so on an
+IC3 line ``solves`` equals ``solver_calls``.  An IC3
 line whose counterexample the simulation stage found, before any query,
 also carries ``sim_depth``, its depth, and 0 solver calls; no other line
 carries the key, so against a checkout without the stage ``diff`` names
 exactly the models it settled.  Output from a checkout whose lines carried
 other keys (``push_skips`` on IC3 lines, ``solver_calls`` on unrolling
-ones) differs in every line of that kind.
+ones), or lacked one (``bank_answers``), differs in every line of that kind.
 
 With ``--deep`` in place of ``--workload``, it decides a fixed set of
 longer IC3 runs that no workload holds, counters built by
@@ -110,7 +112,8 @@ def counts(verdict) -> dict:
         return out
     if hasattr(st, "lemmas"):  # Ic3Stats
         out.update(frames=st.frames, lemmas=st.lemmas,
-                   ring_answers=st.ring_answers, solver_calls=st.solver_calls)
+                   ring_answers=st.ring_answers, bank_answers=st.bank_answers,
+                   solver_calls=st.solver_calls)
         if st.sim_depth is not None:
             out["sim_depth"] = st.sim_depth
     else:  # UnrollStats
