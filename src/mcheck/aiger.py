@@ -6,6 +6,12 @@ influence are walked by `transys.coi_vars`.
 
 Node references use the AIGER literal convention: ``raw = 2*index +
 complement``, with raw 0 = constant false and raw 1 = constant true.
+
+A latch or gate is a frozen slots dataclass: immutable, hashable, equal by
+value.  The binary AND section is decoded in one loop that reads a one-byte
+delta inline, hands only a multi-byte one to `_decode_delta`, and fills each
+gate's slots without the frozen `__init__`, whose `object.__setattr__` calls
+would cost as much again.  Its gates come in var order: `_ands_by_var`.
 """
 
 from __future__ import annotations
@@ -24,14 +30,14 @@ class AigerError(Exception):
 MAX_BINARY_INPUTS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Latch:
     var: int
     next: int  # node ref
     init: Optional[int]  # 0, 1, or None for uninitialized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndGate:
     var: int
     rhs0: int  # node ref
@@ -193,17 +199,13 @@ def _parse_ascii(data, pos, m, i, l, o, a, b, c) -> Aig:
 
 
 def _decode_delta(data: bytes, pos: int) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise AigerError("byte %d: truncated binary delta" % pos)
-        byte = data[pos]
+    """The delta at `pos` and the position after it; IndexError if cut short."""
+    value = shift = 0
+    while data[pos] & 0x80:
+        value |= (data[pos] & 0x7F) << shift
         pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
         shift += 7
+    return value | data[pos] << shift, pos + 1
 
 
 def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
@@ -213,32 +215,52 @@ def _parse_binary(data, pos, m, i, l, o, a, b, c) -> Aig:
         raise AigerError("line 1: binary header declares %d inputs, more than "
                          "the %d supported" % (i, MAX_BINARY_INPUTS))
     lineno = 2
-    inputs = list(range(1, i + 1))
     latches: List[Latch] = []
-    ands: List[AndGate] = []
-
-    lines, pos, lineno = _read_lines(data, pos, l, lineno)
-    for idx, (line, ln) in enumerate(lines):
-        cur = 2 * (i + idx + 1)
-        nums = _int_fields(line, ln, 1, 2)
-        latches.append(_latch_from_fields(cur, nums, m, ln))
+    for cur in range(2 * i + 2, 2 * (i + l) + 1, 2):
+        nl = data.find(b"\n", pos)
+        if nl < 0:
+            raise AigerError("line %d: unexpected end of file" % lineno)
+        line = data[pos:nl]
+        if line.isdigit():  # the common line: the next-state literal alone
+            latches.append(Latch(cur >> 1, _check_ref(int(line), m, lineno), 0))
+        else:
+            latches.append(_latch_from_fields(
+                cur, _int_fields(line, lineno, 1, 2), m, lineno))
+        pos, lineno = nl + 1, lineno + 1
 
     (outputs, bads, constraints), pos, lineno = _read_refs(
         data, pos, (o, b, c), lineno, m)
 
-    for j in range(a):
-        var = i + l + j + 1
-        lhs = 2 * var
-        delta0, pos = _decode_delta(data, pos)
-        delta1, pos = _decode_delta(data, pos)
-        rhs0 = lhs - delta0
-        rhs1 = rhs0 - delta1
-        if delta0 == 0 or rhs1 < 0:
-            raise AigerError("byte %d: non-monotone binary delta encoding" % pos)
-        ands.append(AndGate(var, rhs0, rhs1))
+    ands: List[AndGate] = []
+    new = object.__new__  # each gate's slots are filled past its frozen __init__
+    put_var, put_rhs0, put_rhs1 = (AndGate.var.__set__, AndGate.rhs0.__set__,
+                                   AndGate.rhs1.__set__)
+    try:
+        for var in range(i + l + 1, m + 1):
+            delta0 = data[pos]
+            pos += 1
+            if delta0 & 0x80:
+                delta0, pos = _decode_delta(data, pos - 1)
+            delta1 = data[pos]
+            pos += 1
+            if delta1 & 0x80:
+                delta1, pos = _decode_delta(data, pos - 1)
+            rhs0 = 2 * var - delta0
+            rhs1 = rhs0 - delta1
+            if delta0 == 0 or rhs1 < 0:
+                raise AigerError("byte %d: non-monotone binary delta encoding" % pos)
+            gate = new(AndGate)
+            put_var(gate, var)
+            put_rhs0(gate, rhs0)
+            put_rhs1(gate, rhs1)
+            ands.append(gate)
+    except IndexError:
+        raise AigerError("byte %d: truncated binary delta" % len(data)) from None
 
-    return _make_aig(m, inputs, latches, ands, outputs, bads, constraints,
-                     data[pos:])
+    aig = _make_aig(m, list(range(1, i + 1)), latches, ands, outputs, bads,
+                    constraints, data[pos:])
+    aig._ands_by_var = ands  # already in var order
+    return aig
 
 
 def _read_refs(data: bytes, pos: int, counts: Sequence[int], lineno: int,
@@ -298,30 +320,22 @@ def _encode_delta(value: int) -> bytes:
 def reindex(aig: Aig) -> Aig:
     """Renumber to the binary format's order (inputs, latches, gates; larger
     fanin first); a graph already so numbered comes back unchanged."""
-    mapping: Dict[int, int] = {0: 0}
-    nxt = 1
-    for v in aig.inputs:
-        mapping[v] = nxt
-        nxt += 1
-    for lt in aig.latches:
-        mapping[lt.var] = nxt
-        nxt += 1
-    for g in sorted(aig.ands, key=lambda g: g.var):
-        mapping[g.var] = nxt
-        nxt += 1
+    order = [*aig.inputs, *(lt.var for lt in aig.latches),
+             *(g.var for g in aig._ands_by_var)]
+    mapping: Dict[int, int] = {0: 0, **{v: j for j, v in enumerate(order, 1)}}
 
     def mref(ref: int) -> int:
         return (mapping[ref >> 1] << 1) | (ref & 1)
 
     ands = []
-    for g in sorted(aig.ands, key=lambda g: g.var):
+    for g in aig._ands_by_var:
         r0, r1 = mref(g.rhs0), mref(g.rhs1)
         if r0 < r1:
             r0, r1 = r1, r0
         ands.append(AndGate(mapping[g.var], r0, r1))
     latches = [Latch(mapping[lt.var], mref(lt.next), lt.init) for lt in aig.latches]
     return Aig(
-        nxt - 1,
+        len(order),
         list(range(1, len(aig.inputs) + 1)),
         latches,
         ands,

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, eval_nodes,
-                          parse_aiger, serialize_aiger, simulate)
+from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, Latch,
+                          eval_nodes, parse_aiger, serialize_aiger, simulate)
+from mcheck.transys import encode
 
-from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, counter_overflow,
-                      fuzz_seed_models, mutate_bytes, random_aig,
-                      structurally_equal)
+from fixtures import (CNT2_AAG, SAFE1_AAG, UNSAFE1_AAG, AigBuilder,
+                      counter_overflow, fuzz_seed_models, mutate_bytes,
+                      random_aig, structurally_equal)
 
 
 def test_parse_fixed_models(cnt2):
@@ -108,6 +109,85 @@ def test_binary_inputs_beyond_the_limit_rejected():
     over = b"aig %d %d 0 0 0\n" % (MAX_BINARY_INPUTS + 1, MAX_BINARY_INPUTS + 1)
     with pytest.raises(AigerError, match="inputs"):
         parse_aiger(over)
+
+
+def _far_fanins() -> Aig:
+    """Gates whose deltas take 1, 2 and 3 bytes: 9,000 inputs put the
+    gates' vars far above their fanins, and a fanin more than 127 (or
+    16,383) literals below its gate needs a second (or third) byte."""
+    b = AigBuilder()
+    ins = [b.new_input() for _ in range(9000)]
+    x = b.new_latch(0)
+    g = b.AND(ins[-1], ins[-100])   # delta1 = 198: 2 bytes
+    g = b.AND(g, ins[0])            # delta1 > 16,383: 3 bytes
+    g = b.AND(ins[1], ins[0])       # delta0 > 16,383: 3 bytes
+    g = b.AND(g, x)
+    b.set_next(x, g)
+    return b.build(bads=[g], constraints=[ins[4999] ^ 1])
+
+
+def _and_section_start(blob: bytes) -> int:
+    """Offset of a binary file's AND section: past the header line and one
+    line each per latch, output, bad and constraint."""
+    nums = [int(f) for f in blob[:blob.index(b"\n")].split()[1:]] + [0, 0]
+    pos = 0
+    for _ in range(1 + nums[2] + nums[3] + nums[5] + nums[6]):
+        pos = blob.index(b"\n", pos) + 1
+    return pos
+
+
+def test_multi_byte_deltas_parse_like_their_ascii_twin():
+    aig = _far_fanins()
+    binary = parse_aiger(serialize_aiger(aig, ascii=False))
+    assert structurally_equal(binary, parse_aiger(serialize_aiger(aig)))
+    deltas = [d for g in binary.ands
+              for d in (2 * g.var - g.rhs0, g.rhs0 - g.rhs1)]
+    assert min(deltas) < 128 and any(128 <= d < 16384 for d in deltas)
+    assert max(deltas) >= 16384
+
+
+@pytest.mark.parametrize("aig", [_far_fanins(), counter_overflow(4)],
+                         ids=["far-fanins", "overflow4"])
+def test_binary_cut_inside_the_and_section_raises_aiger_error(aig):
+    blob = serialize_aiger(aig, ascii=False)
+    for cut in range(_and_section_start(blob), len(blob)):
+        with pytest.raises(AigerError, match="truncated binary delta"):
+            parse_aiger(blob[:cut])
+
+
+@pytest.mark.parametrize("deltas", [b"\x00\x00", b"\x02\x03", b"\x02\x80\x01"],
+                         ids=["zero-first", "rhs1-negative",
+                              "rhs1-negative-2-bytes"])
+def test_non_monotone_binary_deltas_rejected(deltas):
+    # one input, one gate (var 2, literal 4), bad on the gate
+    with pytest.raises(AigerError, match="non-monotone"):
+        parse_aiger(b"aig 2 1 0 0 1 1\n4\n" + deltas)
+
+
+def test_binary_latch_lines():
+    # latch k is var k: resets to 0 (implicit and explicit), to 1, to
+    # itself (uninitialized), and one line padded with blanks
+    aig = parse_aiger(b"aig 5 0 5 0 0 1\n2\n4 0\n6 1\n8 8\n  3\t \n2\n")
+    assert aig.latches == [Latch(1, 2, 0), Latch(2, 4, 0), Latch(3, 6, 1),
+                           Latch(4, 8, None), Latch(5, 3, 0)]
+    for line, message in [(b"2 5", "bad latch reset value 5"),
+                          (b"2 1 1", "wrong field count"),
+                          (b"", "wrong field count"),
+                          (b"2x", "non-numeric"), (b"-2", "out of range"),
+                          (b"4", "out of range")]:
+        with pytest.raises(AigerError, match=message):
+            parse_aiger(b"aig 1 0 1 0 0 1\n" + line + b"\n2\n")
+
+
+def test_binary_gates_are_in_var_order_and_encode_alike(rng):
+    for _ in range(30):
+        aig = random_aig(rng, constraint_prob=1.0)
+        binary = parse_aiger(serialize_aiger(aig, ascii=False))
+        assert binary._ands_by_var == sorted(binary.ands, key=lambda g: g.var)
+        ascii_ts = encode(parse_aiger(serialize_aiger(aig)), cone=True)
+        binary_ts = encode(binary, cone=True)
+        assert binary_ts.defs == ascii_ts.defs
+        assert binary_ts.clauses == ascii_ts.clauses
 
 
 _FUZZ_SEEDS = fuzz_seed_models()

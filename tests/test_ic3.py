@@ -6,7 +6,8 @@ import pytest
 
 from mcheck import ic3
 from mcheck.aiger import eval_nodes, parse_aiger
-from mcheck.orchestrator import EngineConfig, run_config, verify_verdict
+from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
+                                 verify_verdict)
 from mcheck.certify import verify_certificate, verify_witness
 from mcheck.ic3 import (CTG, DYNAMIC, DYNAMIC_T1, DYNAMIC_T2, EXCTG, IC3,
                         MODEL_RING, SIM_LANES, SIM_STEPS, SIM_WORK, STANDARD,
@@ -46,6 +47,32 @@ def test_strategies_agree_with_oracle(strategy, rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ic3, "SIM_STEPS", 0)
             _agree(aig, Ic3Options(strategy=strategy), res)
+
+
+@pytest.fixture(scope="module")
+def criterion_1_unsafe():
+    """The unsafe models among criterion 1's first 60 draws."""
+    models = [random_aig(random.Random(1000 + i),
+                         max_latches=10, max_inputs=3, max_gates=80)
+              for i in range(60)]
+    return [aig for aig in models if bfs_check(aig).status == "unsafe"]
+
+
+@pytest.mark.parametrize("strategy, abs_cst",
+                         [*((s, False) for s in STRATEGIES), (DYNAMIC, True)])
+def test_own_counterexamples_on_criterion_1_models(strategy, abs_cst,
+                                                   criterion_1_unsafe,
+                                                   monkeypatch):
+    # the simulation stage settles most of criterion 1's unsafe models
+    # before any query; with it off, each witness is IC3's own search's
+    monkeypatch.setattr(ic3, "SIM_STEPS", 0)
+    assert len(criterion_1_unsafe) >= 30
+    for aig in criterion_1_unsafe:
+        v = ic3_check(build_transys(aig),
+                      Ic3Options(strategy=strategy, abs_cst=abs_cst))
+        assert v.status == "unsafe", (strategy, v.reason)
+        ok, why = verify_verdict(aig, 0, v)
+        assert ok, why
 
 
 def test_abs_cst_variant_agrees_with_oracle(rng):

@@ -3,10 +3,11 @@
     python3 tools/front_end_scaling.py --gates 25000 50000 --repeat 3
 
 Builds ``fixtures.and_chain(n)`` from ``tests/fixtures.py`` (read only) for
-each ``n`` given, serializes it as binary AIGER and times the phases a run
-goes through before its first engine query:
+each ``n`` given, serializes it as binary and as ASCII AIGER and times the
+phases a run goes through before its first engine query:
 
 * ``parse_s``: ``parse_aiger`` of the binary file
+* ``parse_ascii_s``: ``parse_aiger`` of the same chain written as ``aag``
 * ``encode_s``: ``encode(..., cone=True)``, as ``build_transys`` calls it
 * ``simplify_s``: ``simplify_cnf`` of that encoding
 * ``template_s``: the ``FrameTemplate`` compile of the simplified system
@@ -57,8 +58,11 @@ def best(fn, repeat: int):
 
 
 def phases(gates: int, repeat: int) -> dict:
-    data = serialize_aiger(and_chain(gates), ascii=False)
+    chain = and_chain(gates)
+    data = serialize_aiger(chain, ascii=False)
     aig, parse_s = best(lambda: parse_aiger(data), repeat)
+    text = serialize_aiger(chain, ascii=True)
+    _, parse_ascii_s = best(lambda: parse_aiger(text), repeat)
     raw, encode_s = best(lambda: encode(aig, cone=True), repeat)
     ts, simplify_s = best(lambda: simplify_cnf(raw), repeat)
     template, template_s = best(lambda: FrameTemplate(ts), repeat)
@@ -78,7 +82,9 @@ def phases(gates: int, repeat: int) -> dict:
     _, add_frame_free_s = best(lambda: first_frame(init=False), repeat)
     _, add_frame_nogc_s = best(first_frame_nogc, repeat)
     return {"gates": gates, "clauses": len(ts.clauses),
-            "parse_s": round(parse_s, 4), "encode_s": round(encode_s, 4),
+            "parse_s": round(parse_s, 4),
+            "parse_ascii_s": round(parse_ascii_s, 4),
+            "encode_s": round(encode_s, 4),
             "simplify_s": round(simplify_s, 4),
             "template_s": round(template_s, 4),
             "add_frame_s": round(add_frame_s, 4),
