@@ -348,7 +348,9 @@ def reindex(aig: Aig) -> Aig:
 
 def serialize_aiger(aig: Aig, ascii: bool = True) -> bytes:
     """ASCII or binary AIGER.  Binary output is written from `reindex`,
-    whose numbering the format requires; ASCII keeps the graph's own."""
+    whose numbering the format requires; ASCII keeps the graph's own.  A
+    gate that reads itself or a later gate has no binary encoding: it
+    raises `ValueError`, naming the gate in that numbering."""
     if not ascii:
         aig = reindex(aig)
     o_count, b_count = 0, len(aig.bads)
@@ -373,6 +375,10 @@ def serialize_aiger(aig: Aig, ascii: bool = True) -> bytes:
         if ascii:
             out += b"%d %d %d\n" % (2 * g.var, g.rhs0, g.rhs1)
         else:
+            if g.rhs0 >= 2 * g.var:  # a delta of 0 or less: no encoding
+                raise ValueError(
+                    "gate %d reads var %d, which is not below it in the "
+                    "binary numbering" % (g.var, g.rhs0 >> 1))
             out += _encode_delta(2 * g.var - g.rhs0)
             out += _encode_delta(g.rhs0 - g.rhs1)
     out += aig.trailer

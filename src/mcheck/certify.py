@@ -5,12 +5,15 @@ The checks here deliberately avoid the engines' solvers: a certificate is
 checked on one solver of its own, over one unrolling of the system, and
 witness replay uses plain gate evaluation on the original and-inverter
 graph.  `orchestrator.verify_verdict` hands `verify_certificate` the
-encoding of the certificate's k-step cone.  Frame by frame, its
-definitions are a subset of the full unrolling's, under the same var
-numbers, and each folds alike, since a gate's fold reads only its own cone;
-so a certificate accepted there holds on the whole model.  A definition
-left out defines a var that no kept definition and no query reads, so
-dropping it rejects nothing the full check would accept.
+encoding of the certificate's k-step cone.  Its gates are a subset of the
+full model's, under the same var numbers.  The check compiles its own
+frame template, with every var the certificate names as a root, so no
+query reads a gate that a wider one absorbed.  Frame by frame, each var
+the check reads is defined as the same function as in the full unrolling:
+the cone keeps its gates, and an AND over a tree's leaves or an XOR
+equals the gates it replaces.  So a certificate accepted there holds on
+the whole model.  A gate left out defines a var that no kept gate and no
+query reads, so dropping it rejects nothing the full check would accept.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import List, Optional, Tuple
 from .aiger import Aig, WitnessTrace, replay
 from .logic import Clause, lit_var
 from .satcore import Solver
-from .transys import TranSys, Unroller
+from .transys import FrameTemplate, TranSys, Unroller
 from .verdicts import InvariantCert
 
 
@@ -86,15 +89,17 @@ def verify_certificate(ts: TranSys, cert) -> Tuple[bool, str]:
     k, clauses = cert.k, cert.clauses
     if k < 1:
         return False, "implausible induction depth %d" % k
-    slot_of = ts.frame_template.slot_of
+    # the clauses' vars are roots, so no gate they name is absorbed
+    template = FrameTemplate(ts, {lit_var(l) for c in clauses for l in c},
+                             cut=False)
     for idx, c in enumerate(clauses):
         for l in c:
-            if lit_var(l) not in slot_of:
+            if lit_var(l) not in template.slot_of:
                 return False, ("invariant clause %d names var %d, which the "
                                "model does not have" % (idx, lit_var(l)))
 
     s = Solver()
-    un = Unroller(ts, s, init=False)
+    un = Unroller(ts, s, init=False, template=template)
     un.grow(k)
     g, h = 2 * s.new_var(), 2 * s.new_var()
     for l in ts.init_lits:

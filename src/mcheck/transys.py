@@ -14,13 +14,19 @@ on which every constraint holds at steps 0..d and bad holds at step d;
 nothing is required after step d.  Constraints meet bad in two places
 only: `Unroller`, the one place that builds timed frames, conjoins them in
 `held` and `reach`, and IC3 loads them as root units of its one solver.
-`Unroller` builds each frame from `defs`, gate by
-gate, folding constants: a frame maps a latch to the previous frame's
+IC3's solver loads `clauses`, and its lifting and query domains read the
+two-fanin `defs`.  `Unroller` builds each frame from a `FrameTemplate`, a
+compile of `defs` into wider gates: each fanout-free tree of AND gates
+becomes one AND over the tree's leaves, and each three-gate XOR one XOR
+gate.  A gate absorbed into such a tree or XOR has no literal in any
+frame; the roots, which never are, are the latches' next-state vars, bad,
+the constraints and any var the caller names.  A frame runs the template
+gate by gate, folding constants: it maps a latch to the previous frame's
 next-state literal, an initial frame maps a reset latch to a constant, and
-only a gate left open gets a var and clauses.  The gates come in two parts,
-the cone of the latches' next states and then the logic that only bad and
-the constraints read; an unroller built with init leaves the second part
-out of a frame that no query will read.
+only a gate left open gets a var and clauses.  For an init unroller the
+gates come in two parts, the cone of the latches' next states and then
+the logic that only bad and the constraints read, and the second part is
+left out of a frame that no query will read.
 
 `coi_vars` is the one cone-of-influence walk.  `encode(..., cone=True)` walks
 it from bad and the active constraints through gate fanins and latch
@@ -99,8 +105,9 @@ class TranSys:
 
     @cached_property
     def frame_template(self) -> FrameTemplate:
-        """This system compiled for `Unroller`, once; a system derived with
-        `dataclasses.replace` compiles its own."""
+        """This system compiled for the engines' `Unroller`s, once, with
+        its property part cut; a system derived with `dataclasses.replace`
+        compiles its own."""
         return FrameTemplate(self)
 
     def load(self, solver: Solver, units: Iterable[Lit] = ()) -> None:
@@ -382,18 +389,38 @@ def simplify_cnf(ts: TranSys) -> TranSys:
 # Unrolling
 
 
+XOR = -1  # tags an exclusive-or in a `FrameTemplate` program
+
+
 class FrameTemplate:
     """A system's frame logic compiled once for `Unroller`, over frame slots.
 
+    The compile turns the two-fanin gates of `TranSys.defs` into wider ones
+    (Velev, "Efficient Translation of Boolean Formulas to CNF in Formal
+    Verification of Microprocessors", ASP-DAC 2004; Eén, Mishchenko and
+    Sörensson, "Applying Logic Synthesis for Speeding Up SAT", SAT 2007).
+    A gate is absorbed into its reader when exactly one gate reads it,
+    reads it positively, and it is not a root; the roots are the latches'
+    next-state vars, bad, the constraints and the vars of `keep`, which the
+    caller will read with `Unroller.lit_at` besides the latches and free
+    vars.  Each fanout-free tree of AND gates thus becomes one AND over the
+    tree's leaves, each leaf once.  An XOR is the three-gate shape
+    x = AND(NOT p, NOT q) with p = AND(a, b) and q = AND(NOT a, NOT b),
+    where only x reads p and q, as most AIGER writers emit one:
+    x = a XOR b, and x is a leaf of any tree that reads it.  An absorbed
+    gate, p and q included, has no slot and no literal in any frame.  The
+    compile is linear: one pass counts each var's readers, and one more,
+    in `defs` order, sorts the gates and walks each tree once.
+
     Slot 0 is the constant var 0.  Then come the latches, the free vars (the
     inputs, and the var of any next-state literal that a bounded cone leaves
-    undefined), and last the vars of `TranSys.defs` in two parts, each in
-    `defs` order, which is an evaluation order.  The next-state part is the
-    cone of the next-state literals: the gates a latch's next state reads.
-    The property part is every other gate, the logic that only bad and the
-    constraints read.  The next-state part reads no property slot, so the
-    slot order stays an evaluation order, and the property part is a suffix
-    of it that a frame can leave out whole.
+    undefined), and last the gates left, in `defs` order, which is an
+    evaluation order.  With `cut`, as an init unroller needs, they come in
+    two parts: the cone of the next-state literals, then the property part,
+    the gates that only bad and the constraints read.  The first part reads
+    no property slot, so the slot order stays an evaluation order, and the
+    property part is a suffix of it that a frame can leave out whole.
+    Without `cut`, `prop` is empty and the compile walks no cone.
 
     The compile keeps what a frame needs: `latch_src`, each latch's
     next-state literal; `reset`, each latch's literal in an initial state
@@ -401,22 +428,66 @@ class FrameTemplate:
     of free vars; `bad` and `constraints`; and the gate program, every
     literal packed as `(slot << 1) | sign`.  Two latches may share a
     next-state literal, and it may be a constant, a latch or an input.
-    `gates` (the next-state part) and `prop` (the property part) hold each
-    gate's two fanins, smaller first.  A gate that reads a later slot
-    raises `IndexError` in the first frame, so the order needs no check of
-    its own.
+    `gates` (the next-state part) and `prop` (the property part) hold one
+    tuple per gate: `(XOR, a, b)` for an XOR, and an AND's fanins for an
+    AND, smaller first if there are two, the frame's fast path.  A gate
+    that reads a later slot raises `IndexError` in the first frame, so the
+    order needs no check of its own.
     """
 
-    def __init__(self, ts: TranSys):
+    def __init__(self, ts: TranSys, keep: Collection[int] = (),
+                 cut: bool = True):
         defs, latches = ts.defs, ts.latch_vars
         nexts = [ts.next_map[lv] for lv in latches]
         next_vars = [l >> 1 for l in nexts]
         known = {0, *latches, *defs}
         free = [v for v in dict.fromkeys(chain(ts.input_vars, next_vars))
                 if v not in known]
-        cone = coi_vars(next_vars, defs, {})
-        narrow = [v for v in defs if v in cone]
-        prop = [v for v in defs if v not in cone]
+
+        read: Dict[int, Lit] = {}  # var -> the literal its last reader reads
+        shared = {*next_vars, ts.bad >> 1, *(c >> 1 for c in ts.constraints),
+                  *keep}  # the roots, and every var read twice or more
+        for a, b in defs.values():
+            if a >> 1 in read:
+                shared.add(a >> 1)
+            read[a >> 1] = a
+            if b >> 1 in read:
+                shared.add(b >> 1)
+            read[b >> 1] = b
+        body: Dict[int, Tuple[Lit, ...]] = {}  # each gate left: its program
+        absorbed: Set[int] = set()  # AND gates absorbed into their reader
+        for v, (a, b) in defs.items():
+            p, q = a >> 1, b >> 1
+            if a & b & 1 and p in body and q in body and not (
+                    p in shared or q in shared):
+                pa, pb = defs[p]
+                if defs[q] in ((pa ^ 1, pb ^ 1), (pb ^ 1, pa ^ 1)):
+                    del body[p], body[q]  # only v reads them
+                    body[v] = XOR, pa, pb  # v = pa XOR pb
+                    continue
+            if v not in shared and read.get(v, 1) & 1 == 0:
+                absorbed.add(v)  # read once, positively, by an AND
+            elif p not in absorbed and q not in absorbed:
+                body[v] = a, b  # a two-input AND, as `encode` wrote it
+            else:  # the leaves of the tree, each once
+                stack, leaves = [b, a], []
+                while stack:
+                    l = stack.pop()
+                    if l >> 1 in absorbed:
+                        stack += reversed(defs[l >> 1])
+                    else:
+                        leaves.append(l)
+                body[v] = tuple(dict.fromkeys(leaves))
+
+        narrow: List[int] = list(body)
+        prop: List[int] = []
+        if cut:
+            cone = set(next_vars)
+            for v in reversed(narrow):
+                if v in cone:  # an XOR's tag adds var -1, which no gate is
+                    cone.update([l >> 1 for l in body[v]])
+            prop = [v for v in narrow if v not in cone]
+            narrow = [v for v in narrow if v in cone]
         order = [0, *latches, *free, *narrow, *prop]
         self.slot_of: Dict[int, int] = {v: j for j, v in enumerate(order)}
         slot_of = self.slot_of
@@ -429,27 +500,41 @@ class FrameTemplate:
         self.reset = [reset.get(lv) for lv in latches]
         self.free = len(free)
 
-        pairs = [(pack(a), pack(b)) for a, b in map(defs.get, narrow + prop)]
-        gates = [(a, b) if a <= b else (b, a) for a, b in pairs]
-        self.gates, self.prop = gates[:len(narrow)], gates[len(narrow):]
+        program: List[Tuple[int, ...]] = []
+        for v in chain(narrow, prop):
+            gate = body[v]
+            if gate[0] == XOR:
+                program.append((XOR, pack(gate[1]), pack(gate[2])))
+            elif len(gate) == 2:
+                a, b = pack(gate[0]), pack(gate[1])
+                program.append((a, b) if a <= b else (b, a))
+            else:
+                program.append(tuple(map(pack, gate)))
+        self.gates, self.prop = program[:len(narrow)], program[len(narrow):]
         self.bad = pack(ts.bad)
         self.constraints = [pack(c) for c in ts.constraints]
 
 
-def _and(lits: Iterable[Lit], g: Lit, out: List[List[Lit]]) -> Lit:
+def _and(lits: Iterable[Lit], g: Lit, out: List[Lit], ends: List[int]) -> Lit:
     """The AND of the solver literals `lits`, folded as `Unroller.add_frame`
-    folds a gate; if two or more stay open, the fresh literal `g`, with the
-    clauses that define it appended to `out`."""
-    kept: List[Lit] = []
+    folds a gate: false if one is false or two are complementary, the one
+    literal left if the rest are true or repeats.  If two or more stay
+    open, the fresh literal `g`, with the clauses that define it appended
+    flat to `out` and their ends to `ends`."""
+    kept: Dict[Lit, None] = {}
     for l in lits:
         if l == FALSE_LIT or l ^ 1 in kept:
             return FALSE_LIT
-        if l != TRUE_LIT and l not in kept:
-            kept.append(l)
+        kept[l] = None
+    kept.pop(TRUE_LIT, None)
     if len(kept) < 2:
-        return kept[0] if kept else TRUE_LIT
-    out += [[l, g ^ 1] for l in kept]
-    out.append([l ^ 1 for l in kept] + [g])
+        return next(iter(kept), TRUE_LIT)
+    for l in kept:
+        out += (l, g ^ 1)
+        ends.append(len(out))
+    out += [l ^ 1 for l in kept]
+    out.append(g)
+    ends.append(len(out))
     return g
 
 
@@ -464,14 +549,18 @@ class Unroller:
     value; every other latch of frame 0 and every free var of each frame
     gets a fresh var.
 
-    A frame then runs the system's `FrameTemplate` program gate by gate and
-    folds constants as it goes (Kuehlmann, Paruthi, Krohm and Ganai,
-    "Robust Boolean Reasoning for Equivalence Checking and Functional
-    Property Verification", TCAD 2002): an AND with a false fanin, or with
-    complementary fanins, is false; one with a true fanin, or with the same
-    literal twice, is its other fanin.  Only a gate left open gets a fresh
-    var and its three clauses, `(x, -g)`, `(y, -g)`, `(-x, -y, g)` with the
-    fanins in slot order, so no clause names a var twice.  A frame
+    A frame then runs a `FrameTemplate` program gate by gate, the system's
+    own unless `template` is given, and folds constants as it goes
+    (Kuehlmann, Paruthi, Krohm and Ganai, "Robust Boolean Reasoning for
+    Equivalence Checking and Functional Property Verification", TCAD 2002):
+    an AND with a false fanin, or with complementary fanins, is false; its
+    true and repeated fanins drop out, and one with a single fanin left is
+    that fanin.  An XOR with a constant fanin is its other fanin or that
+    fanin's negation, and one of a literal with itself or its negation is a
+    constant.  Only a gate left open gets a fresh var: an AND of n fanins
+    with its n + 1 clauses, `(x, -g)` for each fanin x and the clause of
+    every fanin negated and g, and an XOR with its four ternary clauses.
+    No clause names a var twice.  A frame
     allocates the vars of its latches, free vars and gates with one
     `Solver.new_vars` call, in slot order, and loads its clauses with one
     `Solver.add_root_clauses` call.  Logic the reset state fixes thus costs
@@ -488,17 +577,19 @@ class Unroller:
     With `init`, a frame whose `reach(d)` folds to false and whose
     `held(d)` folds to a constant leaves out the template's property part:
     no query and no later frame reads it.  It is folded, then cut off
-    before anything of it is allocated, and `lit_at` on one of its vars
-    raises `ValueError`.  BMC and the k-induction base case read only
+    before anything of it is allocated.  `lit_at` raises `ValueError` on a
+    var of a part left out, and on a gate the template absorbed, which no
+    frame maps.  BMC and the k-induction base case read only
     `reach`, frame 0's latches and the inputs; the init-free unrollers of
     the k-induction step and the certificate check keep every frame whole.
     """
 
-    def __init__(self, ts: TranSys, solver: Solver, init: bool = True):
+    def __init__(self, ts: TranSys, solver: Solver, init: bool = True,
+                 template: Optional[FrameTemplate] = None):
         self.ts = ts
         self.solver = solver
         self.init = init
-        self.template = ts.frame_template
+        self.template = template or ts.frame_template
         self._frames: List[List[Lit]] = []  # per frame: solver literal by slot
         self._held: List[Lit] = []
         self._reach: List[Lit] = []
@@ -532,45 +623,59 @@ class Unroller:
         lm[0::2] = fm
         lm[1::2] = [x ^ 1 for x in fm]
         g = 2 * (nv + t.free)  # the next open gate's literal
-        for part in t.gates, t.prop:
-            # where the property part starts, to cut it off
-            cut = len(lits), len(ends), len(lm), g
-            for a, b in part:  # literals 0 and 1 are the constants
-                x, y = lm[a], lm[b]
-                if x > 1 and y > 1 and x ^ y > 1:
-                    ng = g + 1
-                    lits += (x, ng, y, ng, lm[a ^ 1], lm[b ^ 1], g)
-                    k = len(lits)
-                    ends += (k - 5, k - 3, k)
-                    lm += (g, ng)
-                    g += 2
-                elif x == y or y == TRUE_LIT:
-                    lm += (x, x ^ 1)
-                elif x == TRUE_LIT:
-                    lm += (y, y ^ 1)
-                else:  # a false fanin, or x AND NOT x
-                    lm += (FALSE_LIT, TRUE_LIT)
-        tail: List[List[Lit]] = []  # clauses of held and reach
 
         def conj(ls: List[Lit]) -> Lit:
             nonlocal g
-            x = _and(ls, g, tail)
+            x = _and(ls, g, lits, ends)
             if x == g:
                 g += 2
             return x
+
+        for part in t.gates, t.prop:
+            # where the property part starts, to cut it off
+            cut = len(lits), len(ends), len(lm), g
+            for gate in part:  # literals 0 and 1 are the constants
+                if len(gate) == 2:  # a two-input AND
+                    a, b = gate
+                    x, y = lm[a], lm[b]
+                    if x > 1 and y > 1 and x ^ y > 1:
+                        ng = g + 1
+                        lits += (x, ng, y, ng, lm[a ^ 1], lm[b ^ 1], g)
+                        k = len(lits)
+                        ends += (k - 5, k - 3, k)
+                        lm += (g, ng)
+                        g += 2
+                    elif x == y or y == TRUE_LIT:
+                        lm += (x, x ^ 1)
+                    elif x == TRUE_LIT:
+                        lm += (y, y ^ 1)
+                    else:  # a false fanin, or x AND NOT x
+                        lm += (FALSE_LIT, TRUE_LIT)
+                elif gate[0] == XOR:
+                    x, y = lm[gate[1]], lm[gate[2]]
+                    if x > 1 and y > 1 and x ^ y > 1:
+                        ng, nx, ny = g + 1, x ^ 1, y ^ 1
+                        lits += (ng, x, y, ng, nx, ny, g, nx, y, g, x, ny)
+                        k = len(lits)
+                        ends += (k - 9, k - 6, k - 3, k)
+                        lm += (g, ng)
+                        g += 2
+                    else:  # a constant fanin, or x XOR (NOT) x
+                        lm += (x ^ y ^ 1, x ^ y)
+                else:  # an AND of any other number of fanins
+                    x = conj([lm[j] for j in gate])
+                    lm += (x, x ^ 1)
 
         prior = self._held[-1:]  # held(d-1), if there is a frame before
         held = conj([lm[c] for c in t.constraints] + prior)
         reach = conj([lm[t.bad], held])
         if self.init and reach == FALSE_LIT and held < 2:
             # no query reads this frame's property logic, and no later
-            # frame does either: leave it out before anything is allocated
-            del lits[cut[0]:], ends[cut[1]:], lm[cut[2]:], tail[:]
+            # frame does either: leave it out before anything is allocated;
+            # held and reach, constants, added no clause
+            del lits[cut[0]:], ends[cut[1]:], lm[cut[2]:]
             g = cut[3]
         s.new_vars(g // 2 - s.num_vars)
-        for cl in tail:
-            lits += cl
-            ends.append(len(lits))
         self._frames.append(lm[0::2])
         self._held.append(held)
         self._reach.append(reach)
@@ -582,12 +687,14 @@ class Unroller:
 
     def lit_at(self, lit: Lit, frame: int) -> Lit:
         """The solver literal of `lit` in `frame`; `ValueError` if the frame
-        left out the property logic that defines it."""
+        left out the property logic that defines it, or if no frame maps
+        its var, a gate the template absorbed into a wider one."""
         row = self._frames[frame]
-        j = self.template.slot_of[lit >> 1]
-        if j >= len(row):
-            raise ValueError("var %d has no literal in frame %d: the frame "
-                             "left out its property logic" % (lit >> 1, frame))
+        j = self.template.slot_of.get(lit >> 1)
+        if j is None or j >= len(row):
+            raise ValueError("var %d has no literal in frame %d: %s" % (
+                lit >> 1, frame, "no frame maps it" if j is None else
+                "the frame left out its property logic"))
         return row[j] ^ (lit & 1)
 
     def held(self, frame: int) -> Lit:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, Latch,
+from mcheck.aiger import (MAX_BINARY_INPUTS, Aig, AigerError, AndGate, Latch,
                           eval_nodes, parse_aiger, serialize_aiger, simulate)
 from mcheck.transys import encode
 
@@ -63,6 +63,21 @@ def test_binary_round_trip(rng):
         again = parse_aiger(blob)
         assert structurally_equal(aig, again)
         assert serialize_aiger(again, ascii=False) == blob
+
+
+def test_binary_serialize_rejects_a_gate_that_reads_a_later_one():
+    """A hand-built graph whose gate reads a later gate, or itself, has no
+    binary AIGER form: `serialize_aiger` raises `ValueError` naming the
+    gate, where the delta encoder once looped forever; ASCII still writes
+    the graph as it is."""
+    later = Aig(max_var=3, inputs=[1],
+                ands=[AndGate(2, 6, 2), AndGate(3, 4, 2)], bads=[6])
+    itself = Aig(max_var=2, inputs=[1], ands=[AndGate(2, 4, 2)], bads=[4])
+    for aig, gate, var in ((later, 2, 3), (itself, 2, 2)):
+        with pytest.raises(ValueError, match="gate %d reads var %d," % (
+                gate, var)):
+            serialize_aiger(aig, ascii=False)
+        assert serialize_aiger(aig, ascii=True).startswith(b"aag ")
 
 
 def test_ascii_binary_agree(rng):

@@ -8,9 +8,13 @@ from mcheck.aiger import Aig, AndGate, Latch, eval_nodes, parse_aiger
 from mcheck.engines import bmc, kind
 from mcheck.ic3 import IC3, check as ic3_check
 from mcheck.logic import FALSE_LIT, TRUE_LIT, lit_neg, mklit
-from mcheck.orchestrator import build_transys, verify_verdict
+from mcheck.certify import verify_certificate
+from mcheck.orchestrator import (EngineConfig, build_transys, run_config,
+                                 verify_verdict)
 from mcheck.satcore import Solver
-from mcheck.transys import Unroller, coi_vars, encode, ref_to_lit, simplify_cnf
+from mcheck.transys import (XOR, FrameTemplate, Unroller, coi_vars, encode,
+                            ref_to_lit, simplify_cnf)
+from mcheck.verdicts import InvariantCert, safe
 
 from fixtures import (BAD_THEN_BLOCKED_AAG, CNT2_AAG, FALSE_REF, TRUE_REF,
                       AigBuilder, counter_with_reset, mod_counter,
@@ -285,6 +289,124 @@ def test_folded_frames_match_simulation(rng):
     assert folded > 500 and kept > 500 and dropped > 500
 
 
+def _structured_aig(rng):
+    """A random circuit rich in XORs and in deep AND trees: each new node
+    is an XOR, an AND of 2 to 6 picks (a chain of gates) or a plain AND,
+    over inputs, latches and earlier nodes, so some trees are fanout-free
+    and some share their gates."""
+    b = AigBuilder()
+    refs = [b.new_input() for _ in range(rng.randint(1, 3))]
+    regs = [b.new_latch(rng.choice([0, 0, 1, None]))
+            for _ in range(rng.randint(2, 6))]
+    refs += regs
+
+    def pick():
+        return rng.choice(refs) ^ rng.randint(0, 1)
+
+    for _ in range(rng.randint(4, 16)):
+        op = rng.random()
+        if op < 0.4:
+            refs.append(b.XOR(pick(), pick()))
+        elif op < 0.8:
+            refs.append(b.conj([pick() for _ in range(rng.randint(2, 6))]))
+        else:
+            refs.append(b.AND(pick(), pick()))
+    for r in regs:
+        b.set_next(r, pick())
+    bad = b.conj([pick() for _ in range(rng.randint(1, 4))])
+    return b.build(bads=[bad],
+                   constraints=[pick()] if rng.random() < 0.3 else [])
+
+
+def test_structural_frames_match_simulation(rng):
+    """Seeded differential of the compiled frames against `eval_nodes`, on
+    random circuits, unfolded ones (whose trees can repeat a leaf, read a
+    constant or both polarities of a var), circuits rich in XORs and deep
+    AND trees, and the fixtures' counters and locks, encoded in full and
+    over the cone, with init and without.  Under a fixed start state and
+    stimulus, every var a frame maps takes its simulated value, and
+    `reach(d)` can hold exactly when the simulation says so.  Every gate
+    the template absorbed has no slot, and `lit_at` on it raises
+    `ValueError` in every frame."""
+    aigs = [random_aig(rng, constraint_prob=0.3) for _ in range(30)]
+    aigs += [_unfolded_aig(rng) for _ in range(30)]
+    aigs += [_structured_aig(rng) for _ in range(80)]
+    aigs += [mod_counter(4, 6, 10, enable=True), shift_lock(6, 0b101),
+             padded_mod_counter(4, 12, 6, pad=3, enable=True)]
+    absorbed_n = xors = wide = mapped = 0
+    for aig in aigs:
+        depth = rng.randint(1, 4)
+        stimulus = [[rng.randint(0, 1) for _ in aig.inputs]
+                    for _ in range(depth + 1)]
+        start = {lt.var: rng.randint(0, 1) if lt.init is None else lt.init
+                 for lt in aig.latches}
+        steps = _simulate(aig, start, stimulus)
+        col = {v: j for j, v in enumerate(aig.inputs)}
+        held = True
+        for ts in (encode(aig), build_transys(aig)):
+            t = ts.frame_template
+            absorbed = set(ts.defs) - set(t.slot_of)
+            absorbed_n += len(absorbed)
+            xors += sum(g[0] == XOR for g in t.gates + t.prop)
+            wide += sum(g[0] != XOR and len(g) > 2 for g in t.gates + t.prop)
+            for init in (True, False):
+                s = Solver()
+                un = Unroller(ts, s, init=init)
+                un.grow(depth)
+                fix = [un.lit_at(mklit(v, start[v] == 0), 0)
+                       for v in ts.latch_vars]
+                fix += [un.lit_at(mklit(v, stimulus[d][col[v]] == 0), d)
+                        for d in range(depth + 1) for v in ts.input_vars]
+                assert s.solve(fix) is True
+                for d in range(depth + 1):
+                    gone = _left_out(un, d)
+                    for v in t.slot_of:
+                        if v not in gone:
+                            lit = un.lit_at(2 * v, d)
+                            want = 1 if v == 0 else steps[d][v]
+                            assert _lit_value(s, lit) == want, (d, v, init)
+                            mapped += 1
+                    for v in absorbed:
+                        with pytest.raises(ValueError, match=(
+                                "var %d has no literal in frame %d" % (v, d))):
+                            un.lit_at(2 * v, d)
+                    held = all(steps[d][c >> 1] ^ (c & 1)
+                               for c in aig.constraints) and (held or not d)
+                    bad = steps[d][aig.bads[0] >> 1] ^ (aig.bads[0] & 1)
+                    assert s.solve(fix + [un.reach(d)]) is bool(held and bad)
+    assert absorbed_n > 1000 and xors > 250 and wide > 250 and mapped > 10000
+
+
+def test_certificates_naming_absorbed_gates_agree_with_the_full_check():
+    """A certificate whose clauses name gates that the engines' template
+    absorbs gets from `verify_verdict`, which checks it on its cone, the
+    answer `verify_certificate` gives on the full encoding: the check
+    compiles its own template, with those vars as roots.  Each case adds
+    to IC3's certificate, for one absorbed gate g = a AND b, the valid
+    clause (NOT g OR a), the claim (g) or the claim (NOT g)."""
+    cases = accepted = 0
+    for aig in (mod_counter(5, 12, 20), mod_counter(4, 6, 10, enable=True),
+                padded_mod_counter(4, 12, 14, pad=2, enable=True)):
+        v = run_config(aig, EngineConfig("ic3"))
+        assert v.is_safe
+        full = encode(aig)
+        absorbed = set(full.defs) - set(full.frame_template.slot_of)
+        assert len(absorbed) >= 3
+        base = list(v.certificate.clauses)
+        for g in sorted(absorbed):
+            assert g in FrameTemplate(full, {g}, cut=False).slot_of
+            valid = tuple(sorted((2 * g + 1, full.defs[g][0])))
+            for extra in (valid, (2 * g,), (2 * g + 1,)):
+                cert = InvariantCert(base + [extra])
+                got = verify_verdict(aig, 0, safe(cert))
+                assert got == verify_certificate(full, cert), (g, extra)
+                if extra == valid:
+                    assert got == (True, "ok")
+                cases += 1
+                accepted += got[0]
+    assert cases > 100 and 0 < accepted < cases
+
+
 def test_simplify_leaves_input_unchanged(rng):
     """A simplified system shares untouched fields with its input; building
     it must not modify the input."""
@@ -338,19 +460,35 @@ def _recorded_batches(monkeypatch):
     return batches
 
 
+def _frame_lit(un, packed, d):
+    """Frame d's literal of the template literal `packed`, through
+    `lit_at` on the var that holds its slot."""
+    slot_of = un.template.slot_of
+    order = sorted(slot_of, key=slot_of.get)
+    return un.lit_at(2 * order[packed >> 1], d) ^ (packed & 1)
+
+
 def test_every_frame_allocates_in_slot_order(monkeypatch):
     """Every frame allocates its fresh vars in slot order, in one batch that
-    holds three clauses per gate left open (and frame 0 the constant's
-    unit), none of which names a var twice; with init and without.  The
-    enable input comes before the latches in var order but after them in
-    slot order.  From init, bad = 10 folds to false at depths 0..3, so each
-    of those frames leaves out its property part: `lit_at` raises there,
-    and the batch holds no clause of it."""
+    holds, for each gate left open, the clauses of its kind: n binary
+    clauses and one of n + 1 literals for an AND of n open fanins, four
+    ternary clauses for an XOR (and frame 0 the constant's unit), none of
+    which names a var twice; with init and without.  The counter's 4 XORs
+    compile to XOR gates and its comparators to ANDs of 4 or more fanins.
+    The enable input comes before the latches in var order but after them
+    in slot order.  From init, bad = 10 folds to false at depths 0..3, so
+    each of those frames leaves out its property part: `lit_at` raises
+    there, and the batch holds no clause of it."""
     batches = _recorded_batches(monkeypatch)
     ts = encode(mod_counter(4, 6, 10, enable=True))
-    slot_of = ts.frame_template.slot_of
+    t = ts.frame_template
+    slot_of = t.slot_of
     order = sorted(slot_of, key=slot_of.get)
     assert order != sorted(slot_of)
+    program = t.gates + t.prop
+    gate_of = dict(zip(order[len(order) - len(program):], program))
+    assert sum(g[0] == XOR for g in program) == 4
+    assert sum(g[0] != XOR and len(g) >= 4 for g in program) >= 2
     for init in (True, False):
         batches.clear()
         s = Solver()
@@ -358,58 +496,78 @@ def test_every_frame_allocates_in_slot_order(monkeypatch):
         un.grow(3)
         assert len(batches) == 4
         top = 1  # the first var of the frame
+        opened = set()
         for d, batch in enumerate(batches):
             gone = _left_out(un, d)
             for x in gone:
                 with pytest.raises(ValueError, match="frame %d" % d):
                     un.lit_at(2 * x, d)
             assert bool(gone) is init  # bad is unreachable from reset
-            new = list(dict.fromkeys(v for v in (un.lit_at(2 * x, d) >> 1
-                                                 for x in order
-                                                 if x not in gone) if v >= top))
+            new, want = [], []  # fresh vars; the clause sizes of open gates
+            for x in order:
+                v = x not in gone and un.lit_at(2 * x, d) >> 1
+                if not v or v < top or v in new:
+                    continue  # left out, or folded to an older literal
+                new.append(v)
+                gate = gate_of.get(x)
+                if gate is None:  # a latch or free var
+                    continue
+                if gate[0] == XOR:
+                    want += [3] * 4
+                else:
+                    n = len({_frame_lit(un, j, d) for j in gate} - {TRUE_LIT})
+                    want += [2] * n + [n + 1]
+                opened.add("XOR" if gate[0] == XOR else min(n, 3))
             assert new == list(range(top, top + len(new)))
-            gates = len(new) - len(ts.input_vars)
-            if d == 0 and not init:
-                gates -= len(ts.latch_vars)
             unit = [[TRUE_LIT]] if d == 0 else []
             assert batch[:len(unit)] == unit
-            assert sorted(map(len, batch[len(unit):])) == (
-                [2] * 2 * gates + [3] * gates)
+            assert sorted(map(len, batch[len(unit):])) == sorted(want)
             for cl in batch:
                 assert len({l >> 1 for l in cl}) == len(cl)
             top += len(new)
         assert top == s.num_vars
+        assert opened == {"XOR", 2, 3}  # each kind of gate opened somewhere
 
 
 def test_left_out_literals_raise():
-    """From init, `shift_lock(8, ...)`'s bad folds to false at depths 0..7,
-    so those frames leave out its 7 comparator gates, the whole property
-    part: `lit_at` on one of them, bad included, raises `ValueError`
-    naming the var and the frame, and no var was allocated for them.
-    Frame 8, where the lock can open, keeps them, and so does every frame
-    of an init-free unroller."""
+    """`shift_lock(8, ...)`'s comparator, 7 gates in a chain that only bad
+    reads, compiles to one AND of 8 fanins, the whole property part; its 6
+    inner gates are absorbed, and `lit_at` on one of them raises
+    `ValueError` in every frame.  From init, bad folds to false at depths
+    0..7, so those frames leave out the comparator: `lit_at` on bad raises
+    `ValueError` naming the var and the frame, and no var was allocated
+    for it.  Frame 8, where the lock can open, keeps it as one var and 9
+    clauses, and so does every frame of an init-free unroller."""
     ts = build_transys(shift_lock(8, 0b1011))
     prop = set(ts.defs) - coi_vars([l >> 1 for l in ts.next_map.values()],
                                    ts.defs, {})
     assert ts.bad >> 1 in prop and len(prop) == 7
+    inner = prop - {ts.bad >> 1}
+    t = ts.frame_template
+    assert not inner & set(t.slot_of) and not t.gates
+    assert [len(g) for g in t.prop] == [8]
     s = Solver()
     un = Unroller(ts, s)
     un.grow(8)
+    for d in range(9):
+        for v in inner:
+            with pytest.raises(ValueError, match="var %d .* frame %d" % (v, d)):
+                un.lit_at(2 * v + 1, d)
     for d in range(8):
         assert un.reach(d) == FALSE_LIT and un.held(d) == TRUE_LIT
         with pytest.raises(ValueError, match="var %d has no literal in frame %d"
                            % (ts.bad >> 1, d)):
             un.lit_at(ts.bad, d)
-        for v in prop:
-            with pytest.raises(ValueError, match="var %d .* frame %d" % (v, d)):
-                un.lit_at(2 * v + 1, d)
-    assert un.reach(8) == un.lit_at(ts.bad, 8) > TRUE_LIT
-    assert {un.lit_at(2 * v, 8) >> 1 for v in prop} == set(range(10, 17))
-    assert s.num_vars == 1 + 9 + 7  # var 0, one input per frame, the gates
+    assert un.reach(8) == un.lit_at(ts.bad, 8) == 2 * 10
+    assert s.num_vars == 1 + 9 + 1  # var 0, one input per frame, the AND
+    assert len(s.clauses) + s.num_bins == 8 + 1
     free = Unroller(ts, Solver(), init=False)
     free.grow(8)
     for d in range(9):
-        assert all(free.lit_at(2 * v, d) > TRUE_LIT for v in prop)
+        assert free.lit_at(ts.bad, d) > TRUE_LIT
+        for v in inner:
+            with pytest.raises(ValueError, match="var %d .* frame %d" % (v, d)):
+                free.lit_at(2 * v, d)
 
 
 def test_cone_drops_logic_that_cannot_reach_bad():
@@ -425,19 +583,25 @@ def test_cone_drops_logic_that_cannot_reach_bad():
     # var numbers are the full encoding's: the kept clauses are a subset
     assert len(ts.clauses) < len(full.clauses)
     assert set(ts.clauses) <= set(full.clauses)
-    # an unrolled frame maps only the vars the clauses use, and with init
-    # no reset latch gets a var of its own
+    # an unrolled frame maps only vars the clauses use: each var they use
+    # has a slot, unless it is a gate the template absorbed, on which
+    # `lit_at` raises; and with init no reset latch gets a var of its own
     used = {l >> 1 for cl in ts.clauses for l in cl}
+    slots = set(ts.frame_template.slot_of)
+    absorbed = used - slots
+    assert slots < used and absorbed and absorbed <= set(ts.defs)
     for init in (False, True):
         s = Solver()
         un = Unroller(ts, s, init=init)
         un.add_frame()
-        assert set(un.template.slot_of) == used
+        for v in absorbed:
+            with pytest.raises(ValueError, match="var %d " % v):
+                un.lit_at(2 * v, 0)
         if init:
             assert [un.lit_at(2 * v, 0) for v in cnt] == [FALSE_LIT] * 4
-            assert s.num_vars < len(used) - len(cnt)
+            assert s.num_vars < len(slots) - len(cnt)
         else:
-            assert s.num_vars == len(used)
+            assert s.num_vars == len(slots)
     # without padding every latch and input stays; only dead gates go
     bare = padded_mod_counter(4, 12, 6, pad=0, enable=True)
     cut, whole = encode(bare, cone=True), encode(bare)
